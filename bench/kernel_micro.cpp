@@ -1,9 +1,11 @@
 // Microbenchmarks of the primitive-kernel schedule variants (the
 // auto-scheduler's search space) using google-benchmark — verifies the
 // variant ordering assumption (higher variants faster) that
-// harness::apply_default_schedules and the tuner rely on.
+// harness::apply_default_schedules and the tuner rely on — plus the per-switch
+// cost of the fiber runtime that suspends instances at sync points.
 #include <benchmark/benchmark.h>
 
+#include "runtime/fiber.h"
 #include "support/rng.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -154,6 +156,32 @@ void BM_MatMulBT(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatMulBT)->Arg(16)->Arg(32);
+
+// Fiber suspension cost (DESIGN.md §1): `fibers` fibers each block once per
+// iteration, as decode sessions do at every sync point and token boundary —
+// step_ready switches into each, block_current switches back, and
+// wake_blocked readies them again. `per_switch` is seconds per one-way
+// switch, printed with an SI prefix (e.g. `per_switch=20ns`).
+void BM_FiberSwitch(benchmark::State& state) {
+  const int fibers = static_cast<int>(state.range(0));
+  FiberScheduler fs;
+  bool stop = false;
+  for (int i = 0; i < fibers; ++i)
+    fs.spawn([&] {
+      while (!stop) fs.block_current();
+    });
+  for (auto _ : state) {
+    fs.step_ready();
+    fs.wake_blocked();
+  }
+  stop = true;
+  fs.step_ready();
+  fs.reap_done();
+  state.counters["per_switch"] =
+      benchmark::Counter(2.0 * fibers, benchmark::Counter::kIsIterationInvariantRate |
+                                           benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FiberSwitch)->Arg(1)->Arg(16)->ArgNames({"fibers"});
 
 }  // namespace
 

@@ -13,14 +13,13 @@
 //    `reap_done`) lets a driver admit new fibers while earlier ones are
 //    suspended — continuous batching across requests (serve/server.h).
 //
-// Single-threaded per scheduler (ucontext swap, no locks): determinism and
+// Single-threaded per scheduler (a hand-written x86-64 stack switch, no
+// syscalls, no locks; DESIGN.md §1 states its contract): determinism and
 // zero synchronization cost are the point — concurrency here is about
 // program shape, not parallel hardware. Shard workers (serve/) each own a
 // private scheduler on their own thread; the active-scheduler slot is
 // thread-local, so schedulers never share state across threads.
 #pragma once
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
@@ -108,22 +107,26 @@ class FiberScheduler {
   long long stacks_allocated() const { return stacks_allocated_; }
 
  private:
-  // Heap-stable: glibc's ucontext_t points into itself (uc_mcontext.fpregs),
-  // so a Fiber must never move once getcontext has run. Dynamic admission
-  // grows the fiber list mid-run, hence unique_ptr elements.
+  // Heap-stable: a suspended fiber is still executing `task` in place (its
+  // frames point into the std::function's storage), so a Fiber must never
+  // move while it runs. Dynamic admission grows the fiber list mid-run,
+  // hence unique_ptr elements. `sp` is the fiber's saved stack pointer; the
+  // callee-saved registers and FP control words sit on its own stack.
   struct Fiber {
-    ucontext_t ctx;
+    void* sp = nullptr;
     std::unique_ptr<char[]> stack;
     FiberTask task;
     int tag = -1;
     enum State { kReady, kBlocked, kParked, kDone } state = kReady;
   };
 
-  static void trampoline();
+  // First frame of every fiber: runs the task, marks the fiber done and
+  // switches back to the scheduler for good.
+  [[noreturn]] static void entry() noexcept;
 
   static constexpr std::size_t kStackBytes = 256 * 1024;
 
-  ucontext_t main_ctx_;
+  void* main_sp_ = nullptr;  // scheduler side's saved stack pointer
   std::vector<std::unique_ptr<Fiber>> fibers_;
   std::vector<std::unique_ptr<Fiber>> pool_;  // recycled fibers, stacks retained
   std::function<void(int)> reap_hook_;

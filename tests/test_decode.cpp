@@ -252,6 +252,9 @@ void test_fleet_token_deadline_cancels() {
     std::vector<serve::Request> trace = t0_trace(n, 6);
     fleet::FleetOptions fo;
     fo.collect_outputs = true;
+    // No class deadline: only the per-token one is under test, and a
+    // loaded machine must not shed sessions at arrival.
+    fo.policy.deadline_ns = {0, 0, 0};
     fo.policy.token_deadline_ns = token_deadline_ns;
     return fleet::serve_fleet(reg, trace, fo);
   };

@@ -1,10 +1,14 @@
 // Fiber scheduler semantics: cooperative interleaving, all-blocked wakeups,
-// and engine integration (blocked instances batch across a sync point).
+// engine integration (blocked instances batch across a sync point), and the
+// context switch's contract (registers, FP control state, exceptions).
 #include "engine/engine.h"
 #include "runtime/fiber.h"
 #include "support/rng.h"
 #include "test_util.h"
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -138,6 +142,119 @@ void test_stack_pool_reuse() {
   CHECK_EQ(fs.stacks_allocated(), 3);  // peak concurrency, not 4x3
 }
 
+// One step of the accumulators test_switch_preserves_locals carries across
+// every suspension: integer, double and float state, mixed so that each
+// round depends on all of the previous one.
+struct Acc {
+  std::uint64_t h;
+  double d;
+  float f;
+};
+
+[[gnu::noinline]] Acc acc_step(Acc a, int fiber, int round) {
+  a.h = a.h * 6364136223846793005ull + static_cast<std::uint64_t>(round * 64 + fiber);
+  a.d = a.d * 0.999 + static_cast<double>(a.h >> 44) * 1e-6;
+  a.f = a.f * 0.5f + static_cast<float>(a.d) + static_cast<float>(a.h & 0xff);
+  return a;
+}
+
+void test_switch_preserves_locals() {
+  // Values live across block_current in callee-saved registers and spill
+  // slots; any register the switch drops shows up as a wrong accumulator.
+  constexpr int kFibers = 32, kRounds = 1000;
+  FiberScheduler fs;
+  std::vector<Acc> got(kFibers);
+  std::vector<FiberTask> tasks;
+  for (int i = 0; i < kFibers; ++i)
+    tasks.push_back([&, i] {
+      Acc a{static_cast<std::uint64_t>(i), 0.25 * i, 1.0f};
+      for (int r = 0; r < kRounds; ++r) {
+        a = acc_step(a, i, r);
+        fs.block_current();
+      }
+      got[static_cast<std::size_t>(i)] = a;
+    });
+  fs.run(std::move(tasks), [] {});
+  CHECK_EQ(fs.idle_triggers(), kRounds);
+  for (int i = 0; i < kFibers; ++i) {
+    Acc want{static_cast<std::uint64_t>(i), 0.25 * i, 1.0f};
+    for (int r = 0; r < kRounds; ++r) want = acc_step(want, i, r);
+    const Acc& a = got[static_cast<std::size_t>(i)];
+    CHECK_EQ(a.h, want.h);
+    CHECK(a.d == want.d);
+    CHECK(a.f == want.f);
+  }
+}
+
+// 1/3 is inexact, so rounding it up and rounding its negation up (i.e. the
+// magnitude down) differ exactly when SSE rounds upward. volatile keeps the
+// divisions at run time, under whatever MXCSR is live.
+bool sse_rounds_up() {
+  volatile float one = 1.0f, minus_one = -1.0f, three = 3.0f;
+  const float up = one / three;
+  const float down = -(minus_one / three);
+  return up > down;
+}
+
+void test_switch_keeps_fp_control_per_fiber() {
+  // The FP control words are per-context state: a fiber's rounding mode
+  // survives its suspension and never leaks into the scheduler side.
+  CHECK_EQ(std::fegetround(), FE_TONEAREST);
+  FiberScheduler fs;
+  bool fiber_kept = false, fiber_sse_up = false, main_clean = false, fresh_nearest = false;
+  std::vector<FiberTask> tasks;
+  tasks.push_back([&] {
+    std::fesetround(FE_UPWARD);
+    fs.block_current();
+    fiber_kept = std::fegetround() == FE_UPWARD;  // x87 control word
+    fiber_sse_up = sse_rounds_up();               // MXCSR
+    std::fesetround(FE_TONEAREST);
+  });
+  fs.run(std::move(tasks), [&] {
+    main_clean = std::fegetround() == FE_TONEAREST && !sse_rounds_up();
+  });
+  CHECK(fiber_kept);
+  CHECK(fiber_sse_up);
+  CHECK(main_clean);
+  CHECK_EQ(std::fegetround(), FE_TONEAREST);
+
+  // A fresh fiber starts from the default state, not its spawner's.
+  std::fesetround(FE_DOWNWARD);
+  std::vector<FiberTask> fresh;
+  fresh.push_back([&] { fresh_nearest = std::fegetround() == FE_TONEAREST && !sse_rounds_up(); });
+  fs.run(std::move(fresh), [] {});
+  const bool main_still_down = std::fegetround() == FE_DOWNWARD;
+  std::fesetround(FE_TONEAREST);
+  CHECK(fresh_nearest);
+  CHECK(main_still_down);
+}
+
+void test_exception_inside_fiber() {
+  // A throw after a resume unwinds through frames that were suspended,
+  // and each fiber catches its own exception while others interleave.
+  constexpr int kFibers = 4;
+  FiberScheduler fs;
+  std::vector<std::string> caught(kFibers);
+  int finished = 0;
+  std::vector<FiberTask> tasks;
+  for (int i = 0; i < kFibers; ++i)
+    tasks.push_back([&, i] {
+      try {
+        fs.block_current();
+        throw std::runtime_error("fiber " + std::to_string(i));
+      } catch (const std::runtime_error& e) {
+        caught[static_cast<std::size_t>(i)] = e.what();
+      }
+      fs.block_current();
+      ++finished;
+    });
+  fs.run(std::move(tasks), [] {});
+  for (int i = 0; i < kFibers; ++i)
+    CHECK(caught[static_cast<std::size_t>(i)] == "fiber " + std::to_string(i));
+  CHECK_EQ(finished, kFibers);
+  CHECK_EQ(fs.idle_triggers(), 2);
+}
+
 }  // namespace
 
 int main() {
@@ -146,5 +263,8 @@ int main() {
   test_instance_at_a_time_fallback();
   test_dynamic_admission();
   test_stack_pool_reuse();
+  test_switch_preserves_locals();
+  test_switch_keeps_fp_control_per_fiber();
+  test_exception_inside_fiber();
   return acrobat::test::finish("test_fiber");
 }

@@ -9,7 +9,9 @@
 // unlocks DRNN's instance parallelism; phases help BiRNN (and TreeLSTM's
 // root classifiers); ghost ops help StackRNN; gather fusion helps the
 // recursive models and can slightly hurt iterative ones whose inputs are
-// usually already contiguous.
+// usually already contiguous. Here coarsening also cuts launches below L1:
+// a coarse cell is one kLinear (matmul + bias + activation over [x;h])
+// plus the GRU/LSTM pointwise op.
 #include "bench_util.h"
 
 using namespace acrobat;

@@ -5,6 +5,9 @@
 // cost of the fiber runtime that suspends instances at sync points.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <vector>
+
 #include "runtime/fiber.h"
 #include "support/rng.h"
 #include "tensor/ops.h"
@@ -140,6 +143,69 @@ void BM_DenseBatchStacked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2ll * n * kDim * kDim);
 }
 BENCHMARK(BM_DenseBatchStacked)->Arg(16)->Arg(64)->ArgNames({"batch"});
+
+// A batch of tanh-RNN cells, act(W·[x;h] + b), over scattered x and h rows
+// (dataset inputs and session states live apart). Chain: the engine's old
+// coarse path as it executes once batched — per-row concat copies, one
+// stacked dense, one flat bias add, one flat tanh. Fused: one run_linear
+// call over row pointers. Same floats; the pair isolates kernel-side cost
+// (the launches the fused form also saves are simulated, not timed here).
+struct CellBatch {
+  TensorPool pool;
+  Tensor w, b, xh, d, out;
+  std::vector<const float*> xs, hs;
+
+  CellBatch(int n, int h) {
+    Rng rng(7);
+    w = pool.alloc_random(Shape(h, 2 * h), rng, 0.1f);
+    b = pool.alloc_random(RowVec(h), rng, 0.1f);
+    for (int i = 0; i < n; ++i) {
+      xs.push_back(pool.alloc_random(RowVec(h), rng, 0.5f).data);
+      hs.push_back(pool.alloc_random(RowVec(h), rng, 0.5f).data);
+    }
+    xh = pool.alloc(Shape(n, 2 * h));
+    d = pool.alloc(Shape(n, h));
+    out = pool.alloc(Shape(n, h));
+  }
+};
+
+void BM_LinearChain(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  CellBatch c(n, h);
+  const Shape ds(n, h);
+  const Shape dense_shapes[2] = {c.xh.shape, c.w.shape};
+  const Shape bias_shapes[2] = {ds, c.b.shape};
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      float* row = c.xh.data + static_cast<std::int64_t>(i) * 2 * h;
+      std::memcpy(row, c.xs[i], sizeof(float) * h);
+      std::memcpy(row + h, c.hs[i], sizeof(float) * h);
+    }
+    const float* dense_ins[2] = {c.xh.data, c.w.data};
+    run_op(OpKind::kDense, 2, dense_ins, dense_shapes, c.d.data, ds, 0);
+    const float* bias_ins[2] = {c.d.data, c.b.data};
+    run_op(OpKind::kAdd, 1, bias_ins, bias_shapes, c.out.data, ds, 0);
+    const float* tanh_ins[1] = {c.out.data};
+    run_op(OpKind::kTanh, 1, tanh_ins, &ds, c.d.data, ds, 0);
+    benchmark::DoNotOptimize(c.d.data[0]);
+  }
+  state.SetItemsProcessed(state.iterations() * 2ll * n * h * 2 * h);
+}
+BENCHMARK(BM_LinearChain)->ArgsProduct({{16, 40}, {16, 64}})->ArgNames({"h", "batch"});
+
+void BM_LinearFused(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  CellBatch c(n, h);
+  for (auto _ : state) {
+    run_linear(2, kLinearTanh, c.xs.data(), h, c.hs.data(), h, c.w.data, c.b.data, h, n,
+               c.out.data);
+    benchmark::DoNotOptimize(c.out.data[0]);
+  }
+  state.SetItemsProcessed(state.iterations() * 2ll * n * h * 2 * h);
+}
+BENCHMARK(BM_LinearFused)->ArgsProduct({{16, 40}, {16, 64}})->ArgNames({"h", "batch"});
 
 void BM_MatMulBT(benchmark::State& state) {
   const int s = static_cast<int>(state.range(0));

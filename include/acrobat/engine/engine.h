@@ -44,7 +44,8 @@ struct ActivityStats {
   long long kernel_launches = 0;
   long long gather_bytes = 0;  // bytes staged by explicit gathers
   // Single-call batch executions: a flat elementwise collapse (n ops → one
-  // run_op over n×numel) or a stacked shared-parameter matmul. Together
+  // run_op over n×numel) or a stacked shared-parameter matmul (including
+  // the row-pointer kLinear call). Together
   // with kernel_launches these make the hot-path shape observable — tests
   // assert the fast paths actually fire, not just that outputs match.
   long long flat_batches = 0;
@@ -328,6 +329,10 @@ class Engine {
                         float* out_base);
   bool try_execute_stacked(const Kernel& k, const std::vector<std::uint32_t>& ids,
                            float* out_base);
+  // kLinear batches: one run_linear call over per-row pointers (false when
+  // the members do not share W and b).
+  bool try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
+                          float* out_base);
   // Explicit staging gather: copies operand `operand` of every batch member
   // (`step` floats each) into one contiguous arena buffer, charging
   // gather-copy time and bytes. charge_bytes may throw OomError.
@@ -483,6 +488,7 @@ class Engine {
   std::vector<std::uint32_t> wave_todo_, wave_rest_;
   std::vector<std::uint32_t> trigger_scratch_;  // pending_ swap buffer
   std::vector<float*> outs_scratch_;            // per-batch output cursors
+  std::vector<const float*> linear_rows_[2];    // kLinear x / h row pointers
   std::vector<std::uint32_t> eager_scratch_;    // eager mode's 1-op batch
   // Agenda-scheduler scratch: per-node stamp/rank (stamped, so no O(table)
   // clears) plus per-pending remaining counts and a consumers CSR.

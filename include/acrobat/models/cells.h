@@ -4,12 +4,16 @@
 // front (so registration order — which the no-PGO tuner walks — follows the
 // builder's declared order, not loop emission order), and emit_* writes the
 // cell body into a FuncBuilder. The pipeline config picks the granularity:
-//   coarsen        → whole-cell kernels (concat-dense + pointwise cell op)
+//   coarsen        → whole-cell kernels: one kLinear act(W·[x;h] + b) reading
+//                    x and h in place (no concat), plus the GRU/LSTM
+//                    pointwise cell op — RNN 1 launch, GRU 2, LSTM 3,
+//                    classifier head 1
 //   kernel_fusion  → per-gate kernels with fused add+bias+activation
 //   neither        → fully per-op (DyNet/eager granularity)
-// All three lower to the same math: fine-grained gate denses accumulate in
-// the same index order as the coarse concat-dense, so levels agree
-// numerically up to float reassociation.
+// All three compute the same function. Each level sums x's and h's
+// contributions differently (one dot over [x;h] vs two denses and an
+// add), so levels agree only up to float reassociation; within a level,
+// batched and solo execution are bitwise equal (DESIGN.md §3).
 #pragma once
 
 #include <string>
@@ -29,11 +33,10 @@ inline Grain grain_of(const passes::PipelineConfig& cfg) {
 // --- tanh RNN cell: h' = tanh(Wx·x + Wh·h + b) ------------------------------
 struct RnnCell {
   Grain grain;
-  int in_dim = 0, h = 0;
-  // coarse
-  int k_concat = -1, k_dense = -1, k_bias = -1, k_tanh = -1, w = -1, b = -1;
+  // coarse: h' = linear_tanh(x, h; w, b); b is the bias at every grain
+  int k_linear = -1, w = -1, b = -1;
   // fused / per-op
-  int k_dx = -1, k_dh = -1, k_abt = -1, k_add = -1, wx = -1, wh = -1;
+  int k_dx = -1, k_dh = -1, k_abt = -1, k_add = -1, k_bias = -1, k_tanh = -1, wx = -1, wh = -1;
 };
 RnnCell make_rnn(BuildCtx& ctx, const std::string& prefix, int in_dim, int h);
 int emit_rnn(ir::FuncBuilder& b, const RnnCell& c, int x, int h);
@@ -41,9 +44,8 @@ int emit_rnn(ir::FuncBuilder& b, const RnnCell& c, int x, int h);
 // --- GRU cell ---------------------------------------------------------------
 struct GruCell {
   Grain grain;
-  int in_dim = 0, h = 0;
-  // coarse: gates = dense3([x;h]) + b, h' = gru_point(gates, h)
-  int k_concat = -1, k_dense3 = -1, k_bias3 = -1, k_point = -1, w3 = -1, b3 = -1;
+  // coarse: gates = linear(x, h; W3, b3), h' = gru_point(gates, h)
+  int k_linear3 = -1, k_point = -1, w3 = -1, b3 = -1;
   // fused / per-op: z and candidate n, then h' = h + z*(n - h)
   int k_zx = -1, k_zh = -1, k_abs = -1, k_nx = -1, k_nh = -1, k_abt = -1;
   int k_add = -1, k_sub = -1, k_mul = -1, k_sig = -1, k_tanh = -1;
@@ -55,10 +57,8 @@ int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h);
 // --- LSTM cell (gate layout [i f g o]) --------------------------------------
 struct LstmCell {
   Grain grain;
-  int in_dim = 0, h = 0;
-  // coarse
-  int k_concat = -1, k_dense4 = -1, k_bias4 = -1, k_newc = -1, k_newh = -1;
-  int w4 = -1, b4 = -1;
+  // coarse: gates = linear(x, h; W4, b4), then c' = new_c, h' = new_h
+  int k_linear4 = -1, k_newc = -1, k_newh = -1, w4 = -1, b4 = -1;
   // fused / per-op: 4 gates, then c' = f*c + i*g, h' = o*tanh(c')
   int k_gx[4] = {-1, -1, -1, -1}, k_gh[4] = {-1, -1, -1, -1};
   int k_fuse[4] = {-1, -1, -1, -1};  // fused add+bias+act per gate
@@ -70,11 +70,18 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& prefix, int in_dim, int h);
 int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* c_out);
 
 // --- classifier head: softmax(dense(x) + b) ---------------------------------
+// With h_dim > 0 the head reads [x;h] (in_dim + h_dim wide). Coarse grain
+// takes both operands in one kLinear; finer grains take the concatenated
+// vector as x and leave h at -1.
 struct ClassifierHead {
-  int k_dense = -1, k_bias = -1, k_softmax = -1, w = -1, b = -1;
+  Grain grain;
+  int k_linear = -1;                              // coarse
+  int k_dense = -1, k_bias = -1, k_softmax = -1;  // fused / per-op
+  int w = -1, b = -1;
 };
-ClassifierHead make_classifier(BuildCtx& ctx, const std::string& prefix, int in_dim);
-int emit_classifier(ir::FuncBuilder& b, const ClassifierHead& c, int x);
+ClassifierHead make_classifier(BuildCtx& ctx, const std::string& prefix, int in_dim,
+                               int h_dim = 0);
+int emit_classifier(ir::FuncBuilder& b, const ClassifierHead& c, int x, int h = -1);
 
 // Zero-state kernel (hoistable constant, Table 7's leaf states).
 int make_zeros(BuildCtx& ctx, const std::string& name, int n);

@@ -86,6 +86,11 @@ class NetClient {
   // Returns false on connection error or timeout.
   bool wait(std::uint32_t req_id, ClientResponse& out, int timeout_ms = 60000);
 
+  // Blocks until a kToken frame for streamed request `req_id` has arrived
+  // (its response stays claimable by wait()). Returns false on connection
+  // error, timeout, or a terminal frame with no token before it.
+  bool wait_token(std::uint32_t req_id, int timeout_ms = 60000);
+
   // Resilient blocking call (ISSUE 10): send_request + wait with retry.
   // Retries (capped exponential backoff, seeded jitter — set_jitter_seed)
   // on kRetry, on kError(kWorkerDied / kUnavailable), and on transport

@@ -1,6 +1,7 @@
 // Primitive kernels and their schedule variants.
 //
-// Every tensor computation in the system bottoms out in `run_op`, a pure
+// Every tensor computation in the system bottoms out in `run_op` (or
+// `run_linear`, its row-pointer form for kLinear batches), a pure
 // function of (kind, variant, inputs) — so a batch of N same-kernel ops
 // executed op-at-a-time, gathered-then-stacked, or under any scheduler
 // produces the same floats. `variant` selects a schedule (loop order /
@@ -40,7 +41,13 @@ enum class OpKind : std::uint8_t {
   kMulTanh,         // o * tanh(c)               ins: o, c
 
   // Coarse cell kernels (grain-size coarsening, PipelineConfig coarsen).
-  // LSTM gate layout: [i f g o], each n wide; GRU layout: [z r ĥ].
+  // A coarse cell is one kLinear (its gate matmul with bias and, for RNN
+  // and classifier heads, the activation), followed by the GRU/LSTM
+  // pointwise kernels below. LSTM gate layout: [i f g o], each n wide; GRU
+  // layout: [z r ĥ].
+  kLinear,    // ins: x, [h,] W (n, kx+kh), b (n) → act(W·[x;h] + b); attr: LinearAct.
+              // [x;h] is a virtual concat read through the two operand
+              // pointers; without h it is act(x·Wᵀ + b). 3 variants: dense's.
   kLstmNewC,  // ins: gates (…,4n), c (…,n) → σ(f+1)*c + σ(i)*tanh(g)
   kLstmNewH,  // ins: gates (…,4n), c' (…,n) → σ(o)*tanh(c')
   kGruPoint,  // ins: gates (…,3n), h (…,n) → (1-σ(z))*h + σ(z)*tanh(ĥ)
@@ -53,21 +60,33 @@ enum class OpKind : std::uint8_t {
   kMaxProb,  // → Shape(1), max of softmax over all elements (early exit)
 };
 
+// kLinear epilogues (Kernel::attr): applied to each row after the bias add.
+enum LinearAct : std::int64_t { kLinearIdentity = 0, kLinearTanh = 1, kLinearSoftmax = 2 };
+
 const char* op_name(OpKind kind);
 
 // Number of schedule variants a kind exposes (≥1).
 int op_num_variants(OpKind kind);
 
-// Fixed input arity; kConcat returns -1 (variable).
+// Fixed input arity; -1 for kConcat (any) and kLinear (3 or 4).
 int op_arity(OpKind kind);
 
 // Output shape from input shapes; asserts on rank/size mismatches.
 Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* in_shapes, int n_ins);
 
-// Execute one op. `ins`/`in_shapes` hold `op_arity(kind)` entries (callers
-// of variable-arity kinds go through the engine instead). `out` must have
+// Execute one op. `ins`/`in_shapes` hold `op_arity(kind)` entries; kLinear
+// tells its two forms apart by the third operand (the bias, n wide, or W).
+// kConcat goes through the engine instead. `out` must have
 // `infer_shape(...)` elements.
 void run_op(OpKind kind, int variant, const float* const* ins, const Shape* in_shapes,
             float* out, const Shape& out_shape, std::int64_t attr);
+
+// kLinear over `rows` rows addressed by pointer, the engine's gather-fused
+// batch call: row r is act(W·[x[r]; h[r]] + b), x[r] kx wide and h[r] kh
+// wide (kh == 0: no h), written to out + r·n. Each row runs run_op's row
+// loop, so one call is bitwise equal to `rows` single-row run_op calls.
+void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
+                const float* const* h, int kh, const float* w, const float* b, int n, int rows,
+                float* out);
 
 }  // namespace acrobat

@@ -18,17 +18,12 @@ int make_zeros(BuildCtx& ctx, const std::string& name, int n) {
 RnnCell make_rnn(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
   RnnCell c;
   c.grain = grain_of(ctx.cfg);
-  c.in_dim = in_dim;
-  c.h = h;
   const Shape x(in_dim), hh(h);
   if (c.grain == Grain::kCoarse) {
-    const Shape xh(in_dim + h), w(h, in_dim + h);
+    const Shape w(h, in_dim + h);
     c.w = ctx.add_weight(w, wscale(in_dim + h));
     c.b = ctx.add_weight(Shape(h), 0.05f);
-    c.k_concat = ctx.kernel(p + ".concat", OpKind::kConcat, 1, {x, hh});
-    c.k_dense = ctx.kernel(p + ".dense", OpKind::kDense, 0, {xh, w});
-    c.k_bias = ctx.kernel(p + ".bias", OpKind::kAdd, 0, {hh, hh});
-    c.k_tanh = ctx.kernel(p + ".tanh", OpKind::kTanh, 0, {hh});
+    c.k_linear = ctx.kernel(p + ".linear", OpKind::kLinear, kLinearTanh, {x, hh, w, hh});
     return c;
   }
   const Shape wx(h, in_dim), wh(h, h);
@@ -48,12 +43,8 @@ RnnCell make_rnn(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
 }
 
 int emit_rnn(ir::FuncBuilder& b, const RnnCell& c, int x, int h) {
-  if (c.grain == Grain::kCoarse) {
-    const int xh = b.kernel(c.k_concat, {x, h});
-    const int d = b.kernel(c.k_dense, {xh, b.weight(c.w)});
-    const int db = b.kernel(c.k_bias, {d, b.weight(c.b)});
-    return b.kernel(c.k_tanh, {db});
-  }
+  if (c.grain == Grain::kCoarse)
+    return b.kernel(c.k_linear, {x, h, b.weight(c.w), b.weight(c.b)});
   const int dx = b.kernel(c.k_dx, {x, b.weight(c.wx)});
   const int dh = b.kernel(c.k_dh, {h, b.weight(c.wh)});
   if (c.grain == Grain::kFused) return b.kernel(c.k_abt, {dx, dh, b.weight(c.b)});
@@ -67,16 +58,12 @@ int emit_rnn(ir::FuncBuilder& b, const RnnCell& c, int x, int h) {
 GruCell make_gru(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
   GruCell c;
   c.grain = grain_of(ctx.cfg);
-  c.in_dim = in_dim;
-  c.h = h;
   const Shape x(in_dim), hh(h);
   if (c.grain == Grain::kCoarse) {
-    const Shape xh(in_dim + h), w(3 * h, in_dim + h), g3(3 * h);
+    const Shape w(3 * h, in_dim + h), g3(3 * h);
     c.w3 = ctx.add_weight(w, wscale(in_dim + h));
-    c.b3 = ctx.add_weight(Shape(3 * h), 0.05f);
-    c.k_concat = ctx.kernel(p + ".concat", OpKind::kConcat, 1, {x, hh});
-    c.k_dense3 = ctx.kernel(p + ".dense3", OpKind::kDense, 0, {xh, w});
-    c.k_bias3 = ctx.kernel(p + ".bias3", OpKind::kAdd, 0, {g3, g3});
+    c.b3 = ctx.add_weight(g3, 0.05f);
+    c.k_linear3 = ctx.kernel(p + ".linear3", OpKind::kLinear, kLinearIdentity, {x, hh, w, g3});
     c.k_point = ctx.kernel(p + ".gru_point", OpKind::kGruPoint, 0, {g3, hh});
     return c;
   }
@@ -107,10 +94,8 @@ GruCell make_gru(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
 
 int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h) {
   if (c.grain == Grain::kCoarse) {
-    const int xh = b.kernel(c.k_concat, {x, h});
-    const int g = b.kernel(c.k_dense3, {xh, b.weight(c.w3)});
-    const int gb = b.kernel(c.k_bias3, {g, b.weight(c.b3)});
-    return b.kernel(c.k_point, {gb, h});
+    const int g = b.kernel(c.k_linear3, {x, h, b.weight(c.w3), b.weight(c.b3)});
+    return b.kernel(c.k_point, {g, h});
   }
   const int zx = b.kernel(c.k_zx, {x, b.weight(c.wzx)});
   const int zh = b.kernel(c.k_zh, {h, b.weight(c.wzh)});
@@ -139,16 +124,12 @@ int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h) {
 LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
   LstmCell c;
   c.grain = grain_of(ctx.cfg);
-  c.in_dim = in_dim;
-  c.h = h;
   const Shape x(in_dim), hh(h);
   if (c.grain == Grain::kCoarse) {
-    const Shape xh(in_dim + h), w(4 * h, in_dim + h), g4(4 * h);
+    const Shape w(4 * h, in_dim + h), g4(4 * h);
     c.w4 = ctx.add_weight(w, wscale(in_dim + h));
-    c.b4 = ctx.add_weight(Shape(4 * h), 0.05f);
-    c.k_concat = ctx.kernel(p + ".concat", OpKind::kConcat, 1, {x, hh});
-    c.k_dense4 = ctx.kernel(p + ".dense4", OpKind::kDense, 0, {xh, w});
-    c.k_bias4 = ctx.kernel(p + ".bias4", OpKind::kAdd, 0, {g4, g4});
+    c.b4 = ctx.add_weight(g4, 0.05f);
+    c.k_linear4 = ctx.kernel(p + ".linear4", OpKind::kLinear, kLinearIdentity, {x, hh, w, g4});
     c.k_newc = ctx.kernel(p + ".new_c", OpKind::kLstmNewC, 0, {g4, hh});
     c.k_newh = ctx.kernel(p + ".new_h", OpKind::kLstmNewH, 0, {g4, hh});
     return c;
@@ -180,12 +161,10 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
 
 int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* c_out) {
   if (c.grain == Grain::kCoarse) {
-    const int xh = b.kernel(c.k_concat, {x, h});
-    const int g = b.kernel(c.k_dense4, {xh, b.weight(c.w4)});
-    const int gb = b.kernel(c.k_bias4, {g, b.weight(c.b4)});
-    const int nc = b.kernel(c.k_newc, {gb, cc});
+    const int g = b.kernel(c.k_linear4, {x, h, b.weight(c.w4), b.weight(c.b4)});
+    const int nc = b.kernel(c.k_newc, {g, cc});
     *c_out = nc;
-    return b.kernel(c.k_newh, {gb, nc});
+    return b.kernel(c.k_newh, {g, nc});
   }
   int act[4];
   for (int gi = 0; gi < 4; ++gi) {
@@ -216,18 +195,30 @@ int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* 
 
 // --- classifier -------------------------------------------------------------
 
-ClassifierHead make_classifier(BuildCtx& ctx, const std::string& p, int in_dim) {
+ClassifierHead make_classifier(BuildCtx& ctx, const std::string& p, int in_dim, int h_dim) {
   ClassifierHead c;
-  const Shape x(in_dim), w(kNumClasses, in_dim), l(kNumClasses);
-  c.w = ctx.add_weight(w, wscale(in_dim));
-  c.b = ctx.add_weight(Shape(kNumClasses), 0.05f);
-  c.k_dense = ctx.kernel(p + ".cls_dense", OpKind::kDense, 0, {x, w});
+  c.grain = grain_of(ctx.cfg);
+  const Shape x(in_dim), w(kNumClasses, in_dim + h_dim), l(kNumClasses);
+  c.w = ctx.add_weight(w, wscale(in_dim + h_dim));
+  c.b = ctx.add_weight(l, 0.05f);
+  if (c.grain == Grain::kCoarse) {
+    c.k_linear = h_dim > 0 ? ctx.kernel(p + ".cls_linear", OpKind::kLinear, kLinearSoftmax,
+                                        {x, Shape(h_dim), w, l})
+                           : ctx.kernel(p + ".cls_linear", OpKind::kLinear, kLinearSoftmax,
+                                        {x, w, l});
+    return c;
+  }
+  c.k_dense = ctx.kernel(p + ".cls_dense", OpKind::kDense, 0, {Shape(in_dim + h_dim), w});
   c.k_bias = ctx.kernel(p + ".cls_bias", OpKind::kAdd, 0, {l, l});
   c.k_softmax = ctx.kernel(p + ".cls_softmax", OpKind::kSoftmax, 0, {l});
   return c;
 }
 
-int emit_classifier(ir::FuncBuilder& b, const ClassifierHead& c, int x) {
+int emit_classifier(ir::FuncBuilder& b, const ClassifierHead& c, int x, int h) {
+  if (c.grain == Grain::kCoarse) {
+    return h >= 0 ? b.kernel(c.k_linear, {x, h, b.weight(c.w), b.weight(c.b)})
+                  : b.kernel(c.k_linear, {x, b.weight(c.w), b.weight(c.b)});
+  }
   const int d = b.kernel(c.k_dense, {x, b.weight(c.w)});
   const int db = b.kernel(c.k_bias, {d, b.weight(c.b)});
   return b.kernel(c.k_softmax, {db});

@@ -1037,6 +1037,63 @@ bool Engine::try_execute_stacked(const Kernel& k, const std::vector<std::uint32_
   return true;
 }
 
+// A batch of kLinear ops sharing W and b runs as ONE run_linear call over
+// per-row operand pointers (gather fusion, DESIGN.md §4): each row's x and
+// h are read wherever they live, so the cell's concat is never
+// materialized and scattered rows need no staging. With gather fusion off,
+// a scattered activation operand is first staged into one contiguous
+// buffer, as the stacked dense path does. Rows are independent, so the call
+// is bitwise-identical to n per-op calls.
+bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
+                                float* out_base) {
+  const std::size_t n = ids.size();
+  const Node& head = nodes_[ids[0]];
+  const std::size_t arity = head.ins.size();
+  const int n_act = static_cast<int>(arity) - 2;  // x, or x and h
+  const TRef w = head.ins[arity - 2], b = head.ins[arity - 1];
+  const int m = node(head.ins[0]).shape.rows();  // rows per op
+  int width[2] = {0, 0};
+  const float* base[2] = {nullptr, nullptr};
+  bool contig[2] = {true, true};
+  for (int j = 0; j < n_act; ++j) {
+    const Node& src = node(head.ins[static_cast<std::size_t>(j)]);
+    width[j] = src.shape.cols();
+    base[j] = src.data;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const Node& nd = nodes_[ids[i]];
+    if (nd.ins.size() != arity || nd.ins[arity - 2].id != w.id || nd.ins[arity - 1].id != b.id)
+      return false;
+    for (int j = 0; j < n_act; ++j) {
+      const Node& src = node(nd.ins[static_cast<std::size_t>(j)]);
+      if (src.shape.rows() != m || src.shape.cols() != width[j]) return false;
+      if (src.data != base[j] + static_cast<std::int64_t>(i) * m * width[j]) contig[j] = false;
+    }
+  }
+
+  const std::size_t rows = n * static_cast<std::size_t>(m);
+  for (int j = 0; j < n_act; ++j) {
+    const std::int64_t step = static_cast<std::int64_t>(m) * width[j];
+    // The operand's rows back to back, when they are (or get staged so).
+    const float* packed = contig[j]             ? base[j]
+                          : cfg_.gather_fusion ? nullptr
+                                               : stage_gather(ids, j, step);
+    std::vector<const float*>& ptrs = linear_rows_[j];
+    ptrs.clear();
+    scratch_reserve(ptrs, rows);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float* p = packed != nullptr ? packed + static_cast<std::int64_t>(i) * step
+                                         : node(nodes_[ids[i]].ins[static_cast<std::size_t>(j)]).data;
+      for (int r = 0; r < m; ++r) ptrs.push_back(p + static_cast<std::int64_t>(r) * width[j]);
+    }
+  }
+  ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
+  run_linear(k.variant, k.attr, linear_rows_[0].data(), width[0], linear_rows_[1].data(),
+             width[1], node(w).data, node(b).data, node(w).shape.dim[0],
+             static_cast<int>(rows), out_base);
+  return true;
+}
+
 // Collapses a batch of n same-kernel elementwise/pointwise ops into ONE
 // run_op over the concatenation of their operands. Legal when per-operand
 // storage is contiguous across the batch — outputs always are (allocated
@@ -1191,12 +1248,16 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
     for (const TRef in : nodes_[id].ins) assert(node(in).data != nullptr && "batch ordering bug");
 #endif
 
-  // Single-call fast paths: one stacked matmul over shared-parameter rows,
-  // or one flat elementwise call over the whole batch. Cortex's forced-
-  // staging mode keeps paying its per-op matmul copies (only the original
-  // dense stacking applies there), so the baseline's cost model is intact.
+  // Single-call fast paths: one row-pointer kLinear call, one stacked matmul
+  // over shared-parameter rows, or one flat elementwise call over the whole
+  // batch. Cortex's forced-staging mode keeps paying its per-op matmul
+  // copies (only the original dense stacking applies there), so the
+  // baseline's cost model is intact.
   bool fused = false;
-  if (n > 1) {
+  if (k.op == OpKind::kLinear) {
+    fused = try_execute_linear(k, ids, out_base);
+    stats_.stacked_batches += fused && n > 1 ? 1 : 0;
+  } else if (n > 1) {
     if (matmul_family(k.op)) {
       if (cfg_.stage_all_amp == 0 || k.op == OpKind::kDense) {
         fused = try_execute_stacked(k, ids, out_base);
@@ -1252,7 +1313,7 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
   for (std::size_t i = 0; i < n; ++i) nodes_[ids[i]].data = outs[i];
   ACROBAT_TRACE(tracer_, {
     const std::uint8_t path =
-        fused ? (matmul_family(k.op) ? 2 : 1) : 0;
+        fused ? (matmul_family(k.op) || k.op == OpKind::kLinear ? 2 : 1) : 0;
     tracer_->span(trace::EventKind::kBatch, trace_t0, kernel_id,
                   static_cast<std::int32_t>(n), k.variant,
                   static_cast<std::uint8_t>(path | (merge_launch ? 4 : 0)));

@@ -19,9 +19,13 @@ int build(BuildCtx& ctx) {
   const GruCell bwd = make_gru(ctx, "birnn.bwd", h, h);
   const int k_zero = make_zeros(ctx, "birnn.zero", h);
   const int k_zero_cls = make_zeros(ctx, "birnn.zero_cls", kNumClasses);
-  const int k_concat = ctx.kernel("birnn.concat_fb", OpKind::kConcat, 1, {Shape(h), Shape(h)});
+  // Coarse grain: the classifier reads [fwd;bwd] in place (one kLinear);
+  // finer grains concatenate the two states first.
+  const bool coarse = grain_of(ctx.cfg) == Grain::kCoarse;
+  const int k_concat =
+      coarse ? -1 : ctx.kernel("birnn.concat_fb", OpKind::kConcat, 1, {Shape(h), Shape(h)});
   const int k_acc = ctx.kernel("birnn.acc", OpKind::kAdd, 0, {Shape(kNumClasses), Shape(kNumClasses)});
-  const ClassifierHead cls = make_classifier(ctx, "birnn", 2 * h);
+  const ClassifierHead cls = make_classifier(ctx, "birnn", h, h);
 
   ir::FuncBuilder b(ctx.program, "main", 1);
   const int seq = b.arg(0);
@@ -96,8 +100,9 @@ int build(BuildCtx& ctx) {
   const int zip_exit = b.jmp();
   b.patch(zip_body, b.here());
   {
-    const int cc = b.kernel(k_concat, {b.adt_field(pf, 0), b.adt_field(pb, 0)});
-    const int logits = emit_classifier(b, cls, cc);
+    const int sf = b.adt_field(pf, 0), sb = b.adt_field(pb, 0);
+    const int logits = coarse ? emit_classifier(b, cls, sf, sb)
+                              : emit_classifier(b, cls, b.kernel(k_concat, {sf, sb}));
     b.assign(out, b.kernel(k_acc, {out, logits}));
     b.assign(pf, b.adt_field(pf, 1));
     b.assign(pb, b.adt_field(pb, 1));

@@ -36,10 +36,18 @@ int build(BuildCtx& ctx) {
   const int w_comb = ctx.add_weight(w, 0.5f / static_cast<float>(h));
   const int b_comb = ctx.add_weight(Shape(h), 0.05f);
   const int k_vmat = ctx.kernel("mvrnn.vmat", OpKind::kMatMul, 0, {v, m});
-  const int k_concat = ctx.kernel("mvrnn.concat", OpKind::kConcat, 1, {v, v});
-  const int k_comb = ctx.kernel("mvrnn.combine", OpKind::kDense, 0, {v2, w});
-  const int k_bias = ctx.kernel("mvrnn.bias", OpKind::kAdd, 0, {v, v});
-  const int k_tanh = ctx.kernel("mvrnn.tanh", OpKind::kTanh, 0, {v});
+  // Coarse grain combines in one kLinear that reads [a;b] in place; finer
+  // grains concatenate, then run dense, bias add and tanh.
+  const bool coarse = grain_of(ctx.cfg) == Grain::kCoarse;
+  int k_concat = -1, k_comb, k_bias = -1, k_tanh = -1;
+  if (coarse) {
+    k_comb = ctx.kernel("mvrnn.combine", OpKind::kLinear, kLinearTanh, {v, v, w, v});
+  } else {
+    k_concat = ctx.kernel("mvrnn.concat", OpKind::kConcat, 1, {v, v});
+    k_comb = ctx.kernel("mvrnn.combine", OpKind::kDense, 0, {v2, w});
+    k_bias = ctx.kernel("mvrnn.bias", OpKind::kAdd, 0, {v, v});
+    k_tanh = ctx.kernel("mvrnn.tanh", OpKind::kTanh, 0, {v});
+  }
   const int k_madd = ctx.kernel("mvrnn.madd", OpKind::kAdd, 0, {m, m});
   const int k_mhalf = ctx.kernel("mvrnn.mhalf", OpKind::kScale, 500000, {m});  // ×0.5
   const ClassifierHead cls = make_classifier(ctx, "mvrnn", h);
@@ -57,10 +65,15 @@ int build(BuildCtx& ctx) {
     const int vr = mv.tuple_get(r, 0), m2 = mv.tuple_get(r, 1);
     const int a = mv.kernel(k_vmat, {v1, m2});
     const int bb = mv.kernel(k_vmat, {vr, m1});
-    const int ab = mv.kernel(k_concat, {a, bb});
-    const int d = mv.kernel(k_comb, {ab, mv.weight(w_comb)});
-    const int db = mv.kernel(k_bias, {d, mv.weight(b_comb)});
-    const int vv = mv.kernel(k_tanh, {db});
+    int vv;
+    if (coarse) {
+      vv = mv.kernel(k_comb, {a, bb, mv.weight(w_comb), mv.weight(b_comb)});
+    } else {
+      const int ab = mv.kernel(k_concat, {a, bb});
+      const int d = mv.kernel(k_comb, {ab, mv.weight(w_comb)});
+      const int db = mv.kernel(k_bias, {d, mv.weight(b_comb)});
+      vv = mv.kernel(k_tanh, {db});
+    }
     const int ms = mv.kernel(k_madd, {m1, m2});
     const int mm = mv.kernel(k_mhalf, {ms});
     mv.ret(mv.tuple({vv, mm}));

@@ -284,4 +284,20 @@ bool NetClient::wait(std::uint32_t req_id, ClientResponse& out, int timeout_ms) 
   }
 }
 
+bool NetClient::wait_token(std::uint32_t req_id, int timeout_ms) {
+  const std::int64_t deadline = now_ns() + static_cast<std::int64_t>(timeout_ms) * 1'000'000;
+  for (;;) {
+    for (const std::vector<ClientResponse>* v : {&partial_, &pending_})
+      for (const ClientResponse& r : *v)
+        if (r.req_id == req_id) return !r.token_recv_ns.empty();
+    const std::int64_t left_ns = deadline - now_ns();
+    if (left_ns <= 0) {
+      error_ = "timed out waiting for a token";
+      return false;
+    }
+    const int slice = static_cast<int>(std::min<std::int64_t>(left_ns / 1'000'000 + 1, 100));
+    if (!pump(slice)) return false;
+  }
+}
+
 }  // namespace acrobat::net

@@ -8,54 +8,102 @@ namespace {
 
 inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
-// x (m,k) · Wᵀ with W (n,k) row-major. Per-(row, output) accumulation is
-// i-ascending in every variant so fine-grained gate denses sum to exactly
-// the coarse concat-dense (DESIGN.md §3 numerics invariant).
-void dense(int variant, const float* x, int m, int k, const float* w, int n, float* out) {
+// One output row of [x;h] · Wᵀ with W (n, kx+kh) row-major: the row's
+// input is x (kx wide) followed by h (kh wide, absent when kh == 0), read
+// in place — a virtual concat. Each variant's per-output accumulation order
+// depends only on the position in [x;h], never on where the split falls,
+// so a split row is bitwise equal to the same row concatenated first.
+// Variants 0 and 1 sum i-ascending; variant 2 keeps 4 accumulators, one per
+// position mod 4, then adds the (k mod 4) tail i-ascending. The variants
+// therefore agree only up to float reassociation.
+void dense_row(int variant, const float* x, int kx, const float* h, int kh, const float* w,
+               int n, float* o) {
+  const int k = kx + kh;
+  const auto at = [&](int i) { return i < kx ? x[i] : h[i - kx]; };
   switch (variant) {
     case 0:  // i-outer: strided walk over W, cache-hostile on purpose.
-      for (int r = 0; r < m; ++r) {
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) o[j] = 0.0f;
-        const float* xr = x + static_cast<std::int64_t>(r) * k;
-        for (int i = 0; i < k; ++i) {
-          const float xi = xr[i];
-          for (int j = 0; j < n; ++j) o[j] += xi * w[static_cast<std::int64_t>(j) * k + i];
-        }
+      for (int j = 0; j < n; ++j) o[j] = 0.0f;
+      for (int i = 0; i < k; ++i) {
+        const float xi = at(i);
+        for (int j = 0; j < n; ++j) o[j] += xi * w[static_cast<std::int64_t>(j) * k + i];
       }
       return;
     case 1:  // o-outer, contiguous inner dot products.
-      for (int r = 0; r < m; ++r) {
-        const float* xr = x + static_cast<std::int64_t>(r) * k;
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) {
-          const float* wj = w + static_cast<std::int64_t>(j) * k;
-          float acc = 0.0f;
-          for (int i = 0; i < k; ++i) acc += xr[i] * wj[i];
-          o[j] = acc;
-        }
+      for (int j = 0; j < n; ++j) {
+        const float* wj = w + static_cast<std::int64_t>(j) * k;
+        float acc = 0.0f;
+        for (int i = 0; i < kx; ++i) acc += x[i] * wj[i];
+        for (int i = 0; i < kh; ++i) acc += h[i] * wj[kx + i];
+        o[j] = acc;
       }
       return;
     default:  // 2: contiguous dots with 4-wide accumulators.
-      for (int r = 0; r < m; ++r) {
-        const float* xr = x + static_cast<std::int64_t>(r) * k;
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) {
-          const float* wj = w + static_cast<std::int64_t>(j) * k;
-          float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-          int i = 0;
-          for (; i + 4 <= k; i += 4) {
-            a0 += xr[i] * wj[i];
-            a1 += xr[i + 1] * wj[i + 1];
-            a2 += xr[i + 2] * wj[i + 2];
-            a3 += xr[i + 3] * wj[i + 3];
-          }
-          float acc = (a0 + a1) + (a2 + a3);
-          for (; i < k; ++i) acc += xr[i] * wj[i];
-          o[j] = acc;
+      for (int j = 0; j < n; ++j) {
+        const float* wj = w + static_cast<std::int64_t>(j) * k;
+        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+        int i = 0;
+        for (; i + 4 <= kx; i += 4) {
+          a0 += x[i] * wj[i];
+          a1 += x[i + 1] * wj[i + 1];
+          a2 += x[i + 2] * wj[i + 2];
+          a3 += x[i + 3] * wj[i + 3];
         }
+        // Guarded so the plain dense (kh == 0) keeps the single loop above,
+        // which the compiler vectorizes better.
+        if (kh > 0) {
+          for (; i < kx && i + 4 <= k; i += 4) {  // the block that straddles the split
+            a0 += at(i) * wj[i];
+            a1 += at(i + 1) * wj[i + 1];
+            a2 += at(i + 2) * wj[i + 2];
+            a3 += at(i + 3) * wj[i + 3];
+          }
+          for (; i + 4 <= k; i += 4) {
+            const float* hi = h + (i - kx);
+            a0 += hi[0] * wj[i];
+            a1 += hi[1] * wj[i + 1];
+            a2 += hi[2] * wj[i + 2];
+            a3 += hi[3] * wj[i + 3];
+          }
+        }
+        float acc = (a0 + a1) + (a2 + a3);
+        for (; i < k; ++i) acc += at(i) * wj[i];
+        o[j] = acc;
       }
       return;
+  }
+}
+
+// x (m,k) · Wᵀ with W (n,k) row-major.
+void dense(int variant, const float* x, int m, int k, const float* w, int n, float* out) {
+  for (int r = 0; r < m; ++r)
+    dense_row(variant, x + static_cast<std::int64_t>(r) * k, k, nullptr, 0, w, n,
+              out + static_cast<std::int64_t>(r) * n);
+}
+
+// Row-wise softmax; `a` may alias `o`.
+void softmax_row(const float* a, int cols, float* o) {
+  float mx = a[0];
+  for (int j = 1; j < cols; ++j) mx = a[j] > mx ? a[j] : mx;
+  float sum = 0.0f;
+  for (int j = 0; j < cols; ++j) {
+    o[j] = std::exp(a[j] - mx);
+    sum += o[j];
+  }
+  const float inv = 1.0f / sum;
+  for (int j = 0; j < cols; ++j) o[j] *= inv;
+}
+
+// One kLinear row: the dense row, then the bias add and the epilogue as
+// separate passes, each the same float op the kAdd / kTanh / kSoftmax
+// kernels apply — which is what makes kLinear bitwise equal to that chain.
+void linear_row(int variant, std::int64_t act, const float* x, int kx, const float* h, int kh,
+                const float* w, const float* b, int n, float* o) {
+  dense_row(variant, x, kx, h, kh, w, n, o);
+  for (int j = 0; j < n; ++j) o[j] = o[j] + b[j];
+  if (act == kLinearTanh) {
+    for (int j = 0; j < n; ++j) o[j] = std::tanh(o[j]);
+  } else if (act == kLinearSoftmax) {
+    softmax_row(o, n, o);
   }
 }
 
@@ -175,6 +223,7 @@ const char* op_name(OpKind kind) {
     case OpKind::kMulTanh: return "mul_tanh";
     case OpKind::kLstmNewC: return "lstm_new_c";
     case OpKind::kLstmNewH: return "lstm_new_h";
+    case OpKind::kLinear: return "linear";
     case OpKind::kGruPoint: return "gru_point";
     case OpKind::kConcat: return "concat";
     case OpKind::kZeros: return "zeros";
@@ -189,6 +238,7 @@ int op_num_variants(OpKind kind) {
   switch (kind) {
     case OpKind::kDense:
     case OpKind::kMatMul:
+    case OpKind::kLinear:
       return 3;
     case OpKind::kMatMulBT:
     case OpKind::kAdd:
@@ -222,7 +272,9 @@ int op_arity(OpKind kind) {
     case OpKind::kAddBiasSigmoid:
       return 3;
     case OpKind::kFma2: return 4;
-    case OpKind::kConcat: return -1;
+    case OpKind::kConcat:
+    case OpKind::kLinear:
+      return -1;
     default: return 2;
   }
 }
@@ -260,6 +312,13 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
     case OpKind::kMulTanh:
       assert(s[1] == s[0]);
       return s[0];
+    case OpKind::kLinear: {
+      const Shape& w = s[n_ins - 2];
+      assert((n_ins == 3 || (n_ins == 4 && s[1].rows() == s[0].rows())) && w.ndim == 2 &&
+             w.dim[1] == s[0].cols() + (n_ins == 4 ? s[1].cols() : 0) &&
+             s[n_ins - 1].numel() == w.dim[0]);
+      return s[0].ndim == 1 ? RowVec(w.dim[0]) : Shape(s[0].rows(), w.dim[0]);
+    }
     case OpKind::kLstmNewC:
     case OpKind::kLstmNewH:
       assert(s[0].cols() == 4 * s[1].cols() && s[0].rows() == s[1].rows());
@@ -396,19 +455,23 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
     case OpKind::kSoftmax: {
       const int cols = s[0].cols();
       const int rows = static_cast<int>(s[0].numel() / cols);
-      for (int r = 0; r < rows; ++r) {
-        const float* a = ins[0] + static_cast<std::int64_t>(r) * cols;
-        float* o = out + static_cast<std::int64_t>(r) * cols;
-        float mx = a[0];
-        for (int j = 1; j < cols; ++j) mx = a[j] > mx ? a[j] : mx;
-        float sum = 0.0f;
-        for (int j = 0; j < cols; ++j) {
-          o[j] = std::exp(a[j] - mx);
-          sum += o[j];
-        }
-        const float inv = 1.0f / sum;
-        for (int j = 0; j < cols; ++j) o[j] *= inv;
-      }
+      for (int r = 0; r < rows; ++r)
+        softmax_row(ins[0] + static_cast<std::int64_t>(r) * cols, cols,
+                    out + static_cast<std::int64_t>(r) * cols);
+      return;
+    }
+    case OpKind::kLinear: {
+      // ins: x, W, b or x, h, W, b; the third operand is the bias exactly
+      // when it is n wide (W is n·(kx+kh) > n).
+      const int n = out_shape.cols();
+      const bool split = s[2].numel() != n;
+      const int kx = s[0].cols(), kh = split ? s[1].cols() : 0;
+      const float* w = ins[split ? 2 : 1];
+      const float* b = ins[split ? 3 : 2];
+      for (int r = 0; r < s[0].rows(); ++r)
+        linear_row(variant, attr, ins[0] + static_cast<std::int64_t>(r) * kx, kx,
+                   split ? ins[1] + static_cast<std::int64_t>(r) * kh : nullptr, kh, w, b, n,
+                   out + static_cast<std::int64_t>(r) * n);
       return;
     }
     case OpKind::kSumAll: {
@@ -436,6 +499,14 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       assert(false && "concat executes inside the engine");
       return;
   }
+}
+
+void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
+                const float* const* h, int kh, const float* w, const float* b, int n, int rows,
+                float* out) {
+  for (int r = 0; r < rows; ++r)
+    linear_row(variant, act, x[r], kx, kh > 0 ? h[r] : nullptr, kh, w, b, n,
+               out + static_cast<std::int64_t>(r) * n);
 }
 
 }  // namespace acrobat

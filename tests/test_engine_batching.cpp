@@ -409,6 +409,91 @@ void test_stacked_matmul_family() {
   }
 }
 
+// kLinear batches (the coarse cell kernel): a batch with scattered x and h
+// rows is ONE launch and ONE row-pointer call, bitwise equal to the
+// op-at-a-time path and to the concat → dense → add → tanh chain it
+// replaces, at every dense variant. Gather fusion reads the rows in place;
+// with it off, both activation operands are staged and counted.
+void test_linear_batch_scattered_rows() {
+  constexpr int kN = 8, kx = 16, kh = 16, n = 16;
+  Rng rng{41};
+  TensorPool pool;
+  const Tensor w = pool.alloc_random(Shape(n, kx + kh), rng, 0.3f);
+  const Tensor bias = pool.alloc_random(RowVec(n), rng, 0.2f);
+  std::vector<Tensor> xs, hs;
+  for (int i = 0; i < kN; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(kx), rng, 1.0f));
+    hs.push_back(pool.alloc_random(RowVec(kh), rng, 1.0f));
+    pool.alloc(RowVec(3));  // padding: no operand is back to back across the batch
+  }
+  for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+    KernelRegistry reg;
+    const Shape vx(kx), vh(kh), vn(n), vxh(kx + kh), ww(n, kx + kh);
+    const Shape lin_reps[4] = {vx, vh, ww, vn};
+    const Shape cat_reps[2] = {vx, vh};
+    const Shape dense_reps[2] = {vxh, ww};
+    const Shape add_reps[2] = {vn, vn};
+    const int k_lin = reg.add("c.linear", OpKind::kLinear, kLinearTanh, 4, lin_reps);
+    const int k_cat = reg.add("c.concat", OpKind::kConcat, 1, 2, cat_reps);
+    const int k_dense = reg.add("c.dense", OpKind::kDense, 0, 2, dense_reps);
+    const int k_bias = reg.add("c.bias", OpKind::kAdd, 0, 2, add_reps);
+    const int k_tanh = reg.add("c.tanh", OpKind::kTanh, 0, 1, add_reps);
+    for (const int k : {k_lin, k_dense}) reg.kernel(k).variant = variant;
+
+    const auto run = [&](bool fused, EngineConfig cfg) {
+      Engine eng(reg, cfg);
+      const TRef wref = eng.add_concrete(w.view()), bref = eng.add_concrete(bias.view());
+      std::vector<TRef> outs;
+      for (int i = 0; i < kN; ++i) {
+        const InstCtx ctx{i};
+        const TRef x = eng.add_concrete(xs[static_cast<std::size_t>(i)].view());
+        const TRef h = eng.add_concrete(hs[static_cast<std::size_t>(i)].view());
+        if (fused) {
+          const TRef ins[4] = {x, h, wref, bref};
+          outs.push_back(eng.add_op(k_lin, ins, 4, ctx, 0));
+          continue;
+        }
+        const TRef cins[2] = {x, h};
+        const TRef xh = eng.add_op(k_cat, cins, 2, ctx, 0);
+        const TRef dins[2] = {xh, wref};
+        const TRef d = eng.add_op(k_dense, dins, 2, ctx, 0);
+        const TRef bins[2] = {d, bref};
+        const TRef db = eng.add_op(k_bias, bins, 2, ctx, 0);
+        outs.push_back(eng.add_op(k_tanh, &db, 1, ctx, 0));
+      }
+      eng.trigger_execution();
+      std::vector<float> flat;
+      for (const TRef r : outs) {
+        const Tensor t = eng.force(r);
+        flat.insert(flat.end(), t.data, t.data + t.numel());
+      }
+      return std::make_pair(flat, eng.stats());
+    };
+
+    EngineConfig staged_cfg, eager_cfg;
+    staged_cfg.gather_fusion = false;
+    eager_cfg.lazy = false;
+    const auto [in_place, s_in_place] = run(true, EngineConfig{});
+    const auto [staged, s_staged] = run(true, staged_cfg);
+    const auto [eager, s_eager] = run(true, eager_cfg);
+    const auto [chain, s_chain] = run(false, EngineConfig{});
+    CHECK_EQ(s_in_place.kernel_launches, 1);
+    CHECK_EQ(s_in_place.stacked_batches, 1);
+    CHECK_EQ(s_in_place.gather_bytes, 0);  // rows read where they live
+    CHECK_EQ(s_staged.kernel_launches, 1);
+    CHECK_EQ(s_staged.stacked_batches, 1);
+    CHECK_EQ(s_staged.gather_bytes,
+             static_cast<long long>(kN) * (kx + kh) * static_cast<long long>(sizeof(float)));
+    CHECK_EQ(s_eager.kernel_launches, kN);
+    CHECK_EQ(s_chain.kernel_launches, 4);
+    const std::size_t bytes = in_place.size() * sizeof(float);
+    CHECK_EQ(in_place.size(), static_cast<std::size_t>(kN * n));
+    CHECK(staged.size() == in_place.size() && std::memcmp(staged.data(), in_place.data(), bytes) == 0);
+    CHECK(eager.size() == in_place.size() && std::memcmp(eager.data(), in_place.data(), bytes) == 0);
+    CHECK(chain.size() == in_place.size() && std::memcmp(chain.data(), in_place.data(), bytes) == 0);
+  }
+}
+
 // Carried-forward fix: Node::ins used to heap-allocate a vector per
 // recorded multi-input op. With the arity ≤ 4 inline small-vector plus
 // recycled slots and warmed scratch, a steady-state recording round does
@@ -507,6 +592,7 @@ int main() {
   test_flat_scattered_fallback();
   test_flat_recycling_parity_and_alloc_plateau();
   test_stacked_matmul_family();
+  test_linear_batch_scattered_rows();
   test_const_reuse();
   test_record_op_ins_inline();
   test_wide_op_heap_spill();

@@ -305,7 +305,9 @@ void test_midstream_drop_cancels() {
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
   net::NetOptions o;
-  o.launch_overhead_ns = 200'000;  // each decode step costs ~a few hundred µs
+  // A decode step is 2 launches (the cell's kLinear and the stop head), so
+  // each step costs ~1 ms of simulated launch time.
+  o.launch_overhead_ns = 500'000;
   o.ds_batch = 8;
   o.ds_seed = 7;
   net::NetServer srv(&p, &ds, o);
@@ -316,10 +318,9 @@ void test_midstream_drop_cancels() {
   for (int i = 0; i < 4; ++i)
     CHECK(cli.send_request(static_cast<std::uint32_t>(i),
                            static_cast<std::uint32_t>(i) % ds.inputs.size()));
-  // Give the dispatcher time to slot the sessions (µs), then vanish
-  // mid-stream — at 200µs per simulated launch the cohort is still decoding
-  // tens of milliseconds after this.
-  ::usleep(5000);
+  // Vanish mid-stream: a received token proves the cohort is decoding, and
+  // its longest session still has many ~1 ms steps to go.
+  CHECK(cli.wait_token(0));
   cli.close();
   srv.shutdown();
   const net::NetStats& st = srv.stats();

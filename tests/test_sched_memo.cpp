@@ -46,6 +46,7 @@ enum ShapeClass : int {
   kM8,      // Shape(8,8) parameter
   kM24,     // Shape(24,8) parameter
   kM32,     // Shape(32,8) parameter
+  kM816,    // Shape(8,16) parameter: kLinear over [x;h]
   kNumClasses
 };
 
@@ -59,7 +60,8 @@ Shape class_shape(int c) {
     case kS1: return Shape(1);
     case kM8: return Shape(8, 8);
     case kM24: return Shape(24, 8);
-    default: return Shape(32, 8);
+    case kM32: return Shape(32, 8);
+    default: return Shape(8, 16);
   }
 }
 
@@ -95,6 +97,13 @@ const OpSpec kOps[] = {
     {"g.lstmc", OpKind::kLstmNewC, 0, 2, kV8, {kV32, kV8}},
     {"g.lstmh", OpKind::kLstmNewH, 0, 2, kV8, {kV32, kV8}},
     {"g.gru", OpKind::kGruPoint, 0, 2, kV8, {kV24, kV8}},
+    // kLinear, each epilogue, both forms (x alone, and [x;h]); the bias is
+    // any V8 value, so shared-bias row-pointer calls and per-op fallbacks
+    // both occur.
+    {"g.lin", OpKind::kLinear, kLinearIdentity, 3, kV8, {kV8, kM8, kV8}},
+    {"g.lin_tanh", OpKind::kLinear, kLinearTanh, 4, kV8, {kV8, kV8, kM816, kV8}},
+    {"g.lin_soft", OpKind::kLinear, kLinearSoftmax, 3, kV8, {kV8, kM8, kV8}},
+    {"g.lin_soft2", OpKind::kLinear, kLinearSoftmax, 4, kV8, {kV8, kV8, kM816, kV8}},
     {"g.concat2", OpKind::kConcat, 1, 2, kV16, {kV8, kV8}},
     {"g.tanh16", OpKind::kTanh, 0, 1, kV16, {kV16}},
     // Variable arity above the inline small-vector bound: exercises the
@@ -129,7 +138,7 @@ struct Fixture {
     // Concrete inputs: several V8 activations (shared/scattered operand
     // draws) and two M8 parameters (shared-parameter stacking vs split
     // first-argument classes), one each of the gate-sized parameters.
-    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1};
+    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1};
     for (int c = 0; c < kNumClasses; ++c)
       for (int i = 0; i < counts[c]; ++i) {
         tensors.push_back(pool.alloc_random(class_shape(c), rng, 0.8f));

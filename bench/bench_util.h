@@ -20,6 +20,7 @@
 #include "baselines/dynet.h"
 #include "baselines/eager.h"
 #include "harness/harness.h"
+#include "serve/server.h"
 #include "serve/stats.h"
 
 namespace acrobat::bench {
@@ -83,6 +84,13 @@ inline models::Dataset dataset_for(const models::ModelSpec& spec, bool large,
                             0xbe9c5 + batch * 31 + (large ? 7 : 0));
 }
 
+// Engine counters summed over a serving run's shards.
+inline ActivityStats merged_stats(const std::vector<serve::ShardReport>& shards) {
+  ActivityStats m;
+  for (const serve::ShardReport& s : shards) m += s.stats;
+  return m;
+}
+
 // Machine-readable engine-counter emission (the repo's perf trajectory):
 // per-config rows of the engine's activity breakdown. The counter fields —
 // kernel_launches, gather_bytes, flat/stacked batch counts, scheduling
@@ -118,21 +126,11 @@ class CounterJson {
     std::fprintf(f, "  \"rows\": [\n");
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const ActivityStats& s = rows_[i].stats;
-      std::fprintf(
-          f,
-          "    {\"config\": \"%s\", \"dfg_ns\": %lld, \"scheduling_ns\": %lld, "
-          "\"gather_ns\": %lld, \"exec_ns\": %lld, \"launch_ns\": %lld, "
-          "\"kernel_launches\": %lld, \"gather_bytes\": %lld, "
-          "\"flat_batches\": %lld, \"stacked_batches\": %lld, "
-          "\"scheduling_allocs\": %lld, \"sched_cache_hits\": %lld, "
-          "\"sched_cache_misses\": %lld, \"sched_cache_evictions\": %lld",
-          rows_[i].config.c_str(), static_cast<long long>(s.dfg_construction.ns),
-          static_cast<long long>(s.scheduling.ns),
-          static_cast<long long>(s.gather_copy.ns),
-          static_cast<long long>(s.kernel_exec.ns),
-          static_cast<long long>(s.launch_overhead.ns), s.kernel_launches,
-          s.gather_bytes, s.flat_batches, s.stacked_batches, s.scheduling_allocs,
-          s.sched_cache_hits, s.sched_cache_misses, s.sched_cache_evictions);
+      std::fprintf(f, "    {\"config\": \"%s\"", rows_[i].config.c_str());
+#define ACROBAT_JSON_ROW(member, key) \
+  std::fprintf(f, ", \"" key "\": %lld", counter_value(s.member));
+      ACROBAT_ACTIVITY_STATS(ACROBAT_JSON_ROW)
+#undef ACROBAT_JSON_ROW
       for (const auto& [k, v] : rows_[i].int_extras)
         std::fprintf(f, ", \"%s\": %lld", k.c_str(), v);
       for (const auto& [k, v] : rows_[i].dbl_extras)

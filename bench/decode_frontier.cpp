@@ -22,21 +22,6 @@ using namespace acrobat::bench;
 
 namespace {
 
-ActivityStats merged_stats(const serve::ServeResult& res) {
-  ActivityStats m;
-  for (const serve::ShardReport& s : res.shards) {
-    m.kernel_launches += s.stats.kernel_launches;
-    m.gather_bytes += s.stats.gather_bytes;
-    m.flat_batches += s.stats.flat_batches;
-    m.stacked_batches += s.stats.stacked_batches;
-    m.scheduling_allocs += s.stats.scheduling_allocs;
-    m.sched_cache_hits += s.stats.sched_cache_hits;
-    m.sched_cache_misses += s.stats.sched_cache_misses;
-    m.sched_cache_evictions += s.stats.sched_cache_evictions;
-  }
-  return m;
-}
-
 // Rows land in BENCH_decode.json (or $ACROBAT_BENCH_JSON). Like
 // serve_latency these ride a real-time arrival process: the token counters
 // are exact for a fixed trace but the latency columns are context, so the
@@ -49,7 +34,7 @@ void record_point(CounterJson& json, const std::string& config,
     triggers += s.triggers;
     requests += s.requests;
   }
-  json.add(config, merged_stats(res),
+  json.add(config, merged_stats(res.shards),
            {{"requests", requests},
             {"triggers", triggers},
             {"tokens", res.tokens},

@@ -2,9 +2,9 @@
 // (DESIGN.md §8).
 //
 // A 2-model registry (TreeLSTM + BiRNN, merged into one module) serves a
-// seeded mixed-model, mixed-class trace. The open-loop sweep crosses
-// arrival rate x shard mode (multiplexed merged engine vs per-model
-// engines): below capacity nothing is shed and goodput is ~100%; past
+// seeded mixed-model, mixed-class trace, every model behind one merged
+// engine per shard. The open-loop sweep crosses arrival rate x shard
+// count: below capacity nothing is shed and goodput is ~100%; past
 // capacity the fleet policy sheds blown requests, so goodput degrades far
 // more gracefully than the no-shed latency tail would. The closed-loop
 // block then sweeps the client population K: throughput rises to the
@@ -24,21 +24,12 @@ namespace {
 // $ACROBAT_BENCH_JSON). Real-time arrival process → context, not golden.
 void record_point(CounterJson& json, const std::string& config,
                   const fleet::FleetResult& res) {
-  ActivityStats m;
   long long triggers = 0, requests = 0;
   for (const serve::ShardReport& s : res.shards) {
-    m.kernel_launches += s.stats.kernel_launches;
-    m.gather_bytes += s.stats.gather_bytes;
-    m.flat_batches += s.stats.flat_batches;
-    m.stacked_batches += s.stats.stacked_batches;
-    m.scheduling_allocs += s.stats.scheduling_allocs;
-    m.sched_cache_hits += s.stats.sched_cache_hits;
-    m.sched_cache_misses += s.stats.sched_cache_misses;
-    m.sched_cache_evictions += s.stats.sched_cache_evictions;
     triggers += s.triggers;
     requests += s.requests;
   }
-  json.add(config, m,
+  json.add(config, merged_stats(res.shards),
            {{"requests", requests}, {"triggers", triggers}, {"shed", res.shed}},
            {{"p50_ms", res.latency_ms.p50},
             {"p99_ms", res.latency_ms.p99},
@@ -46,11 +37,10 @@ void record_point(CounterJson& json, const std::string& config,
             {"goodput", res.goodput}});
 }
 
-void print_point(const char* kind, double x, const char* mode, int shards,
-                 const fleet::FleetResult& res) {
+void print_point(const char* kind, double x, int shards, const fleet::FleetResult& res) {
   std::printf(
-      "%-6s %8.0f %-4s %6d | %8.3f %8.3f %8.3f | %8.0f %6lld %6.1f | %8.0f %7zu %9.0f\n",
-      kind, x, mode, shards, res.latency_ms.p50, res.latency_ms.p95, res.latency_ms.p99,
+      "%-6s %8.0f %6d | %8.3f %8.3f %8.3f | %8.0f %6lld %6.1f | %8.0f %7zu %9.0f\n",
+      kind, x, shards, res.latency_ms.p50, res.latency_ms.p95, res.latency_ms.p99,
       res.throughput_rps, res.shed, 100.0 * res.goodput,
       static_cast<double>(res.peak_arena_bytes()) / 1024.0, res.peak_node_table(),
       static_cast<double>(res.peak_persist_bytes()) / 1024.0);
@@ -106,9 +96,9 @@ int main() {
               "deadlines=%.3f/%.3fms (interactive/batch; best-effort none)\n",
               size_name(large), solo_tree, solo_birnn, n_requests, deadline_ms,
               deadline_ms * 4.0);
-  std::printf("%-6s %8s %-4s %6s | %8s %8s %8s | %8s %6s %6s | %8s %7s %9s\n", "loop",
-              "rate|K", "mode", "shards", "p50ms", "p95ms", "p99ms", "thpt", "shed",
-              "good%", "arenaKB", "nodes", "persistKB");
+  std::printf("%-6s %8s %6s | %8s %8s %8s | %8s %6s %6s | %8s %7s %9s\n", "loop",
+              "rate|K", "shards", "p50ms", "p95ms", "p99ms", "thpt", "shed", "good%",
+              "arenaKB", "nodes", "persistKB");
 
   fleet::FleetOptions fo;
   fo.launch_overhead_ns = kLaunchNs;
@@ -122,7 +112,7 @@ int main() {
   fo.policy.est_service_ns = static_cast<std::int64_t>(solo_ms * 2e6);
 
   CounterJson json;
-  fleet::FleetResult overload;  // 1-shard mux at 6x: the per-class exhibit
+  fleet::FleetResult overload;  // 1 shard at 6x: the per-class exhibit
   double overload_rate = 0;
   for (const int shards : {1, 2}) {
     for (const double mult : {0.5, 2.0, 6.0}) {
@@ -132,20 +122,16 @@ int main() {
       ls.num_requests = n_requests;
       ls.seed = 42;
       const std::vector<serve::Request> trace = serve::generate_load(ls, mix);
-      for (const bool multiplex : {true, false}) {
-        fleet::FleetOptions o = fo;
-        o.shards = shards;
-        o.multiplex = multiplex;
-        fleet::FleetResult res = fleet::serve_fleet(reg, trace, o);
-        print_point("open", rate, multiplex ? "mux" : "iso", shards, res);
-        char cfg[96];
-        std::snprintf(cfg, sizeof cfg, "open/%.1fx/%s/s%d", mult,
-                      multiplex ? "mux" : "iso", shards);
-        record_point(json, cfg, res);
-        if (shards == 1 && mult == 6.0 && multiplex) {
-          overload = std::move(res);
-          overload_rate = rate;
-        }
+      fleet::FleetOptions o = fo;
+      o.shards = shards;
+      fleet::FleetResult res = fleet::serve_fleet(reg, trace, o);
+      print_point("open", rate, shards, res);
+      char cfg[96];
+      std::snprintf(cfg, sizeof cfg, "open/%.1fx/s%d", mult, shards);
+      record_point(json, cfg, res);
+      if (shards == 1 && mult == 6.0) {
+        overload = std::move(res);
+        overload_rate = rate;
       }
     }
     std::printf("\n");
@@ -154,7 +140,7 @@ int main() {
   // Class-level view of the overload point: tight-deadline interactive
   // traffic sheds first and keeps its survivors' tail in budget, batch
   // rides its looser SLO, best-effort absorbs the queueing (never shed).
-  std::printf("per-class at %.0f rps (open, 1 shard, mux):\n", overload_rate);
+  std::printf("per-class at %.0f rps (open, 1 shard):\n", overload_rate);
   for (int c = 0; c < serve::kNumLatencyClasses; ++c) {
     const fleet::ClassReport& cr = overload.by_class[static_cast<std::size_t>(c)];
     if (cr.requests == 0) continue;
@@ -176,9 +162,9 @@ int main() {
     fleet::FleetOptions o = fo;
     o.shards = 1;
     const fleet::FleetResult res = fleet::serve_fleet_closed(reg, cs, mix, o);
-    print_point("closed", clients, "mux", 1, res);
+    print_point("closed", clients, 1, res);
     char cfg[96];
-    std::snprintf(cfg, sizeof cfg, "closed/k%d/mux", clients);
+    std::snprintf(cfg, sizeof cfg, "closed/k%d", clients);
     record_point(json, cfg, res);
   }
   json.write("fleet_frontier", "BENCH_fleet.json");

@@ -32,21 +32,6 @@ using namespace acrobat::bench;
 
 namespace {
 
-ActivityStats merged_stats(const std::vector<serve::ShardReport>& shards) {
-  ActivityStats m;
-  for (const serve::ShardReport& s : shards) {
-    m.kernel_launches += s.stats.kernel_launches;
-    m.gather_bytes += s.stats.gather_bytes;
-    m.flat_batches += s.stats.flat_batches;
-    m.stacked_batches += s.stats.stacked_batches;
-    m.scheduling_allocs += s.stats.scheduling_allocs;
-    m.sched_cache_hits += s.stats.sched_cache_hits;
-    m.sched_cache_misses += s.stats.sched_cache_misses;
-    m.sched_cache_evictions += s.stats.sched_cache_evictions;
-  }
-  return m;
-}
-
 struct Row {
   double tok_s = 0, rps = 0;
   Percentiles ttft_ms, itl_ms, e2e_ms;

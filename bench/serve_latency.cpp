@@ -23,21 +23,6 @@ namespace {
 // counters as exact integers and the latency columns as double extras.
 // Unlike BENCH_engine.json these rows ride a real-time arrival process, so
 // they are context, not golden-diffed.
-ActivityStats merged_stats(const serve::ServeResult& res) {
-  ActivityStats m;
-  for (const serve::ShardReport& s : res.shards) {
-    m.kernel_launches += s.stats.kernel_launches;
-    m.gather_bytes += s.stats.gather_bytes;
-    m.flat_batches += s.stats.flat_batches;
-    m.stacked_batches += s.stats.stacked_batches;
-    m.scheduling_allocs += s.stats.scheduling_allocs;
-    m.sched_cache_hits += s.stats.sched_cache_hits;
-    m.sched_cache_misses += s.stats.sched_cache_misses;
-    m.sched_cache_evictions += s.stats.sched_cache_evictions;
-  }
-  return m;
-}
-
 void record_point(CounterJson& json, const std::string& config,
                   const serve::ServeResult& res, double deadline_ms) {
   long long triggers = 0, requests = 0;
@@ -45,7 +30,7 @@ void record_point(CounterJson& json, const std::string& config,
     triggers += s.triggers;
     requests += s.requests;
   }
-  json.add(config, merged_stats(res), {{"requests", requests}, {"triggers", triggers}},
+  json.add(config, merged_stats(res.shards), {{"requests", requests}, {"triggers", triggers}},
            {{"p50_ms", res.latency_ms.p50},
             {"p99_ms", res.latency_ms.p99},
             {"thpt_rps", res.throughput_rps},

@@ -61,7 +61,54 @@ struct ActivityStats {
   long long sched_cache_hits = 0;
   long long sched_cache_misses = 0;
   long long sched_cache_evictions = 0;
+
+  ActivityStats& operator+=(const ActivityStats& o);
+  ActivityStats& operator-=(const ActivityStats& o);
 };
+
+// The ActivityStats counter table, X(member, json_key), in the bench JSON's
+// key order (bench/bench_util.h CounterJson; the golden counter check keys
+// on these names). operator+=/-= and the JSON expand it, so it is the one
+// list of fields; a field added to the struct without a row fails the
+// static_assert below.
+#define ACROBAT_ACTIVITY_STATS(X)               \
+  X(dfg_construction, "dfg_ns")                 \
+  X(scheduling, "scheduling_ns")                \
+  X(gather_copy, "gather_ns")                   \
+  X(kernel_exec, "exec_ns")                     \
+  X(launch_overhead, "launch_ns")               \
+  X(kernel_launches, "kernel_launches")         \
+  X(gather_bytes, "gather_bytes")               \
+  X(flat_batches, "flat_batches")               \
+  X(stacked_batches, "stacked_batches")         \
+  X(scheduling_allocs, "scheduling_allocs")     \
+  X(sched_cache_hits, "sched_cache_hits")       \
+  X(sched_cache_misses, "sched_cache_misses")   \
+  X(sched_cache_evictions, "sched_cache_evictions")
+
+#define ACROBAT_COUNT_ROW(member, key) +1
+static_assert(sizeof(ActivityStats) ==
+                  (0 ACROBAT_ACTIVITY_STATS(ACROBAT_COUNT_ROW)) * sizeof(std::int64_t),
+              "every ActivityStats field needs a row in ACROBAT_ACTIVITY_STATS");
+#undef ACROBAT_COUNT_ROW
+
+// A table row's value: a TimeBucket counts its nanoseconds.
+inline long long counter_value(const TimeBucket& b) { return b.ns; }
+inline long long counter_value(long long v) { return v; }
+
+inline ActivityStats& ActivityStats::operator+=(const ActivityStats& o) {
+#define ACROBAT_ADD_ROW(member, key) member += o.member;
+  ACROBAT_ACTIVITY_STATS(ACROBAT_ADD_ROW)
+#undef ACROBAT_ADD_ROW
+  return *this;
+}
+
+inline ActivityStats& ActivityStats::operator-=(const ActivityStats& o) {
+#define ACROBAT_SUB_ROW(member, key) member -= o.member;
+  ACROBAT_ACTIVITY_STATS(ACROBAT_SUB_ROW)
+#undef ACROBAT_SUB_ROW
+  return *this;
+}
 
 struct EngineStats : ActivityStats {
   std::vector<long long> kernel_invocations;  // per kernel id (PGO profile)

@@ -1,14 +1,13 @@
 // acrobat/fleet — multi-model serving over the serve layer (DESIGN.md §8).
 //
 // A fleet run plays a mixed-model request trace against shard workers
-// built from a ModelRegistry. Each shard multiplexes fibers from every
-// model into one trigger cadence: by default all models share a single
-// merged engine (one node table, one recycling arena, per-model persistent
-// regions), with a per-model-engine fallback for isolation. The dispatcher
-// routes by latency class (per-class shard affinity, least-loaded within
-// class), the FleetPolicy sheds requests whose deadline is already blown,
-// and results report shed count and goodput (SLO attainment) alongside
-// the latency tail.
+// built from a ModelRegistry. Each shard runs the serve layer's shard loop
+// over one merged engine hosting every model, so fibers from every model
+// share one trigger cadence, node table and recycling arena (per-model
+// persistent regions). The dispatcher routes by latency class (per-class
+// shard affinity, least-loaded within class), the FleetPolicy sheds
+// requests whose deadline is already blown, and results report shed count
+// and goodput (SLO attainment) alongside the latency tail.
 //
 // Two client modes: open-loop (replay a generate_load trace in real time —
 // arrivals never wait, queueing counts) and closed-loop (K concurrent
@@ -39,12 +38,6 @@ struct FleetOptions {
   // a merged (structurally deduped) module the cache keys on post-dedupe
   // kernel ids, so a recurring cross-model cohort replays one shared plan.
   bool sched_memo = true;
-  // true: one merged engine per shard — every model's fibers share a
-  // trigger cadence, node table, and recycling arena (the profitable
-  // default). false: one engine per model per shard (isolation fallback);
-  // the shard still runs one fiber pool and triggers every engine at the
-  // same all-blocked cadence.
-  bool multiplex = true;
   // Class-aware routing: shard indices eligible per class; an empty list
   // means every shard. Within the eligible set, dispatch follows
   // `dispatch` (least-loaded ties break to the lowest index).
@@ -65,45 +58,17 @@ struct ClassReport {
   double goodput = 0;  // met deadline (or completed, if class has none) / requests
 };
 
-struct FleetResult {
-  std::vector<serve::RequestRecord> records;  // indexed by request id
-  serve::Percentiles latency_ms;              // completed (non-shed) only
-  double throughput_rps = 0;  // completed (non-shed) per second of makespan
-  double makespan_ms = 0;
+// The serve-layer totals (latency, throughput, makespan and the decode
+// split over completed, non-shed requests; shard reports; trace dump)
+// plus the fleet's admission-control view.
+struct FleetResult : serve::ServeResult {
   long long shed = 0;
   // Fraction of ALL requests that completed within their class deadline
   // (sheds and no-deadline non-completions count as misses; classes with
   // no deadline count completion itself as success).
   double goodput = 0;
-  // Decode split (zero-count without generative sessions) — merged from the
-  // per-shard token histograms, as in serve::ServeResult.
-  serve::Percentiles ttft_ms;
-  serve::Percentiles inter_token_ms;
-  long long tokens = 0;
-  int cancelled = 0;  // sessions stopped mid-stream by the token deadline
-  double tokens_per_sec = 0;
   std::array<ClassReport, serve::kNumLatencyClasses> by_class;
-  std::vector<serve::ShardReport> shards;
-  // Populated when FleetOptions::trace.enabled (write_chrome_json →
-  // Perfetto); includes triage/shed instants alongside the engine spans.
-  trace::TraceDump trace;
 
-  long long total_launches() const {
-    long long n = 0;
-    for (const serve::ShardReport& s : shards) n += s.stats.kernel_launches;
-    return n;
-  }
-  std::size_t peak_arena_bytes() const {
-    std::size_t m = 0;
-    for (const serve::ShardReport& s : shards)
-      m = std::max(m, s.mem.arena_high_water_bytes);
-    return m;
-  }
-  std::size_t peak_node_table() const {
-    std::size_t m = 0;
-    for (const serve::ShardReport& s : shards) m = std::max(m, s.mem.node_table_size);
-    return m;
-  }
   std::size_t peak_persist_bytes() const {
     std::size_t m = 0;
     for (const serve::ShardReport& s : shards)

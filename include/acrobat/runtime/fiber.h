@@ -51,7 +51,7 @@ class FiberScheduler {
   // Admits a new fiber in the ready state. Legal while other fibers are
   // suspended: a serve-loop trigger boundary admits newly arrived requests
   // so their ops batch with the suspended instances' pending ops. `tag`
-  // identifies the fiber to the reap hook (serve: the request id, which
+  // identifies the fiber to the reap hook (serve: the session tag, which
   // keys the engine's per-request node span); -1 = untagged.
   void spawn(FiberTask task, int tag = -1);
 

@@ -84,6 +84,10 @@ class BatchPolicy {
   // Default: admit everything, no deadline — arrival-order FIFO admission,
   // which is exactly the pre-fleet serve behavior.
   virtual Triage triage(const RequestView&) { return Triage{}; }
+  // True when triage() can reorder or shed: the shard then runs the EDF
+  // triage pass over its whole queue at every admission. False keeps FIFO
+  // admission, which pops only what it admits.
+  virtual bool triages() const { return false; }
   virtual const char* name() const = 0;
 };
 

@@ -94,7 +94,7 @@ struct RequestRecord {
 
 struct ShardReport {
   int requests = 0;
-  int shed = 0;                  // fleet only: requests dropped past deadline
+  int shed = 0;                  // dropped past deadline by a triaging policy
   long long triggers = 0;        // all-blocked wakeups (fiber scheduler)
   std::size_t max_live = 0;      // peak concurrently admitted requests
   long long stacks_allocated = 0;
@@ -117,7 +117,7 @@ struct ShardReport {
 
 struct ServeResult {
   std::vector<RequestRecord> records;  // indexed by request id
-  Percentiles latency_ms;              // enqueue → completion
+  Percentiles latency_ms;              // enqueue → completion (non-shed)
   // Decode split (zero-count when the trace held no generative sessions):
   // arrival → first token, and the gap between consecutive tokens.
   Percentiles ttft_ms;
@@ -125,8 +125,8 @@ struct ServeResult {
   long long tokens = 0;
   int cancelled = 0;
   double tokens_per_sec = 0;  // tokens / makespan
-  double throughput_rps = 0;
-  double makespan_ms = 0;  // first arrival to last completion
+  double throughput_rps = 0;  // completed (non-shed) per second of makespan
+  double makespan_ms = 0;     // first arrival to last completion
   std::vector<ShardReport> shards;
   // Populated when ServeOptions::trace.enabled: one track per shard plus
   // the dispatcher, streamed metric ticks, and slow-request exemplars.
@@ -151,8 +151,8 @@ struct ServeResult {
   }
 };
 
-// `trace` must be sorted by arrival_ns with ids 0..N-1 (generate_load's
-// contract). Blocks until every request has completed.
+// `trace` must be sorted by arrival_ns with ids 0..N-1 and model_id 0
+// (generate_load's contract). Blocks until every request has completed.
 ServeResult serve(const harness::Prepared& p, const models::Dataset& ds,
                   const std::vector<Request>& trace, const ServeOptions& opts);
 

@@ -28,6 +28,14 @@ struct TimeBucket {
   std::int64_t ns = 0;
   double ms() const { return static_cast<double>(ns) * 1e-6; }
   void add(std::int64_t delta) { ns += delta; }
+  TimeBucket& operator+=(const TimeBucket& o) {
+    ns += o.ns;
+    return *this;
+  }
+  TimeBucket& operator-=(const TimeBucket& o) {
+    ns -= o.ns;
+    return *this;
+  }
 };
 
 // RAII span that adds its lifetime to a bucket when enabled.

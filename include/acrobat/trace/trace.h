@@ -48,10 +48,10 @@ enum class EventKind : std::uint8_t {
   kGather,       // instant: staged gather (a = width, b = operand, c = bytes)
   kMemoHit,      // instant: schedule-cache replay (a = ops)
   kMemoMiss,     // instant: schedule-cache miss (a = ops)
-  kFiberSpawn,   // instant: a = request tag
-  kFiberBlock,   // instant: a = request tag
+  kFiberSpawn,   // instant: a = session tag (the shard's recycled slot)
+  kFiberBlock,   // instant: a = session tag
   kFiberWake,    // instant: a = fibers woken this trigger
-  kFiberReap,    // instant: a = request tag
+  kFiberReap,    // instant: a = session tag
   kAdmit,        // instant: request admitted (a = request id, b = model id,
                  //          c = queue delay ns)
   kDispatch,     // instant: dispatcher routed a request (a = id, b = shard)

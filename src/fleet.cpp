@@ -1,43 +1,27 @@
 // acrobat/fleet implementation (DESIGN.md §8): merged multi-model modules,
-// class-aware dispatch, SLO admission control with shedding, and the
-// open-loop / closed-loop client drivers. The shard worker is the serve
-// layer's continuous-batching loop generalized to a table of per-model
-// engine states — same admission-at-trigger-boundary mechanism, same
-// no-locks-on-the-hot-path ownership (the only cross-thread traffic is
-// the SPSC inbox/outbox pair and the load counter).
+// SLO admission control with shedding, and the open-loop / closed-loop
+// client drivers. A fleet shard is the serve layer's shard loop
+// (src/shard_core.h) over the registry's merged module: every model's
+// fibers share one engine and one trigger cadence, and the FleetPolicy's
+// triage turns admission earliest-deadline-first.
 #include "fleet/fleet.h"
 
-#include <sched.h>
-
-#include <algorithm>
-#include <cassert>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
-#include <span>
-#include <string>
-#include <thread>
+#include <utility>
 
-#include "exec/aot.h"
-#include "runtime/fiber.h"
-#include "serve/spsc.h"
-#include "support/timer.h"
-#include "trace/trace.h"
+#include "shard_core.h"
 
 namespace acrobat::fleet {
 namespace {
 
 using serve::AdmitDecision;
-using serve::DispatchKind;
 using serve::LatencyClass;
 using serve::PolicyCtx;
 using serve::Request;
 using serve::RequestRecord;
 using serve::RequestView;
-using serve::ShardReport;
-using serve::SpscQueue;
 using serve::Triage;
 using serve::Verdict;
 
@@ -45,9 +29,6 @@ using serve::Verdict;
   std::fprintf(stderr, "acrobat fleet: invalid configuration: %s\n", what);
   std::abort();
 }
-
-// See serve.cpp: waits are for other threads' progress, so yield, never spin.
-void relax() { sched_yield(); }
 
 int class_idx(LatencyClass c) { return static_cast<int>(c); }
 
@@ -91,6 +72,7 @@ class FleetPolicy final : public serve::BatchPolicy {
     return t;
   }
 
+  bool triages() const override { return true; }
   const char* name() const override { return "fleet"; }
 
  private:
@@ -98,605 +80,64 @@ class FleetPolicy final : public serve::BatchPolicy {
   std::unique_ptr<serve::BatchPolicy> base_;
 };
 
-// -------------------------------------------------------------- shard worker
+// ------------------------------------------------------------------ drivers
 
-// One engine plus its executor-facing state. Multiplex mode runs a single
-// slot hosting every model; the fallback runs one slot per model.
-struct EngineSlot {
-  std::unique_ptr<Engine> eng;
-  std::unique_ptr<aot::AotExecutor> exec;
-  std::vector<std::vector<TRef>> drefs;  // per model id (empty if not hosted)
-};
-
-struct FleetShard {
-  explicit FleetShard(std::size_t capacity) : inbox(capacity), outbox(capacity) {}
-
-  int index = 0;
-  const ModelRegistry* reg = nullptr;
-  const std::vector<Request>* trace = nullptr;
-  const FleetOptions* opts = nullptr;
-  std::vector<RequestRecord>* records = nullptr;
-  std::int64_t epoch_ns = 0;
-
-  SpscQueue<int> inbox;   // dispatcher → shard (request ids)
-  SpscQueue<int> outbox;  // shard → dispatcher (completed/shed ids; the
-                          // closed-loop client's completion signal)
-  std::atomic<int> outstanding{0};
-  ShardReport report;
-
-  // Observability (DESIGN.md §9), as in serve.cpp's Shard: worker-owned
-  // ring + SPSC tick stream, both preallocated before the thread starts.
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<SpscQueue<trace::MetricsTick>> ticks;
-  std::uint64_t dropped_ticks = 0;
-  std::vector<std::string> metric_names;
-
-  void run_worker();
-};
-
-void merge_stats(ActivityStats& into, const ActivityStats& from) {
-  into.dfg_construction.add(from.dfg_construction.ns);
-  into.scheduling.add(from.scheduling.ns);
-  into.gather_copy.add(from.gather_copy.ns);
-  into.kernel_exec.add(from.kernel_exec.ns);
-  into.launch_overhead.add(from.launch_overhead.ns);
-  into.kernel_launches += from.kernel_launches;
-  into.gather_bytes += from.gather_bytes;
-  into.flat_batches += from.flat_batches;
-  into.stacked_batches += from.stacked_batches;
-  into.scheduling_allocs += from.scheduling_allocs;
-  into.sched_cache_hits += from.sched_cache_hits;
-  into.sched_cache_misses += from.sched_cache_misses;
-  into.sched_cache_evictions += from.sched_cache_evictions;
+// Every registry model behind one engine per shard: one trigger cadence,
+// node table and recycling arena, and every model's weights, datasets and
+// constants in one persistent region. Kernel names are model-prefixed (or
+// structurally deduped), so merged kernel ids alias across models only
+// where the kernels are genuinely identical.
+serve::detail::ShardModule fleet_module(const ModelRegistry& reg) {
+  serve::detail::ShardModule m;
+  m.compiled = &reg.compiled();
+  m.weights = &reg.weights();
+  m.cfg = reg.cfg();
+  for (const FleetModel& fm : reg.models()) {
+    m.entries.push_back(fm.entry.get());
+    m.datasets.push_back(&fm.dataset);
+  }
+  return m;
 }
 
-void merge_mem(Engine::MemoryStats& into, const Engine::MemoryStats& from) {
-  into.node_table_size += from.node_table_size;
-  into.live_nodes += from.live_nodes;
-  into.live_nodes_peak += from.live_nodes_peak;
-  into.nodes_recycled += from.nodes_recycled;
-  into.arena_active_bytes += from.arena_active_bytes;
-  into.arena_high_water_bytes += from.arena_high_water_bytes;
-  into.arena_pages_recycled += from.arena_pages_recycled;
-  into.leaked_slots += from.leaked_slots;
-  into.persist_arena_high_water_bytes += from.persist_arena_high_water_bytes;
-  into.session_buffers_live += from.session_buffers_live;
-  into.session_buffers_peak += from.session_buffers_peak;
-  into.session_bytes_allocated += from.session_bytes_allocated;
+serve::detail::CoreConfig fleet_config(const serve::detail::ShardModule& mod,
+                                       const FleetOptions& opts) {
+  serve::detail::CoreConfig c = serve::detail::core_config(mod, opts);
+  c.make_policy = [&opts] { return make_fleet_policy(opts.policy); };
+  // Slow-request exemplars default to the request's own class deadline —
+  // "what did the worst SLO-missing request do" — and mid-stream to the
+  // token deadline, captured while the session is still live.
+  const std::int64_t slow = opts.trace.slow_threshold_ns;
+  for (std::size_t k = 0; k < c.slow_ns.size(); ++k)
+    c.slow_ns[k] = slow > 0 ? slow : opts.policy.deadline_ns[k];
+  c.step_slow_ns = slow > 0 ? slow : opts.policy.token_deadline_ns;
+  return c;
 }
 
-void FleetShard::run_worker() {
-  const std::vector<FleetModel>& models = reg->models();
-  const int n_models = reg->num_models();
-
-  // Per-model engine states (DESIGN.md §8). Multiplexed, all models share
-  // one engine: one trigger cadence, one node table, one recycling arena,
-  // every model's weights/datasets/constants in one persistent region.
-  // Kernel names are model-prefixed, so merged-registry kernel ids never
-  // alias across models unless the kernels are genuinely identical.
-  std::vector<EngineSlot> slots;
-  const int n_slots = opts->multiplex ? 1 : n_models;
-  for (int s = 0; s < n_slots; ++s) {
-    EngineSlot slot;
-    EngineConfig ec = harness::engine_config_for(
-        reg->cfg(), opts->launch_overhead_ns, opts->time_activities);
-    ec.recycle = opts->recycle;
-    ec.sched_memo = opts->sched_memo;
-    slot.eng = std::make_unique<Engine>(reg->compiled().module.registry, ec);
-    // The merged weight table is global (kLoadWeight indices span models),
-    // so every engine wraps all of it; concrete nodes are cheap views.
-    std::vector<TRef> wrefs;
-    wrefs.reserve(reg->weights().tensors.size());
-    for (const Tensor& t : reg->weights().tensors)
-      wrefs.push_back(slot.eng->add_concrete(t.view()));
-    slot.drefs.resize(static_cast<std::size_t>(n_models));
-    for (int m = 0; m < n_models; ++m) {
-      if (!opts->multiplex && m != s) continue;  // fallback: host one model
-      const models::Dataset& ds = models[static_cast<std::size_t>(m)].dataset;
-      auto& dr = slot.drefs[static_cast<std::size_t>(m)];
-      dr.reserve(ds.tensors.size());
-      for (const Tensor& t : ds.tensors) dr.push_back(slot.eng->add_concrete(t.view()));
-    }
-    slot.exec = std::make_unique<aot::AotExecutor>(reg->compiled().program, *slot.eng,
-                                                   std::move(wrefs));
-    slots.push_back(std::move(slot));
-  }
-  const auto slot_of = [&](int model_id) -> EngineSlot& {
-    return slots[static_cast<std::size_t>(opts->multiplex ? 0 : model_id)];
-  };
-
-  FiberScheduler fs;
-  for (EngineSlot& s : slots) s.eng->set_fiber_scheduler(&fs);
-  fs.set_reap_hook([&](int request_id) {
-    slot_of((*trace)[static_cast<std::size_t>(request_id)].model_id)
-        .eng->retire_request(request_id);
-  });
-  const std::unique_ptr<serve::BatchPolicy> policy = make_fleet_policy(opts->policy);
-
-  // Observability (DESIGN.md §9): one ring per shard, shared by every
-  // engine slot (the shard is single-threaded, so the single-writer
-  // contract holds across slots).
-  trace::Tracer* const tr = tracer.get();
-  for (EngineSlot& s : slots) s.eng->set_tracer(tr);
-  fs.set_tracer(tr);
-  trace::MetricsRegistry mreg;
-  int m_live = -1, m_queued = -1, m_done = -1, m_shed = -1, m_launches = -1,
-      m_hits = -1, m_live_nodes = -1, m_arena_kb = -1;
-  if (tr != nullptr) {
-    m_live = mreg.add("live_requests");
-    m_queued = mreg.add("queued_requests");
-    m_done = mreg.add("completed_requests");
-    m_shed = mreg.add("shed_requests");
-    m_launches = mreg.add("kernel_launches");
-    m_hits = mreg.add("memo_hit_permille");
-    m_live_nodes = mreg.add("live_nodes");
-    m_arena_kb = mreg.add("arena_kb");
-    metric_names = mreg.names();
-  }
-
-  std::deque<int> queue;      // arrived, not yet admitted (EDF order after triage)
-  std::deque<int> in_flight;  // admitted, not yet completed (admission order)
-  // Iteration-level scheduling, as in serve.cpp: parked generative sessions
-  // waiting for their next decode step. Steps are triaged alongside fresh
-  // arrivals (FleetPolicy derives a step's deadline from its park time), so
-  // EDF ordering and shedding extend mid-stream.
-  std::deque<int> step_queue;
-  std::vector<char> awaiting(trace->size(), 0);
-  // Decode-aware split, as in serve.cpp: sessions past their first token,
-  // and how many parked steps this trigger window may still unpark. The
-  // budget resets from the policy once per window (admission hook).
-  std::size_t live_decode = 0;
-  std::size_t step_budget = static_cast<std::size_t>(-1);
-
-  long long last_tick_trigger = 0;
-  const auto maybe_tick = [&](std::int64_t t_now) {
-    if (fs.idle_triggers() - last_tick_trigger <
-        static_cast<long long>(opts->trace.tick_every_triggers))
-      return;
-    last_tick_trigger = fs.idle_triggers();
-    long long launches = 0, hits = 0, misses = 0;
-    std::size_t live_nodes = 0, arena = 0;
-    for (const EngineSlot& s : slots) {
-      launches += s.eng->stats().kernel_launches;
-      hits += s.eng->stats().sched_cache_hits;
-      misses += s.eng->stats().sched_cache_misses;
-      live_nodes += s.eng->live_nodes();
-      arena += s.eng->memory().arena_active_bytes;
-    }
-    mreg.set(m_live, static_cast<double>(in_flight.size()));
-    mreg.set(m_queued, static_cast<double>(queue.size()));
-    mreg.set(m_done, static_cast<double>(report.requests));
-    mreg.set(m_shed, static_cast<double>(report.shed));
-    mreg.set(m_launches, static_cast<double>(launches));
-    mreg.set(m_hits, hits + misses > 0
-                         ? 1000.0 * static_cast<double>(hits) /
-                               static_cast<double>(hits + misses)
-                         : 0.0);
-    mreg.set(m_live_nodes, static_cast<double>(live_nodes));
-    mreg.set(m_arena_kb, static_cast<double>(arena) / 1024.0);
-    if (!ticks->push(mreg.tick(t_now, index))) ++dropped_ticks;
-  };
-
-  const auto now = [&] { return now_ns() - epoch_ns; };
-  const auto arrival_of = [&](int id) {
-    // records, not the trace: closed-loop arrivals are stamped at issue.
-    return (*records)[static_cast<std::size_t>(id)].arrival_ns;
-  };
-  const auto drain_inbox = [&] {
-    int id;
-    while (inbox.pop(id)) queue.push_back(id);
-  };
-  const auto prune_in_flight = [&] {
-    while (!in_flight.empty() &&
-           (*records)[static_cast<std::size_t>(in_flight.front())].completion_ns >= 0) {
-      if ((*records)[static_cast<std::size_t>(in_flight.front())].tokens > 0)
-        --live_decode;
-      in_flight.pop_front();
-    }
-  };
-  const auto make_ctx = [&] {
-    PolicyCtx c;
-    c.now_ns = now();
-    c.live_decode = live_decode;
-    c.queued_steps = step_queue.size();
-    // Parked sessions stay `live` (see serve.cpp): they hold session state,
-    // so the width budget bounds concurrent sessions — the memory-plateau
-    // contract. Steps are re-admitted outside the budget in admit().
-    c.queued = queue.size();
-    c.live = in_flight.size();
-    // Unlike serve.cpp, neither deque is in arrival order here — the queue
-    // is EDF-sorted and in_flight is in admission order — so "oldest" is a
-    // min over arrivals, not front(). A base DeadlinePolicy's hold bound
-    // ("never past the oldest request's SLO") depends on this.
-    for (const int id : queue) {
-      const std::int64_t a = arrival_of(id);
-      if (c.oldest_queued_arrival_ns < 0 || a < c.oldest_queued_arrival_ns)
-        c.oldest_queued_arrival_ns = a;
-    }
-    for (const int id : in_flight) {
-      const std::int64_t a = arrival_of(id);
-      if (c.oldest_live_arrival_ns < 0 || a < c.oldest_live_arrival_ns)
-        c.oldest_live_arrival_ns = a;
-    }
-    c.inbox_open = !inbox.closed() || !inbox.empty_hint();
-    return c;
-  };
-
-  const auto spawn_request = [&](int id) {
-    RequestRecord& rec = (*records)[static_cast<std::size_t>(id)];
-    rec.shard = index;
-    rec.admit_ns = now();
-    in_flight.push_back(id);
-    const int model_id = (*trace)[static_cast<std::size_t>(id)].model_id;
-    ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, id, model_id,
-                                  rec.admit_ns - rec.arrival_ns));
-    slot_of(model_id).eng->begin_request(id);
-    fs.spawn([&, id, model_id] {
-      RequestRecord& r = (*records)[static_cast<std::size_t>(id)];
-      EngineSlot& slot = slot_of(model_id);
-      const FleetModel& fm = reg->model(model_id);
-      InstCtx ctx;
-      ctx.instance = id;
-      const Value in = models::remap_trefs(
-          fm.dataset.inputs[(*trace)[static_cast<std::size_t>(id)].input_index],
-          slot.drefs[static_cast<std::size_t>(model_id)]);
-      const Value out = slot.exec->run_entry(*fm.entry, std::span<const Value>(&in, 1), ctx);
-      std::vector<TRef> outs;
-      harness::collect_output_trefs(out, outs);
-      std::vector<float> flat;
-      for (const TRef ref : outs) {
-        const Tensor t = slot.eng->force(ref);  // suspends until a trigger lands
-        if (opts->collect_outputs) flat.insert(flat.end(), t.data, t.data + t.numel());
-      }
-      r.completion_ns = now();
-      ACROBAT_TRACE(tr, {
-        // Slow-request exemplar: the default threshold is the request's own
-        // class deadline — "what did the worst SLO-missing request do".
-        std::int64_t slow_ns = opts->trace.slow_threshold_ns;
-        if (slow_ns <= 0)
-          slow_ns = class_deadline_ns(
-              opts->policy, (*trace)[static_cast<std::size_t>(id)].latency_class);
-        const std::int64_t lat = r.completion_ns - r.arrival_ns;
-        if (slow_ns > 0 && lat >= slow_ns)
-          tr->capture_exemplar(id, r.admit_ns, r.completion_ns, lat);
-      });
-      if (opts->collect_outputs) r.output = std::move(flat);
-      ++report.requests;
-      outstanding.fetch_sub(1, std::memory_order_relaxed);
-      const bool pushed = outbox.push(id);
-      assert(pushed && "outbox sized for the whole trace");
-      (void)pushed;
-    }, /*tag=*/id);
-  };
-
-  const auto shed_request = [&](int id) {
-    RequestRecord& rec = (*records)[static_cast<std::size_t>(id)];
-    rec.shard = index;
-    rec.admit_ns = now();
-    rec.completion_ns = rec.admit_ns;
-    rec.shed = true;
-    ++report.shed;
-    ACROBAT_TRACE(tr, tr->instant(
-                          trace::EventKind::kShed, id,
-                          class_idx((*trace)[static_cast<std::size_t>(id)].latency_class),
-                          rec.completion_ns - rec.arrival_ns));
-    outstanding.fetch_sub(1, std::memory_order_relaxed);
-    const bool pushed = outbox.push(id);
-    assert(pushed && "outbox sized for the whole trace");
-    (void)pushed;
-  };
-
-  // Mid-stream cancel: a decode step whose token deadline is blown past
-  // grace is not shed (its session already ran and holds valid output) —
-  // the fiber is unparked with `cancelled` set, so its next step-hook
-  // consult returns kStop and the session exits through the model's tail.
-  const auto cancel_session = [&](int id) {
-    RequestRecord& rec = (*records)[static_cast<std::size_t>(id)];
-    rec.cancelled = true;
-    ++report.cancelled;
-    ACROBAT_TRACE(tr, tr->instant(
-                          trace::EventKind::kShed, id,
-                          class_idx((*trace)[static_cast<std::size_t>(id)].latency_class),
-                          rec.tokens));
-    const bool ok = fs.unpark(id);
-    assert(ok && "cancelled step must correspond to a parked fiber");
-    (void)ok;
-  };
-
-  // Class-aware admission: triage every queued request (shedding the ones
-  // the policy has given up on) *and* every parked decode step (cancelling
-  // sessions whose token deadline is hopeless), order survivors earliest-
-  // deadline-first with deferred (blown-but-in-grace) entries after
-  // everything that can still make its SLO, then admit up to the base
-  // policy's budget. Steps and arrivals compete in one EDF order — that is
-  // what makes triage work mid-stream.
-  struct Cand {
-    int id;
-    std::int64_t key;
-    bool defer;
-    bool step;
-  };
-  const auto admit = [&](std::size_t max_admit) {
-    if (queue.empty() && step_queue.empty()) return;
-    const std::int64_t t = now();
-    std::vector<Cand> cands;
-    cands.reserve(queue.size() + step_queue.size());
-    for (const int id : step_queue) {
-      const RequestRecord& rec = (*records)[static_cast<std::size_t>(id)];
-      RequestView v;
-      v.now_ns = t;
-      v.arrival_ns = arrival_of(id);
-      v.latency_class = (*trace)[static_cast<std::size_t>(id)].latency_class;
-      v.is_step = true;
-      v.last_token_ns = rec.last_token_ns;
-      v.tokens = rec.tokens;
-      const Triage tg = policy->triage(v);
-      if (tg.verdict == Verdict::kShed) {
-        cancel_session(id);
-        continue;
-      }
-      if (tg.verdict == Verdict::kDefer)
-        ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kTriage, id,
-                                      class_idx(v.latency_class)));
-      cands.push_back(Cand{id, tg.deadline_ns, tg.verdict == Verdict::kDefer, true});
-    }
-    step_queue.clear();
-    for (const int id : queue) {
-      RequestView v;
-      v.now_ns = t;
-      v.arrival_ns = arrival_of(id);
-      v.latency_class = (*trace)[static_cast<std::size_t>(id)].latency_class;
-      const Triage tg = policy->triage(v);
-      if (tg.verdict == Verdict::kShed) {
-        shed_request(id);
-        continue;
-      }
-      if (tg.verdict == Verdict::kDefer)
-        ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kTriage, id,
-                                      class_idx(v.latency_class)));
-      cands.push_back(Cand{id, tg.deadline_ns, tg.verdict == Verdict::kDefer, false});
-    }
-    // stable: FIFO within equal (defer, deadline) — arrival order survives.
-    std::stable_sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
-      if (a.defer != b.defer) return !a.defer;
-      return a.key < b.key;
-    });
-    // One EDF pass over steps and arrivals together: the *order* is shared
-    // (a step with a tight token deadline resumes before a later-deadline
-    // arrival spawns, so its ops record first), but only arrivals consume
-    // the width budget — a step's session is already in the live pool, and
-    // budget-gating steps would livelock a width-capped pool of parked
-    // sessions (see serve.cpp).
-    queue.clear();
-    std::size_t admitted = 0;
-    for (const Cand& c : cands) {
-      if (c.step) {
-        // With a decode-aware policy the per-window step budget meters
-        // unparks; excess steps return to step_queue in EDF order and get
-        // re-triaged next window (their deadlines only tighten).
-        if (step_budget == 0) {
-          step_queue.push_back(c.id);
-          continue;
-        }
-        if (step_budget != static_cast<std::size_t>(-1)) --step_budget;
-        const bool ok = fs.unpark(c.id);
-        assert(ok && "queued step must correspond to a parked fiber");
-        (void)ok;
-        ACROBAT_TRACE(tr,
-                      tr->instant(trace::EventKind::kAdmit, c.id,
-                                  (*trace)[static_cast<std::size_t>(c.id)].model_id,
-                                  (*records)[static_cast<std::size_t>(c.id)].tokens));
-      } else if (admitted < max_admit) {
-        spawn_request(c.id);
-        ++admitted;
-      } else {
-        queue.push_back(c.id);  // keep EDF order
-      }
-    }
-    report.max_live = std::max(report.max_live, in_flight.size());
-  };
-
-  // Trigger-boundary admission (DESIGN.md §7/§8): whatever arrived while
-  // the live pool was recording joins this trigger's pending set, so one
-  // trigger batches old and new requests — now across models too.
-  const auto admission_hook = [&] {
-    drain_inbox();
-    const AdmitDecision d = policy->decide(make_ctx());
-    step_budget = d.max_step_admit;  // new trigger window
-    admit(d.max_admit);
-    fs.step_ready();  // new fibers record until they suspend
-  };
-  for (EngineSlot& s : slots) s.eng->set_admission_hook(admission_hook);
-
-  // Token-boundary hook, as in serve.cpp: stamp the token, queue the
-  // session for triaged re-admission, park. The mid-stream exemplar
-  // threshold defaults to the token deadline — "what did the session that
-  // blew its inter-token SLO look like", captured while it is still live.
-  std::int64_t step_slow_ns = opts->trace.slow_threshold_ns;
-  if (step_slow_ns <= 0) step_slow_ns = opts->policy.token_deadline_ns;
-  const auto step_hook = [&](int id) -> Engine::StepVerdict {
-    RequestRecord& r = (*records)[static_cast<std::size_t>(id)];
-    if (awaiting[static_cast<std::size_t>(id)] != 0) {
-      awaiting[static_cast<std::size_t>(id)] = 0;
-      return r.cancelled ? Engine::StepVerdict::kStop : Engine::StepVerdict::kRun;
-    }
-    const std::int64_t t = now();
-    ++r.tokens;
-    ++report.tokens;
-    if (r.first_token_ns < 0) {
-      r.first_token_ns = t;
-      ++live_decode;
-      report.ttft_ms.add(static_cast<double>(t - r.arrival_ns) * 1e-6);
-    } else {
-      const std::int64_t gap = t - r.last_token_ns;
-      report.inter_token_ms.add(static_cast<double>(gap) * 1e-6);
-      ACROBAT_TRACE(tr, {
-        if (step_slow_ns > 0 && gap >= step_slow_ns)
-          tr->capture_exemplar(id, r.last_token_ns, t, gap);
-      });
-    }
-    r.last_token_ns = t;
-    if (r.cancelled) return Engine::StepVerdict::kStop;
-    awaiting[static_cast<std::size_t>(id)] = 1;
-    step_queue.push_back(id);
-    return Engine::StepVerdict::kPark;
-  };
-  for (EngineSlot& s : slots) s.eng->set_step_hook(step_hook);
-
-  for (;;) {
-    drain_inbox();
-    fs.reap_done();
-    prune_in_flight();
-    ACROBAT_TRACE(tr, maybe_tick(now()));
-    if (in_flight.empty() && queue.empty()) {
-      if (inbox.closed() && inbox.empty_hint()) break;
-      relax();  // idle: poll for the next arrival
-      continue;
-    }
-    const AdmitDecision d = policy->decide(make_ctx());
-    admit(d.max_admit);
-    if (fs.step_ready() > 0) continue;
-    if (fs.any_blocked()) {
-      if (d.hold_until_ns > now() && (!inbox.closed() || !inbox.empty_hint())) {
-        while (now() < d.hold_until_ns && inbox.empty_hint() && !inbox.closed()) relax();
-        continue;
-      }
-      // One cadence, every model: fire each engine with pending work. A
-      // fiber blocked on a not-yet-triggered engine just re-suspends.
-      for (EngineSlot& s : slots) s.eng->trigger_execution();
-      fs.wake_blocked();
-    } else if (!step_queue.empty()) {
-      // All live sessions parked with the window's step budget spent: no
-      // trigger will reset it, so open a minimal window (see serve.cpp).
-      step_budget = std::max<std::size_t>(step_budget, 1);
-    }
-  }
-
-  for (EngineSlot& s : slots) {
-    s.eng->set_step_hook(nullptr);
-    s.eng->set_admission_hook(nullptr);
-    s.eng->set_fiber_scheduler(nullptr);
-  }
-  report.triggers = fs.idle_triggers();
-  report.stacks_allocated = fs.stacks_allocated();
-  for (const EngineSlot& s : slots) {
-    merge_stats(report.stats, s.eng->stats());
-    merge_mem(report.mem, s.eng->memory());
-  }
-}
-
-// --------------------------------------------------------------- dispatching
-
-std::vector<std::unique_ptr<FleetShard>> make_shards(
-    const ModelRegistry& reg, const std::vector<Request>& trace, const FleetOptions& opts,
-    std::vector<RequestRecord>& records, std::int64_t epoch) {
-  std::vector<std::unique_ptr<FleetShard>> shards;
-  shards.reserve(static_cast<std::size_t>(opts.shards));
-  for (int s = 0; s < opts.shards; ++s) {
-    auto sh = std::make_unique<FleetShard>(trace.size());
-    sh->index = s;
-    sh->reg = &reg;
-    sh->trace = &trace;
-    sh->opts = &opts;
-    sh->records = &records;
-    sh->epoch_ns = epoch;
-    if (opts.trace.enabled) {
-      sh->tracer = std::make_unique<trace::Tracer>(s, opts.trace.config);
-      sh->tracer->set_epoch(epoch);
-      sh->ticks = std::make_unique<SpscQueue<trace::MetricsTick>>(4096);
-    }
-    shards.push_back(std::move(sh));
-  }
-  return shards;
-}
-
-// Run-end trace assembly, shared by both drivers: drain the last metric
-// ticks, unroll every ring (dispatcher = tid 0, shard s = tid s + 1).
-trace::TraceDump finish_trace(const FleetOptions& opts, trace::TraceDump dump,
-                              const std::vector<std::unique_ptr<FleetShard>>& shards,
-                              const trace::Tracer* disp_tracer) {
-  if (!opts.trace.enabled) return dump;
-  trace::MetricsTick t;
-  for (auto& sh : shards)
-    while (sh->ticks->pop(t)) dump.ticks.push_back(t);
-  dump.tracks.push_back(trace::dump_track(*disp_tracer, 0, "dispatcher"));
-  for (std::size_t s = 0; s < shards.size(); ++s)
-    dump.tracks.push_back(trace::dump_track(*shards[s]->tracer, static_cast<int>(s) + 1,
-                                            "shard" + std::to_string(s)));
-  dump.metric_names = shards.front()->metric_names;
-  for (auto& sh : shards) dump.dropped_ticks += sh->dropped_ticks;
-  return dump;
-}
-
-// Routes one request: restrict to the class's affinity set (empty = all
-// shards), then round-robin or least-loaded within it (ties → lowest index).
-int route(const Request& req, const FleetOptions& opts,
-          const std::vector<std::unique_ptr<FleetShard>>& shards) {
-  const std::vector<int>& aff = opts.class_affinity[static_cast<std::size_t>(
-      class_idx(req.latency_class))];
-  const auto nth_eligible = [&](std::size_t i) {
-    return aff.empty() ? static_cast<int>(i) : aff[i];
-  };
-  const std::size_t n = aff.empty() ? shards.size() : aff.size();
-  if (opts.dispatch == DispatchKind::kRoundRobin)
-    return nth_eligible(static_cast<std::size_t>(req.id) % n);
-  int target = nth_eligible(0);
-  int best_load = INT_MAX;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int s = nth_eligible(i);
-    const int load =
-        shards[static_cast<std::size_t>(s)]->outstanding.load(std::memory_order_relaxed);
-    if (load < best_load) {  // strict: ties keep the lowest eligible index
-      best_load = load;
-      target = s;
-    }
-  }
-  return target;
-}
-
-void dispatch_to(FleetShard& sh, int id) {
-  sh.outstanding.fetch_add(1, std::memory_order_relaxed);
-  const bool pushed = sh.inbox.push(id);
-  assert(pushed && "inbox sized for the whole trace");
-  (void)pushed;
-}
-
-FleetResult finalize_result(const std::vector<Request>& trace, const FleetPolicyConfig& pc,
-                            std::vector<RequestRecord> records,
-                            std::vector<std::unique_ptr<FleetShard>> shards) {
-  FleetResult res;
-  res.records = std::move(records);
-
-  serve::LatencyHisto lat;
+// Fleet totals on top of the shared ones: shed count, per-class latency,
+// and goodput (SLO attainment).
+void finalize(FleetResult& res, const std::vector<Request>& trace,
+              const FleetPolicyConfig& pc) {
+  serve::detail::summarize(res);
   std::array<serve::LatencyHisto, serve::kNumLatencyClasses> class_lat;
   std::array<int, serve::kNumLatencyClasses> met{};
-  int met_total = 0, completed = 0;
-  std::int64_t first_arrival = res.records.empty() ? 0 : res.records.front().arrival_ns;
-  std::int64_t last_completion = 0;
+  int met_total = 0;
   for (const RequestRecord& r : res.records) {
-    assert(r.completion_ns >= 0 && "every request must complete or shed");
     const Request& rq = trace[static_cast<std::size_t>(r.id)];
     const int ci = class_idx(rq.latency_class);
     ClassReport& cr = res.by_class[static_cast<std::size_t>(ci)];
     ++cr.requests;
-    first_arrival = std::min(first_arrival, r.arrival_ns);
-    last_completion = std::max(last_completion, r.completion_ns);
     if (r.shed) {
       ++cr.shed;
       ++res.shed;
       continue;
     }
-    ++completed;
-    const double ms = r.latency_ms();
-    lat.add(ms);
-    class_lat[static_cast<std::size_t>(ci)].add(ms);
+    class_lat[static_cast<std::size_t>(ci)].add(r.latency_ms());
     const std::int64_t d = class_deadline_ns(pc, rq.latency_class);
     if (d <= 0 || r.completion_ns - r.arrival_ns <= d) {
       ++met[static_cast<std::size_t>(ci)];
       ++met_total;
     }
   }
-  res.latency_ms = serve::Percentiles::from(lat);
   for (int c = 0; c < serve::kNumLatencyClasses; ++c) {
     ClassReport& cr = res.by_class[static_cast<std::size_t>(c)];
     cr.latency_ms = serve::Percentiles::from(class_lat[static_cast<std::size_t>(c)]);
@@ -707,41 +148,6 @@ FleetResult finalize_result(const std::vector<Request>& trace, const FleetPolicy
   res.goodput = res.records.empty()
                     ? 1.0
                     : static_cast<double>(met_total) / static_cast<double>(res.records.size());
-  res.makespan_ms = static_cast<double>(last_completion - first_arrival) * 1e-6;
-  if (res.makespan_ms > 0)
-    res.throughput_rps = static_cast<double>(completed) / (res.makespan_ms * 1e-3);
-  res.shards.reserve(shards.size());
-  for (auto& sh : shards) res.shards.push_back(std::move(sh->report));
-  serve::LatencyHisto ttft, gap;
-  for (const ShardReport& s : res.shards) {
-    ttft.merge(s.ttft_ms);
-    gap.merge(s.inter_token_ms);
-    res.tokens += s.tokens;
-    res.cancelled += s.cancelled;
-  }
-  res.ttft_ms = serve::Percentiles::from(ttft);
-  res.inter_token_ms = serve::Percentiles::from(gap);
-  if (res.makespan_ms > 0)
-    res.tokens_per_sec = static_cast<double>(res.tokens) / (res.makespan_ms * 1e-3);
-  return res;
-}
-
-// Documented trace contract, validated loudly (config_die, not assert): a
-// hand-built trace that bypasses generate_load must fail identically in
-// Release, where an assert would let bad ids index records out of bounds.
-void check_trace(const ModelRegistry& reg, const std::vector<Request>& trace,
-                 bool sorted_arrivals) {
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].id != static_cast<int>(i))
-      config_die("trace ids must be 0..N-1 in order (generate_load's contract)");
-    if (sorted_arrivals && i > 0 && trace[i].arrival_ns < trace[i - 1].arrival_ns)
-      config_die("trace must be sorted by arrival_ns");
-    if (trace[i].model_id < 0 || trace[i].model_id >= reg.num_models())
-      config_die("trace names a model_id outside the registry");
-    if (trace[i].input_index >=
-        reg.model(trace[i].model_id).dataset.inputs.size())
-      config_die("trace input_index outside the model's dataset");
-  }
 }
 
 }  // namespace
@@ -828,51 +234,15 @@ FleetResult serve_fleet(const ModelRegistry& reg, const std::vector<Request>& tr
                         const FleetOptions& opts) {
   if (!reg.prepared()) config_die("serve_fleet before ModelRegistry::prepare()");
   validate(opts);
-  check_trace(reg, trace, /*sorted_arrivals=*/true);
+  const serve::detail::ShardModule mod = fleet_module(reg);
+  serve::detail::check_trace(mod, trace, /*sorted=*/true);
 
-  std::vector<RequestRecord> records(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    records[i].id = trace[i].id;
-    records[i].arrival_ns = trace[i].arrival_ns;
-  }
-
-  const std::int64_t epoch = now_ns();
-  std::vector<std::unique_ptr<FleetShard>> shards =
-      make_shards(reg, trace, opts, records, epoch);
-  // The dispatcher thread owns its own ring (single-writer discipline).
-  std::unique_ptr<trace::Tracer> disp_tracer;
-  if (opts.trace.enabled) {
-    disp_tracer = std::make_unique<trace::Tracer>(0, opts.trace.config);
-    disp_tracer->set_epoch(epoch);
-  }
-  trace::Tracer* const dtr = disp_tracer.get();
-  trace::TraceDump dump;
-  const auto drain_ticks = [&] {
-    if (!opts.trace.enabled) return;
-    trace::MetricsTick t;
-    for (auto& sh : shards)
-      while (sh->ticks->pop(t)) dump.ticks.push_back(t);
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(shards.size());
-  for (auto& sh : shards) workers.emplace_back([&shard = *sh] { shard.run_worker(); });
-
-  // Open-loop replay: arrivals never wait for the server (DESIGN.md §7).
-  for (const Request& req : trace) {
-    while (now_ns() - epoch < req.arrival_ns) {
-      drain_ticks();
-      relax();
-    }
-    const int target = route(req, opts, shards);
-    dispatch_to(*shards[static_cast<std::size_t>(target)], req.id);
-    ACROBAT_TRACE(dtr, dtr->instant(trace::EventKind::kDispatch, req.id, target));
-  }
-  for (auto& sh : shards) sh->inbox.close();
-  for (std::thread& w : workers) w.join();
-
-  dump = finish_trace(opts, std::move(dump), shards, dtr);
-  FleetResult res = finalize_result(trace, opts.policy, std::move(records), std::move(shards));
-  res.trace = std::move(dump);
+  FleetResult res;
+  serve::detail::InprocRun run(opts.shards, fleet_config(mod, opts), opts.trace, trace,
+                               res.records);
+  run.replay(opts.dispatch, opts.class_affinity);  // arrivals never wait (§7)
+  res.shards = run.finish(res.trace);
+  finalize(res, trace, opts.policy);
   return res;
 }
 
@@ -902,30 +272,12 @@ FleetResult serve_fleet_closed(const ModelRegistry& reg, const ClosedLoopSpec& s
   validate(opts);
   validate(spec);
   std::vector<Request> trace = generate_closed_load(spec, mix);
-  check_trace(reg, trace, /*sorted_arrivals=*/false);
+  const serve::detail::ShardModule mod = fleet_module(reg);
+  serve::detail::check_trace(mod, trace, /*sorted=*/false);
 
-  std::vector<RequestRecord> records(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) records[i].id = trace[i].id;
-
-  const std::int64_t epoch = now_ns();
-  std::vector<std::unique_ptr<FleetShard>> shards =
-      make_shards(reg, trace, opts, records, epoch);
-  std::unique_ptr<trace::Tracer> disp_tracer;
-  if (opts.trace.enabled) {
-    disp_tracer = std::make_unique<trace::Tracer>(0, opts.trace.config);
-    disp_tracer->set_epoch(epoch);
-  }
-  trace::Tracer* const dtr = disp_tracer.get();
-  trace::TraceDump dump;
-  const auto drain_ticks = [&] {
-    if (!opts.trace.enabled) return;
-    trace::MetricsTick t;
-    for (auto& sh : shards)
-      while (sh->ticks->pop(t)) dump.ticks.push_back(t);
-  };
-  std::vector<std::thread> workers;
-  workers.reserve(shards.size());
-  for (auto& sh : shards) workers.emplace_back([&shard = *sh] { shard.run_worker(); });
+  FleetResult res;
+  serve::detail::InprocRun run(opts.shards, fleet_config(mod, opts), opts.trace, trace,
+                               res.records);
 
   // K logical clients: issue → wait for completion (via the shard outbox)
   // → think → issue the next. Offered load adapts to service rate, so the
@@ -933,51 +285,41 @@ FleetResult serve_fleet_closed(const ModelRegistry& reg, const ClosedLoopSpec& s
   // contrast with the open-loop frontier.
   const int total = spec.clients * spec.per_client;
   std::vector<int> next_k(static_cast<std::size_t>(spec.clients), 0);
-  std::vector<int> outstanding_id(static_cast<std::size_t>(spec.clients), -1);
+  std::vector<char> waiting(static_cast<std::size_t>(spec.clients), 0);
   std::vector<std::int64_t> ready_at(static_cast<std::size_t>(spec.clients), 0);
   std::vector<Rng> think_rng;
   think_rng.reserve(static_cast<std::size_t>(spec.clients));
   for (int c = 0; c < spec.clients; ++c)
     think_rng.emplace_back(spec.seed ^ (0x7417c9ull + 0x9e3779b97f4a7c15ull *
                                                           static_cast<std::uint64_t>(c + 1)));
-  const auto now_rel = [&] { return now_ns() - epoch; };
 
   int completed = 0;
   while (completed < total) {
-    for (auto& sh : shards) {
-      int id;
-      while (sh->outbox.pop(id)) {
-        ++completed;
-        const std::size_t c = static_cast<std::size_t>(id / spec.per_client);
-        outstanding_id[c] = -1;
-        std::int64_t think = 0;
-        if (spec.think_mean_ms > 0)
-          think = serve::detail::exp_gap_ns(think_rng[c], 1000.0 / spec.think_mean_ms);
-        ready_at[c] = now_rel() + think;
-      }
+    int id;
+    while (run.pop_finished(id)) {
+      ++completed;
+      const std::size_t c = static_cast<std::size_t>(id / spec.per_client);
+      waiting[c] = 0;
+      std::int64_t think = 0;
+      if (spec.think_mean_ms > 0)
+        think = serve::detail::exp_gap_ns(think_rng[c], 1000.0 / spec.think_mean_ms);
+      ready_at[c] = run.now() + think;
     }
     for (int c = 0; c < spec.clients; ++c) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      if (outstanding_id[ci] >= 0 || next_k[ci] >= spec.per_client) continue;
-      if (now_rel() < ready_at[ci]) continue;
-      const int id = c * spec.per_client + next_k[ci]++;
-      Request& rq = trace[static_cast<std::size_t>(id)];
-      rq.arrival_ns = now_rel();  // issue time IS the arrival in a closed loop
-      records[static_cast<std::size_t>(id)].arrival_ns = rq.arrival_ns;
-      outstanding_id[ci] = id;
-      const int target = route(rq, opts, shards);
-      dispatch_to(*shards[static_cast<std::size_t>(target)], id);
-      ACROBAT_TRACE(dtr, dtr->instant(trace::EventKind::kDispatch, id, target));
+      if (waiting[ci] != 0 || next_k[ci] >= spec.per_client) continue;
+      if (run.now() < ready_at[ci]) continue;
+      const int rid = c * spec.per_client + next_k[ci]++;
+      Request& rq = trace[static_cast<std::size_t>(rid)];
+      rq.arrival_ns = run.now();  // issue time IS the arrival in a closed loop
+      waiting[ci] = 1;
+      run.dispatch(rid, run.route(rq, opts.dispatch, opts.class_affinity));
     }
-    drain_ticks();
-    relax();
+    run.drain_ticks();
+    serve::detail::relax();
   }
-  for (auto& sh : shards) sh->inbox.close();
-  for (std::thread& w : workers) w.join();
-
-  dump = finish_trace(opts, std::move(dump), shards, dtr);
-  FleetResult res = finalize_result(trace, opts.policy, std::move(records), std::move(shards));
-  res.trace = std::move(dump);
+  res.shards = run.finish(res.trace);
+  finalize(res, trace, opts.policy);
   return res;
 }
 

@@ -145,19 +145,7 @@ RunResult run_with_engine(const Prepared& p, const models::Dataset& ds, const Ru
   r.kernel_invocations = engine.stats().kernel_invocations;
   if (reps > 1) {
     // Report the final repetition: cumulative stats minus the warm snapshot.
-    r.stats.dfg_construction.ns -= warm.dfg_construction.ns;
-    r.stats.scheduling.ns -= warm.scheduling.ns;
-    r.stats.gather_copy.ns -= warm.gather_copy.ns;
-    r.stats.kernel_exec.ns -= warm.kernel_exec.ns;
-    r.stats.launch_overhead.ns -= warm.launch_overhead.ns;
-    r.stats.kernel_launches -= warm.kernel_launches;
-    r.stats.gather_bytes -= warm.gather_bytes;
-    r.stats.flat_batches -= warm.flat_batches;
-    r.stats.stacked_batches -= warm.stacked_batches;
-    r.stats.scheduling_allocs -= warm.scheduling_allocs;
-    r.stats.sched_cache_hits -= warm.sched_cache_hits;
-    r.stats.sched_cache_misses -= warm.sched_cache_misses;
-    r.stats.sched_cache_evictions -= warm.sched_cache_evictions;
+    r.stats -= warm;
     for (std::size_t i = 0; i < r.kernel_invocations.size(); ++i)
       r.kernel_invocations[i] -= warm.kernel_invocations[i];
   }

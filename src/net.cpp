@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sched.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -17,27 +16,22 @@
 #include <climits>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <set>
-#include <span>
 #include <thread>
-#include <unordered_map>
 
-#include "exec/aot.h"
 #include "fault/fault.h"
 #include "net/frame.h"
-#include "net_shard_core.h"
-#include "runtime/fiber.h"
 #include "serve/load.h"
 #include "serve/spsc.h"
+#include "shard_core.h"
 #include "support/timer.h"
 
 namespace acrobat::net {
 namespace {
 
 using serve::SpscQueue;
-
-// Same rationale as serve.cpp: waits are for other threads' progress.
-void relax() { sched_yield(); }
+using serve::detail::relax;
 
 // Misconfiguration aborts (serve.cpp idiom): fprintf + abort rather than an
 // exception, so the fork-based death tests observe the same behavior in
@@ -48,6 +42,44 @@ void relax() { sched_yield(); }
 [[noreturn]] void config_die(const char* what) {
   std::fprintf(stderr, "acrobat net: invalid configuration: %s\n", what);
   std::abort();
+}
+
+// Owner tag for a slot: which (connection, generation) the result belongs
+// to. 0 = free. Cancellation is owner-tagged rather than a plain flag so a
+// cancel aimed at a dropped connection can never hit a slot that has since
+// been recycled to a new request: the shard compares cancel_owner against
+// the slot's *current* pack, and generations never repeat.
+std::uint64_t pack_owner(int conn, std::uint64_t gen) {
+  return (gen << 16) | static_cast<std::uint64_t>(conn + 1);
+}
+
+// One admitted-but-not-completed request. Exactly one thread owns the
+// non-atomic fields at any time (event loop → dispatcher → shard or worker
+// proxy → event loop), with ownership handed over through SPSC queues;
+// `owner` and `cancel_owner` are the only concurrently-touched members.
+struct Slot {
+  std::atomic<std::uint64_t> owner{0};
+  std::atomic<std::uint64_t> cancel_owner{0};
+
+  // Wire identity (dispatcher-written; event loop reads at completion).
+  int conn = -1;
+  std::uint64_t conn_gen = 0;
+  std::uint32_t req_id = 0;
+  bool stream = false;
+
+  // The request as a shard sees it (dispatcher-written). req.id is a
+  // per-shard session number, stamped by the in-process shard that takes
+  // the slot.
+  serve::Request req;
+
+  // Results (shard- or proxy-written before the done message).
+  std::vector<float> output;
+  std::uint32_t tokens = 0;
+  bool cancelled = false;
+};
+
+bool slot_cancelled(const Slot& s) {
+  return s.cancel_owner.load(std::memory_order_acquire) == pack_owner(s.conn, s.conn_gen);
 }
 
 // Acceptor → dispatcher. Everything the dispatcher needs to fill a slot.
@@ -76,232 +108,6 @@ bool set_nonblocking(int fd) {
 
 }  // namespace
 
-// ------------------------------------------------------- shared shard core
-
-namespace detail {
-
-void run_shard_core(const CoreConfig& cfg, CoreIo& io, serve::ShardReport& report) {
-  const harness::Prepared& p = *cfg.prep;
-  // Exclusive ownership, exactly as serve.cpp: this engine, its arena, and
-  // the fiber pool live and die on the calling thread (or process).
-  EngineConfig ec = harness::engine_config_for(p.cfg, cfg.launch_overhead_ns,
-                                               /*time_activities=*/false);
-  ec.recycle = cfg.recycle;
-  ec.sched_memo = cfg.sched_memo;
-  Engine eng(p.compiled.module.registry, ec);
-
-  std::vector<TRef> wrefs, drefs;
-  wrefs.reserve(p.weights.tensors.size());
-  for (const Tensor& t : p.weights.tensors) wrefs.push_back(eng.add_concrete(t.view()));
-  drefs.reserve(cfg.ds->tensors.size());
-  for (const Tensor& t : cfg.ds->tensors) drefs.push_back(eng.add_concrete(t.view()));
-  aot::AotExecutor exec(p.compiled.program, eng, wrefs);
-
-  FiberScheduler fs;
-  eng.set_fiber_scheduler(&fs);
-  fs.set_reap_hook([&eng](int sid) { eng.retire_request(sid); });
-  trace::Tracer* const tr = cfg.tracer;
-  eng.set_tracer(tr);
-  fs.set_tracer(tr);
-  const std::unique_ptr<serve::BatchPolicy> policy = serve::make_policy(cfg.policy);
-
-  // Sessions get fresh ids (fiber tag == engine instance id) decoupled from
-  // slot ids: a slot can be recycled to a new request the moment its done
-  // message finishes the round trip, which may be before this thread has
-  // reaped the finished fiber — reusing the slot id as the tag would alias
-  // two fibers. The map is bounded by live sessions (erased on prune);
-  // references into it are stable (node-based) across inserts.
-  struct Sess {
-    int slot = -1;
-    std::int64_t arrival_ns = 0;
-    std::int64_t completion_ns = -1;
-    std::int64_t first_token_ns = -1;
-    std::int64_t last_token_ns = -1;
-    std::uint32_t tokens = 0;
-    bool cancelled = false;
-    bool awaiting = false;
-  };
-  std::unordered_map<int, Sess> sess;
-  int next_sid = 1;
-
-  std::deque<int> arrivals;    // slot ids, arrival order
-  std::deque<int> in_flight;   // session ids, admission order
-  std::deque<int> step_queue;  // parked sessions wanting their next token
-  std::size_t live_decode = 0;
-  // Decode chunking (policy.h AdmitDecision::max_step_admit): reset once per
-  // trigger window, in the admission hook — resetting per admit() call would
-  // let the main loop drain every parked step between triggers and turn
-  // chunked admission into a no-op.
-  std::size_t step_budget = static_cast<std::size_t>(-1);
-
-  const auto now = [&] { return now_ns() - cfg.epoch_ns; };
-  const auto prune = [&] {
-    while (!in_flight.empty()) {
-      const auto it = sess.find(in_flight.front());
-      assert(it != sess.end());
-      if (it->second.completion_ns < 0) break;
-      if (it->second.tokens > 0) --live_decode;
-      sess.erase(it);
-      in_flight.pop_front();
-    }
-  };
-  const auto make_ctx = [&] {
-    serve::PolicyCtx c;
-    c.now_ns = now();
-    c.queued = arrivals.size();
-    c.live = in_flight.size();
-    c.live_decode = live_decode;
-    c.queued_steps = step_queue.size();
-    if (!arrivals.empty()) c.oldest_queued_arrival_ns = io.slot(arrivals.front()).arrival_ns;
-    if (!in_flight.empty()) c.oldest_live_arrival_ns = sess[in_flight.front()].arrival_ns;
-    c.inbox_open = io.input_open();
-    return c;
-  };
-
-  const auto admit = [&](std::size_t max_admit) {
-    while (!step_queue.empty() && step_budget > 0) {
-      if (step_budget != static_cast<std::size_t>(-1)) --step_budget;
-      const int sid = step_queue.front();
-      step_queue.pop_front();
-      Sess& s = sess[sid];
-      // A cancel that landed while the session was parked: mark it now so
-      // the step hook's post-unpark consult stops it (it still exits through
-      // the model tail — the emitted prefix stays a valid output).
-      if (!s.cancelled && slot_cancelled(io.slot(s.slot))) {
-        s.cancelled = true;
-        ++report.cancelled;
-      }
-      const bool ok = fs.unpark(sid);
-      assert(ok && "queued step must correspond to a parked fiber");
-      (void)ok;
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, sid, 0,
-                                    static_cast<std::int64_t>(s.tokens)));
-    }
-    while (max_admit > 0 && !arrivals.empty()) {
-      --max_admit;
-      const int slot_id = arrivals.front();
-      arrivals.pop_front();
-      Slot& sl = io.slot(slot_id);
-      const int sid = next_sid++;
-      Sess& s = sess[sid];
-      s.slot = slot_id;
-      s.arrival_ns = sl.arrival_ns;
-      sl.admit_ns = now();
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, sid, 0,
-                                    sl.admit_ns - sl.arrival_ns));
-      in_flight.push_back(sid);
-      eng.begin_request(sid);
-      fs.spawn([&, sid, slot_id] {
-        Sess& r = sess[sid];
-        Slot& out_slot = io.slot(slot_id);
-        InstCtx ctx;
-        ctx.instance = sid;
-        const Value in =
-            models::remap_trefs(cfg.ds->inputs[out_slot.input_index], drefs);
-        const Value out = exec.run(std::span<const Value>(&in, 1), ctx);
-        std::vector<TRef> outs;
-        harness::collect_output_trefs(out, outs);
-        std::vector<float> flat;
-        for (const TRef ref : outs) {
-          const Tensor t = eng.force(ref);
-          flat.insert(flat.end(), t.data, t.data + t.numel());
-        }
-        r.completion_ns = now();
-        out_slot.output = std::move(flat);
-        out_slot.tokens = r.tokens;
-        out_slot.cancelled = r.cancelled;
-        out_slot.first_token_ns = r.first_token_ns;
-        out_slot.last_token_ns = r.last_token_ns;
-        out_slot.completion_ns = r.completion_ns;
-        ++report.requests;
-        io.emit_done(slot_id);
-      }, /*tag=*/sid);
-    }
-    report.max_live = std::max(report.max_live, in_flight.size());
-  };
-
-  eng.set_admission_hook([&] {
-    io.poll_input(arrivals);
-    const serve::AdmitDecision d = policy->decide(make_ctx());
-    step_budget = d.max_step_admit;  // new trigger window
-    // Degraded mode (ISSUE 10): overload upstream — tighten decode_admit so
-    // this window favors prefill of already-admitted requests over token
-    // streaming. Floor 1 keeps the anti-stall guarantee below intact.
-    if (io.degraded && io.degraded()) {
-      constexpr std::size_t npos = static_cast<std::size_t>(-1);
-      step_budget = step_budget == npos ? 1 : std::max<std::size_t>(1, step_budget / 2);
-    }
-    admit(d.max_admit);
-    fs.step_ready();
-  });
-
-  eng.set_step_hook([&](int sid) -> Engine::StepVerdict {
-    Sess& r = sess[sid];
-    if (r.awaiting) {
-      r.awaiting = false;
-      return r.cancelled ? Engine::StepVerdict::kStop : Engine::StepVerdict::kRun;
-    }
-    Slot& sl = io.slot(r.slot);
-    const std::int64_t t = now();
-    if (!r.cancelled && slot_cancelled(sl)) {
-      r.cancelled = true;
-      ++report.cancelled;
-    }
-    ++r.tokens;
-    ++report.tokens;
-    if (r.first_token_ns < 0) {
-      r.first_token_ns = t;
-      ++live_decode;
-      report.ttft_ms.add(static_cast<double>(t - r.arrival_ns) * 1e-6);
-    } else {
-      report.inter_token_ms.add(static_cast<double>(t - r.last_token_ns) * 1e-6);
-    }
-    r.last_token_ns = t;
-    if (sl.stream && !r.cancelled) io.emit_token(r.slot, r.tokens);
-    if (r.cancelled) return Engine::StepVerdict::kStop;
-    r.awaiting = true;
-    step_queue.push_back(sid);
-    return Engine::StepVerdict::kPark;
-  });
-
-  for (;;) {
-    io.poll_input(arrivals);
-    fs.reap_done();
-    prune();
-    if (in_flight.empty() && arrivals.empty()) {
-      if (!io.input_open()) break;
-      io.idle_wait();
-      continue;
-    }
-    const serve::AdmitDecision d = policy->decide(make_ctx());
-    admit(d.max_admit);
-    if (fs.step_ready() > 0) continue;
-    if (fs.any_blocked()) {
-      if (d.hold_until_ns > now() && io.input_open()) {
-        io.idle_wait();  // batch-forming pause; re-decide next iteration
-        continue;
-      }
-      eng.trigger_execution();
-      fs.wake_blocked();
-    } else if (!step_queue.empty()) {
-      // Every live session is parked and the window's step budget is spent:
-      // no trigger is coming to reset it, so open a minimal window by hand.
-      // Guarantees progress for any decode_admit >= 1.
-      step_budget = std::max<std::size_t>(step_budget, 1);
-    }
-  }
-
-  eng.set_step_hook(nullptr);
-  eng.set_admission_hook(nullptr);
-  eng.set_fiber_scheduler(nullptr);
-  report.triggers = fs.idle_triggers();
-  report.stacks_allocated = fs.stacks_allocated();
-  report.stats = eng.stats();
-  report.mem = eng.memory();
-}
-
-}  // namespace detail
-
 // ------------------------------------------------------------- NetServer
 
 struct NetServer::Impl {
@@ -317,7 +123,7 @@ struct NetServer::Impl {
   std::string uds_path;
   std::size_t n_inputs = 0;
 
-  std::unique_ptr<detail::Slot[]> slots;
+  std::unique_ptr<Slot[]> slots;
   std::size_t n_slots = 0;
 
   // Per-shard channel: the dispatcher feeds the inbox (slot ids); the shard
@@ -351,8 +157,8 @@ struct NetServer::Impl {
   std::atomic<std::uint64_t> worker_deaths{0};
   std::atomic<std::size_t> slots_peak{0};
 
-  // Fault tolerance (ISSUE 10). `degraded` is written by the event loop and
-  // read by in-proc shard cores (CoreIo::degraded) and the worker proxies
+  // Fault tolerance (DESIGN.md §11). `degraded` is written by the event loop
+  // and read by in-proc shard cores (ShardIo::degraded) and the worker proxies
   // (which forward it as kWorkerMode frames). The respawn counters are
   // written by proxy threads, aggregated into stats at shutdown.
   std::atomic<bool> degraded{false};
@@ -476,38 +282,57 @@ bool NetServer::Impl::spawn_worker(ShardCh& ch) {
   return true;
 }
 
+// In-process shard thread: the shard core over this shard's inbox of slot
+// ids, answering through its completion ring to the event loop.
 void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
-  detail::CoreConfig cc;
-  cc.prep = prep;
-  cc.ds = ds;
-  cc.policy = opts.policy;
+  struct Io final : serve::detail::ShardIo {
+    Io(Impl& im, ShardCh& ch) : im(im), ch(ch) {}
+    Impl& im;
+    ShardCh& ch;
+    int next_session = 1;
+
+    Slot& slot(int si) { return im.slots[static_cast<std::size_t>(si)]; }
+    void send(const CompMsg& m) {
+      while (!ch.out.push(m)) relax();
+    }
+    void poll(std::deque<int>& arrived) override {
+      // Slot ids recycle, so each session gets a fresh number to name it
+      // in trace events.
+      int si;
+      while (ch.inbox.pop(si)) {
+        slot(si).req.id = next_session++;
+        arrived.push_back(si);
+      }
+    }
+    bool open() override { return !(ch.inbox.closed() && ch.inbox.empty_hint()); }
+    void idle_wait() override { relax(); }
+    const serve::Request& request(int si) override { return slot(si).req; }
+    bool cancelled(int si) override { return slot_cancelled(slot(si)); }
+    bool degraded() override { return im.degraded.load(std::memory_order_relaxed); }
+    void token(int si, std::uint32_t ordinal) override {
+      if (slot(si).stream) send(CompMsg{CompMsg::kToken, si, ordinal});
+    }
+    void finish(int si, serve::RequestRecord& rec) override {
+      Slot& s = slot(si);
+      s.output = std::move(rec.output);
+      s.tokens = static_cast<std::uint32_t>(rec.tokens);
+      s.cancelled = rec.cancelled;
+      ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
+      send(CompMsg{CompMsg::kDone, si, 0});
+    }
+  } io(*this, ch);
+
+  const serve::detail::ShardModule mod = serve::detail::solo_module(*prep, *ds);
+  serve::detail::CoreConfig cc;
+  cc.module = &mod;
+  cc.make_policy = [this] { return serve::make_policy(opts.policy); };
   cc.launch_overhead_ns = opts.launch_overhead_ns;
   cc.recycle = opts.recycle;
   cc.sched_memo = opts.sched_memo;
   cc.shard_index = ch.index;
   cc.epoch_ns = epoch;
   cc.tracer = ch.tracer.get();
-
-  detail::CoreIo io;
-  io.slot = [this](int i) -> detail::Slot& { return slots[static_cast<std::size_t>(i)]; };
-  io.poll_input = [&ch](std::deque<int>& q) {
-    int id;
-    while (ch.inbox.pop(id)) q.push_back(id);
-  };
-  io.input_open = [&ch] { return !(ch.inbox.closed() && ch.inbox.empty_hint()); };
-  io.emit_token = [&ch](int slot_id, std::uint32_t ord) {
-    const CompMsg m{CompMsg::kToken, slot_id, ord};
-    while (!ch.out.push(m)) relax();
-  };
-  io.emit_done = [&ch](int slot_id) {
-    ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
-    const CompMsg m{CompMsg::kDone, slot_id, 0};
-    while (!ch.out.push(m)) relax();
-  };
-  io.idle_wait = [] { relax(); };
-  io.degraded = [this] { return degraded.load(std::memory_order_relaxed); };
-
-  detail::run_shard_core(cc, io, ch.report);
+  serve::detail::run_shard(cc, io, ch.report);
   shards_done.fetch_add(1, std::memory_order_release);
 }
 
@@ -605,7 +430,7 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         DoneFields df;
         if (!parse_done(f, df)) break;
         const int si = static_cast<int>(df.id);
-        detail::Slot& s = slots[static_cast<std::size_t>(si)];
+        Slot& s = slots[static_cast<std::size_t>(si)];
         s.output.assign(df.data, df.data + df.n_floats);
         s.tokens = df.tokens;
         s.cancelled = df.cancelled;
@@ -664,13 +489,13 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
                          static_cast<std::uint32_t>(ErrorCode::kWorkerDied)});
         continue;
       }
-      const detail::Slot& s = slots[static_cast<std::size_t>(si)];
+      const Slot& s = slots[static_cast<std::size_t>(si)];
       wire.clear();
       std::vector<std::uint8_t> p;
       wire::put_u32(p, static_cast<std::uint32_t>(si));
-      wire::put_u32(p, s.input_index);
+      wire::put_u32(p, static_cast<std::uint32_t>(s.req.input_index));
       wire::put_u16(p, 0);
-      p.push_back(s.latency_class);
+      p.push_back(static_cast<std::uint8_t>(s.req.latency_class));
       p.push_back(0);
       encode_frame(wire, FrameType::kWorkerReq, p.data(), p.size(),
                    s.stream ? kFlagStream : 0);
@@ -703,8 +528,8 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     if (ch.alive.load(std::memory_order_relaxed)) {
       for (const int s2 : inflight) {
         if (cancel_sent.count(s2) != 0) continue;
-        const detail::Slot& s = slots[static_cast<std::size_t>(s2)];
-        if (!detail::slot_cancelled(s)) continue;
+        const Slot& s = slots[static_cast<std::size_t>(s2)];
+        if (!slot_cancelled(s)) continue;
         wire.clear();
         encode_id_only(wire, FrameType::kWorkerCancel, static_cast<std::uint32_t>(s2));
         if (!wsend(wire)) break;
@@ -807,7 +632,7 @@ void NetServer::Impl::dispatcher_loop() {
     int sid;
     while (free_ring->pop(sid)) {
       progressed = true;
-      detail::Slot& s = slots[static_cast<std::size_t>(sid)];
+      Slot& s = slots[static_cast<std::size_t>(sid)];
       s.owner.store(0, std::memory_order_relaxed);
       s.output.clear();
       s.tokens = 0;
@@ -822,16 +647,15 @@ void NetServer::Impl::dispatcher_loop() {
       progressed = true;
       const int si = free_list.back();
       free_list.pop_back();
-      detail::Slot& s = slots[static_cast<std::size_t>(si)];
+      Slot& s = slots[static_cast<std::size_t>(si)];
       s.conn = m.conn;
       s.conn_gen = m.conn_gen;
       s.req_id = m.req_id;
-      s.input_index = m.input_index;
-      s.latency_class = m.latency_class;
       s.stream = m.stream;
-      s.arrival_ns = m.arrival_ns;
-      s.admit_ns = s.completion_ns = s.first_token_ns = s.last_token_ns = -1;
-      s.owner.store(detail::pack_owner(m.conn, m.conn_gen), std::memory_order_release);
+      s.req.input_index = m.input_index;
+      s.req.latency_class = static_cast<serve::LatencyClass>(m.latency_class);
+      s.req.arrival_ns = m.arrival_ns;
+      s.owner.store(pack_owner(m.conn, m.conn_gen), std::memory_order_release);
       const std::size_t used = n_slots - free_list.size();
       if (used > slots_peak.load(std::memory_order_relaxed))
         slots_peak.store(used, std::memory_order_relaxed);
@@ -903,7 +727,7 @@ void NetServer::Impl::event_loop() {
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetConnDrop, ci, slow ? 1 : 0));
       // Cancel every live session owned by this (conn, gen). Owner-tagged:
       // a slot recycled to a newer generation can never match.
-      const std::uint64_t target = detail::pack_owner(ci, c.gen);
+      const std::uint64_t target = pack_owner(ci, c.gen);
       for (std::size_t i = 0; i < n_slots; ++i)
         if (slots[i].owner.load(std::memory_order_acquire) == target)
           slots[i].cancel_owner.store(target, std::memory_order_release);
@@ -952,7 +776,7 @@ void NetServer::Impl::event_loop() {
   };
 
   const auto handle_comp = [&](const CompMsg& m) {
-    detail::Slot& s = slots[static_cast<std::size_t>(m.slot)];
+    Slot& s = slots[static_cast<std::size_t>(m.slot)];
     const int ci = s.conn;
     const bool ok = ci >= 0 && conns[static_cast<std::size_t>(ci)].open &&
                     conns[static_cast<std::size_t>(ci)].gen == s.conn_gen;
@@ -1315,7 +1139,7 @@ bool NetServer::start() {
   im.n_inputs = im.ds != nullptr ? im.ds->inputs.size()
                                  : static_cast<std::size_t>(o.ds_batch);
   im.n_slots = o.max_sessions;
-  im.slots = std::make_unique<detail::Slot[]>(im.n_slots);
+  im.slots = std::make_unique<Slot[]>(im.n_slots);
   im.admission = std::make_unique<SpscQueue<AdmissionMsg>>(o.admission_capacity);
   im.free_ring = std::make_unique<SpscQueue<int>>(im.n_slots);
   im.disp_out = std::make_unique<SpscQueue<CompMsg>>(im.n_slots);

@@ -2,8 +2,9 @@
 // worker = one shard = one engine, shared-nothing: the process rebuilds the
 // prepared model and dataset from the recipe on its command line (both are
 // deterministic functions of the recipe, which is what makes wire parity
-// hold across the process boundary), then runs the same run_shard_core loop
-// as an in-process shard thread, with the router socketpair as its IO.
+// hold across the process boundary), then runs the shard loop every other
+// serving mode runs (src/shard_core.h, as serve() does), with the router
+// socketpair as its transport.
 #include <errno.h>
 #include <poll.h>
 #include <signal.h>
@@ -21,7 +22,7 @@
 #include "models/models.h"
 #include "net/frame.h"
 #include "net/net.h"
-#include "net_shard_core.h"
+#include "shard_core.h"
 #include "support/timer.h"
 
 namespace acrobat::net {
@@ -95,6 +96,135 @@ bool write_all(int fd, const std::vector<std::uint8_t>& b) {
   return true;
 }
 
+// The router socketpair as the shard core's transport: kWorkerReq frames
+// are arrivals, kWorkerToken/kWorkerDone frames carry results back, and
+// cancel, ping, drain and mode frames are handled as they are read.
+class WorkerIo final : public serve::detail::ShardIo {
+ public:
+  explicit WorkerIo(int fd) : fd_(fd), epoch_(now_ns()) {}
+
+  std::int64_t epoch() const { return epoch_; }
+  bool eof() const { return eof_; }
+
+  void poll(std::deque<int>& arrived) override {
+    std::uint8_t buf[16384];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT);
+      if (n > 0) {
+        rd_.feed(buf, static_cast<std::size_t>(n));
+        Frame f;
+        while (rd_.next(f) == FrameReader::Status::kFrame) handle(f, arrived);
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n < 0 && errno == EINTR) continue;
+      eof_ = true;  // router gone (or a socket error): finish in-flight work and exit
+      return;
+    }
+  }
+  bool open() override { return !drain_ && !eof_; }
+  void idle_wait() override {
+    pollfd pfd{fd_, POLLIN, 0};
+    ::poll(&pfd, 1, 1);
+  }
+  const serve::Request& request(int si) override { return slot(si).req; }
+  bool cancelled(int si) override { return slot(si).cancelled; }
+  bool degraded() override { return degraded_; }
+  void token(int si, std::uint32_t ordinal) override {
+    if (!slot(si).stream) return;
+    wire_.clear();
+    encode_id_pair(wire_, FrameType::kWorkerToken, static_cast<std::uint32_t>(si), ordinal);
+    send();
+  }
+  void finish(int si, serve::RequestRecord& rec) override {
+    wire_.clear();
+    encode_done(wire_, FrameType::kWorkerDone, static_cast<std::uint32_t>(si),
+                static_cast<std::uint32_t>(rec.tokens), rec.cancelled, rec.output.data(),
+                rec.output.size());
+    send();
+  }
+  // Drain acknowledgement: what this worker served, carried home.
+  void bye(const serve::ShardReport& report) {
+    std::vector<std::uint8_t> payload;
+    wire::put_u32(payload, static_cast<std::uint32_t>(report.requests));
+    wire::put_u64(payload, static_cast<std::uint64_t>(report.tokens));
+    wire_.clear();
+    encode_frame(wire_, FrameType::kWorkerBye, payload.data(), payload.size());
+    send();
+  }
+
+ private:
+  // One request the router forwarded, keyed by the router's slot id.
+  struct Pending {
+    serve::Request req;  // req.id: a per-worker session number for traces
+    bool stream = false;
+    bool cancelled = false;
+  };
+
+  Pending& slot(int si) { return slots_[static_cast<std::size_t>(si)]; }
+  void send() {
+    if (!write_all(fd_, wire_)) eof_ = true;
+  }
+  void handle(const Frame& f, std::deque<int>& arrived) {
+    switch (f.type) {
+      case FrameType::kWorkerReq: {
+        RequestFields rf;
+        if (!parse_request(f, rf)) break;
+        // crash_worker: die before replying — the router sees EOF and fails
+        // this request's slot with kError(kWorkerDied).
+        ACROBAT_FAULT(if (g_inject.fire_crash()) ::raise(SIGKILL));
+        // wedge_shard: stop reading the socket mid-stream; pings go
+        // unanswered, which is the liveness timeout's failure mode.
+        ACROBAT_FAULT({
+          const std::int64_t wns = g_inject.fire_wedge_ns();
+          if (wns > 0) stall_ns(wns);
+        });
+        // The router reuses a slot id only after its done frame, so the
+        // entry is free. A deque never relocates, and the router's slot
+        // table bounds it.
+        const std::size_t si = rf.id;
+        while (slots_.size() <= si) slots_.emplace_back();
+        Pending& p = slots_[si];
+        p.req.id = next_session_++;
+        p.req.input_index = rf.input_index;
+        p.req.latency_class = static_cast<serve::LatencyClass>(rf.latency_class);
+        p.req.arrival_ns = now_ns() - epoch_;
+        p.stream = rf.stream;
+        p.cancelled = false;
+        arrived.push_back(static_cast<int>(si));
+        break;
+      }
+      case FrameType::kWorkerCancel: {
+        if (f.payload.size() < 4) break;
+        const std::size_t si = wire::get_u32(f.payload.data());
+        if (si < slots_.size()) slots_[si].cancelled = true;
+        break;
+      }
+      case FrameType::kWorkerPing:
+        wire_.clear();
+        encode_empty(wire_, FrameType::kWorkerPong);
+        send();
+        break;
+      case FrameType::kWorkerDrain:
+        drain_ = true;
+        break;
+      case FrameType::kWorkerMode:
+        degraded_ = f.aux != 0;
+        break;
+      default:
+        break;
+    }
+  }
+
+  int fd_;
+  std::int64_t epoch_;
+  std::deque<Pending> slots_;
+  FrameReader rd_;
+  std::vector<std::uint8_t> wire_;
+  int next_session_ = 1;
+  bool drain_ = false, eof_ = false, degraded_ = false;
+};
+
 }  // namespace
 
 int shard_worker_main(int argc, char** argv) {
@@ -118,143 +248,22 @@ int shard_worker_main(int argc, char** argv) {
   const harness::Prepared prep =
       harness::prepare(spec, a.large, passes::PipelineConfig{});
   const models::Dataset ds = spec.build_dataset(a.large, a.ds_batch, a.ds_seed);
+  const serve::detail::ShardModule mod = serve::detail::solo_module(prep, ds);
 
-  // Slot table, keyed by the router's slot ids. A deque never relocates
-  // elements on growth, which the atomics in Slot require; the router's
-  // table is bounded (max_sessions), so this is too.
-  std::deque<detail::Slot> slots;
-  bool drain = false, eof = false, degraded = false;
-  FrameReader rd;
-  std::vector<std::uint8_t> wire;
-  int requests_served = 0;
-  long long tokens_served = 0;
-  const std::int64_t epoch = now_ns();
-  const int fd = a.fd;
-
-  detail::CoreConfig cc;
-  cc.prep = &prep;
-  cc.ds = &ds;
-  cc.policy = a.policy;
+  WorkerIo io(a.fd);
+  serve::detail::CoreConfig cc;
+  cc.module = &mod;
+  cc.make_policy = [&a] { return serve::make_policy(a.policy); };
   cc.launch_overhead_ns = a.launch_ns;
   cc.recycle = a.recycle;
   cc.sched_memo = a.sched_memo;
   cc.shard_index = a.shard;
-  cc.epoch_ns = epoch;
-
-  detail::CoreIo io;
-  io.slot = [&slots](int i) -> detail::Slot& {
-    return slots[static_cast<std::size_t>(i)];
-  };
-  io.poll_input = [&](std::deque<int>& q) {
-    std::uint8_t buf[16384];
-    for (;;) {
-      const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
-      if (n > 0) {
-        rd.feed(buf, static_cast<std::size_t>(n));
-        Frame f;
-        while (rd.next(f) == FrameReader::Status::kFrame) {
-          switch (f.type) {
-            case FrameType::kWorkerReq: {
-              RequestFields rf;
-              if (!parse_request(f, rf)) break;
-              // crash_worker: die before replying — the router sees EOF and
-              // fails this request's slot with kError(kWorkerDied).
-              ACROBAT_FAULT(if (g_inject.fire_crash()) ::raise(SIGKILL));
-              // wedge_shard: stop reading the socket mid-stream; pings go
-              // unanswered, which is the liveness timeout's failure mode.
-              ACROBAT_FAULT({
-                const std::int64_t wns = g_inject.fire_wedge_ns();
-                if (wns > 0) stall_ns(wns);
-              });
-              const std::size_t si = rf.id;
-              while (slots.size() <= si) slots.emplace_back();
-              detail::Slot& s = slots[si];
-              // Router guarantees exclusive reuse: this slot id has no live
-              // session here once a new kWorkerReq names it.
-              s.cancel_owner.store(0, std::memory_order_relaxed);
-              s.conn = 0;
-              s.conn_gen = 1;
-              s.req_id = rf.id;
-              s.input_index = rf.input_index;
-              s.latency_class = rf.latency_class;
-              s.stream = rf.stream;
-              s.arrival_ns = now_ns() - epoch;
-              s.output.clear();
-              s.tokens = 0;
-              s.cancelled = false;
-              s.admit_ns = s.completion_ns = s.first_token_ns = s.last_token_ns = -1;
-              q.push_back(static_cast<int>(si));
-              break;
-            }
-            case FrameType::kWorkerCancel: {
-              if (f.payload.size() < 4) break;
-              const std::size_t si = wire::get_u32(f.payload.data());
-              if (si < slots.size())
-                slots[si].cancel_owner.store(detail::pack_owner(0, 1),
-                                             std::memory_order_release);
-              break;
-            }
-            case FrameType::kWorkerPing:
-              wire.clear();
-              encode_empty(wire, FrameType::kWorkerPong);
-              if (!write_all(fd, wire)) eof = true;
-              break;
-            case FrameType::kWorkerDrain:
-              drain = true;
-              break;
-            case FrameType::kWorkerMode:
-              degraded = f.aux != 0;
-              break;
-            default:
-              break;
-          }
-        }
-        continue;
-      }
-      if (n == 0) {
-        eof = true;  // router gone: finish in-flight work and exit
-        return;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == EINTR) continue;
-      eof = true;
-      return;
-    }
-  };
-  io.input_open = [&] { return !drain && !eof; };
-  io.degraded = [&] { return degraded; };
-  io.emit_token = [&](int slot_id, std::uint32_t ord) {
-    ++tokens_served;
-    wire.clear();
-    encode_id_pair(wire, FrameType::kWorkerToken,
-                   static_cast<std::uint32_t>(slot_id), ord);
-    if (!write_all(fd, wire)) eof = true;
-  };
-  io.emit_done = [&](int slot_id) {
-    ++requests_served;
-    const detail::Slot& s = slots[static_cast<std::size_t>(slot_id)];
-    wire.clear();
-    encode_done(wire, FrameType::kWorkerDone, static_cast<std::uint32_t>(slot_id),
-                s.tokens, s.cancelled, s.output.data(), s.output.size());
-    if (!write_all(fd, wire)) eof = true;
-  };
-  io.idle_wait = [&] {
-    pollfd pfd{fd, POLLIN, 0};
-    ::poll(&pfd, 1, 1);
-  };
-
+  cc.epoch_ns = io.epoch();
   serve::ShardReport report;
-  detail::run_shard_core(cc, io, report);
+  serve::detail::run_shard(cc, io, report);
 
-  if (!eof) {
-    std::vector<std::uint8_t> bye_payload;
-    wire::put_u32(bye_payload, static_cast<std::uint32_t>(requests_served));
-    wire::put_u64(bye_payload, static_cast<std::uint64_t>(report.tokens));
-    wire.clear();
-    encode_frame(wire, FrameType::kWorkerBye, bye_payload.data(), bye_payload.size());
-    write_all(fd, wire);
-  }
-  ::close(fd);
+  if (!io.eof()) io.bye(report);
+  ::close(a.fd);
   return 0;
 }
 

@@ -1,25 +1,13 @@
 #include "serve/server.h"
 
-#include <sched.h>
-
 #include <algorithm>
-#include <cassert>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <memory>
-#include <span>
-#include <string>
-#include <thread>
 
-#include "exec/aot.h"
-#include "runtime/fiber.h"
-#include "serve/spsc.h"
+#include "shard_core.h"
 #include "support/rng.h"
-#include "support/timer.h"
-#include "trace/trace.h"
 
 namespace acrobat::serve {
 namespace {
@@ -34,13 +22,6 @@ using detail::uniform01;
   std::fprintf(stderr, "acrobat serve: invalid configuration: %s\n", what);
   std::abort();
 }
-
-// Waiting sides (dispatcher between arrivals, shard with nothing runnable)
-// yield the core on every poll: unlike the engine's spin_ns — which charges
-// simulated device time and must burn the CPU — these waits are for *other
-// threads'* progress, and on a small machine a pure spin would starve them
-// for a whole preemption quantum.
-void relax() { sched_yield(); }
 
 // ------------------------------------------------------------------ policies
 
@@ -94,302 +75,6 @@ class DeadlinePolicy final : public BatchPolicy {
  private:
   PolicyConfig cfg_;
 };
-
-// -------------------------------------------------------------- shard worker
-
-struct Shard {
-  explicit Shard(std::size_t inbox_capacity) : inbox(inbox_capacity) {}
-
-  int index = 0;
-  const harness::Prepared* prep = nullptr;
-  const models::Dataset* ds = nullptr;
-  const std::vector<Request>* trace = nullptr;
-  const ServeOptions* opts = nullptr;
-  std::vector<RequestRecord>* records = nullptr;
-  std::int64_t epoch_ns = 0;
-
-  SpscQueue<int> inbox;           // dispatcher → this shard (request ids)
-  std::atomic<int> outstanding{0};  // dispatched - completed (least-loaded reads)
-  ShardReport report;
-
-  // Observability (DESIGN.md §9): ring + tick stream exist only when
-  // ServeOptions::trace.enabled; both are preallocated before the worker
-  // starts, written only by the worker thread, and read after join (the
-  // ticks queue is the one live cross-thread channel — SPSC, like the
-  // inbox). metric_names is worker-written before the first tick.
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<SpscQueue<trace::MetricsTick>> ticks;
-  std::uint64_t dropped_ticks = 0;
-  std::vector<std::string> metric_names;
-
-  void run_worker();
-};
-
-void Shard::run_worker() {
-  const harness::Prepared& p = *prep;
-  // Exclusive ownership: this engine, its arena, and the fiber pool live and
-  // die on this thread. No locks anywhere downstream of the inbox.
-  EngineConfig ec = harness::engine_config_for(
-      p.cfg, opts->launch_overhead_ns, opts->time_activities);
-  ec.recycle = opts->recycle;
-  ec.sched_memo = opts->sched_memo;
-  Engine eng(p.compiled.module.registry, ec);
-
-  std::vector<TRef> wrefs, drefs;
-  wrefs.reserve(p.weights.tensors.size());
-  for (const Tensor& t : p.weights.tensors) wrefs.push_back(eng.add_concrete(t.view()));
-  drefs.reserve(ds->tensors.size());
-  for (const Tensor& t : ds->tensors) drefs.push_back(eng.add_concrete(t.view()));
-  aot::AotExecutor exec(p.compiled.program, eng, wrefs);
-
-  FiberScheduler fs;
-  eng.set_fiber_scheduler(&fs);
-  // Reap = retire: when a completed request's fiber is recycled, its engine
-  // node span goes onto the free list and dead arena epochs return to the
-  // page pool — this is what keeps steady-state memory flat (§7 Recycling).
-  fs.set_reap_hook([&eng](int request_id) { eng.retire_request(request_id); });
-  const std::unique_ptr<BatchPolicy> policy = make_policy(opts->policy);
-
-  // Observability (DESIGN.md §9): everything below is preallocated here —
-  // the ring in the Tracer, the gauge slots in the registry — so tracing
-  // adds zero steady-state allocation to the worker.
-  trace::Tracer* const tr = tracer.get();
-  eng.set_tracer(tr);
-  fs.set_tracer(tr);
-  std::int64_t slow_ns = opts->trace.slow_threshold_ns;
-  if (slow_ns <= 0 && opts->policy.kind == PolicyKind::kDeadline)
-    slow_ns = opts->policy.slo_ns;
-  trace::MetricsRegistry reg;
-  int m_live = -1, m_queued = -1, m_done = -1, m_launches = -1, m_hits = -1,
-      m_live_nodes = -1, m_arena_kb = -1;
-  if (tr != nullptr) {
-    m_live = reg.add("live_requests");
-    m_queued = reg.add("queued_requests");
-    m_done = reg.add("completed_requests");
-    m_launches = reg.add("kernel_launches");
-    m_hits = reg.add("memo_hit_permille");
-    m_live_nodes = reg.add("live_nodes");
-    m_arena_kb = reg.add("arena_kb");
-    metric_names = reg.names();
-  }
-  std::deque<int> queue;      // arrived at this shard, not yet admitted
-  std::deque<int> in_flight;  // admitted, not yet completed (arrival order)
-  // Iteration-level scheduling (DESIGN.md §7): a generative session parks
-  // its fiber at every token boundary (Engine::session_step) and rejoins
-  // the admission cycle here, so each trigger batches decode steps across
-  // sessions old and new. `awaiting[id]` marks a session between its park
-  // and its re-admission; the step hook's second consult (after unpark)
-  // reads it to tell re-admission apart from a fresh token boundary.
-  std::deque<int> step_queue;  // parked sessions wanting their next token
-  std::vector<char> awaiting(trace->size(), 0);
-  // Decode-aware split (policy.h AdmitDecision::max_step_admit): how many of
-  // in_flight are past their first token, and how many parked steps this
-  // trigger window may still unpark. The budget is reset from the policy
-  // once per window — in the admission hook — not per admit() call, or the
-  // main loop would drain every parked step between triggers and chunked
-  // re-admission would be a no-op.
-  std::size_t live_decode = 0;
-  std::size_t step_budget = static_cast<std::size_t>(-1);
-
-  long long last_tick_trigger = 0;
-  const auto maybe_tick = [&](std::int64_t t_now) {
-    if (fs.idle_triggers() - last_tick_trigger <
-        static_cast<long long>(opts->trace.tick_every_triggers))
-      return;
-    last_tick_trigger = fs.idle_triggers();
-    const ActivityStats& st = eng.stats();
-    const long long probes = st.sched_cache_hits + st.sched_cache_misses;
-    reg.set(m_live, static_cast<double>(in_flight.size()));
-    reg.set(m_queued, static_cast<double>(queue.size()));
-    reg.set(m_done, static_cast<double>(report.requests));
-    reg.set(m_launches, static_cast<double>(st.kernel_launches));
-    reg.set(m_hits, probes > 0 ? 1000.0 * static_cast<double>(st.sched_cache_hits) /
-                                     static_cast<double>(probes)
-                               : 0.0);
-    reg.set(m_live_nodes, static_cast<double>(eng.live_nodes()));
-    reg.set(m_arena_kb,
-            static_cast<double>(eng.memory().arena_active_bytes) / 1024.0);
-    if (!ticks->push(reg.tick(t_now, index))) ++dropped_ticks;
-  };
-
-  const auto now = [&] { return now_ns() - epoch_ns; };
-  const auto drain_inbox = [&] {
-    int id;
-    while (inbox.pop(id)) queue.push_back(id);
-  };
-  const auto prune_in_flight = [&] {
-    while (!in_flight.empty() &&
-           (*records)[static_cast<std::size_t>(in_flight.front())].completion_ns >= 0) {
-      if ((*records)[static_cast<std::size_t>(in_flight.front())].tokens > 0)
-        --live_decode;
-      in_flight.pop_front();
-    }
-  };
-  const auto make_ctx = [&] {
-    PolicyCtx c;
-    c.now_ns = now();
-    c.queued = queue.size();
-    // Parked sessions stay `live`: they hold session state (the per-session
-    // buffer, an SLO clock mid-stream), so a width-capped policy bounds
-    // concurrent *sessions* — which is what makes session memory plateau at
-    // peak concurrency instead of growing with the trace.
-    c.live = in_flight.size();
-    c.live_decode = live_decode;
-    c.queued_steps = step_queue.size();
-    if (!queue.empty())
-      c.oldest_queued_arrival_ns = (*trace)[static_cast<std::size_t>(queue.front())].arrival_ns;
-    if (!in_flight.empty())
-      c.oldest_live_arrival_ns =
-          (*trace)[static_cast<std::size_t>(in_flight.front())].arrival_ns;
-    c.inbox_open = !inbox.closed() || !inbox.empty_hint();
-    return c;
-  };
-
-  const auto admit = [&](std::size_t max_admit) {
-    // Decode steps are re-admitted outside the policy's *session* budget:
-    // that budget gates how many sessions hold state concurrently, and a
-    // step belongs to a session already in the live pool. Gating steps on
-    // the same budget would livelock a width-capped pool of parked sessions
-    // (budget 0, nothing to unpark them). With a decode-aware policy the
-    // separate per-window step budget meters them instead; the main loop
-    // guarantees at least one step per window so progress never stalls.
-    while (!step_queue.empty() && step_budget > 0) {
-      if (step_budget != static_cast<std::size_t>(-1)) --step_budget;
-      const int id = step_queue.front();
-      step_queue.pop_front();
-      const bool ok = fs.unpark(id);
-      assert(ok && "queued step must correspond to a parked fiber");
-      (void)ok;
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, id,
-                                    (*trace)[static_cast<std::size_t>(id)].model_id,
-                                    (*records)[static_cast<std::size_t>(id)].tokens));
-    }
-    while (max_admit > 0 && !queue.empty()) {
-      --max_admit;
-      const int id = queue.front();
-      queue.pop_front();
-      RequestRecord& rec = (*records)[static_cast<std::size_t>(id)];
-      rec.shard = index;
-      rec.admit_ns = now();
-      ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kAdmit, id,
-                                    (*trace)[static_cast<std::size_t>(id)].model_id,
-                                    rec.admit_ns - rec.arrival_ns));
-      in_flight.push_back(id);
-      eng.begin_request(id);  // pins this epoch's arena pages until retirement
-      fs.spawn([&, id] {
-        RequestRecord& r = (*records)[static_cast<std::size_t>(id)];
-        InstCtx ctx;
-        ctx.instance = id;
-        const Value in = models::remap_trefs(
-            ds->inputs[(*trace)[static_cast<std::size_t>(id)].input_index], drefs);
-        const Value out = exec.run(std::span<const Value>(&in, 1), ctx);
-        std::vector<TRef> outs;
-        harness::collect_output_trefs(out, outs);
-        std::vector<float> flat;
-        for (const TRef ref : outs) {
-          // Suspends this request until a trigger materializes the result;
-          // completion is stamped when the final batch lands.
-          const Tensor t = eng.force(ref);
-          if (opts->collect_outputs) flat.insert(flat.end(), t.data, t.data + t.numel());
-        }
-        r.completion_ns = now();
-        ACROBAT_TRACE(tr, {
-          const std::int64_t lat = r.completion_ns - r.arrival_ns;
-          if (slow_ns > 0 && lat >= slow_ns)
-            tr->capture_exemplar(id, r.admit_ns, r.completion_ns, lat);
-        });
-        if (opts->collect_outputs) r.output = std::move(flat);
-        ++report.requests;
-        outstanding.fetch_sub(1, std::memory_order_relaxed);
-      }, /*tag=*/id);
-    }
-    report.max_live = std::max(report.max_live, in_flight.size());
-  };
-
-  // Trigger-boundary admission (DESIGN.md §7): whatever arrived while the
-  // live pool was recording is admitted and records its ops *before* the
-  // pending set is scheduled, so one trigger batches old and new requests.
-  eng.set_admission_hook([&] {
-    drain_inbox();
-    const AdmitDecision d = policy->decide(make_ctx());
-    step_budget = d.max_step_admit;  // new trigger window
-    admit(d.max_admit);
-    fs.step_ready();  // new fibers record until they suspend
-  });
-
-  // Token-boundary hook (iteration-level scheduling): the engine consults
-  // this from inside a generative fiber at every kStepKeep. First consult
-  // per token stamps the token, queues the session for re-admission, and
-  // parks; the consult after unpark decides run vs stop (a cancelled
-  // session exits through the model's tail so its output stays valid).
-  eng.set_step_hook([&](int id) -> Engine::StepVerdict {
-    RequestRecord& r = (*records)[static_cast<std::size_t>(id)];
-    if (awaiting[static_cast<std::size_t>(id)] != 0) {
-      awaiting[static_cast<std::size_t>(id)] = 0;
-      return r.cancelled ? Engine::StepVerdict::kStop : Engine::StepVerdict::kRun;
-    }
-    const std::int64_t t = now();
-    ++r.tokens;
-    ++report.tokens;
-    if (r.first_token_ns < 0) {
-      r.first_token_ns = t;
-      ++live_decode;
-      report.ttft_ms.add(static_cast<double>(t - r.arrival_ns) * 1e-6);
-    } else {
-      const std::int64_t gap = t - r.last_token_ns;
-      report.inter_token_ms.add(static_cast<double>(gap) * 1e-6);
-      // Slow-request exemplars fire at serve time on an inter-token breach
-      // (DESIGN.md §9), not only on end-to-end latency at completion — a
-      // mid-stream stall surfaces while the session is still running.
-      ACROBAT_TRACE(tr, {
-        if (slow_ns > 0 && gap >= slow_ns)
-          tr->capture_exemplar(id, r.last_token_ns, t, gap);
-      });
-    }
-    r.last_token_ns = t;
-    if (r.cancelled) return Engine::StepVerdict::kStop;
-    awaiting[static_cast<std::size_t>(id)] = 1;
-    step_queue.push_back(id);
-    return Engine::StepVerdict::kPark;
-  });
-
-  for (;;) {
-    drain_inbox();
-    fs.reap_done();
-    prune_in_flight();
-    ACROBAT_TRACE(tr, maybe_tick(now()));
-    if (in_flight.empty() && queue.empty()) {
-      if (inbox.closed() && inbox.empty_hint()) break;
-      relax();  // idle: poll for the next arrival (open-loop clock)
-      continue;
-    }
-    const AdmitDecision d = policy->decide(make_ctx());
-    admit(d.max_admit);
-    if (fs.step_ready() > 0) continue;
-    if (fs.any_blocked()) {
-      if (d.hold_until_ns > now() && (!inbox.closed() || !inbox.empty_hint())) {
-        // Batch-forming pause: poll for arrivals, then re-decide.
-        while (now() < d.hold_until_ns && inbox.empty_hint() && !inbox.closed()) relax();
-        continue;
-      }
-      eng.trigger_execution();  // admission hook folds in late arrivals
-      fs.wake_blocked();
-    } else if (!step_queue.empty()) {
-      // Every live session is parked and the window's step budget is spent:
-      // no trigger is coming to reset it, so open a minimal window by hand —
-      // progress is guaranteed for any decode_admit >= 1.
-      step_budget = std::max<std::size_t>(step_budget, 1);
-    }
-  }
-
-  eng.set_step_hook(nullptr);
-  eng.set_admission_hook(nullptr);
-  eng.set_fiber_scheduler(nullptr);
-  report.triggers = fs.idle_triggers();
-  report.stacks_allocated = fs.stacks_allocated();
-  report.stats = eng.stats();
-  report.mem = eng.memory();
-}
 
 }  // namespace
 
@@ -508,134 +193,22 @@ std::vector<Request> generate_load(const LoadSpec& spec, const std::vector<Model
 ServeResult serve(const harness::Prepared& p, const models::Dataset& ds,
                   const std::vector<Request>& trace, const ServeOptions& opts) {
   validate(opts);
-  const int nshards = opts.shards;
+  const detail::ShardModule mod = detail::solo_module(p, ds);
+  detail::check_trace(mod, trace, /*sorted=*/true);
+  detail::CoreConfig cc = detail::core_config(mod, opts);
+  cc.make_policy = [&opts] { return make_policy(opts.policy); };
+  // Slow-request exemplars: the explicit threshold, else a deadline
+  // policy's SLO — for end-to-end latency and inter-token gaps alike.
+  std::int64_t slow_ns = opts.trace.slow_threshold_ns;
+  if (slow_ns <= 0 && opts.policy.kind == PolicyKind::kDeadline) slow_ns = opts.policy.slo_ns;
+  cc.slow_ns.fill(slow_ns);
+  cc.step_slow_ns = slow_ns;
+
   ServeResult res;
-  res.records.resize(trace.size());
-  // Validate the documented trace contract loudly (not via assert): a
-  // hand-built trace that skips generate_load — the usual source of these —
-  // must fail identically in Release, where an assert would let the bad ids
-  // index records out of bounds instead.
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].id != static_cast<int>(i))
-      config_die("serve trace ids must be 0..N-1 in order (generate_load's contract)");
-    if (i > 0 && trace[i].arrival_ns < trace[i - 1].arrival_ns)
-      config_die("serve trace must be sorted by arrival_ns");
-    if (trace[i].input_index >= ds.inputs.size())
-      config_die("serve trace input_index out of range for the dataset");
-    res.records[i].id = trace[i].id;
-    res.records[i].arrival_ns = trace[i].arrival_ns;
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(static_cast<std::size_t>(nshards));
-  for (int s = 0; s < nshards; ++s) {
-    auto sh = std::make_unique<Shard>(trace.size());
-    sh->index = s;
-    sh->prep = &p;
-    sh->ds = &ds;
-    sh->trace = &trace;
-    sh->opts = &opts;
-    sh->records = &res.records;
-    if (opts.trace.enabled) {
-      sh->tracer = std::make_unique<trace::Tracer>(s, opts.trace.config);
-      sh->ticks = std::make_unique<SpscQueue<trace::MetricsTick>>(4096);
-    }
-    shards.push_back(std::move(sh));
-  }
-  // The dispatcher thread gets its own ring (single-writer discipline: it
-  // must never write a shard's ring).
-  std::unique_ptr<trace::Tracer> disp_tracer;
-  if (opts.trace.enabled)
-    disp_tracer = std::make_unique<trace::Tracer>(0, opts.trace.config);
-  trace::Tracer* const dtr = disp_tracer.get();
-  const auto drain_ticks = [&] {
-    if (!opts.trace.enabled) return;
-    trace::MetricsTick t;
-    for (auto& sh : shards)
-      while (sh->ticks->pop(t)) res.trace.ticks.push_back(t);
-  };
-
-  const std::int64_t epoch = now_ns();
-  for (auto& sh : shards) {
-    sh->epoch_ns = epoch;
-    if (sh->tracer) sh->tracer->set_epoch(epoch);
-  }
-  if (dtr != nullptr) dtr->set_epoch(epoch);
-  std::vector<std::thread> workers;
-  workers.reserve(shards.size());
-  for (auto& sh : shards) workers.emplace_back([&shard = *sh] { shard.run_worker(); });
-
-  // Open-loop dispatcher: replay the trace in real time, yielding while it
-  // waits so shard workers get the core between arrivals.
-  for (const Request& req : trace) {
-    while (now_ns() - epoch < req.arrival_ns) {
-      drain_ticks();
-      relax();
-    }
-    int target = 0;
-    if (opts.dispatch == DispatchKind::kRoundRobin) {
-      target = req.id % nshards;
-    } else {
-      int best_load = INT_MAX;
-      for (int s = 0; s < nshards; ++s) {
-        const int load = shards[static_cast<std::size_t>(s)]->outstanding.load(
-            std::memory_order_relaxed);
-        if (load < best_load) {
-          best_load = load;
-          target = s;
-        }
-      }
-    }
-    Shard& sh = *shards[static_cast<std::size_t>(target)];
-    sh.outstanding.fetch_add(1, std::memory_order_relaxed);
-    const bool pushed = sh.inbox.push(req.id);
-    assert(pushed && "inbox sized for the whole trace");
-    (void)pushed;
-    ACROBAT_TRACE(dtr, dtr->instant(trace::EventKind::kDispatch, req.id, target));
-  }
-  for (auto& sh : shards) sh->inbox.close();
-  for (std::thread& w : workers) w.join();
-
-  // Latency aggregation is histogram-backed (serve/stats.h): O(1) memory
-  // at any request count — no per-sample storage on the serve path.
-  LatencyHisto lat;
-  std::int64_t last_completion = 0;
-  const std::int64_t first_arrival = trace.empty() ? 0 : trace.front().arrival_ns;
-  for (const RequestRecord& r : res.records) {
-    assert(r.completion_ns >= 0 && "every request must complete");
-    lat.add(r.latency_ms());
-    last_completion = std::max(last_completion, r.completion_ns);
-  }
-  res.latency_ms = Percentiles::from(lat);
-  res.makespan_ms = static_cast<double>(last_completion - first_arrival) * 1e-6;
-  if (res.makespan_ms > 0)
-    res.throughput_rps =
-        static_cast<double>(trace.size()) / (res.makespan_ms * 1e-3);
-  for (auto& sh : shards) res.shards.push_back(std::move(sh->report));
-  // Decode split: shard-local token histograms merge here (same O(1)-memory
-  // scheme as latency), so TTFT and inter-token tails are reportable even
-  // though no per-token samples were stored.
-  LatencyHisto ttft, gap;
-  for (const ShardReport& s : res.shards) {
-    ttft.merge(s.ttft_ms);
-    gap.merge(s.inter_token_ms);
-    res.tokens += s.tokens;
-    res.cancelled += s.cancelled;
-  }
-  res.ttft_ms = Percentiles::from(ttft);
-  res.inter_token_ms = Percentiles::from(gap);
-  if (res.makespan_ms > 0)
-    res.tokens_per_sec = static_cast<double>(res.tokens) / (res.makespan_ms * 1e-3);
-  if (opts.trace.enabled) {
-    drain_ticks();
-    res.trace.tracks.push_back(trace::dump_track(*disp_tracer, 0, "dispatcher"));
-    for (int s = 0; s < nshards; ++s)
-      res.trace.tracks.push_back(
-          trace::dump_track(*shards[static_cast<std::size_t>(s)]->tracer, s + 1,
-                            "shard" + std::to_string(s)));
-    res.trace.metric_names = shards[0]->metric_names;
-    for (auto& sh : shards) res.trace.dropped_ticks += sh->dropped_ticks;
-  }
+  detail::InprocRun run(opts.shards, cc, opts.trace, trace, res.records);
+  run.replay(opts.dispatch, detail::ClassAffinity{});
+  res.shards = run.finish(res.trace);
+  detail::summarize(res);
   return res;
 }
 

@@ -582,9 +582,34 @@ void test_memory_cap_oom() {
   CHECK(oom);
 }
 
+// The ActivityStats counter table drives += and -=: with a distinct value
+// in every 8-byte field (written by memcpy, so a field the table misses
+// holds one too), a += b is the field-wise sum and -= b restores a.
+void test_activity_stats_table() {
+  constexpr std::size_t n = sizeof(ActivityStats) / sizeof(std::int64_t);
+  std::int64_t av[n], bv[n], got[n];
+  for (std::size_t i = 0; i < n; ++i) {
+    av[i] = static_cast<std::int64_t>(i) + 1;
+    bv[i] = 1000 * (static_cast<std::int64_t>(i) + 1);
+  }
+  ActivityStats a, b;
+  std::memcpy(&a, av, sizeof a);
+  std::memcpy(&b, bv, sizeof b);
+  a += b;
+  std::memcpy(got, &a, sizeof a);
+  for (std::size_t i = 0; i < n; ++i) CHECK_EQ(got[i], av[i] + bv[i]);
+  a -= b;
+  std::memcpy(got, &a, sizeof a);
+  for (std::size_t i = 0; i < n; ++i) CHECK_EQ(got[i], av[i]);
+  // Spot-check both row kinds by name.
+  CHECK_EQ(a.kernel_exec.ns, 4);
+  CHECK_EQ(a.sched_cache_evictions, 13);
+}
+
 }  // namespace
 
 int main() {
+  test_activity_stats_table();
   test_same_signature_collapses();
   test_eager_launches_per_op();
   test_batched_matches_unbatched();

@@ -1,7 +1,7 @@
 // Fleet-layer acceptance (ISSUE 4 / DESIGN.md §8):
-//  (a) a 2-model fleet run — models merged into one module, fibers
-//      multiplexed into one engine per shard — is bitwise identical, per
-//      request, to per-model solo serve runs (both shard modes);
+//  (a) a 2-model fleet run — models merged into one module, every
+//      model's fibers on one engine per shard — is bitwise identical, per
+//      request, to per-model solo serve runs;
 //  (b) SLO shedding kicks in only past saturation: zero sheds at low rate,
 //      sheds at overload, and goodput with shedding is no worse than the
 //      latency-only attainment of the same overload without shedding;
@@ -11,8 +11,8 @@
 //      per-model persistent region plateaued — recycling holds across
 //      models sharing one engine (ACROBAT_SERVE_REQUESTS overrides the
 //      trace length; default 5000).
-// Plus units: fleet policy triage, class-affinity routing, and registry
-// misuse aborts.
+// Plus units: fleet policy triage, class-affinity routing, and the trace
+// contract's aborts.
 #include "fleet/fleet.h"
 #include "test_util.h"
 
@@ -64,9 +64,8 @@ std::vector<serve::Request> interleaved_trace(int n, const fleet::ModelRegistry&
   return trace;
 }
 
-// (a) Fleet multiplexing is observation-free: each request's outputs are
-// bitwise identical to a per-model solo serve run — across models sharing
-// one engine (mux) and across per-model engines (iso).
+// (a) Sharing one engine across models is observation-free: each request's
+// outputs are bitwise identical to a per-model solo serve run.
 void test_fleet_parity_with_solo_serve() {
   fleet::ModelRegistry reg = two_model_registry();
   const int n = 12;
@@ -95,30 +94,27 @@ void test_fleet_parity_with_solo_serve() {
       solo[m].push_back(rec.output);
   }
 
-  for (const bool multiplex : {true, false}) {
-    fleet::FleetOptions fo;
-    fo.multiplex = multiplex;
-    fo.collect_outputs = true;
-    fo.policy = no_slo_policy();
-    const fleet::FleetResult res = fleet::serve_fleet(reg, trace, fo);
+  fleet::FleetOptions fo;
+  fo.collect_outputs = true;
+  fo.policy = no_slo_policy();
+  const fleet::FleetResult res = fleet::serve_fleet(reg, trace, fo);
 
-    CHECK_EQ(res.records.size(), n);
-    CHECK_EQ(res.shed, 0);
-    std::map<int, std::size_t> seen;  // model -> next solo index
-    for (const serve::RequestRecord& rec : res.records) {
-      CHECK(!rec.shed);
-      CHECK(rec.completion_ns >= rec.arrival_ns);
-      const int m = trace[static_cast<std::size_t>(rec.id)].model_id;
-      const std::vector<float>& want = solo[m][seen[m]++];
-      CHECK_EQ(rec.output.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i)
-        CHECK(rec.output[i] == want[i]);  // bitwise, not approximate
-    }
-    // Multiplexed: one engine per shard, so both models' constants share
-    // one persistent region; isolated: one engine per model.
-    CHECK_EQ(res.shards.size(), 1);
-    CHECK(res.shards[0].stats.kernel_launches > 0);
+  CHECK_EQ(res.records.size(), n);
+  CHECK_EQ(res.shed, 0);
+  std::map<int, std::size_t> seen;  // model -> next solo index
+  for (const serve::RequestRecord& rec : res.records) {
+    CHECK(!rec.shed);
+    CHECK(rec.completion_ns >= rec.arrival_ns);
+    const int m = trace[static_cast<std::size_t>(rec.id)].model_id;
+    const std::vector<float>& want = solo[m][seen[m]++];
+    CHECK_EQ(rec.output.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      CHECK(rec.output[i] == want[i]);  // bitwise, not approximate
   }
+  // One engine per shard, so both models' constants share one persistent
+  // region.
+  CHECK_EQ(res.shards.size(), 1);
+  CHECK(res.shards[0].stats.kernel_launches > 0);
 }
 
 // Shape-keyed kernel dedupe (ROADMAP item / ISSUE 5): kernels that agree on
@@ -461,6 +457,17 @@ void test_fleet_policy_triage() {
 // Node table, arena watermark, and the persistent region all plateau —
 // the full trace stays within 2x of its short prefix, and the persistent
 // region (both models' cached constants) goes exactly flat.
+// The fleet trace contract is validated loudly at entry: a class outside
+// LatencyClass would index the per-class affinity and report tables.
+void test_trace_contract_dies() {
+  const fleet::ModelRegistry reg = two_model_registry();
+  CHECK(acrobat::test::dies([&] {
+    auto bad = interleaved_trace(4, reg, 1000);
+    bad[2].latency_class = static_cast<serve::LatencyClass>(7);
+    (void)fleet::serve_fleet(reg, bad, fleet::FleetOptions{});
+  }));
+}
+
 void test_fleet_soak_mixed_models() {
   const int n = env_requests(5000);
   const int n_short = n >= 1000 ? 500 : (n >= 40 ? n / 4 : n);
@@ -523,6 +530,7 @@ int main() {
   test_closed_loop();
   test_class_affinity_routing();
   test_fleet_policy_triage();
+  test_trace_contract_dies();
   test_fleet_soak_mixed_models();
   return acrobat::test::finish("test_fleet");
 }

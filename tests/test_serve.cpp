@@ -222,6 +222,16 @@ void test_trace_contract_dies() {
     bad[3].input_index = 999;  // outside the dataset
     (void)serve::serve(p, ds, bad, serve::ServeOptions{});
   }));
+  CHECK(dies([&] {
+    auto bad = spread_trace(4, ds.inputs.size(), 1000);
+    bad[1].latency_class = static_cast<serve::LatencyClass>(7);  // no such class
+    (void)serve::serve(p, ds, bad, serve::ServeOptions{});
+  }));
+  CHECK(dies([&] {
+    auto bad = spread_trace(4, ds.inputs.size(), 1000);
+    bad[0].model_id = 1;  // serve() hosts model 0 only
+    (void)serve::serve(p, ds, bad, serve::ServeOptions{});
+  }));
   // The contract-conforming trace from the same builder serves fine.
   const auto good = spread_trace(4, ds.inputs.size(), 1000);
   CHECK_EQ(serve::serve(p, ds, good, serve::ServeOptions{}).records.size(), 4);

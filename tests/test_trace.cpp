@@ -236,7 +236,7 @@ void test_serve_trace_parity() {
   // Metric stream: ticking every trigger must produce ticks, with the
   // shard's registered gauge names riding along.
   CHECK(!b.trace.ticks.empty());
-  CHECK_EQ(b.trace.metric_names.size(), 7);
+  CHECK_EQ(b.trace.metric_names.size(), 8);
   for (const trace::MetricsTick& t : b.trace.ticks)
     CHECK_EQ(t.n, b.trace.metric_names.size());
 

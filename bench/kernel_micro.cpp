@@ -3,8 +3,17 @@
 // variant ordering assumption (higher variants faster) that
 // harness::apply_default_schedules and the tuner rely on — plus the per-switch
 // cost of the fiber runtime that suspends instances at sync points.
+//
+// Roofline: BM_CeilingMulAdd and BM_Triad measure this machine's ceilings
+// in-process, and the dense-family benches report `GFLOPs` (achieved
+// GFLOP/s) and `pct_peak` (that rate as a percentage of the mul+add
+// ceiling). Flops count 2·rows·n·k per dense, the multiply and the add.
 #include <benchmark/benchmark.h>
+#include <emmintrin.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +25,102 @@
 namespace {
 
 using namespace acrobat;
+
+// `steps` rounds of 8 independent SSE chains, acc += x·m, each a separate
+// mulps and addps: the instruction pair variant 2's dot tile emits (the
+// library builds with -ffp-contract=off, so no FMA), without its loads. The
+// empty asm makes m opaque each round so the products cannot be hoisted out
+// of the loop. Returns a sum of the chains so none is dead.
+__attribute__((noinline)) float mul_add_chains(std::int64_t steps, float seed) {
+  __m128 acc[8], x[4];
+  for (int c = 0; c < 8; ++c) acc[c] = _mm_set1_ps(seed * static_cast<float>(c));
+  for (int c = 0; c < 4; ++c) x[c] = _mm_set1_ps(1e-3f * static_cast<float>(c + 1));
+  __m128 m0 = _mm_set1_ps(0.5f), m1 = _mm_set1_ps(0.25f);
+  for (std::int64_t s = 0; s < steps; ++s) {
+    asm volatile("" : "+x"(m0), "+x"(m1));
+    for (int c = 0; c < 8; ++c)
+      acc[c] = _mm_add_ps(acc[c], _mm_mul_ps(x[c % 4], c < 4 ? m0 : m1));
+  }
+  __m128 sum = acc[0];
+  for (int c = 1; c < 8; ++c) sum = _mm_add_ps(sum, acc[c]);
+  return _mm_cvtss_f32(sum);
+}
+constexpr double kChainFlops = 8 * 4 * 2;  // chains × lanes × (mul + add) per step
+
+// The mul+add ceiling in flop/s, measured once per process over ~0.2 s.
+double mul_add_peak() {
+  static const double peak = [] {
+    constexpr std::int64_t kSteps = 1 << 22;
+    double best = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      const auto t0 = std::chrono::steady_clock::now();
+      benchmark::DoNotOptimize(mul_add_chains(kSteps, 1.0f));
+      const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
+      best = std::max(best, kSteps * kChainFlops / dt.count());
+    }
+    return best;
+  }();
+  return peak;
+}
+
+// `GFLOPs` and `pct_peak` counters for `flops` per iteration.
+void report_flops(benchmark::State& state, double flops) {
+  state.counters["GFLOPs"] =
+      benchmark::Counter(flops * 1e-9, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["pct_peak"] = benchmark::Counter(
+      flops * 100.0 / mul_add_peak(), benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_CeilingMulAdd(benchmark::State& state) {
+  constexpr std::int64_t kSteps = 1 << 14;
+  for (auto _ : state) benchmark::DoNotOptimize(mul_add_chains(kSteps, 1.0f));
+  report_flops(state, kSteps * kChainFlops);
+}
+BENCHMARK(BM_CeilingMulAdd);
+
+// STREAM triad, a[i] = b[i] + s·c[i], 12 bytes per float element, over
+// 24 KB, 768 KB and 48 MB: L1-, L2- and L3-resident on a core with a 48 KB
+// L1d, a 2 MB L2 and a shared L3 of 48 MB or more. DRAM is out of reach at
+// sizes this bench should allocate (STREAM asks for 4× the last-level
+// cache); the kernels' working sets sit in L1/L2 anyway.
+void BM_Triad(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  std::vector<float> a(n), b(n, 1.0f), c(n, 2.0f);
+  float s = 0.5f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(s);
+    for (std::int64_t i = 0; i < n; ++i) a[i] = b[i] + s * c[i];
+    benchmark::DoNotOptimize(a.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * n * 12);
+}
+BENCHMARK(BM_Triad)->Arg(2 << 10)->Arg(64 << 10)->Arg(4 << 20)->ArgNames({"floats"});
+
+// tanh over 4096 elements in [-4, 4]: libm tanhf, and kTanh's rational
+// tanh one element at a time (variant 0) and 4 lanes at a time (variant 1,
+// as kLinear's epilogue runs it).
+void BM_Tanh(benchmark::State& state, int variant) {
+  constexpr int kN = 4096;
+  TensorPool pool;
+  Rng rng(7);
+  Tensor x = pool.alloc_random(RowVec(kN), rng, 4.0f);
+  Tensor out = pool.alloc(RowVec(kN));
+  const float* ins[1] = {x.data};
+  for (auto _ : state) {
+    if (variant < 0) {
+      for (int i = 0; i < kN; ++i) out.data[i] = std::tanh(x.data[i]);
+    } else {
+      run_op(OpKind::kTanh, variant, ins, &x.shape, out.data, out.shape, 0);
+    }
+    benchmark::DoNotOptimize(out.data);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK_CAPTURE(BM_Tanh, libm, -1);
+BENCHMARK_CAPTURE(BM_Tanh, scalar, 0);
+BENCHMARK_CAPTURE(BM_Tanh, sse, 1);
 
 void BM_DenseVariant(benchmark::State& state) {
   const int variant = static_cast<int>(state.range(0));
@@ -31,7 +136,7 @@ void BM_DenseVariant(benchmark::State& state) {
     run_op(OpKind::kDense, variant, ins, shapes, out.data, out.shape, 0);
     benchmark::DoNotOptimize(out.data[0]);
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * n);
+  report_flops(state, 2.0 * n * n);
 }
 BENCHMARK(BM_DenseVariant)
     ->ArgsProduct({{0, 1, 2}, {64, 128, 256}})
@@ -102,47 +207,51 @@ BENCHMARK(BM_EltwiseBatchFlat)
     ->ArgsProduct({{16, 64, 256}, {16}})
     ->ArgNames({"batch", "numel"});
 
-// Stacked shared-weight dense: n row-vector denses as n calls vs one
-// (n×k)·Wᵀ call — the matmul-family half of the same collapse.
-void BM_DenseBatchPerOp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  constexpr int kDim = 16;
+// Stacked shared-weight dense at a coarse RNN cell's shape, (rows, 2h) ·
+// (h, 2h)ᵀ: `rows` row-vector denses as that many calls vs one stacked
+// call — the matmul-family half of the same collapse. h and rows span
+// batch_zoo's cells (hidden 16 / 40) and trigger widths.
+struct DenseBatch {
   TensorPool pool;
-  Rng rng(7);
-  Tensor x = pool.alloc_random(Shape(n, kDim), rng, 0.5f);
-  Tensor w = pool.alloc_random(Shape(kDim, kDim), rng, 0.1f);
-  Tensor out = pool.alloc(Shape(n, kDim));
-  const Shape xs = RowVec(kDim);
-  const Shape shapes[2] = {xs, w.shape};
-  for (auto _ : state) {
-    for (int i = 0; i < n; ++i) {
-      const float* ins[2] = {x.data + static_cast<std::int64_t>(i) * kDim, w.data};
-      run_op(OpKind::kDense, 2, ins, shapes, out.data + static_cast<std::int64_t>(i) * kDim,
-             xs, 0);
-    }
-    benchmark::DoNotOptimize(out.data[0]);
+  Tensor x, w, out;
+  DenseBatch(int rows, int h) {
+    Rng rng(7);
+    x = pool.alloc_random(Shape(rows, 2 * h), rng, 0.5f);
+    w = pool.alloc_random(Shape(h, 2 * h), rng, 0.1f);
+    out = pool.alloc(Shape(rows, h));
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * kDim * kDim);
+};
+
+void BM_DenseBatchPerOp(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  const int rows = static_cast<int>(state.range(1));
+  DenseBatch d(rows, h);
+  const Shape shapes[2] = {RowVec(2 * h), d.w.shape};
+  for (auto _ : state) {
+    for (int i = 0; i < rows; ++i) {
+      const float* ins[2] = {d.x.data + static_cast<std::int64_t>(i) * 2 * h, d.w.data};
+      run_op(OpKind::kDense, 2, ins, shapes, d.out.data + static_cast<std::int64_t>(i) * h,
+             RowVec(h), 0);
+    }
+    benchmark::DoNotOptimize(d.out.data[0]);
+  }
+  report_flops(state, 2.0 * rows * h * 2 * h);
 }
-BENCHMARK(BM_DenseBatchPerOp)->Arg(16)->Arg(64)->ArgNames({"batch"});
+BENCHMARK(BM_DenseBatchPerOp)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
 void BM_DenseBatchStacked(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  constexpr int kDim = 16;
-  TensorPool pool;
-  Rng rng(7);
-  Tensor x = pool.alloc_random(Shape(n, kDim), rng, 0.5f);
-  Tensor w = pool.alloc_random(Shape(kDim, kDim), rng, 0.1f);
-  Tensor out = pool.alloc(Shape(n, kDim));
-  const Shape shapes[2] = {x.shape, w.shape};
-  const float* ins[2] = {x.data, w.data};
+  const int h = static_cast<int>(state.range(0));
+  const int rows = static_cast<int>(state.range(1));
+  DenseBatch d(rows, h);
+  const Shape shapes[2] = {d.x.shape, d.w.shape};
+  const float* ins[2] = {d.x.data, d.w.data};
   for (auto _ : state) {
-    run_op(OpKind::kDense, 2, ins, shapes, out.data, out.shape, 0);
-    benchmark::DoNotOptimize(out.data[0]);
+    run_op(OpKind::kDense, 2, ins, shapes, d.out.data, d.out.shape, 0);
+    benchmark::DoNotOptimize(d.out.data[0]);
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * kDim * kDim);
+  report_flops(state, 2.0 * rows * h * 2 * h);
 }
-BENCHMARK(BM_DenseBatchStacked)->Arg(16)->Arg(64)->ArgNames({"batch"});
+BENCHMARK(BM_DenseBatchStacked)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
 // A batch of tanh-RNN cells, act(W·[x;h] + b), over scattered x and h rows
 // (dataset inputs and session states live apart). Chain: the engine's old
@@ -190,9 +299,9 @@ void BM_LinearChain(benchmark::State& state) {
     run_op(OpKind::kTanh, 1, tanh_ins, &ds, c.d.data, ds, 0);
     benchmark::DoNotOptimize(c.d.data[0]);
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * h * 2 * h);
+  report_flops(state, 2.0 * n * h * 2 * h);
 }
-BENCHMARK(BM_LinearChain)->ArgsProduct({{16, 40}, {16, 64}})->ArgNames({"h", "batch"});
+BENCHMARK(BM_LinearChain)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
 void BM_LinearFused(benchmark::State& state) {
   const int h = static_cast<int>(state.range(0));
@@ -203,12 +312,15 @@ void BM_LinearFused(benchmark::State& state) {
                c.out.data);
     benchmark::DoNotOptimize(c.out.data[0]);
   }
-  state.SetItemsProcessed(state.iterations() * 2ll * n * h * 2 * h);
+  report_flops(state, 2.0 * n * h * 2 * h);
 }
-BENCHMARK(BM_LinearFused)->ArgsProduct({{16, 40}, {16, 64}})->ArgNames({"h", "batch"});
+BENCHMARK(BM_LinearFused)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
+// a (s, 64) · b (s, 64)ᵀ at both variants; the default schedule runs the
+// last (harness::apply_default_schedules).
 void BM_MatMulBT(benchmark::State& state) {
-  const int s = static_cast<int>(state.range(0));
+  const int variant = static_cast<int>(state.range(0));
+  const int s = static_cast<int>(state.range(1));
   TensorPool pool;
   Rng rng(7);
   Tensor a = pool.alloc_random(Shape(s, 64), rng, 0.5f);
@@ -217,11 +329,12 @@ void BM_MatMulBT(benchmark::State& state) {
   const float* ins[2] = {a.data, b.data};
   const Shape shapes[2] = {a.shape, b.shape};
   for (auto _ : state) {
-    run_op(OpKind::kMatMulBT, 0, ins, shapes, out.data, out.shape, 0);
+    run_op(OpKind::kMatMulBT, variant, ins, shapes, out.data, out.shape, 0);
     benchmark::DoNotOptimize(out.data[0]);
   }
+  report_flops(state, 2.0 * s * s * 64);
 }
-BENCHMARK(BM_MatMulBT)->Arg(16)->Arg(32);
+BENCHMARK(BM_MatMulBT)->ArgsProduct({{0, 1}, {16, 32}})->ArgNames({"variant", "s"});
 
 // Fiber suspension cost (DESIGN.md §1): `fibers` fibers each block once per
 // iteration, as decode sessions do at every sync point and token boundary —

@@ -6,7 +6,8 @@
 // executed op-at-a-time, gathered-then-stacked, or under any scheduler
 // produces the same floats. `variant` selects a schedule (loop order /
 // unrolling); variants are the auto-scheduler's search space and are
-// roughly ordered slowest-to-fastest (kernel_micro.cpp verifies).
+// roughly ordered slowest-to-fastest (kernel_micro.cpp verifies). The
+// kernels use SSE2, the x86-64 baseline, and allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,9 @@
 namespace acrobat {
 
 enum class OpKind : std::uint8_t {
-  // Dense family (3 variants).
+  // Dense family (3 variants). kDense's variant 2 is a register-blocked SSE
+  // tile over up to 4 rows whose per-(row, output) sum order is fixed
+  // (DESIGN.md §3), so any row count gives the same floats per row.
   kDense,     // ins: x (k) or (m,k), W (n,k) row-major → x·Wᵀ, shape (n)/(m,n)
   kMatMul,    // ins: a (m,k) or (k), b (k,n) → a·b
   kMatMulBT,  // ins: a (m,k), b (n,k) → a·bᵀ
@@ -27,7 +30,9 @@ enum class OpKind : std::uint8_t {
   kSub,
   kMul,
 
-  // Elementwise unary (2 variants).
+  // Elementwise unary (2 variants). Every tanh here and in the fused and
+  // cell kernels below is one rational function, within 4e-7 of std::tanh
+  // (DESIGN.md §3); kTanh's variant 1 runs it 4 lanes at a time.
   kTanh,
   kSigmoid,
   kRelu,
@@ -83,8 +88,9 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* in_s
 
 // kLinear over `rows` rows addressed by pointer, the engine's gather-fused
 // batch call: row r is act(W·[x[r]; h[r]] + b), x[r] kx wide and h[r] kh
-// wide (kh == 0: no h), written to out + r·n. Each row runs run_op's row
-// loop, so one call is bitwise equal to `rows` single-row run_op calls.
+// wide (kh == 0: no h), written to out + r·n. Each output's sum order
+// depends only on its row, so one call is bitwise equal to `rows`
+// single-row run_op calls.
 void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
                 const float* const* h, int kh, const float* w, const float* b, int n, int rows,
                 float* out);

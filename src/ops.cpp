@@ -1,5 +1,8 @@
 #include "tensor/ops.h"
 
+#include <emmintrin.h>  // SSE2, the x86-64 baseline
+
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -8,76 +11,200 @@ namespace {
 
 inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
+// tanh as one rational function: x clamped to ±kTanhClamp, an odd degree-13
+// numerator over an even degree-6 denominator, and the identity below
+// kTanhTiny, where tanh(x) rounds to x. The coefficients are the minimax fit
+// that Eigen's and XLA's float tanh use. With y = x², the numerator is
+// x·P0 + (x·y)·P'(y), P' by Horner, and the denominator is Estrin's
+// (Q0 + Q1·y) + (Q2 + Q3·y)·y². Of the orders tried, this one has the least
+// rounding error: 3.4e-7 at worst against exact tanh, every float checked
+// (plain Horner on both: 4.1e-7). kTanhClamp is the first float past 7.9 at
+// which this evaluation rounds to exactly 1, so saturated inputs give ±1 and
+// 1 - tanh(kTanhClamp) = 2.7e-7 bounds the error beyond it. ±inf → ±1,
+// NaN → NaN (minps/maxps return their second operand, here the input, on a
+// NaN), ±0 kept.
+//
+// There is one implementation: tanh_ss is lane 0 of tanh_ps, so a scalar
+// site and a SIMD lane round identically and every tanh site agrees with
+// every other (DESIGN.md §3). Separate multiplies and adds (the library
+// builds with -ffp-contract=off) and a correctly rounded divide fix each
+// lane's rounding; the selects keep it branch-free.
+constexpr float kTanhClamp = 7.90338278f;
+constexpr float kTanhTiny = 4e-4f;
+constexpr float kTanhP[7] = {4.89352455891786e-03f,  6.37261928875436e-04f,
+                             1.48572235717979e-05f,  5.12229709037114e-08f,
+                             -8.60467152213735e-11f, 2.00018790482477e-13f,
+                             -2.76076847742355e-16f};  // x¹, x³, …, x¹³
+constexpr float kTanhQ[4] = {4.89352518554385e-03f, 2.26843463243900e-03f,
+                             1.18534705686654e-04f, 1.19825839466702e-06f};  // x⁰, …, x⁶
+
+inline __m128 tanh_ps(__m128 a) {
+  const auto c = [](float v) { return _mm_set1_ps(v); };
+  const auto mul_add = [](__m128 u, __m128 v, __m128 w) {  // u + v·w
+    return _mm_add_ps(u, _mm_mul_ps(v, w));
+  };
+  __m128 x = _mm_min_ps(c(kTanhClamp), a);
+  x = _mm_max_ps(c(-kTanhClamp), x);
+  const __m128 y = _mm_mul_ps(x, x), y2 = _mm_mul_ps(y, y);
+  __m128 p = mul_add(c(kTanhP[5]), y, c(kTanhP[6]));
+  for (int d = 4; d >= 1; --d) p = mul_add(c(kTanhP[d]), y, p);
+  p = mul_add(_mm_mul_ps(x, c(kTanhP[0])), _mm_mul_ps(x, y), p);
+  const __m128 q =
+      mul_add(mul_add(c(kTanhQ[0]), c(kTanhQ[1]), y), mul_add(c(kTanhQ[2]), c(kTanhQ[3]), y), y2);
+  const __m128 r = _mm_div_ps(p, q);
+  const __m128 tiny = _mm_cmplt_ps(_mm_andnot_ps(c(-0.0f), a), c(kTanhTiny));
+  return _mm_or_ps(_mm_and_ps(tiny, a), _mm_andnot_ps(tiny, r));
+}
+
+inline float tanh_ss(float a) { return _mm_cvtss_f32(tanh_ps(_mm_set_ss(a))); }
+
+// o[i] = tanh(a[i]), 4 lanes at a time; `a` may alias `o`.
+void tanh_n(const float* a, std::int64_t n, float* o) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4) _mm_storeu_ps(o + i, tanh_ps(_mm_loadu_ps(a + i)));
+  for (; i < n; ++i) o[i] = tanh_ss(a[i]);
+}
+
 // One output row of [x;h] · Wᵀ with W (n, kx+kh) row-major: the row's
 // input is x (kx wide) followed by h (kh wide, absent when kh == 0), read
 // in place — a virtual concat. Each variant's per-output accumulation order
 // depends only on the position in [x;h], never on where the split falls,
 // so a split row is bitwise equal to the same row concatenated first.
-// Variants 0 and 1 sum i-ascending; variant 2 keeps 4 accumulators, one per
-// position mod 4, then adds the (k mod 4) tail i-ascending. The variants
-// therefore agree only up to float reassociation.
+// Variants 0 and 1 sum i-ascending; variant 2 (dot_tile below) keeps 4
+// accumulators, one per position mod 4, then adds the (k mod 4) tail
+// i-ascending. The variants therefore agree only up to float reassociation.
 void dense_row(int variant, const float* x, int kx, const float* h, int kh, const float* w,
                int n, float* o) {
   const int k = kx + kh;
-  const auto at = [&](int i) { return i < kx ? x[i] : h[i - kx]; };
-  switch (variant) {
-    case 0:  // i-outer: strided walk over W, cache-hostile on purpose.
-      for (int j = 0; j < n; ++j) o[j] = 0.0f;
-      for (int i = 0; i < k; ++i) {
-        const float xi = at(i);
-        for (int j = 0; j < n; ++j) o[j] += xi * w[static_cast<std::int64_t>(j) * k + i];
+  if (variant == 0) {  // i-outer: strided walk over W, cache-hostile on purpose.
+    const auto at = [&](int i) { return i < kx ? x[i] : h[i - kx]; };
+    for (int j = 0; j < n; ++j) o[j] = 0.0f;
+    for (int i = 0; i < k; ++i) {
+      const float xi = at(i);
+      for (int j = 0; j < n; ++j) o[j] += xi * w[static_cast<std::int64_t>(j) * k + i];
+    }
+    return;
+  }
+  for (int j = 0; j < n; ++j) {  // 1: o-outer, contiguous inner dot products.
+    const float* wj = w + static_cast<std::int64_t>(j) * k;
+    float acc = 0.0f;
+    for (int i = 0; i < kx; ++i) acc += x[i] * wj[i];
+    for (int i = 0; i < kh; ++i) acc += h[i] * wj[kx + i];
+    o[j] = acc;
+  }
+}
+
+// (a0 + a1) + (a2 + a3) of the lanes of a.
+inline float fold4(__m128 a) {
+  const __m128 s = _mm_add_ps(a, _mm_shuffle_ps(a, a, _MM_SHUFFLE(2, 3, 0, 1)));
+  return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehl_ps(s, s)));
+}
+
+// Variant 2 for rows [x[r]; h[r]], r < R, and outputs j0 .. j0+J-1, written
+// to out[r·n + j]. Each (row, output) pair owns one SSE accumulator whose
+// lane l sums the products at positions ≡ l (mod 4) of [x;h], 4-blocks
+// ascending; then the (a0+a1)+(a2+a3) fold and the (k mod 4) tail added
+// i-ascending. That is the order of a scalar loop with four accumulators,
+// so each output is independent of R, J and the batch width. Per 4-block,
+// each W load serves R rows and each x load J outputs, with R·J add chains
+// in flight. The one block that straddles the split is staged on the stack.
+template <int R, int J>
+void dot_tile(const float* const* x, const float* const* h, int kx, int kh, const float* w,
+              int n, int j0, float* out) {
+  const int k = kx + kh;
+  const float* wj[J];
+  for (int j = 0; j < J; ++j) wj[j] = w + static_cast<std::int64_t>(j0 + j) * k;
+  __m128 acc[R][J];
+  for (int r = 0; r < R; ++r)
+    for (int j = 0; j < J; ++j) acc[r][j] = _mm_setzero_ps();
+  // One 4-block at position i of W; row r's four inputs start at src[r] + off.
+  const auto block = [&](const float* const* src, int off, int i) {
+    __m128 wv[J];
+    for (int j = 0; j < J; ++j) wv[j] = _mm_loadu_ps(wj[j] + i);
+    for (int r = 0; r < R; ++r) {
+      const __m128 xv = _mm_loadu_ps(src[r] + off);
+      for (int j = 0; j < J; ++j) acc[r][j] = _mm_add_ps(acc[r][j], _mm_mul_ps(xv, wv[j]));
+    }
+  };
+  const auto at = [&](int r, int i) { return i < kx ? x[r][i] : h[r][i - kx]; };
+  int i = 0;
+  for (; i + 4 <= kx; i += 4) block(x, i, i);
+  if (kh > 0) {
+    if (i < kx && i + 4 <= k) {
+      float staged[R][4];
+      const float* rows[R];
+      for (int r = 0; r < R; ++r) {
+        for (int l = 0; l < 4; ++l) staged[r][l] = at(r, i + l);
+        rows[r] = staged[r];
       }
-      return;
-    case 1:  // o-outer, contiguous inner dot products.
-      for (int j = 0; j < n; ++j) {
-        const float* wj = w + static_cast<std::int64_t>(j) * k;
-        float acc = 0.0f;
-        for (int i = 0; i < kx; ++i) acc += x[i] * wj[i];
-        for (int i = 0; i < kh; ++i) acc += h[i] * wj[kx + i];
-        o[j] = acc;
-      }
-      return;
-    default:  // 2: contiguous dots with 4-wide accumulators.
-      for (int j = 0; j < n; ++j) {
-        const float* wj = w + static_cast<std::int64_t>(j) * k;
-        float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-        int i = 0;
-        for (; i + 4 <= kx; i += 4) {
-          a0 += x[i] * wj[i];
-          a1 += x[i + 1] * wj[i + 1];
-          a2 += x[i + 2] * wj[i + 2];
-          a3 += x[i + 3] * wj[i + 3];
-        }
-        // Guarded so the plain dense (kh == 0) keeps the single loop above,
-        // which the compiler vectorizes better.
-        if (kh > 0) {
-          for (; i < kx && i + 4 <= k; i += 4) {  // the block that straddles the split
-            a0 += at(i) * wj[i];
-            a1 += at(i + 1) * wj[i + 1];
-            a2 += at(i + 2) * wj[i + 2];
-            a3 += at(i + 3) * wj[i + 3];
-          }
-          for (; i + 4 <= k; i += 4) {
-            const float* hi = h + (i - kx);
-            a0 += hi[0] * wj[i];
-            a1 += hi[1] * wj[i + 1];
-            a2 += hi[2] * wj[i + 2];
-            a3 += hi[3] * wj[i + 3];
-          }
-        }
-        float acc = (a0 + a1) + (a2 + a3);
-        for (; i < k; ++i) acc += at(i) * wj[i];
-        o[j] = acc;
-      }
-      return;
+      block(rows, 0, i);
+      i += 4;
+    }
+    for (; i + 4 <= k; i += 4) block(h, i - kx, i);
+  }
+  // Fold with compile-time indices first: a runtime-indexed acc would live
+  // on the stack through the loops above.
+  float s[R][J];
+  for (int r = 0; r < R; ++r)
+    for (int j = 0; j < J; ++j) s[r][j] = fold4(acc[r][j]);
+  for (int r = 0; r < R; ++r)
+    for (int j = 0; j < J; ++j) {
+      for (int t = i; t < k; ++t) s[r][j] += at(r, t) * wj[j][t];
+      out[static_cast<std::int64_t>(r) * n + j0 + j] = s[r][j];
+    }
+}
+
+// All n outputs of R rows. Tiles of 1-2 rows take 4 outputs, so at least
+// 4 add chains are in flight per 4-block.
+template <int R>
+void dot_rows(const float* const* x, const float* const* h, int kx, int kh, const float* w,
+              int n, float* out) {
+  constexpr int J = R <= 2 ? 4 : 2;
+  int j = 0;
+  for (; j + J <= n; j += J) dot_tile<R, J>(x, h, kx, kh, w, n, j, out);
+  for (; j < n; ++j) dot_tile<R, 1>(x, h, kx, kh, w, n, j, out);
+}
+
+// Row r of a batch operand: entry r of a row-pointer array, else base + r·stride.
+struct RowSrc {
+  const float* const* ptrs = nullptr;
+  const float* base = nullptr;
+  int stride = 0;
+  const float* operator[](int r) const {
+    return ptrs ? ptrs[r] : base + static_cast<std::int64_t>(r) * stride;
+  }
+};
+
+constexpr int kTileRows = 4;
+
+// Rows [r0, r0 + R) of [x;h] · Wᵀ, R ≤ kTileRows, into out + r·n.
+void dense_rows(int variant, RowSrc x, int kx, RowSrc h, int kh, const float* w, int n, int r0,
+                int R, float* out) {
+  if (variant < 2) {
+    for (int r = r0; r < r0 + R; ++r)
+      dense_row(variant, x[r], kx, kh > 0 ? h[r] : nullptr, kh, w, n,
+                out + static_cast<std::int64_t>(r) * n);
+    return;
+  }
+  const float* xr[kTileRows];
+  const float* hr[kTileRows];
+  for (int r = 0; r < R; ++r) {
+    xr[r] = x[r0 + r];
+    hr[r] = kh > 0 ? h[r0 + r] : nullptr;
+  }
+  float* o = out + static_cast<std::int64_t>(r0) * n;
+  switch (R) {
+    case 1: dot_rows<1>(xr, hr, kx, kh, w, n, o); return;
+    case 2: dot_rows<2>(xr, hr, kx, kh, w, n, o); return;
+    case 3: dot_rows<3>(xr, hr, kx, kh, w, n, o); return;
+    default: dot_rows<4>(xr, hr, kx, kh, w, n, o); return;
   }
 }
 
 // x (m,k) · Wᵀ with W (n,k) row-major.
 void dense(int variant, const float* x, int m, int k, const float* w, int n, float* out) {
-  for (int r = 0; r < m; ++r)
-    dense_row(variant, x + static_cast<std::int64_t>(r) * k, k, nullptr, 0, w, n,
-              out + static_cast<std::int64_t>(r) * n);
+  for (int r0 = 0; r0 < m; r0 += kTileRows)
+    dense_rows(variant, {nullptr, x, k}, k, {}, 0, w, n, r0, std::min(kTileRows, m - r0), out);
 }
 
 // Row-wise softmax; `a` may alias `o`.
@@ -93,17 +220,24 @@ void softmax_row(const float* a, int cols, float* o) {
   for (int j = 0; j < cols; ++j) o[j] *= inv;
 }
 
-// One kLinear row: the dense row, then the bias add and the epilogue as
-// separate passes, each the same float op the kAdd / kTanh / kSoftmax
-// kernels apply — which is what makes kLinear bitwise equal to that chain.
-void linear_row(int variant, std::int64_t act, const float* x, int kx, const float* h, int kh,
-                const float* w, const float* b, int n, float* o) {
-  dense_row(variant, x, kx, h, kh, w, n, o);
-  for (int j = 0; j < n; ++j) o[j] = o[j] + b[j];
-  if (act == kLinearTanh) {
-    for (int j = 0; j < n; ++j) o[j] = std::tanh(o[j]);
-  } else if (act == kLinearSoftmax) {
-    softmax_row(o, n, o);
+// kLinear over `rows` rows: the dense rows a tile at a time, then on each
+// row the bias add and the epilogue as separate passes, each the same float
+// op the kAdd / kTanh / kSoftmax kernels apply — which is what makes kLinear
+// bitwise equal to that chain.
+void linear(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h, int kh, const float* w,
+            const float* b, int n, int rows, float* out) {
+  for (int r0 = 0; r0 < rows; r0 += kTileRows) {
+    const int R = std::min(kTileRows, rows - r0);
+    dense_rows(variant, x, kx, h, kh, w, n, r0, R, out);
+    for (int r = r0; r < r0 + R; ++r) {
+      float* o = out + static_cast<std::int64_t>(r) * n;
+      for (int j = 0; j < n; ++j) o[j] = o[j] + b[j];
+      if (act == kLinearTanh) {
+        tanh_n(o, n, o);
+      } else if (act == kLinearSoftmax) {
+        softmax_row(o, n, o);
+      }
+    }
   }
 }
 
@@ -372,7 +506,11 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       binary(variant, ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a * b; });
       return;
     case OpKind::kTanh:
-      unary(variant, ins[0], s[0].numel(), out, [](float a) { return std::tanh(a); });
+      if (variant == 0) {  // one element at a time
+        unary(0, ins[0], s[0].numel(), out, tanh_ss);
+      } else {
+        tanh_n(ins[0], s[0].numel(), out);
+      }
       return;
     case OpKind::kSigmoid:
       unary(variant, ins[0], s[0].numel(), out, sigmoidf);
@@ -394,7 +532,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const std::int64_t off = static_cast<std::int64_t>(r) * cols;
         for (int j = 0; j < cols; ++j) {
           const float v = ins[0][off + j] + ins[1][off + j] + ins[2][j];
-          out[off + j] = tanh_act ? std::tanh(v) : sigmoidf(v);
+          out[off + j] = tanh_act ? tanh_ss(v) : sigmoidf(v);
         }
       }
       return;
@@ -407,7 +545,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
     }
     case OpKind::kMulTanh: {
       const std::int64_t n = s[0].numel();
-      for (std::int64_t i = 0; i < n; ++i) out[i] = ins[0][i] * std::tanh(ins[1][i]);
+      for (std::int64_t i = 0; i < n; ++i) out[i] = ins[0][i] * tanh_ss(ins[1][i]);
       return;
     }
     case OpKind::kLstmNewC: {
@@ -418,7 +556,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
         float* o = out + static_cast<std::int64_t>(r) * n;
         for (int j = 0; j < n; ++j)
-          o[j] = sigmoidf(g[n + j] + 1.0f) * c[j] + sigmoidf(g[j]) * std::tanh(g[2 * n + j]);
+          o[j] = sigmoidf(g[n + j] + 1.0f) * c[j] + sigmoidf(g[j]) * tanh_ss(g[2 * n + j]);
       }
       return;
     }
@@ -429,7 +567,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const float* g = ins[0] + static_cast<std::int64_t>(r) * 4 * n;
         const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
         float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) o[j] = sigmoidf(g[3 * n + j]) * std::tanh(c[j]);
+        for (int j = 0; j < n; ++j) o[j] = sigmoidf(g[3 * n + j]) * tanh_ss(c[j]);
       }
       return;
     }
@@ -442,7 +580,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         float* o = out + static_cast<std::int64_t>(r) * n;
         for (int j = 0; j < n; ++j) {
           const float z = sigmoidf(g[j]);
-          o[j] = (1.0f - z) * h[j] + z * std::tanh(g[2 * n + j]);
+          o[j] = (1.0f - z) * h[j] + z * tanh_ss(g[2 * n + j]);
         }
       }
       return;
@@ -466,12 +604,8 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       const int n = out_shape.cols();
       const bool split = s[2].numel() != n;
       const int kx = s[0].cols(), kh = split ? s[1].cols() : 0;
-      const float* w = ins[split ? 2 : 1];
-      const float* b = ins[split ? 3 : 2];
-      for (int r = 0; r < s[0].rows(); ++r)
-        linear_row(variant, attr, ins[0] + static_cast<std::int64_t>(r) * kx, kx,
-                   split ? ins[1] + static_cast<std::int64_t>(r) * kh : nullptr, kh, w, b, n,
-                   out + static_cast<std::int64_t>(r) * n);
+      linear(variant, attr, {nullptr, ins[0], kx}, kx, {nullptr, split ? ins[1] : nullptr, kh},
+             kh, ins[split ? 2 : 1], ins[split ? 3 : 2], n, s[0].rows(), out);
       return;
     }
     case OpKind::kSumAll: {
@@ -504,9 +638,7 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
 void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
                 const float* const* h, int kh, const float* w, const float* b, int n, int rows,
                 float* out) {
-  for (int r = 0; r < rows; ++r)
-    linear_row(variant, act, x[r], kx, kh > 0 ? h[r] : nullptr, kh, w, b, n,
-               out + static_cast<std::int64_t>(r) * n);
+  linear(variant, act, {x}, kx, {h}, kh, w, b, n, rows, out);
 }
 
 }  // namespace acrobat

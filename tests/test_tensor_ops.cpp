@@ -1,6 +1,13 @@
 // Tensor-op correctness against hand-computed references, and variant
 // agreement (every schedule variant of a kernel computes the same function).
+// The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
+// tile against the per-row loop it replaced, and the SSE tanh's lanes
+// against its one-element form, with a tolerance check of that tanh against
+// std::tanh.
+#include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "support/rng.h"
@@ -196,6 +203,213 @@ void test_linear_row_pointers() {
   }
 }
 
+// Dense variant 2 as a per-row loop: four accumulators, one per position
+// mod 4 of [x;h], the (a0+a1)+(a2+a3) fold, then the (k mod 4) tail
+// i-ascending. The reference the register-blocked tile must match bitwise.
+void dense_row_v2_ref(const float* x, int kx, const float* h, int kh, const float* w, int n,
+                      float* o) {
+  const int k = kx + kh;
+  const auto at = [&](int i) { return i < kx ? x[i] : h[i - kx]; };
+  for (int j = 0; j < n; ++j) {
+    const float* wj = w + static_cast<std::int64_t>(j) * k;
+    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
+    int i = 0;
+    for (; i + 4 <= k; i += 4) {
+      a0 += at(i) * wj[i];
+      a1 += at(i + 1) * wj[i + 1];
+      a2 += at(i + 2) * wj[i + 2];
+      a3 += at(i + 3) * wj[i + 3];
+    }
+    float acc = (a0 + a1) + (a2 + a3);
+    for (; i < k; ++i) acc += at(i) * wj[i];
+    o[j] = acc;
+  }
+}
+
+// Every variant-2 entry point — kDense stacked (x-only and over [x;h]
+// concatenated), kLinear through run_op (stacked, split or not) and
+// run_linear over scattered row pointers — is bitwise the per-row loop.
+// Rows 1-9 cover every row-tile remainder, n every output-tile remainder,
+// and the (kx, kh) list k mod 4 ∈ {0, 1, 2, 3}, splits with kx mod 4 ≠ 0
+// (a 4-block straddles x and h, or only the tail does), and kh = 0.
+void test_dense_tile_matches_row_loop() {
+  struct K {
+    int kx, kh;
+  };
+  const K ks[] = {{1, 0},  {3, 0},   {16, 0}, {17, 0}, {18, 0}, {19, 0}, {40, 0},
+                  {16, 16}, {40, 40}, {7, 13}, {5, 6},  {6, 3},  {3, 2},  {1, 1},
+                  {2, 1},   {13, 7},  {9, 30}};
+  const int ns[] = {1, 2, 3, 5, 16, 48, 120};
+  TensorPool pool;
+  Rng rng(17);
+  int bad = 0;
+  for (const K& c : ks) {
+    const int k = c.kx + c.kh;
+    for (const int n : ns) {
+      const Tensor w = pool.alloc_random(Shape(n, k), rng, 0.3f);
+      const Tensor b = pool.alloc_random(RowVec(n), rng, 0.2f);
+      for (int rows = 1; rows <= 9; ++rows) {
+        std::vector<const float*> xp, hp;
+        for (int r = 0; r < rows; ++r) {
+          xp.push_back(pool.alloc_random(RowVec(c.kx), rng, 1.0f).data);
+          pool.alloc(RowVec(3));  // padding: rows are not back to back
+          hp.push_back(c.kh > 0 ? pool.alloc_random(RowVec(c.kh), rng, 1.0f).data : nullptr);
+        }
+        std::vector<float> xs, hs, xh, want(static_cast<std::size_t>(rows) * n);
+        for (int r = 0; r < rows; ++r) {
+          xs.insert(xs.end(), xp[r], xp[r] + c.kx);
+          xh.insert(xh.end(), xp[r], xp[r] + c.kx);
+          if (c.kh == 0) continue;
+          hs.insert(hs.end(), hp[r], hp[r] + c.kh);
+          xh.insert(xh.end(), hp[r], hp[r] + c.kh);
+        }
+        for (int r = 0; r < rows; ++r)
+          dense_row_v2_ref(xp[r], c.kx, hp[r], c.kh, w.data, n, want.data() + r * n);
+        std::vector<float> biased(want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) biased[i] = want[i] + b.data[i % n];
+
+        const auto same = [&](const std::vector<float>& got, const std::vector<float>& ref,
+                              const char* what) {
+          if (std::memcmp(got.data(), ref.data(), ref.size() * sizeof(float)) == 0) return;
+          if (++bad <= 10)
+            std::printf("  %s differs: rows=%d n=%d kx=%d kh=%d\n", what, rows, n, c.kx, c.kh);
+        };
+        std::vector<float> got(want.size());
+        const Shape os(rows, n);
+        const Shape dshapes[2] = {Shape(rows, k), w.shape};
+        const float* dins[2] = {xh.data(), w.data};
+        run_op(OpKind::kDense, 2, dins, dshapes, got.data(), os, 0);
+        same(got, want, "kDense");
+
+        const Shape lshapes[4] = {Shape(rows, c.kx), Shape(rows, c.kh), w.shape, b.shape};
+        const float* lins[4] = {xs.data(), hs.data(), w.data, b.data};
+        const Shape lshapes1[3] = {lshapes[0], w.shape, b.shape};
+        const float* lins1[3] = {xs.data(), w.data, b.data};
+        const bool split = c.kh > 0;
+        run_op(OpKind::kLinear, 2, split ? lins : lins1, split ? lshapes : lshapes1, got.data(),
+               os, kLinearIdentity);
+        same(got, biased, "kLinear run_op");
+
+        run_linear(2, kLinearIdentity, xp.data(), c.kx, hp.data(), c.kh, w.data, b.data, n,
+                   rows, got.data());
+        same(got, biased, "run_linear");
+      }
+    }
+  }
+  CHECK_EQ(bad, 0);
+}
+
+std::vector<float> run_tanh(int variant, const std::vector<float>& a) {
+  std::vector<float> out(a.size());
+  const Shape s = RowVec(static_cast<int>(a.size()));
+  const float* ins[1] = {a.data()};
+  run_op(OpKind::kTanh, variant, ins, &s, out.data(), s, 0);
+  return out;
+}
+
+// kTanh variant 1 runs the SSE tanh over 4-blocks and the one-element form
+// on the tail; variant 0 is one element at a time throughout. Every length
+// 1-11 (tails of 1-3) over inputs from every branch of the function: the
+// identity below 4e-4, the rational range and the clamp.
+void test_tanh_simd_matches_scalar() {
+  Rng rng(23);
+  for (int len = 1; len <= 11; ++len) {
+    for (int rep = 0; rep < 50; ++rep) {
+      std::vector<float> a(len);
+      for (float& v : a) {
+        switch (rng.uniform_int(3)) {
+          case 0: v = rng.uniform(5e-4f); break;
+          case 1: v = rng.uniform(6.0f); break;
+          default: v = rng.uniform(12.0f); break;
+        }
+      }
+      const std::vector<float> scalar = run_tanh(0, a), simd = run_tanh(1, a);
+      CHECK(std::memcmp(scalar.data(), simd.data(), a.size() * sizeof(float)) == 0);
+    }
+  }
+}
+
+// Within 4e-7 of std::tanh over a dense sweep of [-12, 12], plus a
+// geometric sweep of small magnitudes across the identity cutoff.
+void test_tanh_accuracy() {
+  std::vector<float> a;
+  for (int i = -1200000; i <= 1200000; ++i) a.push_back(static_cast<float>(i) * 1e-5f);
+  for (float m = 1e-9f; m < 1.0f; m *= 1.001f) {
+    a.push_back(m);
+    a.push_back(-m);
+  }
+  for (int variant = 0; variant < op_num_variants(OpKind::kTanh); ++variant) {
+    const std::vector<float> got = run_tanh(variant, a);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      worst = std::max(worst, std::fabs(static_cast<double>(got[i]) - std::tanh(a[i])));
+    CHECK(worst <= 4e-7);
+  }
+}
+
+// ±inf → ±1, NaN → NaN, ±0 → ±0, at both variants and in both the SIMD
+// block (indices 0-3) and the scalar tail (index 4).
+void test_tanh_edges() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float in[5] = {inf, -inf, nan, -0.0f, 0.0f};
+  for (int variant = 0; variant < op_num_variants(OpKind::kTanh); ++variant) {
+    for (int shift = 0; shift < 5; ++shift) {  // every value in every slot
+      std::vector<float> a(5);
+      for (int i = 0; i < 5; ++i) a[(i + shift) % 5] = in[i];
+      const std::vector<float> got = run_tanh(variant, a);
+      CHECK(got[shift % 5] == 1.0f);
+      CHECK(got[(1 + shift) % 5] == -1.0f);
+      CHECK(std::isnan(got[(2 + shift) % 5]));
+      CHECK(got[(3 + shift) % 5] == 0.0f && std::signbit(got[(3 + shift) % 5]));
+      CHECK(got[(4 + shift) % 5] == 0.0f && !std::signbit(got[(4 + shift) % 5]));
+    }
+  }
+}
+
+// Every tanh site computes the same tanh, bitwise: kAddBiasTanh with zero
+// addends, kMulTanh by 1, and the LSTM/GRU pointwise kernels with gates
+// saturated so σ = 1 exactly (σ(100) rounds to 1.0f) all equal kTanh.
+void test_tanh_sites_agree() {
+  constexpr int n = 7;
+  Rng rng(29);
+  std::vector<float> v(n), zeros(n, 0.0f), ones(n, 1.0f);
+  for (float& x : v) x = rng.uniform(6.0f);
+  const std::vector<float> want = run_tanh(1, v);
+  std::vector<float> got(n);
+  const Shape row = RowVec(n);
+  const auto same = [&] { CHECK(std::memcmp(got.data(), want.data(), sizeof(float) * n) == 0); };
+
+  const float* abt[3] = {v.data(), zeros.data(), zeros.data()};
+  const Shape abt_s[3] = {row, row, row};
+  for (int variant = 0; variant < op_num_variants(OpKind::kAddBiasTanh); ++variant) {
+    run_op(OpKind::kAddBiasTanh, variant, abt, abt_s, got.data(), row, 0);
+    same();
+  }
+  const float* mt[2] = {ones.data(), v.data()};
+  run_op(OpKind::kMulTanh, 0, mt, abt_s, got.data(), row, 0);
+  same();
+
+  // LSTM gates [i f g o]: new c = σ(f+1)·0 + σ(100)·tanh(g); new h = σ(100)·tanh(c').
+  std::vector<float> lstm(4 * n, 100.0f);
+  std::copy(v.begin(), v.end(), lstm.begin() + 2 * n);
+  const float* lc[2] = {lstm.data(), zeros.data()};
+  const Shape ls[2] = {RowVec(4 * n), row};
+  run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
+  same();
+  const float* lh[2] = {lstm.data(), v.data()};
+  run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
+  same();
+
+  // GRU gates [z r ĥ]: (1 - σ(100))·h + σ(100)·tanh(ĥ).
+  std::vector<float> gru(3 * n, 100.0f);
+  std::copy(v.begin(), v.end(), gru.begin() + 2 * n);
+  const float* gp[2] = {gru.data(), ones.data()};
+  const Shape gs[2] = {RowVec(3 * n), row};
+  run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
+  same();
+}
+
 }  // namespace
 
 int main() {
@@ -207,5 +421,10 @@ int main() {
   test_lstm_pointwise();
   test_linear_matches_chain();
   test_linear_row_pointers();
+  test_dense_tile_matches_row_loop();
+  test_tanh_simd_matches_scalar();
+  test_tanh_accuracy();
+  test_tanh_edges();
+  test_tanh_sites_agree();
   return acrobat::test::finish("test_tensor_ops");
 }

@@ -24,19 +24,6 @@ struct StepStats {
   long long bwd_launches = 0;
 };
 
-void collect_trefs(const Value& v, std::vector<TRef>& out) {
-  switch (v.kind) {
-    case Value::kTensor: out.push_back(v.tref); return;
-    case Value::kAdt:
-      for (const Value& f : v.adt->fields) collect_trefs(f, out);
-      return;
-    case Value::kTuple:
-      for (const Value& e : v.tuple->elems) collect_trefs(e, out);
-      return;
-    default: return;
-  }
-}
-
 // One training step over `instances` (a subset of ds indices).
 StepStats train_step(const harness::Prepared& p, const models::Dataset& ds,
                      const std::vector<int>& instances, bool tdcf) {
@@ -52,39 +39,34 @@ StepStats train_step(const harness::Prepared& p, const models::Dataset& ds,
     wrefs.push_back(engine.add_concrete(t.view()));
   std::vector<TRef> drefs;
   for (const auto& t : ds.tensors) drefs.push_back(engine.add_concrete(t.view()));
-  aot::AotExecutor exec(p.compiled.program, engine, wrefs);
+  aot::AotExecutor exec(p.compiled.program, engine, std::move(wrefs));
 
-  std::vector<Value> results(instances.size());
+  // Per-instance output refs, so the seeds keep instance order however the
+  // fibers finish.
+  std::vector<std::vector<TRef>> outs(instances.size());
+  const auto run_one = [&](std::size_t i) {
+    InstCtx ctx;
+    ctx.instance = static_cast<int>(i);
+    exec.run(ds.inputs[instances[i]], drefs, ctx, outs[i]);
+  };
   if (tdcf) {
     FiberScheduler fs;
     engine.set_fiber_scheduler(&fs);
     std::vector<FiberTask> mains;
-    for (std::size_t i = 0; i < instances.size(); ++i)
-      mains.push_back([&, i] {
-        InstCtx ctx;
-        ctx.instance = static_cast<int>(i);
-        const Value in = models::remap_trefs(ds.inputs[instances[i]], drefs);
-        results[i] = exec.run(std::span<const Value>(&in, 1), ctx);
-      });
+    for (std::size_t i = 0; i < instances.size(); ++i) mains.push_back([&, i] { run_one(i); });
     fs.run(std::move(mains), [&] { engine.trigger_execution(); });
     engine.set_fiber_scheduler(nullptr);
   } else {
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      InstCtx ctx;
-      ctx.instance = static_cast<int>(i);
-      const Value in = models::remap_trefs(ds.inputs[instances[i]], drefs);
-      results[i] = exec.run(std::span<const Value>(&in, 1), ctx);
-    }
+    for (std::size_t i = 0; i < instances.size(); ++i) run_one(i);
   }
   engine.trigger_execution();
 
-  std::vector<TRef> outs;
-  for (const Value& v : results) collect_trefs(v, outs);
   std::vector<grad::Seed> seeds;
-  for (const TRef& r : outs) {
-    const Tensor t = engine.force(r);
-    seeds.push_back({r, std::vector<float>(t.numel(), 1.f)});
-  }
+  for (const std::vector<TRef>& inst : outs)
+    for (const TRef r : inst) {
+      const Tensor t = engine.force(r);
+      seeds.push_back({r, std::vector<float>(t.numel(), 1.f)});
+    }
   grad::BackwardOptions bopts;
   bopts.launch_overhead_ns = kLaunchNs;
   const grad::BackwardResult bw =

@@ -25,6 +25,7 @@
 #include "engine/kernels.h"
 #include "engine/value.h"
 #include "support/timer.h"
+#include "tensor/block_cache.h"
 #include "tensor/tensor.h"
 
 namespace acrobat {
@@ -471,7 +472,10 @@ class Engine {
   // live here, outside the epoch protocol, because the const cache shares
   // them across requests of any epoch.
   TensorPool persist_arena_{1u << 12};  // small pages: a handful of constants
-  std::vector<Node> nodes_;
+  // Node table storage comes from the process-wide block cache (64 KB and
+  // up, power-of-two blocks), so a closed batch's fresh engine regrows its
+  // table into warm pages instead of fresh mappings (DESIGN.md §4).
+  std::vector<Node, block_cache::Allocator<Node>> nodes_;
   std::vector<std::uint32_t> pending_;
   std::vector<ExecBatch> exec_log_;
   std::unordered_map<int, TRef> const_cache_;  // const_reuse: kernel id → node

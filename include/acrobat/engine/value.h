@@ -9,8 +9,9 @@
 namespace acrobat {
 
 // Handle to an engine tensor node (a future until the engine executes it).
-// In a Dataset, `id` indexes the dataset's tensor list instead until
-// models::remap_trefs swaps in real engine refs.
+// In a Dataset, `id` indexes the dataset's tensor list instead: the AOT
+// executor maps it to an engine ref when it reads the leaf, and the VM runs
+// a models::remap_trefs copy.
 //
 // `gen` is the slot's generation at hand-out. Without recycling every slot
 // stays at generation 0 and the field is inert; with epoch recycling

@@ -74,8 +74,9 @@ Prepared prepare(const models::ModelSpec& spec, bool large, const passes::Pipeli
 void materialize_weights(const std::string& model_name, bool large,
                          const std::vector<models::WeightDecl>& decls, Weights& out);
 
-// Collects every tensor leaf of a structured result value, in traversal
-// order (shared by run_with_engine and serve/server.h).
+// Collects every tensor leaf of a structured result value, depth-first
+// (the VM path of run_with_engine; AotExecutor::run returns its refs in
+// the same order).
 void collect_output_trefs(const Value& v, std::vector<TRef>& out);
 
 // Maps a compiled module's pipeline config onto engine behavior flags —

@@ -22,11 +22,13 @@ struct Dataset {
   std::shared_ptr<TensorPool> pool;
   std::vector<Tensor> tensors;  // raw input tensors
   // Per-instance structured input; kTensor leaves hold indices into
-  // `tensors` until remap_trefs swaps in engine refs.
+  // `tensors`. The AOT executor maps a leaf through the engine refs of
+  // `tensors` when it reads it; the VM runs a remap_trefs copy.
   std::vector<Value> inputs;
 };
 
-// Rewrites dataset tensor indices to engine TRefs (refs[i] wraps tensors[i]).
+// Rewrites dataset tensor indices to engine TRefs (refs[i] wraps tensors[i]);
+// the boxed VM's input copy.
 Value remap_trefs(const Value& v, const std::vector<TRef>& refs);
 
 struct WeightDecl {

@@ -101,9 +101,11 @@ class FiberScheduler {
   // Number of all-blocked wakeups performed (tests and diagnostics).
   long long idle_triggers() const { return idle_triggers_; }
 
-  // Stacks ever allocated by this scheduler. Under serving load fibers are
-  // created per request; the free-list pool keeps this bounded by the peak
-  // number of concurrently live fibers, not the request count.
+  // Stacks this scheduler took from the process-wide block cache
+  // (tensor/block_cache.h). Under serving load fibers are created per
+  // request; the scheduler's free-list pool keeps this bounded by the peak
+  // number of concurrently live fibers, not the request count. A dead
+  // scheduler's stacks go back to the cache for the next one.
   long long stacks_allocated() const { return stacks_allocated_; }
 
  private:
@@ -113,8 +115,12 @@ class FiberScheduler {
   // hence unique_ptr elements. `sp` is the fiber's saved stack pointer; the
   // callee-saved registers and FP control words sit on its own stack.
   struct Fiber {
+    Fiber();  // takes a stack from the block cache
+    ~Fiber();  // and gives it back
+    Fiber(const Fiber&) = delete;
+    Fiber& operator=(const Fiber&) = delete;
     void* sp = nullptr;
-    std::unique_ptr<char[]> stack;
+    char* stack = nullptr;
     FiberTask task;
     int tag = -1;
     enum State { kReady, kBlocked, kParked, kDone } state = kReady;
@@ -124,7 +130,11 @@ class FiberScheduler {
   // switches back to the scheduler for good.
   [[noreturn]] static void entry() noexcept;
 
-  static constexpr std::size_t kStackBytes = 256 * 1024;
+  // One page past 256 KB. The block cache is keyed by size, and every other
+  // owner fills its block from the bottom while a fiber touches only the
+  // top of its stack. Off the power-of-two classes, a cached stack is never
+  // handed to a node table, which would fault the rest of it in.
+  static constexpr std::size_t kStackBytes = 256 * 1024 + 4096;
 
   void* main_sp_ = nullptr;  // scheduler side's saved stack pointer
   std::vector<std::unique_ptr<Fiber>> fibers_;

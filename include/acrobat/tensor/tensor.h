@@ -11,10 +11,10 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "support/rng.h"
+#include "tensor/block_cache.h"
 
 namespace acrobat {
 
@@ -63,15 +63,27 @@ struct Tensor {
 
 // Bump-pointer arena over epoch-stamped pages. Allocations never move, so
 // engine nodes can hold raw pointers for the whole run (the backward pass
-// replays against them). By default pages are freed only when the pool
-// dies; under the serving layer's epoch protocol (DESIGN.md §7) the engine
-// stamps an epoch per batching iteration and calls `reclaim_before` once
-// every request live during a page's epochs has completed — the page then
-// returns to a per-pool free list instead of growing the footprint, and the
-// caller guarantees no live reader remains.
+// replays against them). Standard pages come from the process-wide block
+// cache (tensor/block_cache.h) and go back to it when the pool dies, so the
+// next pool takes them with their pages still resident; an oversized page
+// (one allocation larger than a standard page) is a plain heap array.
+// Under the serving layer's epoch protocol (DESIGN.md §7) the engine stamps
+// an epoch per batching iteration and calls `reclaim_before` once every
+// request live during a page's epochs has completed — the page then goes
+// back to the cache at once, and the caller guarantees no live reader
+// remains.
 class TensorPool {
  public:
   explicit TensorPool(std::size_t block_floats = 1u << 20) : block_floats_(block_floats) {}
+  TensorPool(const TensorPool&) = delete;
+  TensorPool& operator=(const TensorPool&) = delete;
+  // First page first: the partly touched last page goes back last, so the
+  // cache hands it out first. The reverse order lets small pools take full
+  // blocks while large ones touch fresh ones, which doubled batch_zoo's
+  // peak RSS (DESIGN.md §4 "Block cache").
+  ~TensorPool() {
+    for (const Page& pg : pages_) release(pg);
+  }
 
   float* alloc_raw(std::int64_t n) {
     assert(n >= 0);
@@ -80,7 +92,7 @@ class TensorPool {
       new_page(static_cast<std::size_t>(n));
     Page& pg = pages_.back();
     pg.last_epoch = epoch_;
-    float* p = pg.data.get() + used_;
+    float* p = pg.data + used_;
     used_ += n;
     total_floats_ += n;
     return p;
@@ -110,10 +122,10 @@ class TensorPool {
   // Stamps subsequent allocations with epoch `e` (monotone non-decreasing).
   void set_epoch(std::uint64_t e) { epoch_ = e; }
 
-  // Returns every page whose last allocation predates `min_live_epoch` to
-  // the free-page pool; the current bump page is kept as the allocation
-  // target (its cursor rewinds instead when it qualifies). Caller contract:
-  // nothing live still reads those pages.
+  // Releases every page whose last allocation predates `min_live_epoch`;
+  // the current bump page is kept as the allocation target (its cursor
+  // rewinds instead when it qualifies). Caller contract: nothing live still
+  // reads those pages.
   std::size_t reclaim_before(std::uint64_t min_live_epoch) {
     std::size_t reclaimed = 0;
     for (std::size_t i = 0; i + 1 < pages_.size();) {
@@ -122,10 +134,10 @@ class TensorPool {
         continue;
       }
       active_floats_ -= static_cast<std::int64_t>(pages_[i].size);
-      free_pages_.push_back(std::move(pages_[i]));
+      release(pages_[i]);
       // Fill the hole while keeping the bump page last.
-      if (i + 2 < pages_.size()) pages_[i] = std::move(pages_[pages_.size() - 2]);
-      pages_[pages_.size() - 2] = std::move(pages_.back());
+      if (i + 2 < pages_.size()) pages_[i] = pages_[pages_.size() - 2];
+      pages_[pages_.size() - 2] = pages_.back();
       pages_.pop_back();
       ++reclaimed;
       ++pages_recycled_;
@@ -147,38 +159,34 @@ class TensorPool {
 
  private:
   struct Page {
-    std::unique_ptr<float[]> data;
+    float* data = nullptr;
     std::size_t size = 0;
     std::uint64_t last_epoch = 0;  // most recent epoch that allocated here
   };
 
   void new_page(std::size_t n) {
     Page pg;
-    // Reuse the first free page large enough; oversized requests fall
-    // through to a dedicated allocation.
-    for (std::size_t i = 0; i < free_pages_.size(); ++i) {
-      if (free_pages_[i].size >= n) {
-        pg = std::move(free_pages_[i]);
-        free_pages_[i] = std::move(free_pages_.back());
-        free_pages_.pop_back();
-        break;
-      }
-    }
-    if (pg.data == nullptr) {
-      pg.size = n > block_floats_ ? n : block_floats_;
-      pg.data.reset(new float[pg.size]);
-    }
+    pg.size = n > block_floats_ ? n : block_floats_;
+    pg.data = pg.size == block_floats_
+                  ? static_cast<float*>(block_cache::take(pg.size * sizeof(float)))
+                  : new float[pg.size];
     pg.last_epoch = epoch_;
     active_floats_ += static_cast<std::int64_t>(pg.size);
     if (active_floats_ > high_water_floats_) high_water_floats_ = active_floats_;
-    pages_.push_back(std::move(pg));
+    pages_.push_back(pg);
     used_ = 0;
   }
 
+  void release(const Page& pg) const {
+    if (pg.size == block_floats_)
+      block_cache::give(pg.data, pg.size * sizeof(float));
+    else
+      delete[] pg.data;
+  }
+
   std::size_t block_floats_;
-  std::vector<Page> pages_;       // in-use; back() is the bump target
-  std::vector<Page> free_pages_;  // reclaimed, awaiting reuse
-  std::int64_t used_ = 0;         // cursor into pages_.back()
+  std::vector<Page> pages_;  // in-use; back() is the bump target
+  std::int64_t used_ = 0;    // cursor into pages_.back()
   std::uint64_t epoch_ = 0;
   std::int64_t total_floats_ = 0;
   std::int64_t active_floats_ = 0;

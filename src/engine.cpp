@@ -82,6 +82,7 @@ Engine::Engine(const KernelRegistry& registry, EngineConfig cfg)
     : registry_(registry), cfg_(cfg) {
   stats_.kernel_invocations.assign(registry.num_kernels(), 0);
   assert((!cfg_.recycle || cfg_.lazy) && "recycling requires lazy recording");
+  nodes_.reserve(block_cache::kMinClassBytes / sizeof(Node));  // one smallest block
 }
 
 void Engine::check_ref(TRef r) const {

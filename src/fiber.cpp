@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "tensor/block_cache.h"
 #include "trace/trace.h"
 
 #if !defined(__x86_64__) || defined(_WIN64)
@@ -113,6 +114,11 @@ inline void switch_out(void** fiber_sp, void* main_sp) {
 
 }  // namespace
 
+FiberScheduler::Fiber::Fiber()
+    : stack(static_cast<char*>(block_cache::take(kStackBytes))) {}
+
+FiberScheduler::Fiber::~Fiber() { block_cache::give(stack, kStackBytes); }
+
 void FiberScheduler::entry() noexcept {
 #ifdef ACROBAT_FIBER_ASAN
   __sanitizer_finish_switch_fiber(nullptr, &g_main_bottom, &g_main_size);
@@ -142,11 +148,10 @@ void FiberScheduler::spawn(FiberTask task, int tag) {
     pool_.pop_back();
 #ifdef ACROBAT_FIBER_ASAN
     // entry() never returns, so its frame's redzones are still poisoned.
-    ASAN_UNPOISON_MEMORY_REGION(f->stack.get(), kStackBytes);
+    ASAN_UNPOISON_MEMORY_REGION(f->stack, kStackBytes);
 #endif
   } else {
     f = std::make_unique<Fiber>();
-    f->stack.reset(new char[kStackBytes]);
     ++stacks_allocated_;
   }
   f->task = std::move(task);
@@ -157,7 +162,7 @@ void FiberScheduler::spawn(FiberTask task, int tag) {
   // return address above it that ends unwinds and backtraces. ret leaves
   // rsp at top - 8, i.e. ≡ 8 (mod 16), as at any function entry.
   const auto top =
-      (reinterpret_cast<std::uintptr_t>(f->stack.get()) + kStackBytes) & ~std::uintptr_t{15};
+      (reinterpret_cast<std::uintptr_t>(f->stack) + kStackBytes) & ~std::uintptr_t{15};
   auto* frame = reinterpret_cast<std::uint64_t*>(top - 9 * sizeof(std::uint64_t));
   std::memset(frame, 0, 9 * sizeof(std::uint64_t));
   std::memcpy(frame, &kInitMxcsr, sizeof kInitMxcsr);
@@ -181,7 +186,7 @@ std::size_t FiberScheduler::step_ready() {
     if (fibers_[i]->state != Fiber::kReady) continue;
     ++ran;
     current_ = static_cast<int>(i);
-    switch_in(&main_sp_, fibers_[i]->sp, fibers_[i]->stack.get(), kStackBytes);
+    switch_in(&main_sp_, fibers_[i]->sp, fibers_[i]->stack, kStackBytes);
     current_ = -1;
   }
   g_active = prev;
@@ -259,8 +264,9 @@ void FiberScheduler::run(std::vector<FiberTask> tasks,
     }
   } catch (...) {
     // e.g. OomError out of on_all_blocked: abandon the suspended fibers
-    // (their stacks are freed, not recycled — live frames were never
-    // unwound) but leave the scheduler reusable.
+    // (their stacks go back to the block cache, not to this scheduler's
+    // pool — live frames were never unwound) but leave the scheduler
+    // reusable.
     current_ = -1;
     fibers_.clear();
     throw;

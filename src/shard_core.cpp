@@ -247,11 +247,8 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
       Session& r = *sp;
       InstCtx ctx;
       ctx.instance = tag;
-      const Value in = models::remap_trefs(*input, drefs[m]);
-      const Value out =
-          exec.run_entry(*mod.entries[m], std::span<const Value>(&in, 1), ctx);
       std::vector<TRef> outs;
-      harness::collect_output_trefs(out, outs);
+      exec.run_entry(*mod.entries[m], *input, drefs[m], ctx, outs);
       std::vector<float> flat;
       for (const TRef ref : outs) {
         // Suspends this session until a trigger materializes the result;

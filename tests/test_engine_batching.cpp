@@ -8,26 +8,31 @@
 #include <utility>
 
 #include "engine/engine.h"
+#include "exec/aot.h"
+#include "harness/harness.h"
+#include "models/specs.h"
 #include "support/rng.h"
 #include "test_util.h"
 
 // Counting global allocator: test_record_op_ins_inline measures how many
-// heap allocations DFG construction performs per recorded op. Counting is
+// heap allocations DFG construction performs per recorded op, and
+// test_aot_warm_run_allocations how many a warm AOT run makes. Counting is
 // gated so only the measurement window is observed; storage is plain
 // malloc/free, which keeps sanitizer builds honest (ASan still tracks the
-// underlying blocks).
+// underlying blocks). Not inlined: GCC's -Wmismatched-new-delete would
+// otherwise pair the inlined free() with the library's operator new.
 namespace {
 bool g_count_news = false;
 long long g_news = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_count_news) ++g_news;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 using namespace acrobat;
 
@@ -606,6 +611,64 @@ void test_activity_stats_table() {
   CHECK_EQ(a.sched_cache_evictions, 13);
 }
 
+// A StackRNN action list of `pushes` pushes, then End: one proc call per
+// action, so the call chain is as deep as the list is long.
+Value push_run(models::Dataset& ds, int pushes) {
+  Rng rng(11);
+  Value prog = Value::make_adt(2, {});
+  for (int t = 0; t < pushes; ++t) {
+    const Tensor x = ds.pool->alloc_random(RowVec(models::hidden_dim(false)), rng, 1.0f);
+    prog = Value::make_adt(0, {models::dataset_tensor(ds, x), std::move(prog)});
+  }
+  return prog;
+}
+
+// A warm AOT run allocates nothing per instruction. After two warm-up runs
+// in a recycling engine, the third run of a StackRNN or TreeLSTM instance —
+// record, trigger, force, retire — makes at most kWarmRunAllocs heap
+// allocations (the engine's per-request bookkeeping), however long the
+// instance: the dataset's 12–18-action lists and 2–9-leaf trees, and a
+// 300-action list whose call chain outgrows the first register-stack block.
+// The boxed executor made 74–178 per instance: a frame vector and an
+// argument vector per call, a shared_ptr per tuple or ADT, and a remapped
+// copy of the input tree.
+void test_aot_warm_run_allocations() {
+  constexpr long long kWarmRunAllocs = 4;
+  for (const char* name : {"StackRNN", "TreeLSTM"}) {
+    const models::ModelSpec& spec = models::model_by_name(name);
+    const harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
+    models::Dataset ds = spec.build_dataset(false, 4, 0x5eed);
+    if (spec.name == "StackRNN") ds.inputs.push_back(push_run(ds, 300));
+    EngineConfig ec = harness::engine_config_for(p.cfg, 0, false);
+    ec.recycle = true;
+    Engine eng(p.compiled.module.registry, ec);
+    std::vector<TRef> wrefs, drefs;
+    for (const Tensor& t : p.weights.tensors) wrefs.push_back(eng.add_concrete(t.view()));
+    for (const Tensor& t : ds.tensors) drefs.push_back(eng.add_concrete(t.view()));
+    aot::AotExecutor exec(p.compiled.program, eng, std::move(wrefs));
+
+    std::vector<TRef> outs;
+    for (std::size_t i = 0; i < ds.inputs.size(); ++i) {
+      const InstCtx ctx{static_cast<int>(i)};
+      for (int run = 0; run < 3; ++run) {
+        outs.clear();
+        g_news = 0;
+        g_count_news = run == 2;
+        eng.begin_request(ctx.instance);
+        CHECK_EQ(exec.run(ds.inputs[i], drefs, ctx, outs), std::size_t{1});
+        eng.trigger_execution();
+        for (const TRef r : outs) CHECK(eng.force(r).numel() == models::kNumClasses);
+        eng.retire_request(ctx.instance);
+        g_count_news = false;
+      }
+      if (g_news > kWarmRunAllocs)
+        std::printf("%s instance %zu: %lld allocations in a warm run\n", name, i, g_news);
+      CHECK(g_news <= kWarmRunAllocs);
+    }
+    CHECK_EQ(eng.memory().leaked_slots, 0);
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -622,5 +685,6 @@ int main() {
   test_record_op_ins_inline();
   test_wide_op_heap_spill();
   test_memory_cap_oom();
+  test_aot_warm_run_allocations();
   return acrobat::test::finish("test_engine_batching");
 }

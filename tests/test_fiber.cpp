@@ -1,16 +1,30 @@
 // Fiber scheduler semantics: cooperative interleaving, all-blocked wakeups,
-// engine integration (blocked instances batch across a sync point), and the
-// context switch's contract (registers, FP control state, exceptions).
+// engine integration (blocked instances batch across a sync point), the
+// context switch's contract (registers, FP control state, exceptions), and
+// the block cache behind fiber stacks and arena pages.
 #include "engine/engine.h"
 #include "runtime/fiber.h"
 #include "support/rng.h"
 #include "test_util.h"
 
+#include <atomic>
 #include <cfenv>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ACROBAT_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ACROBAT_TEST_ASAN 1
+#endif
+#endif
+#ifdef ACROBAT_TEST_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 using namespace acrobat;
 
@@ -255,6 +269,81 @@ void test_exception_inside_fiber() {
   CHECK_EQ(fs.idle_triggers(), 2);
 }
 
+// The frame address of a fiber's task: the same task code on the same
+// stack block runs at the same address (the real frame, not an ASan fake
+// stack, so detect_stack_use_after_return does not move it).
+const char* fiber_frame() {
+  const char* frame = nullptr;
+  FiberScheduler fs;
+  std::vector<FiberTask> tasks;
+  tasks.push_back([&] { frame = static_cast<const char*>(__builtin_frame_address(0)); });
+  fs.run(std::move(tasks), [] {});
+  CHECK_EQ(fs.stacks_allocated(), 1);
+  return frame;
+}
+
+// A dead pool's page and a dead scheduler's stack go back to the block
+// cache, and the next pool or scheduler on this thread takes the same block
+// with its pages still resident. Under ASan the block is poisoned while it
+// sits in the cache, so a stale pointer into a dead arena still reports.
+void test_block_cache_hands_blocks_back() {
+  float* page = nullptr;
+  {
+    TensorPool a;
+    page = a.alloc_raw(16);
+    page[0] = 1.0f;
+  }
+#ifdef ACROBAT_TEST_ASAN
+  CHECK(__asan_address_is_poisoned(page));
+#endif
+  {
+    TensorPool b;
+    CHECK(b.alloc_raw(16) == page);
+  }
+
+  const char* frame = fiber_frame();
+#ifdef ACROBAT_TEST_ASAN
+  CHECK(__asan_address_is_poisoned(frame));
+#endif
+  CHECK(fiber_frame() == frame);
+}
+
+// Two threads create and destroy pools and schedulers at once. Each stamps
+// its pages and fiber stacks with its own value and checks the stamp before
+// it lets go, so a block handed to both threads at once shows as a torn
+// stamp (and as a use-after-poison under ASan).
+void test_block_cache_two_threads() {
+  std::atomic<int> torn{0};
+  const auto worker = [&torn](float stamp) {
+    constexpr std::int64_t kPage = 1 << 20;  // one standard page
+    for (int round = 0; round < 50; ++round) {
+      TensorPool pool;
+      float* const a = pool.alloc_raw(kPage);
+      float* const b = pool.alloc_raw(8);  // spills onto a second page
+      for (std::int64_t i = 0; i < kPage; i += 1024) a[i] = stamp;
+      b[0] = stamp;
+      FiberScheduler fs;
+      std::vector<FiberTask> tasks;
+      for (int f = 0; f < 4; ++f)
+        tasks.push_back([&fs, &torn, stamp] {
+          volatile float on_stack[256];
+          for (volatile float& v : on_stack) v = stamp;
+          fs.block_current();
+          for (const volatile float& v : on_stack)
+            if (v != stamp) ++torn;
+        });
+      fs.run(std::move(tasks), [] { std::this_thread::yield(); });
+      for (std::int64_t i = 0; i < kPage; i += 1024)
+        if (a[i] != stamp) ++torn;
+      if (b[0] != stamp) ++torn;
+    }
+  };
+  std::thread t1(worker, 1.0f), t2(worker, 2.0f);
+  t1.join();
+  t2.join();
+  CHECK_EQ(torn.load(), 0);
+}
+
 }  // namespace
 
 int main() {
@@ -266,5 +355,7 @@ int main() {
   test_switch_preserves_locals();
   test_switch_keeps_fp_control_per_fiber();
   test_exception_inside_fiber();
+  test_block_cache_hands_blocks_back();
+  test_block_cache_two_threads();
   return acrobat::test::finish("test_fiber");
 }

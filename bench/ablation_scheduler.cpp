@@ -56,34 +56,6 @@ Row acrobat_row(const models::ModelSpec& spec, const models::Dataset& ds,
   return r;
 }
 
-// Schedule memoization row (DESIGN.md §5 "Schedule memoization"): same
-// prepared module as ACROBAT/inline with the trace cache on, run with
-// repeats=3 in one engine and measured on the LAST repetition — rep 1 runs
-// live and also records the shared constants, rep 2 runs live against the
-// post-const trigger structure, rep 3 replays it entirely from the cache.
-// The sched column is therefore the steady-state replay cost: signature
-// build + hash lookup instead of the live grouping pass.
-Row memo_row(const models::ModelSpec& spec, const models::Dataset& ds) {
-  harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
-  harness::RunOptions opts = default_opts();
-  opts.time_activities = true;
-  opts.sched_memo = true;
-  opts.repeats = 3;
-  harness::run_acrobat(p, ds, opts);
-  Row r;
-  r.wall_ms = 1e300;
-  for (int i = 0; i < kIters; ++i) {
-    const harness::RunResult rr = harness::run_acrobat(p, ds, opts);
-    if (rr.wall_ms < r.wall_ms) {
-      r.wall_ms = rr.wall_ms;
-      r.sched_ms = rr.stats.scheduling.ms();
-      r.launches = rr.stats.kernel_launches;
-      r.stats = rr.stats;
-    }
-  }
-  return r;
-}
-
 Row dynet_row(const models::ModelSpec& spec, const models::Dataset& ds,
               bool agenda) {
   harness::Prepared p =
@@ -111,12 +83,12 @@ Row dynet_row(const models::ModelSpec& spec, const models::Dataset& ds,
 // per-trigger rows for the golden trajectory. Both recipes pin batch
 // composition to arrival order — every request arrives at t=0 and a
 // deadline policy with min_batch == max_admit == cohort holds each trigger
-// until a full cohort is admitted — so triggers, memo hits, flat/stacked
-// batch counts, and sheds are exact, machine-independent integers.
+// until a full cohort is admitted — so triggers, flat/stacked batch counts,
+// and sheds are exact, machine-independent integers.
 void serve_steady_row(CounterJson& json) {
   const models::ModelSpec& spec = models::model_by_name("BiRNN");
   // Fixed length 14: the recurring-trigger regime of a bucketed production
-  // model, so the memo hit share is a meaningful steady-state number.
+  // model.
   const models::Dataset ds = models::make_token_dataset(false, 8, 29, 14, 14);
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
@@ -134,14 +106,9 @@ void serve_steady_row(CounterJson& json) {
   const serve::ServeResult res = serve::serve(p, ds, trace, so);
 
   const ActivityStats& s = res.shards.at(0).stats;
-  const double hit_pct =
-      s.sched_cache_hits + s.sched_cache_misses > 0
-          ? 100.0 * static_cast<double>(s.sched_cache_hits) /
-                static_cast<double>(s.sched_cache_hits + s.sched_cache_misses)
-          : 0.0;
   std::printf("serve_steady  (BiRNN len14, %d req, cohort %d): triggers %lld | "
-              "memo hit %.0f%% | flat %lld stacked %lld | launches %lld\n",
-              n, cohort, res.shards.at(0).triggers, hit_pct, s.flat_batches,
+              "flat %lld stacked %lld | launches %lld\n",
+              n, cohort, res.shards.at(0).triggers, s.flat_batches,
               s.stacked_batches, s.kernel_launches);
   json.add("serve_steady/birnn", s,
            {{"requests", n}, {"triggers", res.shards.at(0).triggers}, {"shed", 0}},
@@ -152,9 +119,9 @@ void serve_steady_row(CounterJson& json) {
 // the same deadline recipe (min_batch == max_admit == cohort pins the
 // first trigger to arrival order; every later trigger is the cohort's
 // decode steps, re-admitted at each token boundary). Session lengths are
-// data-dependent but exact for the fixed dataset seed, so triggers,
-// tokens, and memo hits are machine-independent integers — the golden's
-// view of the iteration-level scheduler.
+// data-dependent but exact for the fixed dataset seed, so triggers and
+// tokens are machine-independent integers — the golden's view of the
+// iteration-level scheduler.
 void decode_steady_row(CounterJson& json) {
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 8, 29);
@@ -167,7 +134,6 @@ void decode_steady_row(CounterJson& json) {
   serve::ServeOptions so;
   so.launch_overhead_ns = kLaunchNs;
   so.recycle = true;  // session checkpoints require the epoch protocol
-  so.sched_memo = true;
   so.policy.kind = serve::PolicyKind::kDeadline;
   so.policy.min_batch = n;
   so.policy.max_admit = n;
@@ -176,16 +142,10 @@ void decode_steady_row(CounterJson& json) {
   const serve::ServeResult res = serve::serve(p, ds, trace, so);
 
   const ActivityStats& s = res.shards.at(0).stats;
-  const double hit_pct =
-      s.sched_cache_hits + s.sched_cache_misses > 0
-          ? 100.0 * static_cast<double>(s.sched_cache_hits) /
-                static_cast<double>(s.sched_cache_hits + s.sched_cache_misses)
-          : 0.0;
   std::printf("decode_steady (Decoder, %d req, cohort %d): triggers %lld | "
-              "tokens %lld | memo hit %.0f%% | flat %lld stacked %lld | "
-              "launches %lld\n",
-              n, n, res.shards.at(0).triggers, res.tokens, hit_pct,
-              s.flat_batches, s.stacked_batches, s.kernel_launches);
+              "tokens %lld | flat %lld stacked %lld | launches %lld\n",
+              n, n, res.shards.at(0).triggers, res.tokens, s.flat_batches,
+              s.stacked_batches, s.kernel_launches);
   json.add("decode_steady/decoder", s,
            {{"requests", n},
             {"triggers", res.shards.at(0).triggers},
@@ -251,30 +211,25 @@ int main() {
   header("Scheduler ablation: inline depth vs dynamic recovery vs DyNet "
          "(batch 64, small)",
          "paper §4.1 / Table 6 scheduling row");
-  std::printf("%-10s | %21s | %21s | %21s | %21s | %21s\n", "",
-              "ACROBAT/inline", "ACROBAT/memo", "ACROBAT/dynamic",
-              "DyNet/agenda", "DyNet/depth");
-  std::printf("%-10s | %7s %6s %6s | %7s %6s %6s | %7s %6s %6s | %7s %6s %6s | "
-              "%7s %6s %6s\n",
+  std::printf("%-10s | %21s | %21s | %21s | %21s\n", "", "ACROBAT/inline",
+              "ACROBAT/dynamic", "DyNet/agenda", "DyNet/depth");
+  std::printf("%-10s | %7s %6s %6s | %7s %6s %6s | %7s %6s %6s | %7s %6s %6s\n",
               "model", "sched", "wall", "launch", "sched", "wall", "launch",
-              "sched", "wall", "launch", "sched", "wall", "launch", "sched",
-              "wall", "launch");
+              "sched", "wall", "launch", "sched", "wall", "launch");
   CounterJson json;
   for (const auto& spec : models::all_models()) {
     const models::Dataset ds = dataset_for(spec, false, 64);
     const Row a = acrobat_row(spec, ds, true);
-    const Row m = memo_row(spec, ds);
     const Row b = acrobat_row(spec, ds, false);
     const Row c = dynet_row(spec, ds, true);
     const Row d = dynet_row(spec, ds, false);
     std::printf(
         "%-10s | %7.3f %6.2f %6lld | %7.3f %6.2f %6lld | %7.3f %6.2f %6lld | "
-        "%7.3f %6.2f %6lld | %7.3f %6.2f %6lld\n",
-        spec.name.c_str(), a.sched_ms, a.wall_ms, a.launches, m.sched_ms,
-        m.wall_ms, m.launches, b.sched_ms, b.wall_ms, b.launches, c.sched_ms,
-        c.wall_ms, c.launches, d.sched_ms, d.wall_ms, d.launches);
+        "%7.3f %6.2f %6lld\n",
+        spec.name.c_str(), a.sched_ms, a.wall_ms, a.launches, b.sched_ms,
+        b.wall_ms, b.launches, c.sched_ms, c.wall_ms, c.launches, d.sched_ms,
+        d.wall_ms, d.launches);
     json.add(spec.name + "/acrobat_inline", a.stats);
-    json.add(spec.name + "/acrobat_memo", m.stats);
     json.add(spec.name + "/acrobat_dynamic", b.stats);
     json.add(spec.name + "/dynet_agenda", c.stats);
     json.add(spec.name + "/dynet_depth", d.stats);
@@ -283,11 +238,7 @@ int main() {
       "\nexpected: inline depth wins on launch counts (hoisting + fibers:\n"
       "TreeLSTM, DRNN); scheduling time itself is small at ACROBAT's\n"
       "coarsened node counts, and the dynamic-analysis cost inline depth\n"
-      "avoids shows at the DyNet columns' per-op scale. The memo column is\n"
-      "the steady-state replay regime (3rd repetition of the same batch):\n"
-      "identical launches to ACROBAT/inline, scheduling reduced to a hash\n"
-      "lookup — its counters are last-repetition-only, so hits > 0 and\n"
-      "misses == 0 there.\n");
+      "avoids shows at the DyNet columns' per-op scale.\n");
   // Steady-state serving rows (DESIGN.md §9): per-trigger counters from
   // deterministic serve and fleet cohorts, golden-diffed alongside the
   // closed-batch rows so the serving layer's batching behavior has a

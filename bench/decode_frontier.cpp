@@ -50,26 +50,15 @@ void record_point(CounterJson& json, const std::string& config,
 void print_point(double rate, const char* policy, const serve::ServeResult& res) {
   // sess_peak: the worst shard's session-buffer high-water mark — with
   // retire-on-reap it tracks peak concurrent sessions, not token count, so
-  // the frontier shows the memory plateau next to the tail. hit% is the
-  // schedule-memo replay rate: decode steps at a stable width recur as a
-  // depth-0 cohort shape, so steady-state decoding replays cached
-  // schedules at a much higher rate than one-shot serving.
-  long long hits = 0, misses = 0;
+  // the frontier shows the memory plateau next to the tail.
   std::size_t sess_peak = 0;
-  for (const serve::ShardReport& s : res.shards) {
-    hits += s.stats.sched_cache_hits;
-    misses += s.stats.sched_cache_misses;
+  for (const serve::ShardReport& s : res.shards)
     sess_peak = std::max(sess_peak, s.mem.session_buffers_peak);
-  }
-  const double hit_pct =
-      hits + misses > 0 ? 100.0 * static_cast<double>(hits) /
-                              static_cast<double>(hits + misses)
-                        : 0.0;
   std::printf("%8.0f %-10s | %9.0f %8.3f %8.3f %8.3f %8.3f | %8.3f %7lld %4d "
-              "| %9zu %5.1f\n",
+              "| %9zu\n",
               rate, policy, res.tokens_per_sec, res.ttft_ms.p50, res.ttft_ms.p99,
               res.inter_token_ms.p50, res.inter_token_ms.p99, res.latency_ms.p99,
-              res.tokens, res.cancelled, sess_peak, hit_pct);
+              res.tokens, res.cancelled, sess_peak);
 }
 
 }  // namespace
@@ -101,9 +90,9 @@ int main() {
               "solo)  requests=%d  cap=%d tokens\n",
               spec.name.c_str(), size_name(large), solo_ms, base_rps, n_requests,
               models::decoder_max_tokens(large));
-  std::printf("%8s %-10s | %9s %8s %8s %8s %8s | %8s %7s %4s | %9s %5s\n",
+  std::printf("%8s %-10s | %9s %8s %8s %8s %8s | %8s %7s %4s | %9s\n",
               "rate", "policy", "tok/s", "ttft p50", "ttft p99", "itl p50",
-              "itl p99", "e2e p99", "tokens", "canc", "sess_peak", "hit%");
+              "itl p99", "e2e p99", "tokens", "canc", "sess_peak");
 
   CounterJson json;
   // The deadline policy rides three ways: uncapped, width-capped

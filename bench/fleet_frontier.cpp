@@ -174,7 +174,7 @@ int main() {
   // Chrome trace-event JSON — open it in Perfetto (README) or validate it
   // with scripts/check_trace.py, which CI runs on exactly this file. The
   // 1ns interactive deadline guarantees shed events; the cohort hold
-  // guarantees trigger/batch spans and a memo probe on any machine.
+  // guarantees trigger/batch spans on any machine.
   if (const char* tpath = std::getenv("ACROBAT_TRACE_JSON");
       tpath != nullptr && *tpath != '\0') {
     const int n = 24;

@@ -44,27 +44,14 @@ void print_point(double rate, const char* policy, int shards,
   // shows memory alongside the tail (DESIGN.md §7 "Recycling"). good% is
   // the fraction of requests under the SLO deadline (ACROBAT_SERVE_DEADLINE_MS
   // or 8x the solo service time): past the capacity knee it collapses much
-  // faster than the median grows — the tail is what blows the SLO. hit% is
-  // the schedule-memo replay rate, hits / (hits + misses) summed over
-  // shards: low near the knee, where queue depth varies trigger to trigger
-  // and cohort shapes rarely recur, and high under steady overload, where
-  // saturated triggers converge on a few recurring shapes.
-  long long hits = 0, misses = 0;
-  for (const serve::ShardReport& s : res.shards) {
-    hits += s.stats.sched_cache_hits;
-    misses += s.stats.sched_cache_misses;
-  }
-  const double hit_pct =
-      hits + misses > 0 ? 100.0 * static_cast<double>(hits) /
-                              static_cast<double>(hits + misses)
-                        : 0.0;
+  // faster than the median grows — the tail is what blows the SLO.
   std::printf("%8.0f %-10s %6d | %8.3f %8.3f %8.3f %8.3f | %8.0f %6.1f %9lld "
-              "| %8.0f %7zu %5.1f\n",
+              "| %8.0f %7zu\n",
               rate, policy, shards, res.latency_ms.p50, res.latency_ms.p95,
               res.latency_ms.p99, res.latency_ms.mean, res.throughput_rps,
               100.0 * res.latency_ms.attainment(deadline_ms), res.total_launches(),
               static_cast<double>(res.peak_arena_bytes()) / 1024.0,
-              res.peak_node_table(), hit_pct);
+              res.peak_node_table());
 }
 
 }  // namespace
@@ -96,9 +83,9 @@ int main() {
               "deadline=%.3fms\n",
               spec.name.c_str(), size_name(large), solo_ms, base_rps, n_requests,
               deadline_ms);
-  std::printf("%8s %-10s %6s | %8s %8s %8s %8s | %8s %6s %9s | %8s %7s %5s\n",
+  std::printf("%8s %-10s %6s | %8s %8s %8s %8s | %8s %6s %9s | %8s %7s\n",
               "rate", "policy", "shards", "p50ms", "p95ms", "p99ms", "mean",
-              "thpt", "good%", "launches", "arenaKB", "nodes", "hit%");
+              "thpt", "good%", "launches", "arenaKB", "nodes");
 
   CounterJson json;
   std::vector<serve::PolicyConfig> policies(3);

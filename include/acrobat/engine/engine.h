@@ -56,20 +56,15 @@ struct ActivityStats {
   // this stops advancing — steady-state serving does zero scheduler heap
   // allocation (tests/test_engine_batching.cpp asserts the plateau).
   long long scheduling_allocs = 0;
-  // Schedule memoization (DESIGN.md §5): triggers whose ready-set signature
-  // matched a cached plan and replayed it / ran the live scheduler and
-  // populated the cache / overwrote the least-recently-replayed entry.
-  long long sched_cache_hits = 0;
-  long long sched_cache_misses = 0;
-  long long sched_cache_evictions = 0;
+  // Always 0; read only by bench/e2e/workloads.cpp's engine.memo_* metrics.
+  static constexpr long long sched_cache_hits = 0, sched_cache_misses = 0;
 
   ActivityStats& operator+=(const ActivityStats& o);
-  ActivityStats& operator-=(const ActivityStats& o);
 };
 
 // The ActivityStats counter table, X(member, json_key), in the bench JSON's
 // key order (bench/bench_util.h CounterJson; the golden counter check keys
-// on these names). operator+=/-= and the JSON expand it, so it is the one
+// on these names). operator+= and the JSON expand it, so it is the one
 // list of fields; a field added to the struct without a row fails the
 // static_assert below.
 #define ACROBAT_ACTIVITY_STATS(X)               \
@@ -82,10 +77,7 @@ struct ActivityStats {
   X(gather_bytes, "gather_bytes")               \
   X(flat_batches, "flat_batches")               \
   X(stacked_batches, "stacked_batches")         \
-  X(scheduling_allocs, "scheduling_allocs")     \
-  X(sched_cache_hits, "sched_cache_hits")       \
-  X(sched_cache_misses, "sched_cache_misses")   \
-  X(sched_cache_evictions, "sched_cache_evictions")
+  X(scheduling_allocs, "scheduling_allocs")
 
 #define ACROBAT_COUNT_ROW(member, key) +1
 static_assert(sizeof(ActivityStats) ==
@@ -101,13 +93,6 @@ inline ActivityStats& ActivityStats::operator+=(const ActivityStats& o) {
 #define ACROBAT_ADD_ROW(member, key) member += o.member;
   ACROBAT_ACTIVITY_STATS(ACROBAT_ADD_ROW)
 #undef ACROBAT_ADD_ROW
-  return *this;
-}
-
-inline ActivityStats& ActivityStats::operator-=(const ActivityStats& o) {
-#define ACROBAT_SUB_ROW(member, key) member -= o.member;
-  ACROBAT_ACTIVITY_STATS(ACROBAT_SUB_ROW)
-#undef ACROBAT_SUB_ROW
   return *this;
 }
 
@@ -151,15 +136,6 @@ struct EngineConfig {
   // exclusive with exec-log autodiff replay (the log is not kept — retired
   // node ids would dangle).
   bool recycle = false;
-  // Schedule memoization (DESIGN.md §5 "Schedule memoization"): cache the
-  // batch plan per ready-set signature and replay it on recurring triggers,
-  // turning scheduling into a hash lookup. Off for the closed-batch benches
-  // (keeps their counters untouched); the serving layers turn it on by
-  // default. Capacity bounds the cache; past it the least-recently-replayed
-  // entry is overwritten in place (fleet-scale key diversity cannot grow
-  // memory unboundedly).
-  bool sched_memo = false;
-  int sched_memo_capacity = 64;
 };
 
 // Identifies the recording program instance (used for diagnostics and for
@@ -201,9 +177,9 @@ class Engine {
   void set_fiber_scheduler(FiberScheduler* fs) { fibers_ = fs; }
 
   // Observability (trace/trace.h, DESIGN.md §9): when set, triggers,
-  // scheduling, memo probes, batches, and gathers emit events into the
-  // shard-owned ring. Null (the default) costs one predicted branch per
-  // site — tests/test_trace.cpp proves bitwise on/off parity.
+  // scheduling, batches, and gathers emit events into the shard-owned
+  // ring. Null (the default) costs one predicted branch per site —
+  // tests/test_trace.cpp proves bitwise on/off parity.
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
   // Serving hook (serve/server.h): called at the top of every trigger,
@@ -222,10 +198,9 @@ class Engine {
   // session), retires the step's transient node span under the existing
   // epoch protocol, and re-enters the kept state as a depth-0 materialized
   // node — so session memory plateaus at peak concurrent sessions, not
-  // token count, and steady-state step triggers hit the schedule cache.
-  // Without recycling it is a pass-through (the solo/bench path), which is
-  // what makes a single-session serve decode bitwise-identical to a solo
-  // run. The step hook, when set, is the serve loop's per-token admission
+  // token count. Without recycling it is a pass-through (the solo/bench
+  // path), which is what makes a single-session serve decode
+  // bitwise-identical to a solo run. The step hook, when set, is the serve loop's per-token admission
   // gate: kPark parks the fiber until the shard re-admits the session (the
   // hook is re-consulted after every unpark, so a shard can cancel a parked
   // session mid-stream); kStop cancels — the program sees cont == 0 and
@@ -408,61 +383,6 @@ class Engine {
   void bucket_push(BucketScratch& b, std::uint32_t key, std::uint32_t id);
   void bucket_reset(BucketScratch& b);
   void reset_sched_scratch();  // exception path: drop partial trigger state
-
-  // --- schedule memoization (DESIGN.md §5 "Schedule memoization") --------
-  // The batch plan a trigger produces — groupings, execution order, merged-
-  // launch flags — is a pure function of the ready set's structural
-  // signature; recurring triggers replay the cached plan straight into
-  // execute_batch. Layout-dependent dispatch (flat/stacked/gather) is NOT
-  // cached: execute_batch re-derives it from live pointers, which is what
-  // makes a replay bitwise-identical to the live scheduler. Storage is
-  // engine-owned, reused across triggers, and every growth event goes
-  // through scratch_reserve so the scheduling_allocs plateau still holds.
-  struct MemoBatch {
-    int kernel_id = -1;
-    bool merge = false;                  // fuse_waves merged-launch flag
-    std::uint32_t begin = 0, count = 0;  // span into the entry's members
-  };
-  struct MemoEntry {
-    std::uint64_t hash = 0;
-    std::uint64_t last_used = 0;         // LRU clock value at last hit/install
-    std::vector<std::uint64_t> sig;      // full signature: hash collisions MISS
-    std::vector<MemoBatch> batches;      // the plan, in execution order
-    std::vector<std::uint32_t> members;  // batch members as ready-set positions
-  };
-  // Runs lookup + replay; false = miss (or unmemoizable trigger), caller
-  // falls back to the live scheduler with recording armed.
-  bool memo_try_replay(const std::vector<std::uint32_t>& pending);
-  // Incremental signature capture: record_op appends the op's key words
-  // while the Node is still cache-hot, so the trigger hot path never walks
-  // the node table to build the key — it hashes a sequential buffer. This
-  // is the paper's thesis applied to the cache itself: key construction
-  // moves out of the per-trigger critical path into recording.
-  void memo_capture_op(std::uint32_t id, const Node& nd, const Kernel& k);
-  void memo_capture_reset();  // new trigger window: next gen, empty key
-  void memo_note_batch(int kernel_id, const std::vector<std::uint32_t>& ids, bool merge);
-  void memo_install();  // after a successful live schedule on a miss
-  void memo_abort() { memo_recording_ = false; }
-
-  std::vector<MemoEntry> memo_cache_;
-  // The accumulating trigger signature: the first memo_sig_n_ words of
-  // memo_sig_, appended per recorded op. The buffer keeps size() ==
-  // capacity() (never shrunk) so capture writes through raw indices after
-  // one reservation; memo_sig_nodes_ cross-checks that every pending node
-  // was captured before a key is trusted.
-  std::vector<std::uint64_t> memo_sig_;
-  std::size_t memo_sig_n_ = 0;
-  std::size_t memo_sig_nodes_ = 0;
-  std::vector<MemoBatch> memo_rec_batches_;  // plan being recorded on a miss
-  std::vector<std::uint32_t> memo_rec_members_;
-  std::vector<std::uint32_t> memo_pos_stamp_, memo_pos_;  // node id → position
-  std::vector<std::uint32_t> memo_order_;       // agenda id-order permutation
-  std::vector<std::uint32_t> memo_replay_ids_;  // positions → live node ids
-  std::uint64_t memo_hash_ = 0;
-  std::uint64_t memo_tick_ = 0;  // LRU clock
-  std::uint32_t memo_gen_ = 1;   // stamp generation for memo_pos_stamp_
-  bool memo_recording_ = false;
-  bool memo_sig_ok_ = true;  // false: current window unmemoizable
 
   const KernelRegistry& registry_;
   EngineConfig cfg_;

@@ -34,10 +34,6 @@ struct FleetOptions {
   bool collect_outputs = false;
   bool time_activities = false;
   bool recycle = true;
-  // Schedule memoization, as in serve::ServeOptions — on by default. With
-  // a merged (structurally deduped) module the cache keys on post-dedupe
-  // kernel ids, so a recurring cross-model cohort replays one shared plan.
-  bool sched_memo = true;
   // Class-aware routing: shard indices eligible per class; an empty list
   // means every shard. Within the eligible set, dispatch follows
   // `dispatch` (least-loaded ties break to the lowest index).

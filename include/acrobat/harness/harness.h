@@ -19,15 +19,6 @@ struct RunOptions {
   std::int64_t launch_overhead_ns = 0;
   bool time_activities = false;
   bool collect_outputs = false;  // flatten result tensors into RunResult
-  // Schedule memoization passthrough (EngineConfig::sched_memo). Off by
-  // default so the closed-batch baselines keep their exact counters.
-  bool sched_memo = false;
-  // Runs the whole instance batch `repeats` times in ONE engine and reports
-  // stats and wall time for the LAST repetition only — earlier repetitions
-  // are warmup. The memo ablation rows use this to measure steady-state
-  // replay cost (bench/ablation_scheduler.cpp); repeats == 1 is the
-  // unchanged single-pass behavior.
-  int repeats = 1;
   // Observability (DESIGN.md §9): attach this tracer to the engine and
   // fiber scheduler for the run. Null (the default) keeps every
   // instrumentation site to one predicted branch — the overhead bench

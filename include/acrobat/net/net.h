@@ -48,7 +48,6 @@ struct NetOptions {
   serve::PolicyConfig policy;
   std::int64_t launch_overhead_ns = 0;
   bool recycle = true;
-  bool sched_memo = true;
 
   // Bounded-ingress knobs. admission_capacity bounds the acceptor →
   // dispatcher queue (full → 429); max_sessions bounds the slot table, i.e.

@@ -41,11 +41,6 @@ struct ServeOptions {
   // default — steady-state serving is the point of this layer; turn off
   // only to measure the unbounded-growth baseline (test_serve_soak.cpp).
   bool recycle = true;
-  // Schedule memoization (DESIGN.md §5): steady-state traffic is dominated
-  // by structurally recurring triggers, so serving replays cached batch
-  // plans by default; ShardReport::stats carries the per-shard hit/miss
-  // counters. Off reproduces the always-live-scheduler baseline.
-  bool sched_memo = true;
   // Observability (DESIGN.md §9): when enabled, each shard owns a
   // fixed-capacity event ring + metrics registry and ServeResult::trace
   // carries the assembled dump (write_chrome_json → Perfetto). Off (the

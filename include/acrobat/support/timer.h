@@ -32,10 +32,6 @@ struct TimeBucket {
     ns += o.ns;
     return *this;
   }
-  TimeBucket& operator-=(const TimeBucket& o) {
-    ns -= o.ns;
-    return *this;
-  }
 };
 
 // RAII span that adds its lifetime to a bucket when enabled.

@@ -17,8 +17,7 @@
 //     Perfetto / chrome://tracing: one track per shard plus one for the
 //     dispatcher, "X" complete events for spans (trigger ⊃ schedule ⊃ …,
 //     batch), "i" instants for point events, and "C" counter tracks fed by
-//     the per-shard MetricsTick stream (live_nodes, arena bytes, memo hit
-//     rate, …).
+//     the per-shard MetricsTick stream (live_nodes, arena bytes, …).
 //   * MetricsRegistry — named gauges snapshotted into fixed-size
 //     MetricsTick PODs every few triggers and shipped over the existing
 //     SPSC machinery to the dispatcher thread; memory is bounded at any
@@ -42,12 +41,10 @@ namespace acrobat::trace {
 
 enum class EventKind : std::uint8_t {
   kTrigger = 0,  // span: one trigger_execution (a = ops in the trigger)
-  kSchedule,     // span: memo probe + scheduling (a = ops, flags bit0 = replayed)
+  kSchedule,     // span: scheduling (a = ops)
   kBatch,        // span: one fused batch (a = kernel id, b = width, c = variant,
                  //       flags: path 0 per-op / 1 flat / 2 stacked, bit2 = merged launch)
   kGather,       // instant: staged gather (a = width, b = operand, c = bytes)
-  kMemoHit,      // instant: schedule-cache replay (a = ops)
-  kMemoMiss,     // instant: schedule-cache miss (a = ops)
   kFiberSpawn,   // instant: a = session tag (the shard's recycled slot)
   kFiberBlock,   // instant: a = session tag
   kFiberWake,    // instant: a = fibers woken this trigger
@@ -57,8 +54,7 @@ enum class EventKind : std::uint8_t {
   kDispatch,     // instant: dispatcher routed a request (a = id, b = shard)
   kTriage,       // instant: blown request deferred (a = id, b = class)
   kShed,         // instant: request shed (a = id, b = class, c = lateness ns)
-  kCounter,      // gauges (a = live nodes, b = memo hit rate per-mille,
-                 //         c = arena bytes)
+  kCounter,      // gauges (a = live nodes, c = arena bytes)
   // Net ingress (acrobat/net, DESIGN.md §10); emitted by the event-loop
   // thread into its own track (tid 0, "net").
   kNetAccept,    // instant: connection accepted (a = conn index, b = open conns)
@@ -68,7 +64,7 @@ enum class EventKind : std::uint8_t {
   kNetDegrade,   // instant: degraded-mode transition (a = 1 enter / 0 exit,
                  //          b = admission occupancy at the transition)
 };
-inline constexpr int kNumEventKinds = 19;
+inline constexpr int kNumEventKinds = 17;
 const char* event_name(EventKind k);
 
 // 40 bytes; written into the ring by value — no pointers, trivially
@@ -138,10 +134,9 @@ class Tracer {
             std::int32_t b = -1, std::int64_t c = 0, std::uint8_t flags = 0) {
     push(Event{t0, now() - t0, c, a, b, k, flags, shard_});
   }
-  void counter(std::int32_t live_nodes, std::int32_t hit_permille,
-               std::int64_t arena_bytes) {
-    push(Event{now(), 0, arena_bytes, live_nodes, hit_permille,
-               EventKind::kCounter, 0, shard_});
+  void counter(std::int32_t live_nodes, std::int64_t arena_bytes) {
+    push(Event{now(), 0, arena_bytes, live_nodes, -1, EventKind::kCounter, 0,
+               shard_});
   }
 
   std::uint64_t emitted() const { return n_; }

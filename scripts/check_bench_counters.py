@@ -4,8 +4,8 @@
 Usage: check_bench_counters.py <emitted.json> <golden.json>
 
 Only exact counters are compared (kernel_launches, gather_bytes,
-flat_batches, stacked_batches, scheduling_allocs, and the schedule-memo
-hit/miss/eviction counts) — they are deterministic for a fixed trace and
+flat_batches, stacked_batches, scheduling_allocs, and the serving rows'
+request/trigger/token counts) — they are deterministic for a fixed trace and
 binary. Timing fields (*_ns) are machine-dependent
 context and are ignored. Exit 0 on match, 1 with a per-row report on drift:
 a launch-count or gather-byte regression in the engine hot path fails CI
@@ -20,9 +20,6 @@ COUNTERS = (
     "flat_batches",
     "stacked_batches",
     "scheduling_allocs",
-    "sched_cache_hits",
-    "sched_cache_misses",
-    "sched_cache_evictions",
     # Steady-state serving rows (ISSUE 7): deterministic under the
     # all-arrivals-at-t0 cohort recipe; absent (None == None) on the
     # engine-only rows, so old goldens keep passing.

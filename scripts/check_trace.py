@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a Chrome trace-event JSON exported by acrobat/trace.
 
-Usage: check_trace.py <trace.json> [--require trigger,batch,memo,shed]
+Usage: check_trace.py <trace.json> [--require trigger,batch,shed]
 
 Structural checks (DESIGN.md §9):
   - the file parses and has a traceEvents array with at least one named track
@@ -11,7 +11,7 @@ Structural checks (DESIGN.md §9):
     outside a trigger would mean the instrumentation (or the engine) lost
     the trigger boundary
   - each --require token names an event kind that must appear at least
-    once; tokens prefix-match ("memo" accepts memo_hit and memo_miss)
+    once; tokens prefix-match ("fiber" accepts fiber_spawn, fiber_block, …)
 
 Exemplar "slow_request" spans live on sibling tracks (tid >= 1000) and are
 [admit, completion] intervals of concurrent requests, so they legitimately

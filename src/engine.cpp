@@ -214,9 +214,6 @@ TRef Engine::record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx&
   const bool persist = n.persist;
   const TRef ref = alloc_node(std::move(n), /*reusable_slot=*/!persist);
   pending_.push_back(ref.id);
-  // Schedule-memo key capture rides the recording pass while the node's
-  // fields are cache-hot — the trigger hot path never rebuilds the key.
-  if (cfg_.sched_memo && cfg_.lazy) memo_capture_op(ref.id, nodes_[ref.id], k);
   if (cfg_.const_reuse && n_ins == 0) const_cache_.emplace(kernel_id, ref);
   return ref;
 }
@@ -320,9 +317,7 @@ TRef Engine::checkpoint_state(TRef state, int instance) {
   live_requests_[instance] = epoch_;
   reclaim_arena_pages();
   // The kept state re-enters the graph as a depth-0 materialized node over
-  // the session buffer: downstream steps see a constant input (memo
-  // signatures key materialized inputs position-independently), so
-  // steady-state step triggers recur and hit the schedule cache.
+  // the session buffer: downstream steps see a constant input.
   Node n;
   n.shape = shape;
   n.data = buf.data.get();
@@ -660,244 +655,6 @@ void Engine::schedule_agenda(std::vector<std::uint32_t>& pending) {
   if (cfg_.time_activities) stats_.scheduling.add(sched_ns);
 }
 
-// ---------------------------------------------------- schedule memoization
-//
-// A trigger's batch plan is a pure function of its ready set's structural
-// signature, so the signature must capture everything either scheduler's
-// decisions read: per node (in ready-set position order) the kernel id
-// (which is post-dedupe identity, carries op+attr, and under a fleet's
-// merged registry is shared across models), the variant chosen by PGO at
-// record time, arity, phase tag, depth, and shape; per input whether it is
-// a member of this ready set (named by POSITION, never by node id — slot
-// recycling reuses ids) or an already-materialized tensor. Two agenda-
-// scheduler extras keep that scheduler's id-dependent choices pure: the
-// ascending-id initial fill order is appended as a position permutation,
-// and first-argument keying (shape_keyed_batching off) appends the raw
-// parameter id it groups by. Engine-fixed config bits need no words: the
-// cache is per-engine.
-//
-// The key is captured INCREMENTALLY: record_op appends each op's words the
-// moment the node is built, while its fields are still in cache. A trigger-
-// time key construction would re-walk the whole ready set through the node
-// table — a memory-latency-bound pass as expensive as the live grouping it
-// is meant to replace — so the hot trigger path only hashes the sequential
-// word buffer, probes, and replays. In dynamic-depth mode the captured
-// depth is the inline record-time depth rather than the recovered one; the
-// recovered depths are themselves a pure function of the captured
-// membership structure, so equal keys still imply equal plans (the key is
-// merely finer than it strictly needs to be there).
-
-// Word tags live in bits 62–63 (meta/shape words keep them 0, see the
-// field guards); the word stream is prefix-decodable — arity sits in the
-// meta word — so equal signatures mean equal trigger structure.
-namespace {
-constexpr std::uint64_t kSigInPending = 1ull << 62;  // payload: position
-constexpr std::uint64_t kSigInArgKey = 2ull << 62;   // payload: raw node id
-constexpr std::uint64_t kSigInConst = 3ull << 62;    // materialized input
-}  // namespace
-
-void Engine::memo_capture_op(std::uint32_t id, const Node& nd, const Kernel& k) {
-  if (!memo_sig_ok_) return;
-  const std::size_t arity = nd.ins.size();
-  // Generous field widths for any real model; an exotic graph falls back
-  // to live scheduling for this trigger rather than risk an ambiguous key.
-  if (nd.kernel_id < 0 || nd.kernel_id >= (1 << 14) || k.variant < 0 ||
-      k.variant >= (1 << 8) || arity > 0xff || nd.phase >= (1 << 8) ||
-      nd.depth < 0 || nd.depth >= (1 << 24)) {
-    memo_sig_ok_ = false;
-    return;
-  }
-  // node id → ready-set position, stamped (no O(table) clears). Read back
-  // for input-membership words below, by memo_note_batch when the live
-  // scheduler runs on a miss, and by the replay position mapping.
-  if (id >= memo_pos_stamp_.size()) {
-    scratch_reserve(memo_pos_stamp_, nodes_.size());
-    memo_pos_stamp_.resize(memo_pos_stamp_.capacity(), 0);
-    scratch_reserve(memo_pos_, nodes_.size());
-    memo_pos_.resize(memo_pos_.capacity());
-  }
-  memo_pos_stamp_[id] = memo_gen_;
-  memo_pos_[id] = static_cast<std::uint32_t>(pending_.size() - 1);
-
-  // size() tracks capacity() on this buffer (never shrunk), so after one
-  // reservation the writes below are plain indexed stores.
-  if (memo_sig_n_ + arity + 3 > memo_sig_.size()) {
-    scratch_reserve(memo_sig_, memo_sig_n_ + arity + 3);
-    memo_sig_.resize(memo_sig_.capacity());
-  }
-  // Dynamic-depth mode recovers depths from the pending structure at
-  // schedule time and a HIT skips that pass, leaving node depths exactly
-  // as recorded — so record-time depths diverge between hit and live
-  // histories there. The recovered depths the scheduler actually groups by
-  // are a pure function of the membership words already in the key, so the
-  // depth field is dropped from the key in that mode rather than letting
-  // the divergence break key recurrence.
-  const std::uint64_t depth_key =
-      cfg_.scheduler == SchedulerKind::kDepth && !cfg_.inline_depth
-          ? 0
-          : static_cast<std::uint64_t>(nd.depth);
-  std::uint64_t* w = memo_sig_.data() + memo_sig_n_;
-  *w++ = (static_cast<std::uint64_t>(nd.kernel_id) << 48) |
-         (static_cast<std::uint64_t>(k.variant) << 40) |
-         (static_cast<std::uint64_t>(arity) << 32) |
-         (static_cast<std::uint64_t>(nd.phase) << 24) |
-         depth_key;
-  std::uint64_t sw = static_cast<std::uint64_t>(nd.shape.ndim) << 48;
-  for (int d = 0; d < nd.shape.ndim; ++d) {
-    if (nd.shape.dim[d] < 0 || nd.shape.dim[d] >= (1 << 16)) {
-      memo_sig_ok_ = false;
-      return;
-    }
-    sw |= static_cast<std::uint64_t>(nd.shape.dim[d]) << (16 * d);
-  }
-  *w++ = sw;
-  const bool arg_keyed = cfg_.scheduler == SchedulerKind::kAgenda &&
-                         !cfg_.shape_keyed_batching && matmul_family(k.op);
-  for (std::size_t j = 0; j < arity; ++j) {
-    const TRef in = nd.ins[j];
-    // Inputs recorded in this same trigger window carry the current stamp
-    // and are therefore pending; anything else is already materialized.
-    *w++ = in.id < memo_pos_stamp_.size() && memo_pos_stamp_[in.id] == memo_gen_
-               ? (kSigInPending | memo_pos_[in.id])
-               : kSigInConst;
-    // First-argument keying groups AND orders classes by this raw id, so
-    // the plan is only reusable when the exact id recurs.
-    if (arg_keyed && j == 1) *w++ = kSigInArgKey | in.id;
-  }
-  memo_sig_n_ = static_cast<std::size_t>(w - memo_sig_.data());
-  ++memo_sig_nodes_;
-}
-
-void Engine::memo_capture_reset() {
-  memo_sig_n_ = 0;
-  memo_sig_nodes_ = 0;
-  memo_sig_ok_ = true;
-  ++memo_gen_;
-}
-
-bool Engine::memo_try_replay(const std::vector<std::uint32_t>& pending) {
-  std::int64_t t0 = now_ns();
-  memo_recording_ = false;
-  // The key was captured during recording. Trust it only if every pending
-  // node went through memo_capture_op — a count mismatch (or a poisoned
-  // window) means this trigger is unmemoizable and runs live, unrecorded.
-  if (!memo_sig_ok_ || memo_sig_nodes_ != pending.size()) {
-    if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
-    return false;
-  }
-  if (cfg_.scheduler == SchedulerKind::kAgenda) {
-    // The agenda's initial ready fill walks ascending node id; slot reuse
-    // can reorder structurally identical triggers, so the id-order
-    // permutation is appended to the key at trigger time (the only part of
-    // the key that needs the assembled ready set).
-    const std::size_t n = pending.size();
-    scratch_reserve(memo_order_, n);
-    memo_order_.assign(pending.begin(), pending.end());
-    std::sort(memo_order_.begin(), memo_order_.end());
-    if (memo_sig_n_ + n > memo_sig_.size()) {
-      scratch_reserve(memo_sig_, memo_sig_n_ + n);
-      memo_sig_.resize(memo_sig_.capacity());
-    }
-    std::uint64_t* w = memo_sig_.data() + memo_sig_n_;
-    for (std::size_t i = 0; i < n; ++i) *w++ = kSigInPending | memo_pos_[memo_order_[i]];
-    memo_sig_n_ += n;
-  }
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over signature words
-  for (std::size_t i = 0; i < memo_sig_n_; ++i) {
-    h ^= memo_sig_[i];
-    h *= 1099511628211ull;
-  }
-  memo_hash_ = h;
-  MemoEntry* hit = nullptr;
-  for (MemoEntry& e : memo_cache_) {
-    if (e.hash == h && e.sig.size() == memo_sig_n_ &&
-        std::memcmp(e.sig.data(), memo_sig_.data(),
-                    memo_sig_n_ * sizeof(std::uint64_t)) == 0) {
-      hit = &e;
-      break;
-    }
-  }
-  if (hit == nullptr) {
-    ++stats_.sched_cache_misses;
-    ACROBAT_TRACE(tracer_, tracer_->instant(trace::EventKind::kMemoMiss,
-                                            static_cast<std::int32_t>(pending.size())));
-    memo_recording_ = true;
-    memo_rec_batches_.clear();
-    memo_rec_members_.clear();
-    if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
-    return false;
-  }
-  ++stats_.sched_cache_hits;
-  ACROBAT_TRACE(tracer_, tracer_->instant(trace::EventKind::kMemoHit,
-                                          static_cast<std::int32_t>(pending.size())));
-  hit->last_used = ++memo_tick_;
-  // Replay: map recorded positions through the live ready set and hand each
-  // batch straight to execute_batch, which re-derives flat/stacked/gather
-  // dispatch from live pointers — bitwise-identical outputs and identical
-  // launch counters to the live scheduler, by construction.
-  for (const MemoBatch& b : hit->batches) {
-    memo_replay_ids_.clear();
-    scratch_reserve(memo_replay_ids_, b.count);
-    for (std::uint32_t i = 0; i < b.count; ++i)
-      memo_replay_ids_.push_back(pending[hit->members[b.begin + i]]);
-    if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
-    execute_batch(b.kernel_id, memo_replay_ids_, b.merge);
-    t0 = now_ns();
-  }
-  if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
-  return true;
-}
-
-void Engine::memo_note_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
-                             bool merge) {
-  MemoBatch b;
-  b.kernel_id = kernel_id;
-  b.merge = merge;
-  b.begin = static_cast<std::uint32_t>(memo_rec_members_.size());
-  b.count = static_cast<std::uint32_t>(ids.size());
-  for (const std::uint32_t id : ids) {
-    if (id >= memo_pos_stamp_.size() || memo_pos_stamp_[id] != memo_gen_) {
-      // Defensive: a batch member outside this trigger's ready set (no
-      // current scheduler produces one) — abandon the recording.
-      memo_recording_ = false;
-      return;
-    }
-    scratch_reserve(memo_rec_members_, memo_rec_members_.size() + 1);
-    memo_rec_members_.push_back(memo_pos_[id]);
-  }
-  scratch_reserve(memo_rec_batches_, memo_rec_batches_.size() + 1);
-  memo_rec_batches_.push_back(b);
-}
-
-void Engine::memo_install() {
-  if (!memo_recording_) return;
-  memo_recording_ = false;
-  const std::size_t cap =
-      cfg_.sched_memo_capacity > 0 ? static_cast<std::size_t>(cfg_.sched_memo_capacity) : 1;
-  MemoEntry* slot;
-  if (memo_cache_.size() < cap) {
-    scratch_reserve(memo_cache_, memo_cache_.size() + 1);
-    memo_cache_.emplace_back();
-    slot = &memo_cache_.back();
-  } else {
-    // LRU-ish: overwrite the least-recently-replayed entry IN PLACE — its
-    // vectors keep their capacity, so steady-state churn past capacity
-    // allocates nothing.
-    slot = &memo_cache_[0];
-    for (MemoEntry& e : memo_cache_)
-      if (e.last_used < slot->last_used) slot = &e;
-    ++stats_.sched_cache_evictions;
-  }
-  slot->hash = memo_hash_;
-  slot->last_used = ++memo_tick_;
-  scratch_reserve(slot->sig, memo_sig_n_);
-  slot->sig.assign(memo_sig_.begin(), memo_sig_.begin() + static_cast<std::ptrdiff_t>(memo_sig_n_));
-  scratch_reserve(slot->batches, memo_rec_batches_.size());
-  slot->batches.assign(memo_rec_batches_.begin(), memo_rec_batches_.end());
-  scratch_reserve(slot->members, memo_rec_members_.size());
-  slot->members.assign(memo_rec_members_.begin(), memo_rec_members_.end());
-}
-
 void Engine::trigger_execution() {
   if (in_trigger_) return;
   if (admission_hook_ && !in_admission_) {
@@ -922,34 +679,17 @@ void Engine::trigger_execution() {
   trigger_scratch_.clear();
   trigger_scratch_.swap(pending_);
   const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
-  const bool memo = cfg_.sched_memo && cfg_.lazy;
   try {
-    // Memoized path first: a hit replays the cached plan and skips the
-    // scheduler entirely; a miss arms plan recording and falls through.
     std::int64_t sched_t0 = 0;
     ACROBAT_TRACE(tracer_, sched_t0 = tracer_->now());
-    bool replayed = false;
-    if (memo) replayed = memo_try_replay(trigger_scratch_);
-    if (!replayed) {
-      if (cfg_.scheduler == SchedulerKind::kAgenda) {
-        schedule_agenda(trigger_scratch_);
-      } else {
-        schedule_depth(trigger_scratch_);
-      }
-      if (memo) {
-        const std::int64_t t0 = now_ns();
-        memo_install();
-        if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
-      }
+    if (cfg_.scheduler == SchedulerKind::kAgenda) {
+      schedule_agenda(trigger_scratch_);
+    } else {
+      schedule_depth(trigger_scratch_);
     }
-    ACROBAT_TRACE(tracer_, tracer_->span(trace::EventKind::kSchedule, sched_t0,
-                                         trace_ops, -1, 0, replayed ? 1 : 0));
-    // This trigger consumed the captured key; ops recorded from here on
-    // belong to the next window (fresh stamp generation, empty key).
-    if (memo) memo_capture_reset();
+    ACROBAT_TRACE(tracer_,
+                  tracer_->span(trace::EventKind::kSchedule, sched_t0, trace_ops));
   } catch (...) {
-    memo_abort();         // drop any half-recorded plan
-    if (memo) memo_capture_reset();
     in_trigger_ = false;  // keep the engine usable after a caught OOM
     reset_sched_scratch();
     throw;
@@ -964,13 +704,8 @@ void Engine::trigger_execution() {
   }
   ACROBAT_TRACE(tracer_, {
     tracer_->span(trace::EventKind::kTrigger, trace_t0, trace_ops);
-    const long long probes = stats_.sched_cache_hits + stats_.sched_cache_misses;
-    tracer_->counter(
-        static_cast<std::int32_t>(live_nodes()),
-        probes > 0
-            ? static_cast<std::int32_t>(1000 * stats_.sched_cache_hits / probes)
-            : 0,
-        static_cast<std::int64_t>(memory().arena_active_bytes));
+    tracer_->counter(static_cast<std::int32_t>(live_nodes()),
+                     static_cast<std::int64_t>(memory().arena_active_bytes));
   });
 }
 
@@ -1206,10 +941,6 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
 
 void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
                            bool merge_launch) {
-  // A miss with memoization on records the live scheduler's plan exactly as
-  // dispatched (grouping, order, merged-launch flags); memo_install caches
-  // it once the whole trigger has succeeded.
-  if (memo_recording_) memo_note_batch(kernel_id, ids, merge_launch);
   std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);

@@ -100,14 +100,6 @@ RunResult run_with_engine(const Prepared& p, const models::Dataset& ds, const Ru
   const std::size_t n = ds.inputs.size();
   std::vector<TRef> outs;
   std::vector<std::pair<std::size_t, std::size_t>> out_span(n);
-  // Multi-repetition mode: re-run the whole instance batch in this same
-  // engine and report only the final repetition (earlier ones are warmup —
-  // they populate the schedule-memo cache and any constant caches). Wall
-  // and stats snapshots below make repeats == 1 bit-identical to the old
-  // single-pass accounting.
-  const int reps = opts.repeats > 0 ? opts.repeats : 1;
-  EngineStats warm;
-  std::int64_t t_last = t0;
   try {
     auto run_one = [&](std::size_t i) {
       InstCtx ctx;
@@ -123,26 +115,19 @@ RunResult run_with_engine(const Prepared& p, const models::Dataset& ds, const Ru
         out_span[i] = {outs.size() - added, outs.size()};
       }
     };
-    for (int rep = 0; rep < reps; ++rep) {
-      if (reps > 1 && rep == reps - 1) {
-        warm = engine.stats();
-        t_last = now_ns();
-      }
-      outs.clear();
-      if (use_fibers) {
-        FiberScheduler fs;
-        fs.set_tracer(opts.tracer);
-        engine.set_fiber_scheduler(&fs);
-        std::vector<FiberTask> tasks;
-        tasks.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) tasks.push_back([&, i] { run_one(i); });
-        fs.run(std::move(tasks), [&] { engine.trigger_execution(); });
-        engine.set_fiber_scheduler(nullptr);
-      } else {
-        for (std::size_t i = 0; i < n; ++i) run_one(i);
-      }
-      engine.trigger_execution();
+    if (use_fibers) {
+      FiberScheduler fs;
+      fs.set_tracer(opts.tracer);
+      engine.set_fiber_scheduler(&fs);
+      std::vector<FiberTask> tasks;
+      tasks.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) tasks.push_back([&, i] { run_one(i); });
+      fs.run(std::move(tasks), [&] { engine.trigger_execution(); });
+      engine.set_fiber_scheduler(nullptr);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) run_one(i);
     }
+    engine.trigger_execution();
 
     for (std::size_t i = 0; i < n; ++i) {
       std::vector<float> flat;
@@ -157,22 +142,15 @@ RunResult run_with_engine(const Prepared& p, const models::Dataset& ds, const Ru
     r.oom = true;
   }
 
-  r.wall_ms = static_cast<double>(now_ns() - t_last) * 1e-6;
+  r.wall_ms = static_cast<double>(now_ns() - t0) * 1e-6;
   r.stats = engine.stats();
   r.kernel_invocations = engine.stats().kernel_invocations;
-  if (reps > 1) {
-    // Report the final repetition: cumulative stats minus the warm snapshot.
-    r.stats -= warm;
-    for (std::size_t i = 0; i < r.kernel_invocations.size(); ++i)
-      r.kernel_invocations[i] -= warm.kernel_invocations[i];
-  }
   return r;
 }
 
 RunResult run_acrobat(const Prepared& p, const models::Dataset& ds, const RunOptions& opts) {
   EngineConfig ec =
       engine_config_for(p.cfg, opts.launch_overhead_ns, opts.time_activities);
-  ec.sched_memo = opts.sched_memo;
   // Fibers need the compiled-in depth counters; without inline depth the
   // runtime falls back to instance-at-a-time triggering at sync points.
   const bool fibers =

@@ -246,7 +246,6 @@ bool NetServer::Impl::spawn_worker(ShardCh& ch) {
       "--ds-seed", std::to_string(opts.ds_seed),
       "--launch-ns", std::to_string(opts.launch_overhead_ns),
       "--recycle", opts.recycle ? "1" : "0",
-      "--memo", opts.sched_memo ? "1" : "0",
       "--pol-kind", std::to_string(static_cast<int>(opts.policy.kind)),
       "--pol-max-batch", std::to_string(opts.policy.max_batch),
       "--pol-min-batch", std::to_string(opts.policy.min_batch),
@@ -328,7 +327,6 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
   cc.make_policy = [this] { return serve::make_policy(opts.policy); };
   cc.launch_overhead_ns = opts.launch_overhead_ns;
   cc.recycle = opts.recycle;
-  cc.sched_memo = opts.sched_memo;
   cc.shard_index = ch.index;
   cc.epoch_ns = epoch;
   cc.tracer = ch.tracer.get();

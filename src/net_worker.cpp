@@ -48,7 +48,6 @@ struct WorkerArgs {
   std::uint64_t ds_seed = 0;
   std::int64_t launch_ns = 0;
   bool recycle = true;
-  bool sched_memo = true;
   std::string fault;
   serve::PolicyConfig policy;
 };
@@ -65,7 +64,6 @@ bool parse_args(int argc, char** argv, WorkerArgs& a) {
     else if (k == "--ds-seed") a.ds_seed = std::strtoull(v, nullptr, 10);
     else if (k == "--launch-ns") a.launch_ns = std::atoll(v);
     else if (k == "--recycle") a.recycle = std::atoi(v) != 0;
-    else if (k == "--memo") a.sched_memo = std::atoi(v) != 0;
     else if (k == "--fault") a.fault = v;
     else if (k == "--pol-kind") a.policy.kind = static_cast<serve::PolicyKind>(std::atoi(v));
     else if (k == "--pol-max-batch") a.policy.max_batch = static_cast<std::size_t>(std::atoll(v));
@@ -256,7 +254,6 @@ int shard_worker_main(int argc, char** argv) {
   cc.make_policy = [&a] { return serve::make_policy(a.policy); };
   cc.launch_overhead_ns = a.launch_ns;
   cc.recycle = a.recycle;
-  cc.sched_memo = a.sched_memo;
   cc.shard_index = a.shard;
   cc.epoch_ns = io.epoch();
   serve::ShardReport report;

@@ -45,8 +45,8 @@ void check_trace(const ShardModule& module, const std::vector<Request>& trace, b
 
 const std::vector<std::string>& gauge_names() {
   static const std::vector<std::string> names = {
-      "live_requests",   "queued_requests",   "completed_requests", "shed_requests",
-      "kernel_launches", "memo_hit_permille", "live_nodes",         "arena_kb"};
+      "live_requests",   "queued_requests", "completed_requests", "shed_requests",
+      "kernel_launches", "live_nodes",      "arena_kb"};
   return names;
 }
 
@@ -83,7 +83,6 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
   EngineConfig ec = harness::engine_config_for(mod.cfg, cfg.launch_overhead_ns,
                                                cfg.time_activities);
   ec.recycle = cfg.recycle;
-  ec.sched_memo = cfg.sched_memo;
   Engine eng(mod.compiled->module.registry, ec);
 
   // The weight table is global (kLoadWeight indices span every model of a
@@ -149,17 +148,12 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
         fs.idle_triggers() - last_tick_trigger < cfg.tick_every_triggers)
       return;
     last_tick_trigger = fs.idle_triggers();
-    const ActivityStats& st = eng.stats();
-    const long long probes = st.sched_cache_hits + st.sched_cache_misses;
     const double v[] = {
         static_cast<double>(in_flight.size()),
         static_cast<double>(queue.size()),
         static_cast<double>(report.requests),
         static_cast<double>(report.shed),
-        static_cast<double>(st.kernel_launches),
-        probes > 0 ? 1000.0 * static_cast<double>(st.sched_cache_hits) /
-                         static_cast<double>(probes)
-                   : 0.0,
+        static_cast<double>(eng.stats().kernel_launches),
         static_cast<double>(eng.live_nodes()),
         static_cast<double>(eng.memory().arena_active_bytes) / 1024.0};
     for (int i = 0; i < static_cast<int>(std::size(v)); ++i) gauges.set(i, v[i]);

@@ -68,7 +68,6 @@ struct CoreConfig {
   std::int64_t launch_overhead_ns = 0;
   bool time_activities = false;
   bool recycle = true;
-  bool sched_memo = true;
   bool collect_outputs = true;
   int shard_index = 0;
   std::int64_t epoch_ns = 0;        // session times are relative to this
@@ -173,7 +172,6 @@ CoreConfig core_config(const ShardModule& module, const Options& o) {
   c.launch_overhead_ns = o.launch_overhead_ns;
   c.time_activities = o.time_activities;
   c.recycle = o.recycle;
-  c.sched_memo = o.sched_memo;
   c.collect_outputs = o.collect_outputs;
   return c;
 }

@@ -14,8 +14,6 @@ const char* event_name(EventKind k) {
     case EventKind::kSchedule: return "schedule";
     case EventKind::kBatch: return "batch";
     case EventKind::kGather: return "gather";
-    case EventKind::kMemoHit: return "memo_hit";
-    case EventKind::kMemoMiss: return "memo_miss";
     case EventKind::kFiberSpawn: return "fiber_spawn";
     case EventKind::kFiberBlock: return "fiber_block";
     case EventKind::kFiberWake: return "fiber_wake";
@@ -144,13 +142,8 @@ const char* batch_path(std::uint8_t flags) {
 void write_args(std::FILE* f, const Event& e) {
   switch (e.kind) {
     case EventKind::kTrigger:
-    case EventKind::kMemoHit:
-    case EventKind::kMemoMiss:
-      std::fprintf(f, "{\"ops\":%d}", e.a);
-      break;
     case EventKind::kSchedule:
-      std::fprintf(f, "{\"ops\":%d,\"replayed\":%s}", e.a,
-                   (e.flags & 1) ? "true" : "false");
+      std::fprintf(f, "{\"ops\":%d}", e.a);
       break;
     case EventKind::kBatch:
       std::fprintf(f,
@@ -235,12 +228,6 @@ bool TraceDump::write_chrome_json(const std::string& path) const {
                      "\"name\":\"%s/live_nodes\",\"args\":{\"value\":%d}},\n",
                      t.tid, static_cast<double>(e.t_ns) * 1e-3,
                      t.name.c_str(), e.a);
-        std::fprintf(f,
-                     "{\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,"
-                     "\"name\":\"%s/memo_hit_permille\","
-                     "\"args\":{\"value\":%d}},\n",
-                     t.tid, static_cast<double>(e.t_ns) * 1e-3,
-                     t.name.c_str(), e.b);
         std::fprintf(f,
                      "{\"ph\":\"C\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,"
                      "\"name\":\"%s/arena_bytes\",\"args\":{\"value\":%lld}}",

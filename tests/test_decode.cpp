@@ -8,13 +8,13 @@
 //      with min_batch == max_admit == cohort) makes batch composition a
 //      pure function of arrival order: two runs agree exactly, and every
 //      session still matches its solo outputs bitwise;
-//  (c) steady-state decode-step triggers hit the schedule cache — the
-//      depth-0 checkpointed state keys like any materialized input;
-//  (d) soak: session-state, node-table, and arena watermarks plateau at
+//  (c) soak: session-state, node-table, and arena watermarks plateau at
 //      peak concurrent sessions while tokens scale with the trace;
-//  (e) fleet: per-token deadlines cancel stalled sessions mid-stream (they
+//  (d) fleet: per-token deadlines cancel stalled sessions mid-stream (they
 //      exit through the model's tail with valid prefix output), and the
-//      fleet trace contract is validated loudly.
+//      fleet trace contract is validated loudly;
+//  (e) the decode-aware width split gates prefills and decode steps
+//      separately.
 //
 // ACROBAT_SERVE_REQUESTS bounds the soak (default 400 ≈ 6k+ tokens; the
 // ctest entry registers a 64-request smoke).
@@ -149,45 +149,7 @@ void test_cohort_deterministic_and_matches_solo() {
   }
 }
 
-// (c) Steady-state decode-step triggers replay cached schedules: the
-// checkpointed state is a depth-0 materialized node, so a decode step's
-// trigger signature recurs from one token to the next at fixed cohort
-// width. The cache must also stay observation-free for decode (memo on vs
-// off: identical launches and outputs).
-void test_decode_memo_steady_state() {
-  const models::ModelSpec& spec = models::model_by_name("Decoder");
-  const models::Dataset ds = spec.build_dataset(false, 6, 31);
-  harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
-
-  const int n = 6;
-  const auto trace = t0_trace(n, ds.inputs.size());
-  serve::ServeOptions on = cohort_opts(n);
-  serve::ServeOptions off = cohort_opts(n);
-  off.sched_memo = false;
-
-  const serve::ServeResult with = serve::serve(p, ds, trace, on);
-  const serve::ServeResult without = serve::serve(p, ds, trace, off);
-
-  const ActivityStats& st = with.shards.at(0).stats;
-  std::printf("decode memo: triggers=%lld hits=%lld misses=%lld tokens=%lld\n",
-              with.shards.at(0).triggers, st.sched_cache_hits, st.sched_cache_misses,
-              with.tokens);
-  CHECK(st.sched_cache_hits > 0);
-  // Steady state dominates: width only changes when a session stops, so
-  // recurring-signature triggers (hits) outnumber the distinct shapes.
-  CHECK(st.sched_cache_hits > st.sched_cache_misses);
-  CHECK_EQ(without.shards.at(0).stats.sched_cache_hits, 0);
-
-  CHECK_EQ(st.kernel_launches, without.shards.at(0).stats.kernel_launches);
-  for (const serve::RequestRecord& rec : with.records) {
-    const auto& other = without.records.at(static_cast<std::size_t>(rec.id)).output;
-    CHECK_EQ(rec.output.size(), other.size());
-    for (std::size_t i = 0; i < rec.output.size(); ++i)
-      CHECK(rec.output[i] == other[i]);
-  }
-}
-
-// (d) Soak: with recycling on, session buffers / node table / arena all
+// (c) Soak: with recycling on, session buffers / node table / arena all
 // plateau at peak concurrent sessions (the max-batch cap) — 4x the
 // requests means ~4x the tokens but the same memory watermarks.
 void test_session_memory_plateau() {
@@ -237,7 +199,7 @@ void test_session_memory_plateau() {
   CHECK(lm.nodes_recycled > 0);
 }
 
-// (e) Fleet: a tiny per-token deadline with shedding on cancels sessions
+// (d) Fleet: a tiny per-token deadline with shedding on cancels sessions
 // mid-stream. Cancelled sessions still complete through the model's tail
 // (valid output for the emitted prefix) and are counted as cancelled, not
 // shed; a no-token-deadline contrast run cancels nothing.
@@ -293,10 +255,9 @@ void test_fleet_token_deadline_cancels() {
   }));
 }
 
-// (f) Decode-aware width split (ISSUE 9 satellite): with decode_admit set,
-// max_admit gates *prefill* admissions against non-decode live sessions
-// only, and parked decode steps re-admit in decode_admit-sized chunks per
-// trigger window.
+// (e) Decode-aware width split: with decode_admit set, max_admit gates
+// *prefill* admissions against non-decode live sessions only, and parked
+// decode steps re-admit in decode_admit-sized chunks per trigger window.
 void test_decode_split_budget() {
   // Unit: the split arithmetic, pinned against synthetic shard state.
   serve::PolicyConfig pc;
@@ -374,7 +335,6 @@ void test_decode_split_budget() {
 int main() {
   test_single_session_matches_solo();
   test_cohort_deterministic_and_matches_solo();
-  test_decode_memo_steady_state();
   test_session_memory_plateau();
   test_fleet_token_deadline_cancels();
   test_decode_split_budget();

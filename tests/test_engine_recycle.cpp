@@ -159,63 +159,6 @@ void test_survivor_bytes_intact_across_retirement() {
   CHECK_EQ(eng.live_nodes(), 2);  // only the two concrete nodes remain
 }
 
-// Schedule memoization under recycling (DESIGN.md §5): recycled node ids
-// must not poison the cached plans — keys are position-based, so a cohort
-// re-recorded into reused slots replays the same plan. Soak a recurring
-// 2-request cohort (lengths cycling with period 3) through a memo+recycle
-// engine against a recycle-only reference: outputs stay bitwise equal every
-// round, the hit/miss split is exact (3 structures → 3 misses, every later
-// round hits), and memory plateaus exactly as without the cache — cached
-// plans are engine-owned scratch, not per-request state.
-void test_memo_with_recycling_soak() {
-  Fixture f;
-  EngineConfig memo_cfg = Fixture::recycle_config();
-  memo_cfg.sched_memo = true;
-  Engine eng(f.reg, memo_cfg);
-  Engine ref(f.reg, Fixture::recycle_config());
-  const TRef xref = eng.add_concrete(f.x.view());
-  const TRef wref = eng.add_concrete(f.w.view());
-  const TRef rx = ref.add_concrete(f.x.view());
-  const TRef rw = ref.add_concrete(f.w.view());
-
-  std::size_t plateau_nodes = 0;
-  std::size_t plateau_arena = 0;
-  long long plateau_allocs = 0;
-  const int rounds = 200;
-  for (int round = 0; round < rounds; ++round) {
-    const int len = 1 + round % 3;
-    const std::vector<TRef> a = record_request(eng, f, xref, wref, 2 * round, len);
-    const std::vector<TRef> b = record_request(eng, f, xref, wref, 2 * round + 1, len);
-    eng.trigger_execution();
-    const std::vector<TRef> ra = record_request(ref, f, rx, rw, 2 * round, len);
-    const std::vector<TRef> rb = record_request(ref, f, rx, rw, 2 * round + 1, len);
-    ref.trigger_execution();
-    const Tensor ta = eng.force(a.back());
-    const Tensor tb = eng.force(b.back());
-    const Tensor ka = ref.force(ra.back());
-    const Tensor kb = ref.force(rb.back());
-    CHECK(std::memcmp(ta.data, ka.data, sizeof(float) * 8) == 0);
-    CHECK(std::memcmp(tb.data, kb.data, sizeof(float) * 8) == 0);
-    eng.retire_request(2 * round);
-    eng.retire_request(2 * round + 1);
-    ref.retire_request(2 * round);
-    ref.retire_request(2 * round + 1);
-    if (round == 40) {
-      plateau_nodes = eng.num_nodes();
-      plateau_arena = eng.memory().arena_high_water_bytes;
-      plateau_allocs = eng.stats().scheduling_allocs;
-    }
-  }
-  CHECK_EQ(eng.stats().sched_cache_misses, 3);
-  CHECK_EQ(eng.stats().sched_cache_hits, rounds - 3);
-  CHECK_EQ(eng.stats().sched_cache_evictions, 0);
-  CHECK(eng.num_nodes() <= 2 * plateau_nodes);
-  CHECK(eng.memory().arena_high_water_bytes <= 2 * plateau_arena);
-  CHECK_EQ(eng.stats().scheduling_allocs, plateau_allocs);  // warm: no cache growth
-  CHECK_EQ(eng.memory().leaked_slots, 0);
-  CHECK(eng.memory().nodes_recycled > 0);
-}
-
 // Size-class session-buffer pooling (DESIGN.md §7 "Recycling"): a session
 // whose checkpointed state *grows* per step defeats a single free-list —
 // every growth would pool an undersized buffer no successor could adopt,
@@ -326,7 +269,6 @@ void test_stale_ref_faults_in_debug() {
 int main() {
   test_free_list_never_reissues_live_slots();
   test_survivor_bytes_intact_across_retirement();
-  test_memo_with_recycling_soak();
   test_session_buffer_pool_plateaus();
 #ifndef NDEBUG
   test_stale_ref_faults_in_debug();

@@ -196,8 +196,6 @@ void test_wire_parity_vs_serve() {
   CHECK_EQ(st.shards.at(0).stats.kernel_launches, ref.shards.at(0).stats.kernel_launches);
   CHECK_EQ(st.shards.at(0).stats.flat_batches, ref.shards.at(0).stats.flat_batches);
   CHECK_EQ(st.shards.at(0).stats.stacked_batches, ref.shards.at(0).stats.stacked_batches);
-  CHECK_EQ(st.shards.at(0).stats.sched_cache_hits, ref.shards.at(0).stats.sched_cache_hits);
-  CHECK_EQ(st.shards.at(0).stats.sched_cache_misses, ref.shards.at(0).stats.sched_cache_misses);
   CHECK_EQ(st.shards.at(0).tokens, ref.tokens);
   CHECK_EQ(st.completed, static_cast<std::uint64_t>(n));
   CHECK_EQ(st.requests, static_cast<std::uint64_t>(n));

@@ -195,8 +195,6 @@ void test_serve_trace_parity() {
   CHECK_EQ(sa.flat_batches, sb.flat_batches);
   CHECK_EQ(sa.stacked_batches, sb.stacked_batches);
   CHECK_EQ(sa.gather_bytes, sb.gather_bytes);
-  CHECK_EQ(sa.sched_cache_hits, sb.sched_cache_hits);
-  CHECK_EQ(sa.sched_cache_misses, sb.sched_cache_misses);
   CHECK_EQ(sa.scheduling_allocs, sb.scheduling_allocs);
   CHECK_EQ(a.shards.at(0).triggers, b.shards.at(0).triggers);
 
@@ -208,9 +206,6 @@ void test_serve_trace_parity() {
   CHECK(b.trace.count(trace::EventKind::kTrigger) > 0);
   CHECK(b.trace.count(trace::EventKind::kSchedule) > 0);
   CHECK(b.trace.count(trace::EventKind::kBatch) > 0);
-  CHECK(b.trace.count(trace::EventKind::kMemoHit) +
-            b.trace.count(trace::EventKind::kMemoMiss) >
-        0);
   CHECK_EQ(b.trace.count(trace::EventKind::kAdmit), n);
   CHECK_EQ(b.trace.count(trace::EventKind::kDispatch), n);
   CHECK_EQ(b.trace.count(trace::EventKind::kShed), 0);
@@ -236,7 +231,7 @@ void test_serve_trace_parity() {
   // Metric stream: ticking every trigger must produce ticks, with the
   // shard's registered gauge names riding along.
   CHECK(!b.trace.ticks.empty());
-  CHECK_EQ(b.trace.metric_names.size(), 8);
+  CHECK_EQ(b.trace.metric_names.size(), 7);
   for (const trace::MetricsTick& t : b.trace.ticks)
     CHECK_EQ(t.n, b.trace.metric_names.size());
 

@@ -1,18 +1,21 @@
 // acrobat/net: the socket ingress (DESIGN.md §10).
 //
 // NetServer is the front door that turns the in-process serving stack into a
-// real server: a poll()-based event loop accepts TCP (loopback) and/or UDS
-// connections, parses length-prefixed request frames, stamps arrivals, and
-// feeds them through a *bounded* admission queue to a dispatcher thread that
-// routes onto shard inboxes — the same SPSC + admission-hook machinery the
-// in-proc `serve()` path uses. Completions (including per-token decode
-// frames) stream back on the originating connection.
+// real server: one poll()-based event loop thread accepts TCP (loopback)
+// and/or UDS connections, parses length-prefixed request frames, stamps
+// arrivals, and admits each request itself — a free slot goes to the
+// least-loaded shard's SPSC inbox at once, the same inbox + admission-hook
+// machinery the in-proc `serve()` path uses; otherwise the request waits in
+// a *bounded* admission FIFO for the next freed slot. Completions (including
+// per-token decode frames) stream back on the originating connection. The
+// loop blocks until a socket is ready or a shard signals a completion
+// through an eventfd; it has no poll tick.
 //
 // Three invariants the design enforces:
-//   * Overload sheds, never grows: the admission queue has fixed capacity
-//     and the slot table has fixed size; when either is exhausted new
-//     requests get an explicit kRetry (429) frame. No unbounded buffer
-//     exists anywhere on the request path.
+//   * Overload sheds, never grows: the slot table has fixed size and the
+//     admission FIFO fixed capacity; a request that finds both full gets an
+//     explicit kRetry (429) frame. No unbounded buffer exists anywhere on
+//     the request path.
 //   * Slow readers never block the hot path: only the event-loop thread
 //     writes sockets; per-connection write buffers are bounded and a
 //     connection that exceeds its bound is dropped, cancelling its live
@@ -49,10 +52,10 @@ struct NetOptions {
   std::int64_t launch_overhead_ns = 0;
   bool recycle = true;
 
-  // Bounded-ingress knobs. admission_capacity bounds the acceptor →
-  // dispatcher queue (full → 429); max_sessions bounds the slot table, i.e.
-  // requests admitted but not yet completed server-wide (exhausted → the
-  // dispatcher stops popping admission, which backs up into 429s).
+  // Bounded-ingress knobs. max_sessions bounds the slot table, i.e.
+  // requests on a shard but not yet completed server-wide; a request that
+  // finds every slot busy waits in the admission FIFO, whose size is
+  // admission_capacity (full → 429).
   std::size_t admission_capacity = 64;
   std::size_t max_sessions = 128;
   std::size_t write_buffer_limit = 1 << 20;  // bytes buffered per conn before drop
@@ -147,6 +150,10 @@ struct NetStats {
   std::uint64_t fault_kills = 0;         // injected router-side worker kills
   std::uint64_t fault_short_writes = 0;  // injected router-side send clamps
   // High-water marks: all bounded by their configured caps.
+  // admission_peak counts only requests that waited in the FIFO for a
+  // slot, so it stays 0 while the slot table has room (a K=4 closed loop
+  // against the default 128 slots, as bench/e2e's wire_decode runs, never
+  // waits).
   std::size_t admission_peak = 0;
   std::size_t slots_peak = 0;
   std::size_t write_buf_peak = 0;

@@ -41,16 +41,6 @@ class SpscQueue {
     return head_.load(std::memory_order_acquire) == tail_.load(std::memory_order_acquire);
   }
 
-  // Approximate occupancy. From the producer thread this is exact or an
-  // overestimate (its own tail is exact, the consumer's head may lag), which
-  // is the safe direction for a producer enforcing a capacity bound: it can
-  // reject early, never overfill. The net ingress uses this to hold the
-  // admission queue to its *configured* capacity rather than the
-  // rounded-up-power-of-two ring size.
-  std::size_t size_hint() const {
-    return tail_.load(std::memory_order_acquire) - head_.load(std::memory_order_acquire);
-  }
-
   void close() { closed_.store(true, std::memory_order_release); }
   bool closed() const { return closed_.load(std::memory_order_acquire); }
 

@@ -6,12 +6,14 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <climits>
 #include <cstdio>
@@ -54,20 +56,20 @@ std::uint64_t pack_owner(int conn, std::uint64_t gen) {
 }
 
 // One admitted-but-not-completed request. Exactly one thread owns the
-// non-atomic fields at any time (event loop → dispatcher → shard or worker
-// proxy → event loop), with ownership handed over through SPSC queues;
-// `owner` and `cancel_owner` are the only concurrently-touched members.
+// other fields at any time (event loop → shard or worker proxy → event
+// loop), with ownership handed over through the shard's SPSC inbox and
+// completion ring; `cancel_owner` is the only concurrently-touched member.
 struct Slot {
-  std::atomic<std::uint64_t> owner{0};
+  std::uint64_t owner = 0;  // pack_owner while busy; event loop only
   std::atomic<std::uint64_t> cancel_owner{0};
 
-  // Wire identity (dispatcher-written; event loop reads at completion).
+  // Wire identity (event-loop-written at dispatch, read at completion).
   int conn = -1;
   std::uint64_t conn_gen = 0;
   std::uint32_t req_id = 0;
   bool stream = false;
 
-  // The request as a shard sees it (dispatcher-written). req.id is a
+  // The request as a shard sees it (event-loop-written). req.id is a
   // per-shard session number, stamped by the in-process shard that takes
   // the slot.
   serve::Request req;
@@ -82,7 +84,9 @@ bool slot_cancelled(const Slot& s) {
   return s.cancel_owner.load(std::memory_order_acquire) == pack_owner(s.conn, s.conn_gen);
 }
 
-// Acceptor → dispatcher. Everything the dispatcher needs to fill a slot.
+// An accepted request: everything the event loop needs to fill a slot. It
+// is dispatched at once when a slot is free, else it waits in the admission
+// FIFO until a completion frees one.
 struct AdmissionMsg {
   int conn = -1;
   std::uint64_t conn_gen = 0;
@@ -93,7 +97,7 @@ struct AdmissionMsg {
   std::int64_t arrival_ns = 0;
 };
 
-// Shard/proxy/dispatcher → event loop.
+// Shard or worker proxy → event loop, over the shard's completion ring.
 struct CompMsg {
   enum Kind : std::uint8_t { kToken, kDone, kError };
   Kind kind = kDone;
@@ -105,6 +109,84 @@ bool set_nonblocking(int fd) {
   const int fl = ::fcntl(fd, F_GETFL, 0);
   return fl >= 0 && ::fcntl(fd, F_SETFL, fl | O_NONBLOCK) == 0;
 }
+
+// Lets one consumer thread block in poll() until a producer hands it work
+// through a lock-free ring, with a syscall only when the consumer sleeps.
+// The event loop is woken by shard completions; each worker proxy by inbox
+// pushes from the event loop.
+//
+// Consumer: park(), re-check every ring it reads and pass poll() a zero
+// timeout if one holds work, poll() with `fd` in the set, then unpark().
+// Producer: push to the ring, then notify().
+//
+// No push is lost. park() stores `parked` and then issues a seq_cst fence;
+// notify() issues one after the push and then reads `parked`. The two
+// fences fall in the single total order one way or the other. If the
+// producer's comes first, the consumer's re-check sees the push. If the
+// consumer's comes first, the producer reads parked == true (or a later
+// value: another producer's clear, whose write wakes the consumer, or a
+// later unpark, which precedes the next park's re-check), clears it and
+// writes the eventfd, so poll() returns. Only the producer that clears the
+// flag writes, so a burst costs one write. Rare events whose state the
+// consumer does not re-check (a shard exiting, shutdown, an inbox closing)
+// call signal(), which writes unconditionally.
+struct Wake {
+  int fd = -1;
+  std::atomic<bool> parked{false};
+
+  Wake() = default;
+  Wake(const Wake&) = delete;
+  Wake& operator=(const Wake&) = delete;
+  ~Wake() { close(); }
+
+  bool open() {
+    fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    return fd >= 0;
+  }
+  void close() {
+    if (fd >= 0) ::close(fd);
+    fd = -1;
+  }
+  void park() {
+    parked.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+  }
+  // `revents` is the eventfd's entry of the poll() set.
+  void unpark(short revents) {
+    parked.store(false, std::memory_order_relaxed);
+    if (revents == 0) return;
+    std::uint64_t n = 0;
+    const ssize_t r = ::read(fd, &n, sizeof n);  // resets the counter
+    (void)r;
+  }
+  void notify() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (parked.load(std::memory_order_relaxed) &&
+        parked.exchange(false, std::memory_order_relaxed))
+      signal();
+  }
+  void signal() {
+    const std::uint64_t one = 1;
+    const ssize_t r = ::write(fd, &one, sizeof one);
+    (void)r;
+  }
+};
+
+// The admission FIFO: requests waiting for a free slot, oldest first, in
+// storage fixed at start(). Event loop only.
+struct Fifo {
+  std::vector<AdmissionMsg> buf;
+  std::size_t head = 0, len = 0;
+
+  bool full() const { return len == buf.size(); }
+  void push(const AdmissionMsg& m) { buf[(head + len++) % buf.size()] = m; }
+  AdmissionMsg pop() {
+    const AdmissionMsg m = buf[head];
+    head = (head + 1) % buf.size();
+    --len;
+    return m;
+  }
+};
 
 }  // namespace
 
@@ -126,7 +208,7 @@ struct NetServer::Impl {
   std::unique_ptr<Slot[]> slots;
   std::size_t n_slots = 0;
 
-  // Per-shard channel: the dispatcher feeds the inbox (slot ids); the shard
+  // Per-shard channel: the event loop feeds the inbox (slot ids); the shard
   // thread (or the worker's proxy thread) feeds `out` back to the event
   // loop. The out ring is sized so that even a full slot table streaming
   // tokens rarely fills it; shard-side pushes spin briefly if it does —
@@ -142,20 +224,24 @@ struct NetServer::Impl {
     std::atomic<bool> alive{true};
     serve::ShardReport report;
     std::unique_ptr<trace::Tracer> tracer;
-    pid_t pid = -1;  // multiproc
-    int fd = -1;     // multiproc: router end of the socketpair
+    // Multiproc: the worker's pid (proxy-written, read by worker_pids() on
+    // the caller's thread), the router end of the socketpair, and the wake
+    // the event loop signals after an inbox push or close.
+    std::atomic<pid_t> pid{-1};
+    int fd = -1;
+    Wake wake;
   };
   std::vector<std::unique_ptr<ShardCh>> shards;
-  std::unique_ptr<SpscQueue<AdmissionMsg>> admission;
-  std::unique_ptr<SpscQueue<int>> free_ring;
-  std::unique_ptr<SpscQueue<CompMsg>> disp_out;
+
+  // Event-loop-owned admission state, sized in start(): the free slot ids
+  // and the requests waiting for one.
+  std::vector<int> free_slots;
+  Fifo waiting;
+  Wake loop_wake;  // shard completions, shard exits and shutdown wake the loop
 
   std::atomic<bool> draining{false};
-  std::atomic<bool> admission_closed{false};
-  std::atomic<bool> dispatcher_done{false};
   std::atomic<int> shards_done{0};
   std::atomic<std::uint64_t> worker_deaths{0};
-  std::atomic<std::size_t> slots_peak{0};
 
   // Fault tolerance (DESIGN.md §11). `degraded` is written by the event loop
   // and read by in-proc shard cores (ShardIo::degraded) and the worker proxies
@@ -168,7 +254,7 @@ struct NetServer::Impl {
   fault::Injector inject;
   std::string fault_spec;  // resolved spec, forwarded to workers via argv
 
-  std::thread ev_thread, disp_thread;
+  std::thread ev_thread;
   std::vector<std::thread> shard_threads;
 
   std::unique_ptr<trace::Tracer> net_tracer;
@@ -181,11 +267,20 @@ struct NetServer::Impl {
     return false;
   }
 
+  // Shard side of the completion ring (in-process shard or worker proxy).
+  void send_comp(ShardCh& ch, const CompMsg& m) {
+    while (!ch.out.push(m)) relax();
+    loop_wake.notify();
+  }
+  void shard_exited() {
+    shards_done.fetch_add(1, std::memory_order_release);
+    loop_wake.signal();
+  }
+
   bool setup_listeners();
   bool spawn_worker(ShardCh& ch);
   void shard_main_inproc(ShardCh& ch);
   void proxy_main(ShardCh& ch);
-  void dispatcher_loop();
   void event_loop();
 };
 
@@ -276,7 +371,7 @@ bool NetServer::Impl::spawn_worker(ShardCh& ch) {
     ::_exit(127);
   }
   ::close(sv[1]);
-  ch.pid = pid;
+  ch.pid.store(pid);
   ch.fd = sv[0];
   return true;
 }
@@ -291,9 +386,7 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
     int next_session = 1;
 
     Slot& slot(int si) { return im.slots[static_cast<std::size_t>(si)]; }
-    void send(const CompMsg& m) {
-      while (!ch.out.push(m)) relax();
-    }
+    void send(const CompMsg& m) { im.send_comp(ch, m); }
     void poll(std::deque<int>& arrived) override {
       // Slot ids recycle, so each session gets a fresh number to name it
       // in trace events.
@@ -331,7 +424,7 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
   cc.epoch_ns = epoch;
   cc.tracer = ch.tracer.get();
   serve::detail::run_shard(cc, io, ch.report);
-  shards_done.fetch_add(1, std::memory_order_release);
+  shard_exited();
 }
 
 // Router-side thread for one worker process: forwards requests and cancels
@@ -360,9 +453,7 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
   bool exhausted_counted = false;
   bool mode_sent = false;  // degraded bit last forwarded (fresh worker = normal)
 
-  const auto push_out = [&](const CompMsg& m) {
-    while (!ch.out.push(m)) relax();
-  };
+  const auto push_out = [&](const CompMsg& m) { send_comp(ch, m); };
   const auto schedule_respawn = [&] {
     if (!opts.supervise) return;
     if (respawns_left > 0) {
@@ -392,11 +483,11 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     }
     // Reap immediately (SIGKILL is belt-and-braces for the wedged case —
     // EOF deaths are already zombies) so a respawn never stacks zombies.
-    if (ch.pid > 0) {
-      ::kill(ch.pid, SIGKILL);
+    if (const pid_t pid = ch.pid.load(); pid > 0) {
+      ::kill(pid, SIGKILL);
       int status = 0;
-      ::waitpid(ch.pid, &status, 0);
-      ch.pid = -1;
+      ::waitpid(pid, &status, 0);
+      ch.pid.store(-1);
     }
     if (unexpected) schedule_respawn();
   };
@@ -454,7 +545,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
   };
 
   for (;;) {
-    bool progressed = false;
     // A pending respawn fires once its backoff elapses — unless the server
     // is already draining this shard (inbox closed and empty), in which
     // case restoring capacity is pointless and the drain wins.
@@ -472,7 +562,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
           last_ping = last_heard = now_ns();
           respawns.fetch_add(1, std::memory_order_relaxed);
           ch.alive.store(true, std::memory_order_release);
-          progressed = true;
         } else {
           schedule_respawn();  // fork/socketpair failed: counts as a failure
         }
@@ -480,7 +569,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
     }
     int si;
     while (ch.inbox.pop(si)) {
-      progressed = true;
       if (!ch.alive.load(std::memory_order_relaxed)) {
         ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
@@ -502,8 +590,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         // kill_worker fault: SIGKILL our own worker right after forwarding
         // the planned request — the EOF path then runs the exact production
         // death/respawn machinery, nothing test-only.
-        ACROBAT_FAULT(if (inject.fire_kill(ch.index) && ch.pid > 0)
-                          ::kill(ch.pid, SIGKILL));
+        ACROBAT_FAULT(if (const pid_t pid = ch.pid.load();
+                          inject.fire_kill(ch.index) && pid > 0)
+                          ::kill(pid, SIGKILL));
       } else {
         ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
@@ -558,9 +647,15 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
       mark_dead(true);
     }
 
+    // Block for at most the 1 ms supervision tick (pings, liveness, respawn
+    // backoff, cancel scans, degraded forwarding), or until the worker
+    // writes or the event loop pushes to or closes the inbox. A dead
+    // worker's fd is -1, which poll() skips.
+    ch.wake.park();
+    pollfd pfd[2] = {{ch.fd, POLLIN, 0}, {ch.wake.fd, POLLIN, 0}};
+    ::poll(pfd, 2, ch.inbox.empty_hint() ? 1 : 0);
+    ch.wake.unpark(pfd[1].revents);
     if (ch.alive.load(std::memory_order_relaxed)) {
-      pollfd pfd{ch.fd, POLLIN, 0};
-      ::poll(&pfd, 1, 1);
       std::uint8_t buf[16384];
       for (;;) {
         const ssize_t n = ::recv(ch.fd, buf, sizeof buf, MSG_DONTWAIT);
@@ -585,8 +680,6 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         mark_dead(true);
         break;
       }
-    } else if (!progressed) {
-      relax();
     }
 
     const bool worker_finished =
@@ -599,94 +692,25 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         ch.fd = -1;
       }
       // Reap the child: grace for a clean exit, then force.
-      if (ch.pid > 0) {
+      if (const pid_t pid = ch.pid.load(); pid > 0) {
         int status = 0;
         const std::int64_t deadline = now_ns() + 2'000'000'000;
         for (;;) {
-          const pid_t r = ::waitpid(ch.pid, &status, WNOHANG);
-          if (r == ch.pid || r < 0) break;
+          const pid_t r = ::waitpid(pid, &status, WNOHANG);
+          if (r == pid || r < 0) break;
           if (now_ns() > deadline) {
-            ::kill(ch.pid, SIGKILL);
-            ::waitpid(ch.pid, &status, 0);
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
             break;
           }
           relax();
         }
-        ch.pid = -1;
+        ch.pid.store(-1);
       }
       break;
     }
   }
-  shards_done.fetch_add(1, std::memory_order_release);
-}
-
-void NetServer::Impl::dispatcher_loop() {
-  std::vector<int> free_list;
-  free_list.reserve(n_slots);
-  for (std::size_t i = n_slots; i > 0; --i) free_list.push_back(static_cast<int>(i - 1));
-
-  for (;;) {
-    bool progressed = false;
-    int sid;
-    while (free_ring->pop(sid)) {
-      progressed = true;
-      Slot& s = slots[static_cast<std::size_t>(sid)];
-      s.owner.store(0, std::memory_order_relaxed);
-      s.output.clear();
-      s.tokens = 0;
-      s.cancelled = false;
-      free_list.push_back(sid);
-    }
-    // Backpressure cascade: no free slot → don't pop admission → the
-    // admission queue fills → the event loop 429s. Nothing ever grows.
-    while (!free_list.empty()) {
-      AdmissionMsg m;
-      if (!admission->pop(m)) break;
-      progressed = true;
-      const int si = free_list.back();
-      free_list.pop_back();
-      Slot& s = slots[static_cast<std::size_t>(si)];
-      s.conn = m.conn;
-      s.conn_gen = m.conn_gen;
-      s.req_id = m.req_id;
-      s.stream = m.stream;
-      s.req.input_index = m.input_index;
-      s.req.latency_class = static_cast<serve::LatencyClass>(m.latency_class);
-      s.req.arrival_ns = m.arrival_ns;
-      s.owner.store(pack_owner(m.conn, m.conn_gen), std::memory_order_release);
-      const std::size_t used = n_slots - free_list.size();
-      if (used > slots_peak.load(std::memory_order_relaxed))
-        slots_peak.store(used, std::memory_order_relaxed);
-
-      int target = -1, best = INT_MAX;
-      for (const auto& ch : shards) {
-        if (!ch->alive.load(std::memory_order_acquire)) continue;
-        const int load = ch->outstanding.load(std::memory_order_relaxed);
-        if (load < best) {
-          best = load;
-          target = ch->index;
-        }
-      }
-      if (target < 0) {
-        const CompMsg em{CompMsg::kError, si,
-                         static_cast<std::uint32_t>(ErrorCode::kUnavailable)};
-        while (!disp_out->push(em)) relax();
-        continue;
-      }
-      ShardCh& ch = *shards[static_cast<std::size_t>(target)];
-      ch.outstanding.fetch_add(1, std::memory_order_relaxed);
-      const bool pushed = ch.inbox.push(si);
-      assert(pushed && "inbox sized for the whole slot table");
-      (void)pushed;
-    }
-    if (admission_closed.load(std::memory_order_acquire) && admission->empty_hint() &&
-        free_list.size() == n_slots && free_ring->empty_hint()) {
-      for (const auto& ch : shards) ch->inbox.close();
-      dispatcher_done.store(true, std::memory_order_release);
-      return;
-    }
-    if (!progressed) relax();
-  }
+  shard_exited();
 }
 
 void NetServer::Impl::event_loop() {
@@ -694,20 +718,27 @@ void NetServer::Impl::event_loop() {
     int fd = -1;
     std::uint64_t gen = 1;
     bool open = false;
+    bool dirty = false;  // frames appended this pass; flushed before the loop blocks
     FrameReader rd;
     std::vector<std::uint8_t> wbuf;
     std::size_t woff = 0;
     int live = 0;  // requests admitted for this conn, terminal frame pending
   };
   std::vector<Conn> conns(static_cast<std::size_t>(opts.max_connections));
+  std::vector<int> dirty;
   int open_count = 0;
   trace::Tracer* const tr = net_tracer.get();
   bool listeners_open = true;
+  bool inboxes_closed = false;
   std::int64_t flush_deadline = -1;
   std::vector<std::uint8_t> scratch;
   const int nshards = static_cast<int>(shards.size());
 
   const auto now_rel = [&] { return now_ns() - epoch; };
+  const auto conn_ok = [&](int ci, std::uint64_t gen) {
+    return ci >= 0 && conns[static_cast<std::size_t>(ci)].open &&
+           conns[static_cast<std::size_t>(ci)].gen == gen;
+  };
 
   const auto drop_conn = [&](int ci, bool slow) {
     Conn& c = conns[static_cast<std::size_t>(ci)];
@@ -724,10 +755,12 @@ void NetServer::Impl::event_loop() {
       if (slow) ++stats.slow_reader_drops;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetConnDrop, ci, slow ? 1 : 0));
       // Cancel every live session owned by this (conn, gen). Owner-tagged:
-      // a slot recycled to a newer generation can never match.
+      // a slot recycled to a newer generation can never match. Requests of
+      // this connection still in the FIFO are skipped when they reach its
+      // head (dispatch checks the generation).
       const std::uint64_t target = pack_owner(ci, c.gen);
       for (std::size_t i = 0; i < n_slots; ++i)
-        if (slots[i].owner.load(std::memory_order_acquire) == target)
+        if (slots[i].owner == target)
           slots[i].cancel_owner.store(target, std::memory_order_release);
     }
     ++c.gen;
@@ -758,26 +791,78 @@ void NetServer::Impl::event_loop() {
     }
   };
 
+  // Appends a frame; the pass's one send per connection happens before the
+  // loop next blocks.
   const auto send_to = [&](int ci, const std::vector<std::uint8_t>& bytes) {
     Conn& c = conns[static_cast<std::size_t>(ci)];
     if (!c.open) return;
     c.wbuf.insert(c.wbuf.end(), bytes.begin(), bytes.end());
-    const std::size_t backlog = c.wbuf.size() - c.woff;
-    stats.write_buf_peak = std::max(stats.write_buf_peak, backlog);
-    if (backlog > opts.write_buffer_limit) {
-      // Slow reader: its socket stopped draining and the bounded buffer is
-      // full. Shed the connection — the shard hot path never waits on it.
-      drop_conn(ci, true);
+    stats.write_buf_peak = std::max(stats.write_buf_peak, c.wbuf.size() - c.woff);
+    if (c.wbuf.size() - c.woff > opts.write_buffer_limit) {
+      // The bound is on what the socket refuses, not on one pass's frames:
+      // offer them first. A connection still over it is a slow reader whose
+      // socket stopped draining — shed it; the shard hot path never waits.
+      try_flush(ci);
+      if (!c.open) return;
+      if (c.wbuf.size() - c.woff > opts.write_buffer_limit) {
+        drop_conn(ci, true);
+        return;
+      }
+    }
+    if (!c.dirty) {
+      c.dirty = true;
+      dirty.push_back(ci);
+    }
+  };
+
+  // Gives a request a slot on the least-loaded live shard. Needs a free
+  // slot. With no shard alive it answers kError(kUnavailable) and the slot
+  // stays free.
+  const auto dispatch = [&](const AdmissionMsg& m) {
+    if (!conn_ok(m.conn, m.conn_gen)) return;  // dropped while it waited
+    int target = -1, best = INT_MAX;
+    for (const auto& ch : shards) {
+      if (!ch->alive.load(std::memory_order_acquire)) continue;
+      const int load = ch->outstanding.load(std::memory_order_relaxed);
+      if (load < best) {
+        best = load;
+        target = ch->index;
+      }
+    }
+    if (target < 0) {
+      ++stats.errors;
+      scratch.clear();
+      encode_id_pair(scratch, FrameType::kError, m.req_id,
+                     static_cast<std::uint32_t>(ErrorCode::kUnavailable));
+      send_to(m.conn, scratch);
+      if (conns[static_cast<std::size_t>(m.conn)].open)
+        --conns[static_cast<std::size_t>(m.conn)].live;  // send_to may have dropped it
       return;
     }
-    try_flush(ci);
+    const int si = free_slots.back();
+    free_slots.pop_back();
+    stats.slots_peak = std::max(stats.slots_peak, n_slots - free_slots.size());
+    Slot& s = slots[static_cast<std::size_t>(si)];
+    s.conn = m.conn;
+    s.conn_gen = m.conn_gen;
+    s.req_id = m.req_id;
+    s.stream = m.stream;
+    s.req.input_index = m.input_index;
+    s.req.latency_class = static_cast<serve::LatencyClass>(m.latency_class);
+    s.req.arrival_ns = m.arrival_ns;
+    s.owner = pack_owner(m.conn, m.conn_gen);
+    ShardCh& ch = *shards[static_cast<std::size_t>(target)];
+    ch.outstanding.fetch_add(1, std::memory_order_relaxed);
+    const bool pushed = ch.inbox.push(si);
+    assert(pushed && "inbox sized for the whole slot table");
+    (void)pushed;
+    ch.wake.notify();
   };
 
   const auto handle_comp = [&](const CompMsg& m) {
     Slot& s = slots[static_cast<std::size_t>(m.slot)];
     const int ci = s.conn;
-    const bool ok = ci >= 0 && conns[static_cast<std::size_t>(ci)].open &&
-                    conns[static_cast<std::size_t>(ci)].gen == s.conn_gen;
+    const bool ok = conn_ok(ci, s.conn_gen);
     scratch.clear();
     switch (m.kind) {
       case CompMsg::kToken:
@@ -806,26 +891,30 @@ void NetServer::Impl::event_loop() {
     }
     if (ok && conns[static_cast<std::size_t>(ci)].open)
       --conns[static_cast<std::size_t>(ci)].live;  // send_to may have dropped it
-    const bool pushed = free_ring->push(m.slot);
-    assert(pushed && "free ring sized for the whole slot table");
-    (void)pushed;
+    // Free the slot; it goes straight to the oldest waiting request.
+    s.owner = 0;
+    s.output.clear();
+    s.tokens = 0;
+    s.cancelled = false;
+    free_slots.push_back(m.slot);
+    while (!free_slots.empty() && waiting.len > 0) dispatch(waiting.pop());
   };
 
   const auto pump = [&] {
     CompMsg m;
     for (const auto& ch : shards)
       while (ch->out.pop(m)) handle_comp(m);
-    while (disp_out->pop(m)) handle_comp(m);
   };
 
   // Degraded-mode hysteresis (ISSUE 10): enter at the high watermark, exit
-  // at the low one. Evaluated by the event loop only — single writer to the
-  // Impl::degraded atomic that shards and worker proxies read.
+  // at the low one, on the admission FIFO's occupancy. Evaluated by the
+  // event loop only — single writer to the Impl::degraded atomic that
+  // shards and worker proxies read.
   bool degraded_mode = false;
   const std::uint16_t want_auth =
       opts.auth_token.empty() ? 0 : auth_token16(opts.auth_token);
   const auto update_degraded = [&] {
-    const std::size_t occ = admission->size_hint();
+    const std::size_t occ = waiting.len;
     if (!degraded_mode && occ >= degrade_high) {
       degraded_mode = true;
       degraded.store(true, std::memory_order_relaxed);
@@ -885,11 +974,10 @@ void NetServer::Impl::event_loop() {
       send_to(ci, scratch);
       return;
     }
-    // The backpressure contract: a full admission queue (or a draining
-    // server) answers 429 immediately. size_hint from the producer side is
-    // exact-or-overestimate, so the configured capacity is a hard bound.
+    // The backpressure contract: a request that finds every slot busy waits
+    // in the admission FIFO; a full FIFO (or a draining server) answers 429.
     if (draining.load(std::memory_order_relaxed) ||
-        admission->size_hint() >= opts.admission_capacity) {
+        (free_slots.empty() && waiting.full())) {
       ++stats.rejected_429;
       ACROBAT_TRACE(tr, tr->instant(trace::EventKind::kNetReject, ci,
                                     static_cast<int>(rf.id)));
@@ -906,11 +994,13 @@ void NetServer::Impl::event_loop() {
     m.latency_class = rf.latency_class;
     m.stream = rf.stream;
     m.arrival_ns = now_rel();
-    const bool pushed = admission->push(m);
-    assert(pushed && "size_hint bound guarantees ring space");
-    (void)pushed;
-    stats.admission_peak = std::max(stats.admission_peak, admission->size_hint());
     ++c.live;
+    if (!free_slots.empty()) {  // then nothing waits: a freed slot takes the FIFO head
+      dispatch(m);
+      return;
+    }
+    waiting.push(m);
+    stats.admission_peak = std::max(stats.admission_peak, waiting.len);
     update_degraded();  // entering on the admit edge catches the high watermark
   };
 
@@ -985,35 +1075,48 @@ void NetServer::Impl::event_loop() {
     }
   };
 
+  // One pass: completions, admission and drain bookkeeping, one send per
+  // connection with new frames, then block until a socket is ready or a
+  // shard signals (Wake). No timeout but the drain's flush deadline.
   std::vector<pollfd> pfds;
   std::vector<int> pidx;
   for (;;) {
-    if (draining.load(std::memory_order_relaxed)) {
-      if (listeners_open) {
-        if (tcp_listen >= 0) ::close(tcp_listen);
-        if (uds_listen >= 0) ::close(uds_listen);
-        tcp_listen = uds_listen = -1;
-        listeners_open = false;
-      }
-      admission_closed.store(true, std::memory_order_release);
+    const bool drain = draining.load(std::memory_order_acquire);
+    if (drain && listeners_open) {
+      if (tcp_listen >= 0) ::close(tcp_listen);
+      if (uds_listen >= 0) ::close(uds_listen);
+      tcp_listen = uds_listen = -1;
+      listeners_open = false;
     }
+    // Read before pump(): a shard's last completions precede its count.
+    const int done = shards_done.load(std::memory_order_acquire);
     pump();
-    update_degraded();  // exit path: occupancy falls as the dispatcher drains
-
-    if (draining.load(std::memory_order_relaxed) &&
-        dispatcher_done.load(std::memory_order_acquire) &&
-        shards_done.load(std::memory_order_acquire) == nshards) {
-      pump();  // shards are gone: whatever is queued now is the last of it
-      bool outs_empty = disp_out->empty_hint();
-      for (const auto& ch : shards) outs_empty = outs_empty && ch->out.empty_hint();
-      if (outs_empty) {
-        bool wpending = false;
-        for (const Conn& c : conns)
-          if (c.open && c.woff < c.wbuf.size()) wpending = true;
-        if (!wpending) break;
-        if (flush_deadline < 0) flush_deadline = now_ns() + 2'000'000'000;
-        if (now_ns() > flush_deadline) break;
+    update_degraded();  // exit path: occupancy falls as completions free slots
+    if (drain && !inboxes_closed && waiting.len == 0 && free_slots.size() == n_slots) {
+      for (const auto& ch : shards) {
+        ch->inbox.close();
+        if (opts.multiprocess) ch->wake.signal();
       }
+      inboxes_closed = true;
+    }
+
+    for (const int ci : dirty) {
+      conns[static_cast<std::size_t>(ci)].dirty = false;
+      if (conns[static_cast<std::size_t>(ci)].open) try_flush(ci);
+    }
+    dirty.clear();
+
+    int timeout_ms = -1;
+    if (inboxes_closed && done == nshards) {
+      // Every shard has exited and pump() has seen all it sent.
+      bool wpending = false;
+      for (const Conn& c : conns)
+        if (c.open && c.woff < c.wbuf.size()) wpending = true;
+      if (!wpending) break;
+      if (flush_deadline < 0) flush_deadline = now_ns() + 2'000'000'000;
+      const std::int64_t left = flush_deadline - now_ns();
+      if (left < 0) break;
+      timeout_ms = static_cast<int>((left + 999'999) / 1'000'000);
     }
 
     pfds.clear();
@@ -1035,7 +1138,16 @@ void NetServer::Impl::event_loop() {
       pfds.push_back(pollfd{conns[i].fd, ev, 0});
       pidx.push_back(static_cast<int>(i));
     }
-    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
+    pfds.push_back(pollfd{loop_wake.fd, POLLIN, 0});
+    pidx.push_back(-3);
+
+    loop_wake.park();
+    bool owed = draining.load(std::memory_order_acquire) != drain ||
+                shards_done.load(std::memory_order_acquire) != done;
+    for (const auto& ch : shards) owed = owed || !ch->out.empty_hint();
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), owed ? 0 : timeout_ms);
+    loop_wake.unpark(pfds.back().revents);
+
     for (std::size_t k = 0; k < pfds.size(); ++k) {
       if (pfds[k].revents == 0) continue;
       const int ix = pidx[k];
@@ -1043,7 +1155,7 @@ void NetServer::Impl::event_loop() {
         do_accept(tcp_listen, true);
       } else if (ix == -2) {
         do_accept(uds_listen, false);
-      } else {
+      } else if (ix >= 0) {
         if ((pfds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) read_conn(ix);
         if (conns[static_cast<std::size_t>(ix)].open &&
             (pfds[k].revents & POLLOUT) != 0)
@@ -1079,7 +1191,7 @@ const std::string& NetServer::uds_path() const { return impl_->uds_path; }
 std::vector<pid_t> NetServer::worker_pids() const {
   std::vector<pid_t> pids;
   for (const auto& ch : impl_->shards)
-    if (ch->pid > 0) pids.push_back(ch->pid);
+    if (const pid_t pid = ch->pid.load(); pid > 0) pids.push_back(pid);
   return pids;
 }
 
@@ -1138,9 +1250,6 @@ bool NetServer::start() {
                                  : static_cast<std::size_t>(o.ds_batch);
   im.n_slots = o.max_sessions;
   im.slots = std::make_unique<Slot[]>(im.n_slots);
-  im.admission = std::make_unique<SpscQueue<AdmissionMsg>>(o.admission_capacity);
-  im.free_ring = std::make_unique<SpscQueue<int>>(im.n_slots);
-  im.disp_out = std::make_unique<SpscQueue<CompMsg>>(im.n_slots);
   if (o.trace.enabled) {
     im.net_tracer = std::make_unique<trace::Tracer>(0, o.trace.config);
     im.net_tracer->set_epoch(im.epoch);
@@ -1153,10 +1262,23 @@ bool NetServer::start() {
     }
     im.shards.push_back(std::move(ch));
   }
+  bool woke = im.loop_wake.open();
+  for (const auto& ch : im.shards) woke = woke && (!o.multiprocess || ch->wake.open());
+  if (!woke) {  // undo so that start() may be retried, as after a bind failure
+    const std::string why = std::strerror(errno);
+    im.loop_wake.close();
+    im.shards.clear();
+    if (im.tcp_listen >= 0) ::close(im.tcp_listen);
+    if (im.uds_listen >= 0) ::close(im.uds_listen);
+    im.tcp_listen = im.uds_listen = -1;
+    return im.fail("eventfd: " + why);
+  }
+  for (std::size_t i = im.n_slots; i > 0; --i) im.free_slots.push_back(static_cast<int>(i - 1));
+  im.waiting.buf.resize(o.admission_capacity);
 
   // Workers fork before any thread exists (fork+exec from a single-threaded
   // process; nothing to corrupt). A failed spawn marks its shard dead — the
-  // dispatcher routes around it, or errors if none survived.
+  // event loop routes around it, or errors if none survived.
   if (o.multiprocess) {
     for (const auto& ch : im.shards)
       if (!im.spawn_worker(*ch)) ch->alive.store(false, std::memory_order_release);
@@ -1164,7 +1286,6 @@ bool NetServer::start() {
 
   im.started = true;
   im.ev_thread = std::thread([&im] { im.event_loop(); });
-  im.disp_thread = std::thread([&im] { im.dispatcher_loop(); });
   for (const auto& ch : im.shards) {
     Impl::ShardCh& c = *ch;
     if (o.multiprocess)
@@ -1179,18 +1300,19 @@ void NetServer::shutdown() {
   Impl& im = *impl_;
   if (!im.started || im.finished) return;
   im.draining.store(true, std::memory_order_release);
+  im.loop_wake.signal();
   for (std::thread& t : im.shard_threads)
     if (t.joinable()) t.join();
-  if (im.disp_thread.joinable()) im.disp_thread.join();
   if (im.ev_thread.joinable()) im.ev_thread.join();
   if (!im.uds_path.empty()) ::unlink(im.uds_path.c_str());
+  im.loop_wake.close();
+  for (const auto& ch : im.shards) ch->wake.close();
 
   im.stats.worker_deaths = im.worker_deaths.load(std::memory_order_relaxed);
   im.stats.worker_respawns = im.respawns.load(std::memory_order_relaxed);
   im.stats.respawns_exhausted = im.respawns_exhausted.load(std::memory_order_relaxed);
   im.stats.fault_kills = im.inject.kills();
   im.stats.fault_short_writes = im.inject.short_writes();
-  im.stats.slots_peak = im.slots_peak.load(std::memory_order_relaxed);
   for (const auto& ch : im.shards) im.stats.shards.push_back(std::move(ch->report));
   if (im.opts.trace.enabled && im.net_tracer) {
     im.stats.trace.tracks.push_back(trace::dump_track(*im.net_tracer, 0, "net"));

@@ -333,16 +333,13 @@ void test_client_retry_on_429() {
   net::NetServer srv(&p, &ds, o);
   if (!start_or_skip(srv, "client_retry_on_429")) return;
 
-  // The two filler sends are spaced out so the server ingests (and pumps)
-  // each in its own poll cycle: if both frames drained in one pass, the
-  // SECOND filler would eat the 429 (the queue only empties into the session
-  // at the loop top) and cli would be admitted straight away.
+  // Admission is synchronous on the event loop and a connection's frames
+  // are read in order: the first filler takes the one slot, the second
+  // fills the 1-deep admission FIFO, and cli's first attempt finds it full.
   net::NetClient filler;
   CHECK(filler.connect_tcp("127.0.0.1", srv.port()));
   CHECK(filler.send_request(0, 0));  // occupies the slot
-  ::usleep(20'000);
-  CHECK(filler.send_request(1, 1));  // occupies the 1-deep admission queue
-  ::usleep(20'000);
+  CHECK(filler.send_request(1, 1));  // occupies the 1-deep admission FIFO
 
   net::NetClient cli;
   CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
@@ -559,7 +556,9 @@ void test_degraded_mode() {
     if (r.kind == net::ClientResponse::Kind::kDone) ++done;
     else ++retried;
   }
-  ::usleep(50'000);  // drained: the event loop records the mode exit
+  // The mode exit is recorded by shutdown at the latest: the event loop
+  // evaluates the hysteresis every pass, and the drain cannot finish before
+  // a pass with an empty FIFO.
   cli.close();
   srv.shutdown();
   const net::NetStats& st = srv.stats();

@@ -16,11 +16,17 @@
 //      outputs across the process boundary, and SIGKILLing a worker still
 //      yields a terminal frame for every request plus a clean drain;
 //  (g) soak: a bounded-ingress loop with client-side 429 retry completes
-//      every request (the ASan job runs this shape for leak coverage).
+//      every request (the ASan job runs this shape for leak coverage);
+//  (h) no lost wake: the event loop blocks without a timeout, so a K=1
+//      closed loop stalls for good if one completion's wake is lost — every
+//      request must land kDone within its 10 s wait, in process and through
+//      a forked 2-worker fleet.
 //
 // Sockets may be unavailable in a sandbox: each wire test SKIPs (loudly)
 // when NetServer::start() cannot bind, leaving the codec test as the floor.
+#include <netinet/in.h>
 #include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -251,8 +257,9 @@ void test_backpressure_429() {
   CHECK_EQ(st.completed, static_cast<std::uint64_t>(done));
   CHECK_EQ(st.rejected_429, static_cast<std::uint64_t>(retried));
   CHECK_EQ(st.errors, 0u);
-  // The bounded-ingress contract: high-water marks never exceed the caps.
-  CHECK(st.admission_peak <= o.admission_capacity);
+  // The bounded-ingress contract: high-water marks never exceed the caps,
+  // and a 429 means the admission FIFO was full.
+  CHECK_EQ(st.admission_peak, o.admission_capacity);
   CHECK(st.slots_peak <= o.max_sessions);
 }
 
@@ -271,23 +278,43 @@ void test_slow_reader_dropped() {
   net::NetServer srv(&p, &ds, o);
   if (!start_or_skip(srv, "slow_reader")) return;
 
-  net::NetClient cli;
-  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
-  // Stream tokens + outputs at a reader that never reads. The kernel's
-  // receive buffer on our side soaks up the first chunk, so keep the server
-  // writing — a flood of small requests each earns a response frame (429s
-  // once admission fills) until the socket path clogs and the server's
-  // bounded write buffer trips. The drop is observable from outside: the
-  // server closes with unread data queued (RST), so our sends start failing.
-  for (int i = 0; i < 32; ++i)
-    CHECK(cli.send_request(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(i) % ds.inputs.size()));
+  // The reader is a raw socket whose receive buffer is pinned before
+  // connect(), so the window it advertises stays a few KB: however the
+  // server batches its frames, the socket path clogs early. Stream tokens +
+  // outputs at it, then keep the server writing — a flood of small requests
+  // each earns a response frame (429s once admission fills) until the
+  // server's bounded write buffer trips. The drop is observable from
+  // outside: the server closes with unread data queued (RST), so our sends
+  // start failing.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  CHECK(fd >= 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(srv.port()));
+  CHECK(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) == 0);
+  std::vector<std::uint8_t> wire;
+  const auto send_all = [&] {
+    for (std::size_t off = 0; off < wire.size();) {
+      const ssize_t n = ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+      if (n < 0) return false;
+      off += static_cast<std::size_t>(n);
+    }
+    return true;
+  };
+  for (std::uint32_t i = 0; i < 32; ++i)
+    net::encode_request(wire, i, i % static_cast<std::uint32_t>(ds.inputs.size()), 0, 0,
+                        /*stream=*/true);
+  CHECK(send_all());
   bool send_failed = false;
-  for (int i = 0; i < 200'000 && !send_failed; ++i)
-    if (!cli.send_request(static_cast<std::uint32_t>(1000 + i), 0, 0, 0,
-                          /*stream=*/false))
-      send_failed = true;
-  cli.close();
+  for (std::uint32_t i = 0; i < 200'000 && !send_failed; ++i) {
+    wire.clear();
+    net::encode_request(wire, 1000 + i, 0, 0, 0, /*stream=*/false);
+    send_failed = !send_all();
+  }
+  ::close(fd);
   srv.shutdown();
   const net::NetStats& st = srv.stats();
   CHECK(send_failed);
@@ -448,6 +475,48 @@ void test_soak_with_retry() {
               static_cast<unsigned long long>(st.rejected_429), st.slots_peak);
 }
 
+// (h) No lost wake: one streamed request at a time, so each completion
+// reaches the client only if its wake reaches the parked event loop (and,
+// multi-process, each request reaches its parked proxy).
+void test_no_lost_wake() {
+  const models::ModelSpec& spec = models::model_by_name("Decoder");
+  const models::Dataset ds = spec.build_dataset(false, 8, 7);
+  harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
+
+  const auto closed_loop = [&](bool multiprocess, int n) {
+    net::NetOptions o;
+    o.launch_overhead_ns = 0;
+    o.multiprocess = multiprocess;
+    o.shards = multiprocess ? 2 : 1;
+    o.ds_batch = 8;
+    o.ds_seed = 7;
+    net::NetServer srv(multiprocess ? nullptr : &p, multiprocess ? nullptr : &ds, o);
+    if (!start_or_skip(srv, multiprocess ? "no_lost_wake/multiproc" : "no_lost_wake")) return;
+    net::NetClient cli;
+    CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
+    int done = 0;
+    for (int i = 0; i < n; ++i) {
+      CHECK(cli.send_request(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(i) % 8));
+      net::ClientResponse r;
+      // A lost wake stalls the loop until this budget runs out.
+      const bool answered = cli.wait(static_cast<std::uint32_t>(i), r, 10'000);
+      CHECK(answered);
+      if (!answered) break;
+      CHECK(r.kind == net::ClientResponse::Kind::kDone);
+      CHECK_EQ(r.token_recv_ns.size(), static_cast<std::size_t>(r.tokens));
+      ++done;
+    }
+    cli.close();
+    srv.shutdown();
+    const net::NetStats& st = srv.stats();
+    CHECK_EQ(done, n);
+    CHECK_EQ(st.completed, static_cast<std::uint64_t>(n));
+    CHECK_EQ(st.errors, 0u);
+  };
+  closed_loop(false, env_requests(500));
+  closed_loop(true, 64);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -462,6 +531,7 @@ int main(int argc, char** argv) {
   test_midstream_drop_cancels();
   test_multiprocess_fleet();
   test_soak_with_retry();
+  test_no_lost_wake();
   if (g_skips > 0)
     std::printf("note: %d wire test(s) skipped (no sockets in this sandbox)\n",
                 g_skips);

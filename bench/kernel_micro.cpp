@@ -1,15 +1,20 @@
 // Microbenchmarks of the primitive-kernel schedule variants (the
-// auto-scheduler's search space) using google-benchmark — verifies the
-// variant ordering assumption (higher variants faster) that
-// harness::apply_default_schedules and the tuner rely on — plus the per-switch
+// auto-scheduler's search space) using google-benchmark, plus the per-switch
 // cost of the fiber runtime that suspends instances at sync points.
+// harness::apply_default_schedules runs every kernel's last variant on the
+// assumption that higher variants are faster; these benches measure it, they
+// do not enforce it. At the AVX2 floor the elementwise ops' 4-way unrolled
+// variant 1, then the default, lost to the plain loop (medians of 15
+// randomly interleaved repetitions, 4-vCPU x86-64 VM, GCC 12: 16.8 vs
+// 15.5 ns at n = 40, 47.0 vs 30.1 at 256, 233 vs 213 at 1600, a tie at 16),
+// so the plain loop is now their one schedule (BM_Eltwise).
 //
 // Roofline: BM_CeilingMulAdd and BM_Triad measure this machine's ceilings
 // in-process, and the dense-family benches report `GFLOPs` (achieved
 // GFLOP/s) and `pct_peak` (that rate as a percentage of the mul+add
 // ceiling). Flops count 2·rows·n·k per dense, the multiply and the add.
 #include <benchmark/benchmark.h>
-#include <emmintrin.h>
+#include <immintrin.h>
 
 #include <algorithm>
 #include <chrono>
@@ -26,26 +31,26 @@ namespace {
 
 using namespace acrobat;
 
-// `steps` rounds of 8 independent SSE chains, acc += x·m, each a separate
-// mulps and addps: the instruction pair variant 2's dot tile emits (the
+// `steps` rounds of 8 independent 8-lane chains, acc += x·m, each a separate
+// vmulps and vaddps: the instruction pair variant 2's dot tile emits (the
 // library builds with -ffp-contract=off, so no FMA), without its loads. The
 // empty asm makes m opaque each round so the products cannot be hoisted out
 // of the loop. Returns a sum of the chains so none is dead.
 __attribute__((noinline)) float mul_add_chains(std::int64_t steps, float seed) {
-  __m128 acc[8], x[4];
-  for (int c = 0; c < 8; ++c) acc[c] = _mm_set1_ps(seed * static_cast<float>(c));
-  for (int c = 0; c < 4; ++c) x[c] = _mm_set1_ps(1e-3f * static_cast<float>(c + 1));
-  __m128 m0 = _mm_set1_ps(0.5f), m1 = _mm_set1_ps(0.25f);
+  __m256 acc[8], x[4];
+  for (int c = 0; c < 8; ++c) acc[c] = _mm256_set1_ps(seed * static_cast<float>(c));
+  for (int c = 0; c < 4; ++c) x[c] = _mm256_set1_ps(1e-3f * static_cast<float>(c + 1));
+  __m256 m0 = _mm256_set1_ps(0.5f), m1 = _mm256_set1_ps(0.25f);
   for (std::int64_t s = 0; s < steps; ++s) {
     asm volatile("" : "+x"(m0), "+x"(m1));
     for (int c = 0; c < 8; ++c)
-      acc[c] = _mm_add_ps(acc[c], _mm_mul_ps(x[c % 4], c < 4 ? m0 : m1));
+      acc[c] = _mm256_add_ps(acc[c], _mm256_mul_ps(x[c % 4], c < 4 ? m0 : m1));
   }
-  __m128 sum = acc[0];
-  for (int c = 1; c < 8; ++c) sum = _mm_add_ps(sum, acc[c]);
-  return _mm_cvtss_f32(sum);
+  __m256 sum = acc[0];
+  for (int c = 1; c < 8; ++c) sum = _mm256_add_ps(sum, acc[c]);
+  return _mm256_cvtss_f32(sum);
 }
-constexpr double kChainFlops = 8 * 4 * 2;  // chains × lanes × (mul + add) per step
+constexpr double kChainFlops = 8 * 8 * 2;  // chains × lanes × (mul + add) per step
 
 // The mul+add ceiling in flop/s, measured once per process over ~0.2 s.
 double mul_add_peak() {
@@ -98,7 +103,7 @@ void BM_Triad(benchmark::State& state) {
 BENCHMARK(BM_Triad)->Arg(2 << 10)->Arg(64 << 10)->Arg(4 << 20)->ArgNames({"floats"});
 
 // tanh over 4096 elements in [-4, 4]: libm tanhf, and kTanh's rational
-// tanh one element at a time (variant 0) and 4 lanes at a time (variant 1,
+// tanh one element at a time (variant 0) and 8 lanes at a time (variant 1,
 // as kLinear's epilogue runs it).
 void BM_Tanh(benchmark::State& state, int variant) {
   constexpr int kN = 4096;
@@ -120,7 +125,30 @@ void BM_Tanh(benchmark::State& state, int variant) {
 }
 BENCHMARK_CAPTURE(BM_Tanh, libm, -1);
 BENCHMARK_CAPTURE(BM_Tanh, scalar, 0);
-BENCHMARK_CAPTURE(BM_Tanh, sse, 1);
+BENCHMARK_CAPTURE(BM_Tanh, simd, 1);
+
+// sigmoid over 4096 elements in [-8, 8]: 1/(1 + expf(-x)) through libm, and
+// kSigmoid 8 lanes at a time (0.5 + 0.5·tanh(x/2) on the rational tanh).
+void BM_Sigmoid(benchmark::State& state, int variant) {
+  constexpr int kN = 4096;
+  TensorPool pool;
+  Rng rng(7);
+  Tensor x = pool.alloc_random(RowVec(kN), rng, 8.0f);
+  Tensor out = pool.alloc(RowVec(kN));
+  const float* ins[1] = {x.data};
+  for (auto _ : state) {
+    if (variant < 0) {
+      for (int i = 0; i < kN; ++i) out.data[i] = 1.0f / (1.0f + std::exp(-x.data[i]));
+    } else {
+      run_op(OpKind::kSigmoid, variant, ins, &x.shape, out.data, out.shape, 0);
+    }
+    benchmark::DoNotOptimize(out.data);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK_CAPTURE(BM_Sigmoid, libm, -1);
+BENCHMARK_CAPTURE(BM_Sigmoid, simd, 1);
 
 void BM_DenseVariant(benchmark::State& state) {
   const int variant = static_cast<int>(state.range(0));
@@ -142,9 +170,9 @@ BENCHMARK(BM_DenseVariant)
     ->ArgsProduct({{0, 1, 2}, {64, 128, 256}})
     ->ArgNames({"variant", "n"});
 
-void BM_EltwiseVariant(benchmark::State& state) {
-  const int variant = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
+// kAdd's one schedule, a plain loop the compiler vectorizes 8 wide.
+void BM_Eltwise(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
   TensorPool pool;
   Rng rng(7);
   Tensor x = pool.alloc_random(RowVec(n), rng, 0.5f);
@@ -153,14 +181,12 @@ void BM_EltwiseVariant(benchmark::State& state) {
   const float* ins[2] = {x.data, y.data};
   const Shape shapes[2] = {x.shape, y.shape};
   for (auto _ : state) {
-    run_op(OpKind::kAdd, variant, ins, shapes, out.data, out.shape, 0);
+    run_op(OpKind::kAdd, 0, ins, shapes, out.data, out.shape, 0);
     benchmark::DoNotOptimize(out.data[0]);
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EltwiseVariant)
-    ->ArgsProduct({{0, 1}, {256, 4096}})
-    ->ArgNames({"variant", "n"});
+BENCHMARK(BM_Eltwise)->Arg(16)->Arg(40)->Arg(256)->Arg(1600)->ArgNames({"n"});
 
 // The flat-batch collapse the engine's trigger hot path performs (ISSUE 5):
 // n elementwise ops of `numel` each, executed as n run_op calls vs ONE call
@@ -294,7 +320,7 @@ void BM_LinearChain(benchmark::State& state) {
     const float* dense_ins[2] = {c.xh.data, c.w.data};
     run_op(OpKind::kDense, 2, dense_ins, dense_shapes, c.d.data, ds, 0);
     const float* bias_ins[2] = {c.d.data, c.b.data};
-    run_op(OpKind::kAdd, 1, bias_ins, bias_shapes, c.out.data, ds, 0);
+    run_op(OpKind::kAdd, 0, bias_ins, bias_shapes, c.out.data, ds, 0);
     const float* tanh_ins[1] = {c.out.data};
     run_op(OpKind::kTanh, 1, tanh_ins, &ds, c.d.data, ds, 0);
     benchmark::DoNotOptimize(c.d.data[0]);

@@ -6,8 +6,9 @@
 // executed op-at-a-time, gathered-then-stacked, or under any scheduler
 // produces the same floats. `variant` selects a schedule (loop order /
 // unrolling); variants are the auto-scheduler's search space and are
-// roughly ordered slowest-to-fastest (kernel_micro.cpp verifies). The
-// kernels use SSE2, the x86-64 baseline, and allocate nothing.
+// roughly ordered slowest-to-fastest (kernel_micro.cpp measures them). The
+// kernels use AVX2 without FMA, the library's ISA floor (DESIGN.md §3), and
+// allocate nothing.
 #pragma once
 
 #include <cstdint>
@@ -17,29 +18,32 @@
 namespace acrobat {
 
 enum class OpKind : std::uint8_t {
-  // Dense family (3 variants). kDense's variant 2 is a register-blocked SSE
-  // tile over up to 4 rows whose per-(row, output) sum order is fixed
-  // (DESIGN.md §3), so any row count gives the same floats per row.
+  // Dense family (3 variants; kMatMulBT 2). kDense's variant 2 is a
+  // register-blocked AVX tile over up to 4 rows whose per-(row, output) sum
+  // order is fixed (DESIGN.md §3), so any row count gives the same floats
+  // per row.
   kDense,     // ins: x (k) or (m,k), W (n,k) row-major → x·Wᵀ, shape (n)/(m,n)
   kMatMul,    // ins: a (m,k) or (k), b (k,n) → a·b
   kMatMulBT,  // ins: a (m,k), b (n,k) → a·bᵀ
 
-  // Elementwise binary (2 variants); b may be a row vector broadcast over
-  // the rows of a (bias add).
+  // Elementwise binary (1 variant, a plain loop); b may be a row vector
+  // broadcast over the rows of a (bias add).
   kAdd,
   kSub,
   kMul,
 
-  // Elementwise unary (2 variants). Every tanh here and in the fused and
-  // cell kernels below is one rational function, within 4e-7 of std::tanh
-  // (DESIGN.md §3); kTanh's variant 1 runs it 4 lanes at a time.
+  // Elementwise unary (kTanh and kSigmoid 2 variants, kRelu and kScale 1).
+  // Every tanh here and in the fused and cell kernels below is one rational
+  // function, within 4e-7 of std::tanh (DESIGN.md §3), and every sigmoid is
+  // 0.5 + 0.5·tanh(x/2) on it; kTanh's and kSigmoid's variant 0 runs one
+  // element at a time, variant 1 8 lanes at a time.
   kTanh,
   kSigmoid,
   kRelu,
   kScale,  // out = in * (attr * 1e-6)
 
   // Fused pointwise kernels (standard kernel fusion, PipelineConfig
-  // kernel_fusion; 2 variants).
+  // kernel_fusion; 1 variant).
   kAddBiasTanh,     // tanh(a + b + bias)        ins: a, b, bias
   kAddBiasSigmoid,  // sigmoid(a + b + bias)     ins: a, b, bias
   kFma2,            // f*c + i*g                 ins: f, c, i, g

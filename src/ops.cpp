@@ -1,15 +1,51 @@
 #include "tensor/ops.h"
 
-#include <emmintrin.h>  // SSE2, the x86-64 baseline
+#include <immintrin.h>  // AVX2 without FMA, the library's ISA floor
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 namespace acrobat {
 namespace {
 
-inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+// Unaligned load and store of one float or one 4- or 8-lane vector.
+template <typename V>
+V load(const float* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+template <typename V>
+void store(float* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// Calls f.operator()<V>(i) over [0, n): 8-lane blocks (V = __m256), then a
+// 4-lane block (__m128), then single elements (float). __m128 and __m256
+// are GCC vector types, so +, -, *, / and < act lane by lane (a scalar
+// operand is broadcast) and one kernel body serves all three widths.
+template <typename F>
+void for_lanes(std::int64_t n, F f) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) f.template operator()<__m256>(i);
+  if (i + 4 <= n) {
+    f.template operator()<__m128>(i);
+    i += 4;
+  }
+  for (; i < n; ++i) f.template operator()<float>(i);
+}
+
+// max(-c, min(c, a)); minps/maxps return their second operand, here the
+// input, on a NaN.
+inline __m128 clamp(__m128 a, float c) {
+  return _mm_max_ps(_mm_set1_ps(-c), _mm_min_ps(_mm_set1_ps(c), a));
+}
+inline __m256 clamp(__m256 a, float c) {
+  return _mm256_max_ps(_mm256_set1_ps(-c), _mm256_min_ps(_mm256_set1_ps(c), a));
+}
 
 // tanh as one rational function: x clamped to ±kTanhClamp, an odd degree-13
 // numerator over an even degree-6 denominator, and the identity below
@@ -21,14 +57,14 @@ inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 // (plain Horner on both: 4.1e-7). kTanhClamp is the first float past 7.9 at
 // which this evaluation rounds to exactly 1, so saturated inputs give ±1 and
 // 1 - tanh(kTanhClamp) = 2.7e-7 bounds the error beyond it. ±inf → ±1,
-// NaN → NaN (minps/maxps return their second operand, here the input, on a
-// NaN), ±0 kept.
+// NaN → NaN, ±0 kept.
 //
-// There is one implementation: tanh_ss is lane 0 of tanh_ps, so a scalar
-// site and a SIMD lane round identically and every tanh site agrees with
-// every other (DESIGN.md §3). Separate multiplies and adds (the library
-// builds with -ffp-contract=off) and a correctly rounded divide fix each
-// lane's rounding; the selects keep it branch-free.
+// There is one implementation at 8, 4 and 1 lanes: the one-element form is
+// lane 0 of the 4-lane one, and every lane runs the same float ops, so a
+// scalar site and any SIMD lane round identically and every tanh site
+// agrees with every other (DESIGN.md §3). Separate multiplies and adds (the
+// library builds with -ffp-contract=off) and a correctly rounded divide fix
+// each lane's rounding; the selects keep it branch-free.
 constexpr float kTanhClamp = 7.90338278f;
 constexpr float kTanhTiny = 4e-4f;
 constexpr float kTanhP[7] = {4.89352455891786e-03f,  6.37261928875436e-04f,
@@ -38,31 +74,39 @@ constexpr float kTanhP[7] = {4.89352455891786e-03f,  6.37261928875436e-04f,
 constexpr float kTanhQ[4] = {4.89352518554385e-03f, 2.26843463243900e-03f,
                              1.18534705686654e-04f, 1.19825839466702e-06f};  // x⁰, …, x⁶
 
-inline __m128 tanh_ps(__m128 a) {
-  const auto c = [](float v) { return _mm_set1_ps(v); };
-  const auto mul_add = [](__m128 u, __m128 v, __m128 w) {  // u + v·w
-    return _mm_add_ps(u, _mm_mul_ps(v, w));
-  };
-  __m128 x = _mm_min_ps(c(kTanhClamp), a);
-  x = _mm_max_ps(c(-kTanhClamp), x);
-  const __m128 y = _mm_mul_ps(x, x), y2 = _mm_mul_ps(y, y);
-  __m128 p = mul_add(c(kTanhP[5]), y, c(kTanhP[6]));
-  for (int d = 4; d >= 1; --d) p = mul_add(c(kTanhP[d]), y, p);
-  p = mul_add(_mm_mul_ps(x, c(kTanhP[0])), _mm_mul_ps(x, y), p);
-  const __m128 q =
-      mul_add(mul_add(c(kTanhQ[0]), c(kTanhQ[1]), y), mul_add(c(kTanhQ[2]), c(kTanhQ[3]), y), y2);
-  const __m128 r = _mm_div_ps(p, q);
-  const __m128 tiny = _mm_cmplt_ps(_mm_andnot_ps(c(-0.0f), a), c(kTanhTiny));
-  return _mm_or_ps(_mm_and_ps(tiny, a), _mm_andnot_ps(tiny, r));
+template <typename V>
+V tanh_v(V a) {
+  if constexpr (std::is_same_v<V, float>) {
+    return tanh_v(__m128{a})[0];
+  } else {
+    const V x = clamp(a, kTanhClamp);
+    const V y = x * x, y2 = y * y;
+    V p = kTanhP[5] + y * kTanhP[6];
+    for (int d = 4; d >= 1; --d) p = kTanhP[d] + y * p;
+    p = x * kTanhP[0] + (x * y) * p;
+    const V q = (kTanhQ[0] + kTanhQ[1] * y) + (kTanhQ[2] + kTanhQ[3] * y) * y2;
+    const V r = p / q;
+    return (a < kTanhTiny) & (a > -kTanhTiny) ? a : r;
+  }
 }
 
-inline float tanh_ss(float a) { return _mm_cvtss_f32(tanh_ps(_mm_set_ss(a))); }
-
-// o[i] = tanh(a[i]), 4 lanes at a time; `a` may alias `o`.
+// o[i] = tanh(a[i]); `a` may alias `o`.
 void tanh_n(const float* a, std::int64_t n, float* o) {
-  std::int64_t i = 0;
-  for (; i + 4 <= n; i += 4) _mm_storeu_ps(o + i, tanh_ps(_mm_loadu_ps(a + i)));
-  for (; i < n; ++i) o[i] = tanh_ss(a[i]);
+  for_lanes(n, [&]<typename V>(std::int64_t i) { store(o + i, tanh_v(load<V>(a + i))); });
+}
+
+// σ(x) = 0.5 + 0.5·tanh(x/2) on the tanh above, at the same 8, 4 and 1
+// lanes, so no kernel calls libm exp for a sigmoid. Within 1.8e-7 of exact
+// over [−30, 30]; below −15.8 the tanh saturates and σ is 0. σ(±inf) is 1
+// and 0, NaN stays NaN, σ(0) is exactly 0.5.
+template <typename V>
+V sigmoid_v(V x) {
+  return 0.5f + 0.5f * tanh_v(0.5f * x);
+}
+
+// o[i] = σ(a[i]); `a` may alias `o`.
+void sigmoid_n(const float* a, std::int64_t n, float* o) {
+  for_lanes(n, [&]<typename V>(std::int64_t i) { store(o + i, sigmoid_v(load<V>(a + i))); });
 }
 
 // One output row of [x;h] · Wᵀ with W (n, kx+kh) row-major: the row's
@@ -94,36 +138,89 @@ void dense_row(int variant, const float* x, int kx, const float* h, int kh, cons
   }
 }
 
+// A dot-tile accumulator: an __m128 serves one (row, output) pair, an
+// __m256 two, output j in its low half and j + 1 in its high half.
+template <typename V>
+constexpr int kOutsPerAcc = sizeof(V) / sizeof(__m128);
+
+// The 4-block of W at position i for one accumulator's outputs, whose W rows
+// start at wa[0] (and wa[1]): one load, or two joined by one insertf128.
+template <typename V>
+V w_block(const float* const* wa, int i);
+template <>
+inline __m128 w_block(const float* const* wa, int i) {
+  return _mm_loadu_ps(wa[0] + i);
+}
+template <>
+inline __m256 w_block(const float* const* wa, int i) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(wa[0] + i)),
+                              _mm_loadu_ps(wa[1] + i), 1);
+}
+
+// A row's four inputs at p, in each 128-bit half (one vbroadcastf128 for
+// __m256). Spelt as a load and a join: _mm256_broadcast_ps reads through an
+// __m128 pointer that GCC lets alias the accumulators, and it then stores
+// them to the stack on every block.
+template <typename V>
+V x_block(const float* p);
+template <>
+inline __m128 x_block(const float* p) {
+  return _mm_loadu_ps(p);
+}
+template <>
+inline __m256 x_block(const float* p) {
+  const __m128 v = _mm_loadu_ps(p);
+  return _mm256_set_m128(v, v);
+}
+
 // (a0 + a1) + (a2 + a3) of the lanes of a.
 inline float fold4(__m128 a) {
   const __m128 s = _mm_add_ps(a, _mm_shuffle_ps(a, a, _MM_SHUFFLE(2, 3, 0, 1)));
   return _mm_cvtss_f32(_mm_add_ss(s, _mm_movehl_ps(s, s)));
 }
+// fold4 of each 128-bit half of an accumulator, one sum per output.
+inline void fold(__m128 a, float* s) { s[0] = fold4(a); }
+inline void fold(__m256 a, float* s) {
+  s[0] = fold4(_mm256_castps256_ps128(a));
+  s[1] = fold4(_mm256_extractf128_ps(a, 1));
+}
+// The same sums for two pair accumulators, outputs j, j + 1 (a) and j + 2,
+// j + 3 (b), with two hadds: the first makes a0+a1 and a2+a3 in each half,
+// the second adds those two, and one unpack puts the four in output order.
+inline void fold(__m256 a, __m256 b, float* s) {
+  const __m256 h1 = _mm256_hadd_ps(a, b);
+  const __m256 h2 = _mm256_hadd_ps(h1, h1);
+  _mm_storeu_ps(s, _mm_unpacklo_ps(_mm256_castps256_ps128(h2), _mm256_extractf128_ps(h2, 1)));
+}
 
-// Variant 2 for rows [x[r]; h[r]], r < R, and outputs j0 .. j0+J-1, written
-// to out[r·n + j]. Each (row, output) pair owns one SSE accumulator whose
-// lane l sums the products at positions ≡ l (mod 4) of [x;h], 4-blocks
-// ascending; then the (a0+a1)+(a2+a3) fold and the (k mod 4) tail added
-// i-ascending. That is the order of a scalar loop with four accumulators,
-// so each output is independent of R, J and the batch width. Per 4-block,
-// each W load serves R rows and each x load J outputs, with R·J add chains
-// in flight. The one block that straddles the split is staged on the stack.
-template <int R, int J>
-void dot_tile(const float* const* x, const float* const* h, int kx, int kh, const float* w,
-              int n, int j0, float* out) {
+// Variant 2 for rows [x[r]; h[r]], r < R, and the A·kOutsPerAcc<V> outputs
+// from j0, written to out[r·n + j]. Each (row, output) pair owns one 128-bit
+// accumulator (half of an __m256) whose lane l sums the products at
+// positions ≡ l (mod 4) of [x;h], 4-blocks ascending; then the
+// (a0+a1)+(a2+a3) fold and the (k mod 4) tail added i-ascending. That is the
+// order of a scalar loop with four accumulators, so each output is
+// independent of R, A, V and the batch width. Per 4-block, each W load
+// serves R rows and each x load all of the tile's outputs, with R·A add
+// chains in flight. The one block that straddles the split is staged on the
+// stack. Inlined into dot_rows: as a call per tile it was 10-20% slower on
+// run_linear's shapes.
+template <int R, int A, typename V>
+[[gnu::always_inline]] inline void dot_tile(const float* const* x, const float* const* h, int kx,
+                                            int kh, const float* w, int n, int j0, float* out) {
+  constexpr int O = kOutsPerAcc<V>, J = A * O;
   const int k = kx + kh;
   const float* wj[J];
   for (int j = 0; j < J; ++j) wj[j] = w + static_cast<std::int64_t>(j0 + j) * k;
-  __m128 acc[R][J];
+  V acc[R][A];
   for (int r = 0; r < R; ++r)
-    for (int j = 0; j < J; ++j) acc[r][j] = _mm_setzero_ps();
+    for (int a = 0; a < A; ++a) acc[r][a] = V{};
   // One 4-block at position i of W; row r's four inputs start at src[r] + off.
   const auto block = [&](const float* const* src, int off, int i) {
-    __m128 wv[J];
-    for (int j = 0; j < J; ++j) wv[j] = _mm_loadu_ps(wj[j] + i);
+    V wv[A];
+    for (int a = 0; a < A; ++a) wv[a] = w_block<V>(wj + a * O, i);
     for (int r = 0; r < R; ++r) {
-      const __m128 xv = _mm_loadu_ps(src[r] + off);
-      for (int j = 0; j < J; ++j) acc[r][j] = _mm_add_ps(acc[r][j], _mm_mul_ps(xv, wv[j]));
+      const V xv = x_block<V>(src[r] + off);
+      for (int a = 0; a < A; ++a) acc[r][a] = acc[r][a] + xv * wv[a];
     }
   };
   const auto at = [&](int r, int i) { return i < kx ? x[r][i] : h[r][i - kx]; };
@@ -145,8 +242,12 @@ void dot_tile(const float* const* x, const float* const* h, int kx, int kh, cons
   // Fold with compile-time indices first: a runtime-indexed acc would live
   // on the stack through the loops above.
   float s[R][J];
-  for (int r = 0; r < R; ++r)
-    for (int j = 0; j < J; ++j) s[r][j] = fold4(acc[r][j]);
+  for (int r = 0; r < R; ++r) {
+    int a = 0;
+    if constexpr (O == 2)
+      for (; a + 2 <= A; a += 2) fold(acc[r][a], acc[r][a + 1], s[r] + a * O);
+    for (; a < A; ++a) fold(acc[r][a], s[r] + a * O);
+  }
   for (int r = 0; r < R; ++r)
     for (int j = 0; j < J; ++j) {
       for (int t = i; t < k; ++t) s[r][j] += at(r, t) * wj[j][t];
@@ -154,15 +255,17 @@ void dot_tile(const float* const* x, const float* const* h, int kx, int kh, cons
     }
 }
 
-// All n outputs of R rows. Tiles of 1-2 rows take 4 outputs, so at least
-// 4 add chains are in flight per 4-block.
+// All n outputs of R rows: tiles of 4 outputs for 3-4 rows and 8 outputs
+// for 1-2 rows (at least 4 pair accumulators in flight), then output pairs,
+// then an odd last output in the 4-lane form.
 template <int R>
 void dot_rows(const float* const* x, const float* const* h, int kx, int kh, const float* w,
               int n, float* out) {
-  constexpr int J = R <= 2 ? 4 : 2;
+  constexpr int A = R <= 2 ? 4 : 2;
   int j = 0;
-  for (; j + J <= n; j += J) dot_tile<R, J>(x, h, kx, kh, w, n, j, out);
-  for (; j < n; ++j) dot_tile<R, 1>(x, h, kx, kh, w, n, j, out);
+  for (; j + 2 * A <= n; j += 2 * A) dot_tile<R, A, __m256>(x, h, kx, kh, w, n, j, out);
+  for (; j + 2 <= n; j += 2) dot_tile<R, 1, __m256>(x, h, kx, kh, w, n, j, out);
+  if (j < n) dot_tile<R, 1, __m128>(x, h, kx, kh, w, n, j, out);
 }
 
 // Row r of a batch operand: entry r of a row-pointer array, else base + r·stride.
@@ -291,23 +394,14 @@ void matmul_bt(int variant, const float* a, int m, int k, const float* b, int n,
   }
 }
 
+// The elementwise ops' one schedule: a plain loop, which the compiler
+// vectorizes 8 wide. A 4-way unrolled second variant was slower than it at
+// the AVX2 floor (EXPERIMENTS.md, "AVX2 floor").
 template <typename F>
-void binary(int variant, const float* a, const Shape& sa, const float* b, const Shape& sb,
-            float* out, F f) {
+void binary(const float* a, const Shape& sa, const float* b, const Shape& sb, float* out, F f) {
   const std::int64_t n = sa.numel();
   if (sb == sa) {
-    if (variant == 0) {
-      for (std::int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
-    } else {
-      std::int64_t i = 0;
-      for (; i + 4 <= n; i += 4) {
-        out[i] = f(a[i], b[i]);
-        out[i + 1] = f(a[i + 1], b[i + 1]);
-        out[i + 2] = f(a[i + 2], b[i + 2]);
-        out[i + 3] = f(a[i + 3], b[i + 3]);
-      }
-      for (; i < n; ++i) out[i] = f(a[i], b[i]);
-    }
+    for (std::int64_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
     return;
   }
   // Row-broadcast: b is a row vector applied to each row of a.
@@ -322,19 +416,8 @@ void binary(int variant, const float* a, const Shape& sa, const float* b, const 
 }
 
 template <typename F>
-void unary(int variant, const float* a, std::int64_t n, float* out, F f) {
-  if (variant == 0) {
-    for (std::int64_t i = 0; i < n; ++i) out[i] = f(a[i]);
-  } else {
-    std::int64_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      out[i] = f(a[i]);
-      out[i + 1] = f(a[i + 1]);
-      out[i + 2] = f(a[i + 2]);
-      out[i + 3] = f(a[i + 3]);
-    }
-    for (; i < n; ++i) out[i] = f(a[i]);
-  }
+void unary(const float* a, std::int64_t n, float* out, F f) {
+  for (std::int64_t i = 0; i < n; ++i) out[i] = f(a[i]);
 }
 
 }  // namespace
@@ -375,16 +458,8 @@ int op_num_variants(OpKind kind) {
     case OpKind::kLinear:
       return 3;
     case OpKind::kMatMulBT:
-    case OpKind::kAdd:
-    case OpKind::kSub:
-    case OpKind::kMul:
     case OpKind::kTanh:
     case OpKind::kSigmoid:
-    case OpKind::kRelu:
-    case OpKind::kAddBiasTanh:
-    case OpKind::kAddBiasSigmoid:
-    case OpKind::kFma2:
-    case OpKind::kMulTanh:
       return 2;
     default:
       return 1;
@@ -497,30 +572,34 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       matmul_bt(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[0], out);
       return;
     case OpKind::kAdd:
-      binary(variant, ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a + b; });
+      binary(ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a + b; });
       return;
     case OpKind::kSub:
-      binary(variant, ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a - b; });
+      binary(ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a - b; });
       return;
     case OpKind::kMul:
-      binary(variant, ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a * b; });
+      binary(ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a * b; });
       return;
     case OpKind::kTanh:
       if (variant == 0) {  // one element at a time
-        unary(0, ins[0], s[0].numel(), out, tanh_ss);
+        unary(ins[0], s[0].numel(), out, tanh_v<float>);
       } else {
         tanh_n(ins[0], s[0].numel(), out);
       }
       return;
     case OpKind::kSigmoid:
-      unary(variant, ins[0], s[0].numel(), out, sigmoidf);
+      if (variant == 0) {  // one element at a time
+        unary(ins[0], s[0].numel(), out, sigmoid_v<float>);
+      } else {
+        sigmoid_n(ins[0], s[0].numel(), out);
+      }
       return;
     case OpKind::kRelu:
-      unary(variant, ins[0], s[0].numel(), out, [](float a) { return a > 0.0f ? a : 0.0f; });
+      unary(ins[0], s[0].numel(), out, [](float a) { return a > 0.0f ? a : 0.0f; });
       return;
     case OpKind::kScale: {
       const float c = static_cast<float>(static_cast<double>(attr) * 1e-6);
-      unary(variant, ins[0], s[0].numel(), out, [c](float a) { return a * c; });
+      unary(ins[0], s[0].numel(), out, [c](float a) { return a * c; });
       return;
     }
     case OpKind::kAddBiasTanh:
@@ -530,10 +609,12 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       const bool tanh_act = kind == OpKind::kAddBiasTanh;
       for (int r = 0; r < rows; ++r) {
         const std::int64_t off = static_cast<std::int64_t>(r) * cols;
-        for (int j = 0; j < cols; ++j) {
-          const float v = ins[0][off + j] + ins[1][off + j] + ins[2][j];
-          out[off + j] = tanh_act ? tanh_ss(v) : sigmoidf(v);
-        }
+        const float *a = ins[0] + off, *b = ins[1] + off;
+        float* o = out + off;
+        for_lanes(cols, [&]<typename V>(std::int64_t j) {
+          const V v = load<V>(a + j) + load<V>(b + j) + load<V>(ins[2] + j);
+          store(o + j, tanh_act ? tanh_v(v) : sigmoid_v(v));
+        });
       }
       return;
     }
@@ -543,11 +624,11 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         out[i] = ins[0][i] * ins[1][i] + ins[2][i] * ins[3][i];
       return;
     }
-    case OpKind::kMulTanh: {
-      const std::int64_t n = s[0].numel();
-      for (std::int64_t i = 0; i < n; ++i) out[i] = ins[0][i] * tanh_ss(ins[1][i]);
+    case OpKind::kMulTanh:
+      for_lanes(s[0].numel(), [&]<typename V>(std::int64_t i) {
+        store(out + i, load<V>(ins[0] + i) * tanh_v(load<V>(ins[1] + i)));
+      });
       return;
-    }
     case OpKind::kLstmNewC: {
       const int n = s[1].cols();
       const int rows = s[1].rows();
@@ -555,8 +636,10 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const float* g = ins[0] + static_cast<std::int64_t>(r) * 4 * n;
         const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
         float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j)
-          o[j] = sigmoidf(g[n + j] + 1.0f) * c[j] + sigmoidf(g[j]) * tanh_ss(g[2 * n + j]);
+        for_lanes(n, [&]<typename V>(std::int64_t j) {
+          store(o + j, sigmoid_v(load<V>(g + n + j) + 1.0f) * load<V>(c + j) +
+                           sigmoid_v(load<V>(g + j)) * tanh_v(load<V>(g + 2 * n + j)));
+        });
       }
       return;
     }
@@ -567,7 +650,9 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const float* g = ins[0] + static_cast<std::int64_t>(r) * 4 * n;
         const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
         float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) o[j] = sigmoidf(g[3 * n + j]) * tanh_ss(c[j]);
+        for_lanes(n, [&]<typename V>(std::int64_t j) {
+          store(o + j, sigmoid_v(load<V>(g + 3 * n + j)) * tanh_v(load<V>(c + j)));
+        });
       }
       return;
     }
@@ -578,10 +663,10 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         const float* g = ins[0] + static_cast<std::int64_t>(r) * 3 * n;
         const float* h = ins[1] + static_cast<std::int64_t>(r) * n;
         float* o = out + static_cast<std::int64_t>(r) * n;
-        for (int j = 0; j < n; ++j) {
-          const float z = sigmoidf(g[j]);
-          o[j] = (1.0f - z) * h[j] + z * tanh_ss(g[2 * n + j]);
-        }
+        for_lanes(n, [&]<typename V>(std::int64_t j) {
+          const V z = sigmoid_v(load<V>(g + j));
+          store(o + j, (1.0f - z) * load<V>(h + j) + z * tanh_v(load<V>(g + 2 * n + j)));
+        });
       }
       return;
     }

@@ -1,9 +1,9 @@
 // Tensor-op correctness against hand-computed references, and variant
 // agreement (every schedule variant of a kernel computes the same function).
 // The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
-// tile against the per-row loop it replaced, and the SSE tanh's lanes
-// against its one-element form, with a tolerance check of that tanh against
-// std::tanh.
+// tile against the per-row loop it replaced, and the 8- and 4-lane tanh and
+// sigmoid against their one-element forms, with tolerance checks of each
+// against the exact function.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -65,7 +65,7 @@ void test_eltwise_and_broadcast() {
   run_op(OpKind::kAdd, 0, ins, shapes, out, Shape(2, 3), 0);
   CHECK_NEAR(out[0], 11.0, 1e-6);
   CHECK_NEAR(out[5], 36.0, 1e-6);
-  run_op(OpKind::kMul, 1, ins, shapes, out, Shape(2, 3), 0);  // broadcast falls back
+  run_op(OpKind::kMul, 0, ins, shapes, out, Shape(2, 3), 0);
   CHECK_NEAR(out[4], 100.0, 1e-6);
 }
 
@@ -131,7 +131,7 @@ std::vector<float> linear_chain(int variant, LinearAct act, const Tensor& x, con
   run_op(OpKind::kDense, variant, dins, dshapes, d.data(), os, 0);
   const float* bins[2] = {d.data(), b.data};
   const Shape bshapes[2] = {os, b.shape};
-  run_op(OpKind::kAdd, variant % 2, bins, bshapes, out.data(), os, 0);
+  run_op(OpKind::kAdd, 0, bins, bshapes, out.data(), os, 0);
   if (act == kLinearIdentity) return out;
   const float* ains[1] = {out.data()};
   run_op(act == kLinearTanh ? OpKind::kTanh : OpKind::kSoftmax, variant % 2, ains, &os,
@@ -229,9 +229,11 @@ void dense_row_v2_ref(const float* x, int kx, const float* h, int kh, const floa
 // Every variant-2 entry point — kDense stacked (x-only and over [x;h]
 // concatenated), kLinear through run_op (stacked, split or not) and
 // run_linear over scattered row pointers — is bitwise the per-row loop.
-// Rows 1-9 cover every row-tile remainder, n every output-tile remainder,
-// and the (kx, kh) list k mod 4 ∈ {0, 1, 2, 3}, splits with kx mod 4 ≠ 0
-// (a 4-block straddles x and h, or only the tail does), and kh = 0.
+// Rows 1-9 cover every row-tile remainder; n covers every output-tile
+// remainder: after full 8- or 4-output tiles, output pairs and an odd last
+// output (n = 7, 9, 13 reach it after full pair tiles); and the (kx, kh)
+// list k mod 4 ∈ {0, 1, 2, 3}, splits with kx mod 4 ≠ 0 (a 4-block
+// straddles x and h, or only the tail does), and kh = 0.
 void test_dense_tile_matches_row_loop() {
   struct K {
     int kx, kh;
@@ -239,7 +241,7 @@ void test_dense_tile_matches_row_loop() {
   const K ks[] = {{1, 0},  {3, 0},   {16, 0}, {17, 0}, {18, 0}, {19, 0}, {40, 0},
                   {16, 16}, {40, 40}, {7, 13}, {5, 6},  {6, 3},  {3, 2},  {1, 1},
                   {2, 1},   {13, 7},  {9, 30}};
-  const int ns[] = {1, 2, 3, 5, 16, 48, 120};
+  const int ns[] = {1, 2, 3, 5, 7, 9, 13, 16, 48, 120};
   TensorPool pool;
   Rng rng(17);
   int bad = 0;
@@ -299,32 +301,43 @@ void test_dense_tile_matches_row_loop() {
   CHECK_EQ(bad, 0);
 }
 
-std::vector<float> run_tanh(int variant, const std::vector<float>& a) {
+std::vector<float> run_unary(OpKind kind, int variant, const std::vector<float>& a) {
   std::vector<float> out(a.size());
   const Shape s = RowVec(static_cast<int>(a.size()));
   const float* ins[1] = {a.data()};
-  run_op(OpKind::kTanh, variant, ins, &s, out.data(), s, 0);
+  run_op(kind, variant, ins, &s, out.data(), s, 0);
   return out;
 }
+std::vector<float> run_tanh(int variant, const std::vector<float>& a) {
+  return run_unary(OpKind::kTanh, variant, a);
+}
+std::vector<float> run_sigmoid(int variant, const std::vector<float>& a) {
+  return run_unary(OpKind::kSigmoid, variant, a);
+}
 
-// kTanh variant 1 runs the SSE tanh over 4-blocks and the one-element form
-// on the tail; variant 0 is one element at a time throughout. Every length
-// 1-11 (tails of 1-3) over inputs from every branch of the function: the
-// identity below 4e-4, the rational range and the clamp.
-void test_tanh_simd_matches_scalar() {
+// kTanh and kSigmoid variant 1 run 8-lane blocks, then a 4-lane block, then
+// the one-element form on the tail; variant 0 is one element at a time
+// throughout. Every length 1-19 (each mix of 8-blocks, a 4-block and tails
+// of 1-3) over inputs from every branch of tanh: the identity below 4e-4,
+// the rational range and the clamp (sigmoid evaluates tanh(x/2), so its
+// inputs are twice as wide).
+void test_simd_matches_scalar() {
   Rng rng(23);
-  for (int len = 1; len <= 11; ++len) {
-    for (int rep = 0; rep < 50; ++rep) {
-      std::vector<float> a(len);
-      for (float& v : a) {
-        switch (rng.uniform_int(3)) {
-          case 0: v = rng.uniform(5e-4f); break;
-          case 1: v = rng.uniform(6.0f); break;
-          default: v = rng.uniform(12.0f); break;
+  for (const OpKind kind : {OpKind::kTanh, OpKind::kSigmoid}) {
+    const float scale = kind == OpKind::kTanh ? 1.0f : 2.0f;
+    for (int len = 1; len <= 19; ++len) {
+      for (int rep = 0; rep < 50; ++rep) {
+        std::vector<float> a(len);
+        for (float& v : a) {
+          switch (rng.uniform_int(3)) {
+            case 0: v = scale * rng.uniform(5e-4f); break;
+            case 1: v = scale * rng.uniform(6.0f); break;
+            default: v = scale * rng.uniform(12.0f); break;
+          }
         }
+        const std::vector<float> scalar = run_unary(kind, 0, a), simd = run_unary(kind, 1, a);
+        CHECK(std::memcmp(scalar.data(), simd.data(), a.size() * sizeof(float)) == 0);
       }
-      const std::vector<float> scalar = run_tanh(0, a), simd = run_tanh(1, a);
-      CHECK(std::memcmp(scalar.data(), simd.data(), a.size() * sizeof(float)) == 0);
     }
   }
 }
@@ -347,67 +360,156 @@ void test_tanh_accuracy() {
   }
 }
 
-// ±inf → ±1, NaN → NaN, ±0 → ±0, at both variants and in both the SIMD
-// block (indices 0-3) and the scalar tail (index 4).
-void test_tanh_edges() {
+// σ = 0.5 + 0.5·tanh(x/2) is within 2.5e-7 of 1/(1 + e^-x), computed in
+// double, over a dense sweep of [-30, 30]: beyond ±15.8 the tanh saturates,
+// so σ is exactly 0 or 1, at most 1.4e-7 from exact.
+void test_sigmoid_accuracy() {
+  std::vector<float> a;
+  for (int i = -3000000; i <= 3000000; ++i) a.push_back(static_cast<float>(i) * 1e-5f);
+  for (int variant = 0; variant < op_num_variants(OpKind::kSigmoid); ++variant) {
+    const std::vector<float> got = run_sigmoid(variant, a);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const double exact = 1.0 / (1.0 + std::exp(-static_cast<double>(a[i])));
+      worst = std::max(worst, std::fabs(static_cast<double>(got[i]) - exact));
+    }
+    CHECK(worst <= 2.5e-7);
+  }
+}
+
+// tanh: ±inf → ±1, NaN → NaN, ±0 → ±0. sigmoid: +inf → 1, -inf → 0,
+// NaN → NaN, ±0 → exactly 0.5. At every variant, and with every value in
+// every slot of 13 elements (8 + 4 + 1), so each lands in the 8-lane
+// block, the 4-lane block and the single-element tail.
+void test_tanh_sigmoid_edges() {
+  constexpr int kLen = 13;
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float in[5] = {inf, -inf, nan, -0.0f, 0.0f};
-  for (int variant = 0; variant < op_num_variants(OpKind::kTanh); ++variant) {
-    for (int shift = 0; shift < 5; ++shift) {  // every value in every slot
-      std::vector<float> a(5);
-      for (int i = 0; i < 5; ++i) a[(i + shift) % 5] = in[i];
-      const std::vector<float> got = run_tanh(variant, a);
-      CHECK(got[shift % 5] == 1.0f);
-      CHECK(got[(1 + shift) % 5] == -1.0f);
-      CHECK(std::isnan(got[(2 + shift) % 5]));
-      CHECK(got[(3 + shift) % 5] == 0.0f && std::signbit(got[(3 + shift) % 5]));
-      CHECK(got[(4 + shift) % 5] == 0.0f && !std::signbit(got[(4 + shift) % 5]));
+  for (int shift = 0; shift < kLen; ++shift) {
+    std::vector<float> a(kLen, 0.5f);
+    for (int i = 0; i < 5; ++i) a[(i + shift) % kLen] = in[i];
+    const auto at = [&](const std::vector<float>& v, int i) { return v[(i + shift) % kLen]; };
+    for (int variant = 0; variant < op_num_variants(OpKind::kTanh); ++variant) {
+      const std::vector<float> t = run_tanh(variant, a);
+      CHECK(at(t, 0) == 1.0f);
+      CHECK(at(t, 1) == -1.0f);
+      CHECK(std::isnan(at(t, 2)));
+      CHECK(at(t, 3) == 0.0f && std::signbit(at(t, 3)));
+      CHECK(at(t, 4) == 0.0f && !std::signbit(at(t, 4)));
+    }
+    for (int variant = 0; variant < op_num_variants(OpKind::kSigmoid); ++variant) {
+      const std::vector<float> s = run_sigmoid(variant, a);
+      CHECK(at(s, 0) == 1.0f);
+      CHECK(at(s, 1) == 0.0f);
+      CHECK(std::isnan(at(s, 2)));
+      CHECK(at(s, 3) == 0.5f);
+      CHECK(at(s, 4) == 0.5f);
     }
   }
 }
 
 // Every tanh site computes the same tanh, bitwise: kAddBiasTanh with zero
 // addends, kMulTanh by 1, and the LSTM/GRU pointwise kernels with gates
-// saturated so σ = 1 exactly (σ(100) rounds to 1.0f) all equal kTanh.
+// saturated so σ = 1 exactly (σ(100) rounds to 1.0f) all equal kTanh. At
+// n = 7 (a 4-lane block and a scalar tail), 8 (one 8-lane block) and 19
+// (8-lane blocks and a scalar tail).
 void test_tanh_sites_agree() {
-  constexpr int n = 7;
-  Rng rng(29);
-  std::vector<float> v(n), zeros(n, 0.0f), ones(n, 1.0f);
-  for (float& x : v) x = rng.uniform(6.0f);
-  const std::vector<float> want = run_tanh(1, v);
-  std::vector<float> got(n);
-  const Shape row = RowVec(n);
-  const auto same = [&] { CHECK(std::memcmp(got.data(), want.data(), sizeof(float) * n) == 0); };
+  for (const int n : {7, 8, 19}) {
+    Rng rng(29);
+    std::vector<float> v(n), zeros(n, 0.0f), ones(n, 1.0f);
+    for (float& x : v) x = rng.uniform(6.0f);
+    const std::vector<float> want = run_tanh(1, v);
+    std::vector<float> got(n);
+    const Shape row = RowVec(n);
+    const auto same = [&] {
+      CHECK(std::memcmp(got.data(), want.data(), sizeof(float) * n) == 0);
+    };
 
-  const float* abt[3] = {v.data(), zeros.data(), zeros.data()};
-  const Shape abt_s[3] = {row, row, row};
-  for (int variant = 0; variant < op_num_variants(OpKind::kAddBiasTanh); ++variant) {
-    run_op(OpKind::kAddBiasTanh, variant, abt, abt_s, got.data(), row, 0);
+    const float* abt[3] = {v.data(), zeros.data(), zeros.data()};
+    const Shape abt_s[3] = {row, row, row};
+    for (int variant = 0; variant < op_num_variants(OpKind::kAddBiasTanh); ++variant) {
+      run_op(OpKind::kAddBiasTanh, variant, abt, abt_s, got.data(), row, 0);
+      same();
+    }
+    const float* mt[2] = {ones.data(), v.data()};
+    run_op(OpKind::kMulTanh, 0, mt, abt_s, got.data(), row, 0);
+    same();
+
+    // LSTM gates [i f g o]: new c = σ(f+1)·0 + σ(100)·tanh(g); new h = σ(100)·tanh(c').
+    std::vector<float> lstm(4 * n, 100.0f);
+    std::copy(v.begin(), v.end(), lstm.begin() + 2 * n);
+    const float* lc[2] = {lstm.data(), zeros.data()};
+    const Shape ls[2] = {RowVec(4 * n), row};
+    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
+    same();
+    const float* lh[2] = {lstm.data(), v.data()};
+    run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
+    same();
+
+    // GRU gates [z r ĥ]: (1 - σ(100))·h + σ(100)·tanh(ĥ).
+    std::vector<float> gru(3 * n, 100.0f);
+    std::copy(v.begin(), v.end(), gru.begin() + 2 * n);
+    const float* gp[2] = {gru.data(), ones.data()};
+    const Shape gs[2] = {RowVec(3 * n), row};
+    run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
     same();
   }
-  const float* mt[2] = {ones.data(), v.data()};
-  run_op(OpKind::kMulTanh, 0, mt, abt_s, got.data(), row, 0);
-  same();
+}
 
-  // LSTM gates [i f g o]: new c = σ(f+1)·0 + σ(100)·tanh(g); new h = σ(100)·tanh(c').
-  std::vector<float> lstm(4 * n, 100.0f);
-  std::copy(v.begin(), v.end(), lstm.begin() + 2 * n);
-  const float* lc[2] = {lstm.data(), zeros.data()};
-  const Shape ls[2] = {RowVec(4 * n), row};
-  run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
-  same();
-  const float* lh[2] = {lstm.data(), v.data()};
-  run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
-  same();
+// Every sigmoid site computes kSigmoid's sigmoid, bitwise, with the other
+// factors exact: kAddBiasSigmoid with zero addends; kLstmNewC's forget gate
+// σ(f+1) with c = 1 and tanh(0) = 0, and its input gate with σ(-100) = 0
+// and tanh(100) = 1; kLstmNewH's output gate with tanh(100) = 1; and
+// kGruPoint's z with h = 0 and tanh(100) = 1. At n = 7, 8 and 19.
+void test_sigmoid_sites_agree() {
+  for (const int n : {7, 8, 19}) {
+    Rng rng(31);
+    std::vector<float> v(n), v1(n), zeros(n, 0.0f), ones(n, 1.0f), big(n, 100.0f);
+    for (float& x : v) x = rng.uniform(12.0f);
+    for (int j = 0; j < n; ++j) v1[j] = v[j] + 1.0f;
+    const std::vector<float> want = run_sigmoid(1, v), want1 = run_sigmoid(1, v1);
+    std::vector<float> got(n);
+    const Shape row = RowVec(n);
+    const auto same = [&](const std::vector<float>& ref) {
+      CHECK(std::memcmp(got.data(), ref.data(), sizeof(float) * n) == 0);
+    };
 
-  // GRU gates [z r ĥ]: (1 - σ(100))·h + σ(100)·tanh(ĥ).
-  std::vector<float> gru(3 * n, 100.0f);
-  std::copy(v.begin(), v.end(), gru.begin() + 2 * n);
-  const float* gp[2] = {gru.data(), ones.data()};
-  const Shape gs[2] = {RowVec(3 * n), row};
-  run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
-  same();
+    const float* abs[3] = {v.data(), zeros.data(), zeros.data()};
+    const Shape abs_s[3] = {row, row, row};
+    for (int variant = 0; variant < op_num_variants(OpKind::kAddBiasSigmoid); ++variant) {
+      run_op(OpKind::kAddBiasSigmoid, variant, abs, abs_s, got.data(), row, 0);
+      same(want);
+    }
+
+    // LSTM gates [i f g o]. Forget gate: σ(v+1)·1 + σ(100)·tanh(0).
+    std::vector<float> lstm(4 * n, 100.0f);
+    std::copy(v.begin(), v.end(), lstm.begin() + n);
+    std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 0.0f);
+    const float* lc[2] = {lstm.data(), ones.data()};
+    const Shape ls[2] = {RowVec(4 * n), row};
+    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
+    same(want1);
+    // Input gate: σ(-100 + 1)·1 + σ(v)·tanh(100).
+    std::copy(v.begin(), v.end(), lstm.begin());
+    std::fill(lstm.begin() + n, lstm.begin() + 2 * n, -100.0f);
+    std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 100.0f);
+    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
+    same(want);
+    // Output gate: σ(v)·tanh(100).
+    std::copy(v.begin(), v.end(), lstm.begin() + 3 * n);
+    const float* lh[2] = {lstm.data(), big.data()};
+    run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
+    same(want);
+
+    // GRU gates [z r ĥ]: (1 - σ(v))·0 + σ(v)·tanh(100).
+    std::vector<float> gru(3 * n, 100.0f);
+    std::copy(v.begin(), v.end(), gru.begin());
+    const float* gp[2] = {gru.data(), zeros.data()};
+    const Shape gs[2] = {RowVec(3 * n), row};
+    run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
+    same(want);
+  }
 }
 
 }  // namespace
@@ -422,9 +524,11 @@ int main() {
   test_linear_matches_chain();
   test_linear_row_pointers();
   test_dense_tile_matches_row_loop();
-  test_tanh_simd_matches_scalar();
+  test_simd_matches_scalar();
   test_tanh_accuracy();
-  test_tanh_edges();
+  test_sigmoid_accuracy();
+  test_tanh_sigmoid_edges();
   test_tanh_sites_agree();
+  test_sigmoid_sites_agree();
   return acrobat::test::finish("test_tensor_ops");
 }

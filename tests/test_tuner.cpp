@@ -17,17 +17,17 @@ using namespace acrobat;
 
 namespace {
 
-// Three multi-variant kernels (dense: 3 variants; add/tanh: 2) plus a
+// Three multi-variant kernels (dense: 3 variants; sigmoid/tanh: 2) plus a
 // single-variant one the tuner must skip without spending budget.
 KernelRegistry make_registry() {
   KernelRegistry reg;
   const Shape vec(32), mat(32, 32);
   const Shape dense_rep[2] = {vec, mat};
-  const Shape add_rep[2] = {vec, vec};
+  const Shape sigmoid_rep[1] = {vec};
   const Shape tanh_rep[1] = {vec};
   const Shape concat_rep[2] = {vec, vec};
   reg.add("t.dense", OpKind::kDense, 0, 2, dense_rep);
-  reg.add("t.add", OpKind::kAdd, 0, 2, add_rep);
+  reg.add("t.sigmoid", OpKind::kSigmoid, 0, 1, sigmoid_rep);
   reg.add("t.tanh", OpKind::kTanh, 0, 1, tanh_rep);
   reg.add("t.concat", OpKind::kConcat, 0, 2, concat_rep);  // 1 variant
   return reg;
@@ -62,12 +62,12 @@ void test_zero_budget_changes_nothing() {
 
 void test_budget_respected_in_registration_order() {
   // Uniform frequencies tie; the stable sort keeps registration order, so a
-  // budget covering only the dense kernel's 3 variants must leave add and
-  // tanh untouched.
+  // budget covering only the dense kernel's 3 variants must leave sigmoid
+  // and tanh untouched.
   KernelRegistry reg = make_registry();
   autosched::reset_schedules(reg, 0);
   autosched::tune(reg, std::vector<double>(reg.num_kernels(), 1.0), 3);
-  CHECK_EQ(reg.kernel(1).variant, 0);  // t.add: never measured
+  CHECK_EQ(reg.kernel(1).variant, 0);  // t.sigmoid: never measured
   CHECK_EQ(reg.kernel(2).variant, 0);  // t.tanh: never measured
   CHECK(reg.kernel(0).variant >= 0 && reg.kernel(0).variant < 3);
 }
@@ -80,7 +80,7 @@ void test_freq_steers_budget_to_hot_kernels() {
   std::vector<double> freq{1.0, 2.0, 100.0, 1.0};
   autosched::tune(reg, freq, 2);  // exactly t.tanh's variant count
   CHECK_EQ(reg.kernel(0).variant, 0);  // t.dense: cold, unmeasured
-  CHECK_EQ(reg.kernel(1).variant, 0);  // t.add: cold, unmeasured
+  CHECK_EQ(reg.kernel(1).variant, 0);  // t.sigmoid: cold, unmeasured
   CHECK(reg.kernel(2).variant >= 0 && reg.kernel(2).variant < 2);
 }
 

@@ -342,15 +342,44 @@ void BM_LinearFused(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearFused)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
-// a (s, 64) · b (s, 64)ᵀ at both variants; the default schedule runs the
-// last (harness::apply_default_schedules).
+// The matmul family at the models' shapes, every variant; the default
+// schedule runs the last (harness::apply_default_schedules). kMatMul is
+// a (m, k) · b (k, n): Berxit's mix (s, s)·(s, h) at (8, 16) and (12, 40),
+// MV-RNN's vmat (1, h)·(h, h) at h = 16 and 40. kMatMulBT is Berxit's score
+// a (s, h) · b (s, h)ᵀ.
+void BM_MatMul(benchmark::State& state) {
+  const int variant = static_cast<int>(state.range(0));
+  const int m = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  const int n = static_cast<int>(state.range(3));
+  TensorPool pool;
+  Rng rng(7);
+  Tensor a = pool.alloc_random(Shape(m, k), rng, 0.5f);
+  Tensor b = pool.alloc_random(Shape(k, n), rng, 0.5f);
+  Tensor out = pool.alloc(Shape(m, n));
+  const float* ins[2] = {a.data, b.data};
+  const Shape shapes[2] = {a.shape, b.shape};
+  for (auto _ : state) {
+    run_op(OpKind::kMatMul, variant, ins, shapes, out.data, out.shape, 0);
+    benchmark::DoNotOptimize(out.data[0]);
+  }
+  report_flops(state, 2.0 * m * k * n);
+}
+BENCHMARK(BM_MatMul)
+    ->ArgsProduct({{0, 1, 2}, {8}, {8}, {16}})
+    ->ArgsProduct({{0, 1, 2}, {12}, {12}, {40}})
+    ->ArgsProduct({{0, 1, 2}, {1}, {16}, {16}})
+    ->ArgsProduct({{0, 1, 2}, {1}, {40}, {40}})
+    ->ArgNames({"variant", "m", "k", "n"});
+
 void BM_MatMulBT(benchmark::State& state) {
   const int variant = static_cast<int>(state.range(0));
   const int s = static_cast<int>(state.range(1));
+  const int h = static_cast<int>(state.range(2));
   TensorPool pool;
   Rng rng(7);
-  Tensor a = pool.alloc_random(Shape(s, 64), rng, 0.5f);
-  Tensor b = pool.alloc_random(Shape(s, 64), rng, 0.5f);
+  Tensor a = pool.alloc_random(Shape(s, h), rng, 0.5f);
+  Tensor b = pool.alloc_random(Shape(s, h), rng, 0.5f);
   Tensor out = pool.alloc(Shape(s, s));
   const float* ins[2] = {a.data, b.data};
   const Shape shapes[2] = {a.shape, b.shape};
@@ -358,9 +387,12 @@ void BM_MatMulBT(benchmark::State& state) {
     run_op(OpKind::kMatMulBT, variant, ins, shapes, out.data, out.shape, 0);
     benchmark::DoNotOptimize(out.data[0]);
   }
-  report_flops(state, 2.0 * s * s * 64);
+  report_flops(state, 2.0 * s * s * h);
 }
-BENCHMARK(BM_MatMulBT)->ArgsProduct({{0, 1}, {16, 32}})->ArgNames({"variant", "s"});
+BENCHMARK(BM_MatMulBT)
+    ->ArgsProduct({{0, 1, 2}, {8}, {16}})
+    ->ArgsProduct({{0, 1, 2}, {12}, {40}})
+    ->ArgNames({"variant", "s", "h"});
 
 // Fiber suspension cost (DESIGN.md §1): `fibers` fibers each block once per
 // iteration, as decode sessions do at every sync point and token boundary —

@@ -14,11 +14,14 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -278,33 +281,27 @@ class Engine {
   MemoryStats memory() const;
 
  private:
-  // Node inputs as an inline small-vector: every model op has arity ≤ 4
-  // except concat chains, so recording a node does zero heap allocation on
-  // the common path (the DFG-construction row of Table 6); wider nodes
-  // spill to a heap vector that keeps its capacity across slot reuse.
+  // At most this many inputs per op (the executors stage operands in arrays
+  // this wide); record_op aborts on a wider op in every build.
+  static constexpr int kMaxIns = 8;
+
+  // Node inputs, held inline: a node has no heap member, so it is trivially
+  // copyable and recording one allocates nothing (the DFG-construction row
+  // of Table 6).
   class InsList {
    public:
     void assign(const TRef* p, int count) {
       n_ = count;
-      if (count > kInline)
-        heap_.assign(p, p + count);
-      else
-        for (int i = 0; i < count; ++i) inline_[i] = p[i];
+      for (int i = 0; i < count; ++i) ins_[i] = p[i];
     }
-    void clear() {
-      n_ = 0;
-      heap_.clear();
-    }
+    void clear() { n_ = 0; }
     std::size_t size() const { return static_cast<std::size_t>(n_); }
-    const TRef* data() const { return n_ > kInline ? heap_.data() : inline_; }
-    const TRef& operator[](std::size_t i) const { return data()[i]; }
-    const TRef* begin() const { return data(); }
-    const TRef* end() const { return data() + n_; }
+    const TRef& operator[](std::size_t i) const { return ins_[i]; }
+    const TRef* begin() const { return ins_; }
+    const TRef* end() const { return ins_ + n_; }
 
    private:
-    static constexpr int kInline = 4;
-    TRef inline_[kInline];
-    std::vector<TRef> heap_;
+    TRef ins_[kMaxIns];
     int n_ = 0;
   };
 
@@ -318,6 +315,40 @@ class Engine {
     int instance = 0;
     std::uint32_t gen = 0;   // bumped when the slot is retired
     bool persist = false;    // persistent region: weights, cached constants
+  };
+  static_assert(std::is_trivially_copyable_v<Node>);
+
+  // The node table (DESIGN.md §5): fixed chunks of kChunkNodes nodes, a
+  // power of two so that id → (chunk, slot) is a shift and a mask. A
+  // recorded node never moves: the table grows one chunk at a time, and its
+  // chunks go back to the block cache, warm for the next engine, when the
+  // engine dies. kChunkBytes (60 KB) is a size class no other block-cache
+  // owner asks for, so only a node table reuses a chunk.
+  class NodeTable {
+   public:
+    static constexpr std::size_t kChunkNodes =
+        std::bit_floor(block_cache::kMinClassBytes / sizeof(Node));
+    static constexpr std::size_t kChunkBytes = kChunkNodes * sizeof(Node);
+    NodeTable() = default;
+    NodeTable(const NodeTable&) = delete;
+    NodeTable& operator=(const NodeTable&) = delete;
+    ~NodeTable();
+    std::size_t size() const { return size_; }
+    Node& operator[](std::size_t id) { return chunks_[id / kChunkNodes][id % kChunkNodes]; }
+    const Node& operator[](std::size_t id) const {
+      return chunks_[id / kChunkNodes][id % kChunkNodes];
+    }
+    // Appends a copy of `n` and returns its id.
+    std::uint32_t push_back(const Node& n) {
+      if (size_ == chunks_.size() * kChunkNodes) add_chunk();
+      ::new (&(*this)[size_]) Node(n);
+      return static_cast<std::uint32_t>(size_++);
+    }
+
+   private:
+    void add_chunk();
+    std::vector<Node*> chunks_;
+    std::size_t size_ = 0;
   };
 
   // Generation-checked accessors: a stale ref (slot retired or reissued
@@ -334,7 +365,7 @@ class Engine {
     return nodes_[r.id];
   }
   TRef record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx& ctx, int phase);
-  TRef alloc_node(Node&& n, bool reusable_slot);
+  TRef alloc_node(const Node& n, bool reusable_slot);
   // Recycling internals shared by retire_request and session_step: retire
   // the instance's node span (slots → free list, generations bumped) and
   // reclaim arena pages older than every live request's admission epoch.
@@ -392,13 +423,10 @@ class Engine {
   // live here, outside the epoch protocol, because the const cache shares
   // them across requests of any epoch.
   TensorPool persist_arena_{1u << 12};  // small pages: a handful of constants
-  // Node table storage comes from the process-wide block cache (64 KB and
-  // up, power-of-two blocks), so a closed batch's fresh engine regrows its
-  // table into warm pages instead of fresh mappings (DESIGN.md §4).
-  std::vector<Node, block_cache::Allocator<Node>> nodes_;
+  NodeTable nodes_;
   std::vector<std::uint32_t> pending_;
   std::vector<ExecBatch> exec_log_;
-  std::unordered_map<int, TRef> const_cache_;  // const_reuse: kernel id → node
+  std::vector<TRef> const_cache_;  // const_reuse: kernel id → node, !ok() when none
   std::vector<std::shared_ptr<std::string>> boxed_;  // boxed_dfg allocations
   FiberScheduler* fibers_ = nullptr;
   trace::Tracer* tracer_ = nullptr;

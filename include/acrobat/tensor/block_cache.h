@@ -26,25 +26,10 @@ void* take(std::size_t bytes);
 // into a dead owner's memory still reports.
 void give(void* block, std::size_t bytes) noexcept;
 
-// Growable owners (the node table, the AOT executor's register stack and
-// cell array) ask in power-of-two sizes from 64 KB up, so a regrown block
-// lands in a size class the next owner will ask for too.
+// Growable owners (the AOT executor's register stack and cell array) ask
+// in power-of-two sizes from 64 KB up, so a regrown block lands in a size
+// class the next owner will ask for too.
 constexpr std::size_t kMinClassBytes = std::size_t{64} << 10;
 std::size_t pow2_class(std::size_t bytes);
-
-// std::allocator over pow2_class blocks (Engine's node table).
-template <class T>
-struct Allocator {
-  using value_type = T;
-  Allocator() = default;
-  template <class U>
-  Allocator(const Allocator<U>&) noexcept {}
-  T* allocate(std::size_t n) { return static_cast<T*>(take(pow2_class(n * sizeof(T)))); }
-  void deallocate(T* p, std::size_t n) noexcept { give(p, pow2_class(n * sizeof(T))); }
-  template <class U>
-  bool operator==(const Allocator<U>&) const noexcept {
-    return true;
-  }
-};
 
 }  // namespace acrobat::block_cache

@@ -18,10 +18,12 @@
 namespace acrobat {
 
 enum class OpKind : std::uint8_t {
-  // Dense family (3 variants; kMatMulBT 2). kDense's variant 2 is a
+  // Dense family (3 variants each). kDense's variant 2 is a
   // register-blocked AVX tile over up to 4 rows whose per-(row, output) sum
   // order is fixed (DESIGN.md §3), so any row count gives the same floats
-  // per row.
+  // per row. kMatMulBT is the same computation and runs kDense's variants;
+  // kMatMul's three sum each output in one order, so they are bitwise equal
+  // (variant 2 holds a 4-row × 16-output tile in registers).
   kDense,     // ins: x (k) or (m,k), W (n,k) row-major → x·Wᵀ, shape (n)/(m,n)
   kMatMul,    // ins: a (m,k) or (k), b (k,n) → a·b
   kMatMulBT,  // ins: a (m,k), b (n,k) → a·bᵀ

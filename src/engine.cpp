@@ -81,8 +81,18 @@ void Engine::reset_sched_scratch() {
 Engine::Engine(const KernelRegistry& registry, EngineConfig cfg)
     : registry_(registry), cfg_(cfg) {
   stats_.kernel_invocations.assign(registry.num_kernels(), 0);
+  const_cache_.resize(registry.num_kernels());
   assert((!cfg_.recycle || cfg_.lazy) && "recycling requires lazy recording");
-  nodes_.reserve(block_cache::kMinClassBytes / sizeof(Node));  // one smallest block
+}
+
+Engine::NodeTable::~NodeTable() {
+  // Last chunk first: the cache hands blocks out last in, first out, so the
+  // next engine's chunk i is this one's chunk i, its pages already touched.
+  for (auto c = chunks_.rbegin(); c != chunks_.rend(); ++c) block_cache::give(*c, kChunkBytes);
+}
+
+void Engine::NodeTable::add_chunk() {
+  chunks_.push_back(static_cast<Node*>(block_cache::take(kChunkBytes)));
 }
 
 void Engine::check_ref(TRef r) const {
@@ -99,22 +109,22 @@ void Engine::check_ref(TRef r) const {
 #endif
 }
 
-TRef Engine::alloc_node(Node&& n, bool reusable_slot) {
+TRef Engine::alloc_node(const Node& n, bool reusable_slot) {
   const bool track = cfg_.recycle && reusable_slot;
   TRef ref;
   if (track && !free_slots_.empty()) {
     ref.id = free_slots_.back();
     free_slots_.pop_back();
     Node& slot = nodes_[ref.id];
-    n.gen = slot.gen;  // already bumped at retirement
-    slot = std::move(n);
+    ref.gen = slot.gen;  // already bumped at retirement
+    slot = n;
+    slot.gen = ref.gen;
   } else {
-    ref.id = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(std::move(n));
+    ref.id = nodes_.push_back(n);
+    ref.gen = n.gen;
   }
-  ref.gen = nodes_[ref.id].gen;
   if (track) {
-    std::vector<std::uint32_t>& span = request_nodes_[nodes_[ref.id].instance];
+    std::vector<std::uint32_t>& span = request_nodes_[n.instance];
     // A fresh entry adopts a retired request's warm vector when one is
     // pooled — steady-state recording then never re-grows span storage.
     if (span.capacity() == 0 && !req_span_pool_.empty()) {
@@ -132,7 +142,7 @@ TRef Engine::add_concrete(TensorView v) {
   n.data = v.data;
   n.shape = v.shape;
   n.persist = true;
-  return alloc_node(std::move(n), /*reusable_slot=*/false);
+  return alloc_node(n, /*reusable_slot=*/false);
 }
 
 TRef Engine::add_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx& ctx, int phase) {
@@ -157,13 +167,28 @@ TRef Engine::add_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx& ct
 TRef Engine::record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx& ctx,
                        int phase) {
   const Kernel& k = registry_.kernel(kernel_id);
+  const bool cached_const = cfg_.const_reuse && n_ins == 0;
 
-  if (cfg_.const_reuse && n_ins == 0) {
+  if (cached_const) {
     // Static hoisting of constant nodes (e.g. TreeLSTM leaf zero states):
     // the compiler derives this for free; DyNet only gets it with the
     // hand-improved heuristics (Table 7).
-    auto it = const_cache_.find(kernel_id);
-    if (it != const_cache_.end()) return it->second;
+    const TRef hit = const_cache_[static_cast<std::size_t>(kernel_id)];
+    if (hit.ok()) return hit;
+  }
+
+  // A malformed compiled program faults loudly in every build: phases are
+  // dense scheduler bucket keys, so a negative tag would cast to a ~4G
+  // index, and a node holds at most kMaxIns inputs.
+  if (phase < 0) {
+    std::fprintf(stderr, "acrobat: negative program phase tag %d on kernel %s\n", phase,
+                 k.name.c_str());
+    std::abort();
+  }
+  if (n_ins > kMaxIns) {
+    std::fprintf(stderr, "acrobat: kernel %s recorded with %d inputs, more than %d\n",
+                 k.name.c_str(), n_ins, kMaxIns);
+    std::abort();
   }
 
   if (cfg_.boxed_dfg) {
@@ -182,22 +207,12 @@ TRef Engine::record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx&
     boxed_.push_back(std::make_shared<std::string>(std::move(sig)));
   }
 
-  Shape in_shapes[8];
-  assert(n_ins <= 8);
+  Shape in_shapes[kMaxIns];
   int depth = 0;
   for (int i = 0; i < n_ins; ++i) {
     const Node& in = node(ins[i]);
     in_shapes[i] = in.shape;
     depth = std::max(depth, in.depth);
-  }
-
-  // Phases are dense scheduler bucket keys now (not map keys): a negative
-  // tag — only possible from a malformed compiled program — would cast to
-  // a ~4G index. Fault loudly in every build instead.
-  if (phase < 0) {
-    std::fprintf(stderr, "acrobat: negative program phase tag %d on kernel %s\n", phase,
-                 k.name.c_str());
-    std::abort();
   }
 
   Node n;
@@ -210,11 +225,10 @@ TRef Engine::record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx&
   // Cached constants are shared across requests of any epoch, so under
   // recycling they join the persistent region: the slot is never retired
   // and execute_batch materializes them into the persistent arena.
-  n.persist = cfg_.recycle && cfg_.const_reuse && n_ins == 0;
-  const bool persist = n.persist;
-  const TRef ref = alloc_node(std::move(n), /*reusable_slot=*/!persist);
+  n.persist = cfg_.recycle && cached_const;
+  const TRef ref = alloc_node(n, /*reusable_slot=*/!n.persist);
   pending_.push_back(ref.id);
-  if (cfg_.const_reuse && n_ins == 0) const_cache_.emplace(kernel_id, ref);
+  if (cached_const) const_cache_[static_cast<std::size_t>(kernel_id)] = ref;
   return ref;
 }
 
@@ -322,7 +336,7 @@ TRef Engine::checkpoint_state(TRef state, int instance) {
   n.shape = shape;
   n.data = buf.data.get();
   n.instance = instance;
-  return alloc_node(std::move(n), /*reusable_slot=*/true);
+  return alloc_node(n, /*reusable_slot=*/true);
 }
 
 Engine::StepResult Engine::session_step(TRef state, const InstCtx& ctx) {
@@ -672,15 +686,17 @@ void Engine::trigger_execution() {
   }
   if (pending_.empty()) return;
   in_trigger_ = true;
-  std::int64_t trace_t0 = 0;
+  // The trace_* and sched_t0 stamps are read only by ACROBAT_TRACE sites,
+  // which -DACROBAT_TRACE=OFF compiles out.
+  [[maybe_unused]] std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   // Double-buffer the pending list: the swapped-out buffer is reused next
   // trigger, so the swap itself never allocates in steady state.
   trigger_scratch_.clear();
   trigger_scratch_.swap(pending_);
-  const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
+  [[maybe_unused]] const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
   try {
-    std::int64_t sched_t0 = 0;
+    [[maybe_unused]] std::int64_t sched_t0 = 0;
     ACROBAT_TRACE(tracer_, sched_t0 = tracer_->now());
     if (cfg_.scheduler == SchedulerKind::kAgenda) {
       schedule_agenda(trigger_scratch_);
@@ -941,7 +957,7 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
 
 void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
                            bool merge_launch) {
-  std::int64_t trace_t0 = 0;
+  [[maybe_unused]] std::int64_t trace_t0 = 0;  // ACROBAT_TRACE sites only
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);
   const std::size_t n = ids.size();

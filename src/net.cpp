@@ -119,17 +119,23 @@ bool set_nonblocking(int fd) {
 // timeout if one holds work, poll() with `fd` in the set, then unpark().
 // Producer: push to the ring, then notify().
 //
-// No push is lost. park() stores `parked` and then issues a seq_cst fence;
-// notify() issues one after the push and then reads `parked`. The two
-// fences fall in the single total order one way or the other. If the
-// producer's comes first, the consumer's re-check sees the push. If the
-// consumer's comes first, the producer reads parked == true (or a later
-// value: another producer's clear, whose write wakes the consumer, or a
-// later unpark, which precedes the next park's re-check), clears it and
-// writes the eventfd, so poll() returns. Only the producer that clears the
-// flag writes, so a burst costs one write. Rare events whose state the
-// consumer does not re-check (a shard exiting, shutdown, an inbox closing)
-// call signal(), which writes unconditionally.
+// No push is lost. Every write of `parked` is an acq_rel exchange: park()
+// sets it, unpark() and notify() clear it. Exchanges on one atomic fall in
+// its single modification order, each reading the value just before it, so
+// the producer's notify() and the consumer's park() are ordered one way or
+// the other. If park() comes first, notify() reads true and signals, or
+// reads false because an exchange between them cleared the flag: another
+// producer's notify(), which signalled, or the consumer's unpark(), which
+// precedes the next park's re-check. If notify() comes first, park() reads
+// its value or a later one; with no plain store to `parked`, every write
+// after the producer's release exchange belongs to its release sequence, so
+// the acquiring park() synchronizes with it and the push happens before the
+// consumer's re-check, which sees it. Only the producer that clears the
+// flag writes, so a burst costs one write. The argument uses no fence,
+// which ThreadSanitizer does not model, so the tsan-ingress CI job checks
+// it. Rare events whose state the consumer does not re-check (a shard
+// exiting, shutdown, an inbox closing) call signal(), which writes
+// unconditionally.
 struct Wake {
   int fd = -1;
   std::atomic<bool> parked{false};
@@ -147,23 +153,18 @@ struct Wake {
     if (fd >= 0) ::close(fd);
     fd = -1;
   }
-  void park() {
-    parked.store(true, std::memory_order_seq_cst);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-  }
+  void park() { parked.exchange(true, std::memory_order_acq_rel); }
   // `revents` is the eventfd's entry of the poll() set.
   void unpark(short revents) {
-    parked.store(false, std::memory_order_relaxed);
+    parked.exchange(false, std::memory_order_acq_rel);
     if (revents == 0) return;
     std::uint64_t n = 0;
     const ssize_t r = ::read(fd, &n, sizeof n);  // resets the counter
     (void)r;
   }
+  // Always the exchange: a plain load could read a stale false.
   void notify() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (parked.load(std::memory_order_relaxed) &&
-        parked.exchange(false, std::memory_order_relaxed))
-      signal();
+    if (parked.exchange(false, std::memory_order_acq_rel)) signal();
   }
   void signal() {
     const std::uint64_t one = 1;
@@ -727,7 +728,7 @@ void NetServer::Impl::event_loop() {
   std::vector<Conn> conns(static_cast<std::size_t>(opts.max_connections));
   std::vector<int> dirty;
   int open_count = 0;
-  trace::Tracer* const tr = net_tracer.get();
+  [[maybe_unused]] trace::Tracer* const tr = net_tracer.get();  // ACROBAT_TRACE sites only
   bool listeners_open = true;
   bool inboxes_closed = false;
   std::int64_t flush_deadline = -1;

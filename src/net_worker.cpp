@@ -32,7 +32,8 @@ namespace {
 // from --fault before the loop starts. Inert (empty plan) by default.
 fault::Injector g_inject;
 
-void stall_ns(std::int64_t ns) {
+// Called only from ACROBAT_FAULT sites, which -DACROBAT_FAULT=OFF compiles out.
+[[maybe_unused]] void stall_ns(std::int64_t ns) {
   timespec ts{static_cast<time_t>(ns / 1'000'000'000),
               static_cast<long>(ns % 1'000'000'000)};
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {

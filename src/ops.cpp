@@ -344,6 +344,52 @@ void linear(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h, int kh, c
   }
 }
 
+// Rows [0, R) of a (R, k) · b (k, n), the A·8 outputs from j0, written to
+// out[r·n + j]: one 8-lane accumulator per (row, 8 outputs), held in
+// registers across the whole l loop. Each output sums a[r][l]·b[l][j] for l
+// ascending from 0.0f, the order of the row-update loop, so the tile is
+// bitwise equal to it whatever R and A are.
+template <int R, int A>
+[[gnu::always_inline]] inline void matmul_tile(const float* a, int k, const float* b, int n,
+                                               int j0, float* out) {
+  __m256 acc[R][A];
+  for (int r = 0; r < R; ++r)
+    for (int t = 0; t < A; ++t) acc[r][t] = __m256{};
+  for (int l = 0; l < k; ++l) {
+    const float* bl = b + static_cast<std::int64_t>(l) * n + j0;
+    __m256 bv[A];
+    for (int t = 0; t < A; ++t) bv[t] = load<__m256>(bl + 8 * t);
+    for (int r = 0; r < R; ++r) {
+      const __m256 al = _mm256_set1_ps(a[static_cast<std::int64_t>(r) * k + l]);
+      for (int t = 0; t < A; ++t) acc[r][t] = acc[r][t] + al * bv[t];
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int t = 0; t < A; ++t)
+      store(out + static_cast<std::int64_t>(r) * n + j0 + 8 * t, acc[r][t]);
+}
+
+// All n outputs of R rows: 16-output tiles, then an 8-output one, then the
+// (n mod 8) last outputs one at a time in the same l-ascending order.
+template <int R>
+void matmul_rows(const float* a, int k, const float* b, int n, float* out) {
+  int j = 0;
+  for (; j + 16 <= n; j += 16) matmul_tile<R, 2>(a, k, b, n, j, out);
+  if (j + 8 <= n) {
+    matmul_tile<R, 1>(a, k, b, n, j, out);
+    j += 8;
+  }
+  for (; j < n; ++j)
+    for (int r = 0; r < R; ++r) {
+      const float* ar = a + static_cast<std::int64_t>(r) * k;
+      float acc = 0.0f;
+      for (int l = 0; l < k; ++l) acc += ar[l] * b[static_cast<std::int64_t>(l) * n + j];
+      out[static_cast<std::int64_t>(r) * n + j] = acc;
+    }
+}
+
+// a (m,k) · b (k,n). Every variant sums each output l-ascending from 0.0f,
+// so the three are bitwise equal and differ only in speed.
 void matmul(int variant, const float* a, int m, int k, const float* b, int n, float* out) {
   if (variant == 0) {  // j-inner over strided b columns.
     for (int r = 0; r < m; ++r) {
@@ -357,7 +403,20 @@ void matmul(int variant, const float* a, int m, int k, const float* b, int n, fl
     }
     return;
   }
-  // 1+: accumulate whole output rows, contiguous b rows.
+  if (variant == 2) {  // Register tiles of up to kTileRows rows.
+    for (int r0 = 0; r0 < m; r0 += kTileRows) {
+      const float* ar = a + static_cast<std::int64_t>(r0) * k;
+      float* o = out + static_cast<std::int64_t>(r0) * n;
+      switch (std::min(kTileRows, m - r0)) {
+        case 1: matmul_rows<1>(ar, k, b, n, o); break;
+        case 2: matmul_rows<2>(ar, k, b, n, o); break;
+        case 3: matmul_rows<3>(ar, k, b, n, o); break;
+        default: matmul_rows<4>(ar, k, b, n, o); break;
+      }
+    }
+    return;
+  }
+  // 1: accumulate whole output rows, contiguous b rows.
   for (int r = 0; r < m; ++r) {
     const float* ar = a + static_cast<std::int64_t>(r) * k;
     float* o = out + static_cast<std::int64_t>(r) * n;
@@ -366,30 +425,6 @@ void matmul(int variant, const float* a, int m, int k, const float* b, int n, fl
       const float al = ar[l];
       const float* bl = b + static_cast<std::int64_t>(l) * n;
       for (int j = 0; j < n; ++j) o[j] += al * bl[j];
-    }
-  }
-}
-
-void matmul_bt(int variant, const float* a, int m, int k, const float* b, int n, float* out) {
-  for (int r = 0; r < m; ++r) {
-    const float* ar = a + static_cast<std::int64_t>(r) * k;
-    float* o = out + static_cast<std::int64_t>(r) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* bj = b + static_cast<std::int64_t>(j) * k;
-      float acc = 0.0f;
-      if (variant == 0) {
-        for (int i = 0; i < k; ++i) acc += ar[i] * bj[i];
-      } else {
-        float a0 = 0.0f, a1 = 0.0f;
-        int i = 0;
-        for (; i + 2 <= k; i += 2) {
-          a0 += ar[i] * bj[i];
-          a1 += ar[i + 1] * bj[i + 1];
-        }
-        acc = a0 + a1;
-        for (; i < k; ++i) acc += ar[i] * bj[i];
-      }
-      o[j] = acc;
     }
   }
 }
@@ -455,9 +490,9 @@ int op_num_variants(OpKind kind) {
   switch (kind) {
     case OpKind::kDense:
     case OpKind::kMatMul:
+    case OpKind::kMatMulBT:
     case OpKind::kLinear:
       return 3;
-    case OpKind::kMatMulBT:
     case OpKind::kTanh:
     case OpKind::kSigmoid:
       return 2;
@@ -563,13 +598,11 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
             const Shape& out_shape, std::int64_t attr) {
   switch (kind) {
     case OpKind::kDense:
+    case OpKind::kMatMulBT:  // a·bᵀ with b (n,k) row-major is x·Wᵀ
       dense(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[0], out);
       return;
     case OpKind::kMatMul:
       matmul(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[1], out);
-      return;
-    case OpKind::kMatMulBT:
-      matmul_bt(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[0], out);
       return;
     case OpKind::kAdd:
       binary(ins[0], s[0], ins[1], s[1], out, [](float a, float b) { return a + b; });

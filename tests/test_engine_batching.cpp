@@ -542,32 +542,97 @@ void test_record_op_ins_inline() {
   CHECK(std::memcmp(warm.data(), measured.data(), warm.size() * sizeof(float)) == 0);
 }
 
-// Ops wider than the inline bound spill to heap storage and stay correct:
-// the registry caps declared arity at 4, but record_op accepts up to 8
-// (variable-arity concat). A 5-way concat must round-trip its operand list
-// through inputs_of and lay the rows out end to end.
-void test_wide_op_heap_spill() {
+// A node holds its inputs inline, up to Engine's 8-input bound: the
+// registry caps declared arity at 4, but record_op accepts up to 8
+// (variable-arity concat). A 5-way and an 8-way concat must round-trip
+// their operand lists through inputs_of and lay the rows out end to end,
+// and a 9-input op aborts in every build.
+void test_wide_op_inputs_inline() {
   Fixture f;
   const Shape v8 = RowVec(8);
   const Shape reps[2] = {v8, v8};
   const int k_cat = f.reg.add("t.concat", OpKind::kConcat, 1, 2, reps);
   Engine eng(f.reg, EngineConfig{});
   const InstCtx ctx{0};
-  TRef ins[5];
+  TRef ins[9];
   std::vector<Tensor> xs;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < 9; ++i) {
     xs.push_back(f.pool.alloc_random(v8, f.rng, 1.0f));
     ins[i] = eng.add_concrete(xs.back().view());
   }
-  const TRef out = eng.add_op(k_cat, ins, 5, ctx, 0);
-  const Tensor t = eng.force(out);
-  CHECK_EQ(t.numel(), 40);
-  for (int i = 0; i < 5; ++i)
-    CHECK(std::memcmp(t.data + 8 * i, xs[static_cast<std::size_t>(i)].data,
-                      sizeof(float) * 8) == 0);
-  const std::span<const TRef> back = eng.inputs_of(out);
-  CHECK_EQ(back.size(), 5u);
-  for (int i = 0; i < 5; ++i) CHECK(back[static_cast<std::size_t>(i)].id == ins[i].id);
+  for (const int width : {5, 8}) {
+    const TRef out = eng.add_op(k_cat, ins, width, ctx, 0);
+    const Tensor t = eng.force(out);
+    CHECK_EQ(t.numel(), 8 * width);
+    for (int i = 0; i < width; ++i)
+      CHECK(std::memcmp(t.data + 8 * i, xs[static_cast<std::size_t>(i)].data,
+                        sizeof(float) * 8) == 0);
+    const std::span<const TRef> back = eng.inputs_of(out);
+    CHECK_EQ(back.size(), static_cast<std::size_t>(width));
+    for (int i = 0; i < width; ++i) CHECK(back[static_cast<std::size_t>(i)].id == ins[i].id);
+  }
+  CHECK(test::dies([&] { (void)eng.add_op(k_cat, ins, 9, ctx, 0); }));
+}
+
+// The node table grows in fixed chunks and never moves a node. A chunk
+// holds at most 65536 / sizeof(Node) nodes (512 of today's 120-byte
+// nodes). Two triggers record 48 chains of 24 dense → tanh steps each,
+// 2,304 nodes per trigger, so the table passes four chunks, and every
+// recorded op's output must equal an eager engine's bitwise. With
+// recycling, the second trigger's nodes reuse the first one's retired
+// slots, which span five chunks.
+void test_node_table_chunks() {
+  Fixture f;
+  constexpr int kChains = 48, kSteps = 24, kRounds = 2;
+  const Tensor w = f.pool.alloc_random(Shape(8, 8), f.rng, 0.5f);
+  std::vector<Tensor> xs;
+  for (int i = 0; i < kChains; ++i) xs.push_back(f.pool.alloc_random(RowVec(8), f.rng, 1.0f));
+
+  const auto run = [&](const EngineConfig& cfg) {
+    Engine eng(f.reg, cfg);
+    const TRef wref = eng.add_concrete(w.view());
+    std::vector<TRef> xrefs;
+    for (const Tensor& x : xs) xrefs.push_back(eng.add_concrete(x.view()));
+    std::vector<float> flat;
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<TRef> recorded;
+      for (int c = 0; c < kChains; ++c) {
+        const InstCtx ctx{round * kChains + c};
+        eng.begin_request(ctx.instance);
+        TRef v = xrefs[static_cast<std::size_t>(c)];
+        for (int s = 0; s < kSteps; ++s) {
+          const TRef ins[2] = {v, wref};
+          recorded.push_back(eng.add_op(f.k_dense, ins, 2, ctx, 0));
+          recorded.push_back(eng.add_op(f.k_tanh, &recorded.back(), 1, ctx, 0));
+          v = recorded.back();
+        }
+      }
+      eng.trigger_execution();
+      for (const TRef r : recorded) {
+        const Tensor t = eng.force(r);
+        flat.insert(flat.end(), t.data, t.data + t.numel());
+      }
+      for (int c = 0; c < kChains; ++c) eng.retire_request(round * kChains + c);
+    }
+    return std::make_pair(flat, eng.num_nodes());
+  };
+
+  constexpr std::size_t kPerRound = std::size_t{kChains} * kSteps * 2;
+  constexpr std::size_t kConcrete = kChains + 1;
+  EngineConfig eager_cfg, recycle_cfg;
+  eager_cfg.lazy = false;
+  recycle_cfg.recycle = true;
+  const auto [eager, eager_nodes] = run(eager_cfg);
+  const auto [lazy, lazy_nodes] = run(EngineConfig{});
+  const auto [recycled, recycled_nodes] = run(recycle_cfg);
+  CHECK_EQ(eager.size(), kRounds * kPerRound * 8);
+  CHECK_EQ(lazy_nodes, kRounds * kPerRound + kConcrete);
+  CHECK_EQ(eager_nodes, lazy_nodes);
+  CHECK_EQ(recycled_nodes, kPerRound + kConcrete);  // round 2 reused round 1's slots
+  const std::size_t bytes = eager.size() * sizeof(float);
+  CHECK(lazy.size() == eager.size() && std::memcmp(lazy.data(), eager.data(), bytes) == 0);
+  CHECK(recycled.size() == eager.size() &&
+        std::memcmp(recycled.data(), eager.data(), bytes) == 0);
 }
 
 void test_memory_cap_oom() {
@@ -680,7 +745,8 @@ int main() {
   test_linear_batch_scattered_rows();
   test_const_reuse();
   test_record_op_ins_inline();
-  test_wide_op_heap_spill();
+  test_wide_op_inputs_inline();
+  test_node_table_chunks();
   test_memory_cap_oom();
   test_aot_warm_run_allocations();
   return acrobat::test::finish("test_engine_batching");

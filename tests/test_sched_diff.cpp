@@ -99,8 +99,8 @@ const OpSpec kOps[] = {
     {"g.lin_soft2", OpKind::kLinear, kLinearSoftmax, 4, kV8, {kV8, kV8, kM816, kV8}},
     {"g.concat2", OpKind::kConcat, 1, 2, kV16, {kV8, kV8}},
     {"g.tanh16", OpKind::kTanh, 0, 1, kV16, {kV16}},
-    // Variable arity above the inline small-vector bound: exercises the
-    // InsList heap spill and the engine-executed concat loop.
+    // Variable arity above the registry's declared-arity cap of 4: a node
+    // with five inline inputs and the engine-executed concat loop.
     {"g.concat5", OpKind::kConcat, 1, 5, kV40, {kV8, kV8, kV8, kV8, kV8}},
     {"g.zeros", OpKind::kZeros, 8, 0, kV8, {}},
     {"g.sumall", OpKind::kSumAll, 0, 1, kS1, {kV8}},

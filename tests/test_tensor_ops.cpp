@@ -1,9 +1,10 @@
 // Tensor-op correctness against hand-computed references, and variant
 // agreement (every schedule variant of a kernel computes the same function).
 // The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
-// tile against the per-row loop it replaced, and the 8- and 4-lane tanh and
-// sigmoid against their one-element forms, with tolerance checks of each
-// against the exact function.
+// tile against the per-row loop it replaced, kMatMul's tile against the
+// row-update loop it replaced, kMatMulBT against kDense, and the 8- and
+// 4-lane tanh and sigmoid against their one-element forms, with tolerance
+// checks of each against the exact function.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -49,11 +50,13 @@ void test_matmul_reference() {
     CHECK_NEAR(out[3], 50.0, 1e-6);
   }
   // a·bᵀ
-  run_op(OpKind::kMatMulBT, 0, ins, shapes, out, Shape(2, 2), 0);
-  CHECK_NEAR(out[0], 17.0, 1e-6);  // [1 2]·[5 6]
-  CHECK_NEAR(out[1], 23.0, 1e-6);  // [1 2]·[7 8]
-  CHECK_NEAR(out[2], 39.0, 1e-6);
-  CHECK_NEAR(out[3], 53.0, 1e-6);
+  for (int variant = 0; variant < op_num_variants(OpKind::kMatMulBT); ++variant) {
+    run_op(OpKind::kMatMulBT, variant, ins, shapes, out, Shape(2, 2), 0);
+    CHECK_NEAR(out[0], 17.0, 1e-6);  // [1 2]·[5 6]
+    CHECK_NEAR(out[1], 23.0, 1e-6);  // [1 2]·[7 8]
+    CHECK_NEAR(out[2], 39.0, 1e-6);
+    CHECK_NEAR(out[3], 53.0, 1e-6);
+  }
 }
 
 void test_eltwise_and_broadcast() {
@@ -301,6 +304,75 @@ void test_dense_tile_matches_row_loop() {
   CHECK_EQ(bad, 0);
 }
 
+// kMatMul's register tile (variant 2, the default) is bitwise the
+// row-update loop it replaced: each output sums a[r][l]·b[l][j] for l
+// ascending from 0.0f. m covers every row-tile remainder and more than one
+// tile; n 16-output tiles, an 8-output tile and tails of 0-7 outputs; k one
+// term and more than one 8-block. Variants 0 and 1 keep the same order, so
+// they must match too.
+void test_matmul_tile_matches_row_update() {
+  const int ms[] = {1, 3, 4, 5, 12};
+  const int ns[] = {8, 12, 16, 40, 41};
+  const int ks[] = {1, 8, 12, 40};
+  TensorPool pool;
+  Rng rng(29);
+  int bad = 0;
+  for (const int m : ms)
+    for (const int n : ns)
+      for (const int k : ks) {
+        const Tensor a = pool.alloc_random(Shape(m, k), rng, 1.0f);
+        const Tensor b = pool.alloc_random(Shape(k, n), rng, 0.5f);
+        std::vector<float> want(static_cast<std::size_t>(m) * n);
+        for (int r = 0; r < m; ++r) {
+          float* o = want.data() + r * n;
+          for (int j = 0; j < n; ++j) o[j] = 0.0f;
+          for (int l = 0; l < k; ++l)
+            for (int j = 0; j < n; ++j) o[j] += a.data[r * k + l] * b.data[l * n + j];
+        }
+        const Shape shapes[2] = {a.shape, b.shape};
+        const float* ins[2] = {a.data, b.data};
+        std::vector<float> got(want.size());
+        for (int v = 0; v < op_num_variants(OpKind::kMatMul); ++v) {
+          run_op(OpKind::kMatMul, v, ins, shapes, got.data(), Shape(m, n), 0);
+          if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) != 0 &&
+              ++bad <= 10)
+            std::printf("  kMatMul variant %d differs: m=%d n=%d k=%d\n", v, m, n, k);
+        }
+      }
+  CHECK_EQ(bad, 0);
+}
+
+// kMatMulBT runs kDense's kernels: a (m,k)·bᵀ with b (n,k) row-major is
+// x·Wᵀ with W = b. So every variant is memcmp-equal to kDense's on the same
+// operands: Berxit's score shapes (s, h)·(s, h)ᵀ, and odd ones that reach
+// every tile remainder.
+void test_matmul_bt_is_dense() {
+  CHECK_EQ(op_num_variants(OpKind::kMatMulBT), op_num_variants(OpKind::kDense));
+  struct S {
+    int m, n, k;
+  };
+  const S ss[] = {{8, 8, 16}, {12, 12, 40}, {1, 8, 16}, {5, 7, 33}, {3, 13, 9}, {9, 2, 1}};
+  TensorPool pool;
+  Rng rng(31);
+  int bad = 0;
+  for (const S& c : ss) {
+    const Tensor a = pool.alloc_random(Shape(c.m, c.k), rng, 1.0f);
+    const Tensor b = pool.alloc_random(Shape(c.n, c.k), rng, 0.5f);
+    const Shape shapes[2] = {a.shape, b.shape};
+    const float* ins[2] = {a.data, b.data};
+    const Shape os(c.m, c.n);
+    std::vector<float> want(static_cast<std::size_t>(os.numel())), got(want.size());
+    for (int v = 0; v < op_num_variants(OpKind::kMatMulBT); ++v) {
+      run_op(OpKind::kDense, v, ins, shapes, want.data(), os, 0);
+      run_op(OpKind::kMatMulBT, v, ins, shapes, got.data(), os, 0);
+      if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) != 0 && ++bad <= 10)
+        std::printf("  kMatMulBT variant %d differs from kDense: m=%d n=%d k=%d\n", v, c.m,
+                    c.n, c.k);
+    }
+  }
+  CHECK_EQ(bad, 0);
+}
+
 std::vector<float> run_unary(OpKind kind, int variant, const std::vector<float>& a) {
   std::vector<float> out(a.size());
   const Shape s = RowVec(static_cast<int>(a.size()));
@@ -524,6 +596,8 @@ int main() {
   test_linear_matches_chain();
   test_linear_row_pointers();
   test_dense_tile_matches_row_loop();
+  test_matmul_tile_matches_row_update();
+  test_matmul_bt_is_dense();
   test_simd_matches_scalar();
   test_tanh_accuracy();
   test_sigmoid_accuracy();

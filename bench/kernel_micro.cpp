@@ -342,6 +342,44 @@ void BM_LinearFused(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearFused)->ArgsProduct({{16, 40}, {1, 4, 16, 64}})->ArgNames({"h", "rows"});
 
+// A batch of GRU or LSTM cells over scattered x and h rows (an LSTM's h
+// operand is its [h; c] state, 2h wide): one run_linear call with W
+// (3h or 4h, 2h). `gru` and `lstm` run the cell epilogue; `gru_gates` and
+// `lstm_gates` run the same W as kLinear identity, which writes the gates
+// instead. The pair isolates the epilogue's kernel-side cost.
+void BM_LinearCell(benchmark::State& state, LinearAct act, int gates) {
+  const int h = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  TensorPool pool;
+  Rng rng(7);
+  const Tensor w = pool.alloc_random(Shape(gates * h, 2 * h), rng, 0.1f);
+  const Tensor b = pool.alloc_random(RowVec(gates * h), rng, 0.1f);
+  const int state_w = gates == 4 ? 2 * h : h;
+  std::vector<const float*> xs, hs;
+  for (int i = 0; i < n; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(h), rng, 0.5f).data);
+    hs.push_back(pool.alloc_random(RowVec(state_w), rng, 0.5f).data);
+  }
+  Tensor out = pool.alloc(Shape(n, gates * h));
+  for (auto _ : state) {
+    run_linear(2, act, xs.data(), h, hs.data(), h, w.data, b.data, gates * h, n, out.data);
+    benchmark::DoNotOptimize(out.data[0]);
+  }
+  report_flops(state, 2.0 * n * gates * h * 2 * h);
+}
+BENCHMARK_CAPTURE(BM_LinearCell, gru, kLinearGru, 3)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+BENCHMARK_CAPTURE(BM_LinearCell, gru_gates, kLinearIdentity, 3)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+BENCHMARK_CAPTURE(BM_LinearCell, lstm, kLinearLstm, 4)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+BENCHMARK_CAPTURE(BM_LinearCell, lstm_gates, kLinearIdentity, 4)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+
 // The matmul family at the models' shapes, every variant; the default
 // schedule runs the last (harness::apply_default_schedules). kMatMul is
 // a (m, k) · b (k, n): Berxit's mix (s, s)·(s, h) at (8, 16) and (12, 40),

@@ -323,12 +323,15 @@ class Engine {
   // recorded node never moves: the table grows one chunk at a time, and its
   // chunks go back to the block cache, warm for the next engine, when the
   // engine dies. kChunkBytes (60 KB) is a size class no other block-cache
-  // owner asks for, so only a node table reuses a chunk.
+  // owner asks for, so only a node table reuses a chunk. The chunk
+  // directory is a block-cache block too, one page (512 chunks) first,
+  // so growing the table makes no heap allocation.
   class NodeTable {
    public:
     static constexpr std::size_t kChunkNodes =
         std::bit_floor(block_cache::kMinClassBytes / sizeof(Node));
     static constexpr std::size_t kChunkBytes = kChunkNodes * sizeof(Node);
+    static constexpr std::size_t kDirFirstBytes = 4096;
     NodeTable() = default;
     NodeTable(const NodeTable&) = delete;
     NodeTable& operator=(const NodeTable&) = delete;
@@ -340,14 +343,15 @@ class Engine {
     }
     // Appends a copy of `n` and returns its id.
     std::uint32_t push_back(const Node& n) {
-      if (size_ == chunks_.size() * kChunkNodes) add_chunk();
+      if (size_ == n_chunks_ * kChunkNodes) add_chunk();
       ::new (&(*this)[size_]) Node(n);
       return static_cast<std::uint32_t>(size_++);
     }
 
    private:
     void add_chunk();
-    std::vector<Node*> chunks_;
+    Node** chunks_ = nullptr;  // the directory: dir_cap_ entries, n_chunks_ used
+    std::size_t n_chunks_ = 0, dir_cap_ = 0;
     std::size_t size_ = 0;
   };
 

@@ -4,10 +4,10 @@
 // front (so registration order — which the no-PGO tuner walks — follows the
 // builder's declared order, not loop emission order), and emit_* writes the
 // cell body into a FuncBuilder. The pipeline config picks the granularity:
-//   coarsen        → whole-cell kernels: one kLinear act(W·[x;h] + b) reading
-//                    x and h in place (no concat), plus the GRU/LSTM
-//                    pointwise cell op — RNN 1 launch, GRU 2, LSTM 3,
-//                    classifier head 1
+//   coarsen        → whole-cell kernels: every cell is one kLinear reading x
+//                    and h in place (no concat), its activation or GRU/LSTM
+//                    cell body the epilogue — one launch per RNN, GRU and
+//                    LSTM cell and classifier head
 //   kernel_fusion  → per-gate kernels with fused add+bias+activation
 //   neither        → fully per-op (DyNet/eager granularity)
 // All three compute the same function. Each level sums x's and h's
@@ -44,8 +44,8 @@ int emit_rnn(ir::FuncBuilder& b, const RnnCell& c, int x, int h);
 // --- GRU cell ---------------------------------------------------------------
 struct GruCell {
   Grain grain;
-  // coarse: gates = linear(x, h; W3, b3), h' = gru_point(gates, h)
-  int k_linear3 = -1, k_point = -1, w3 = -1, b3 = -1;
+  // coarse: h' = linear_gru(x, h; W3, b3)
+  int k_linear3 = -1, w3 = -1, b3 = -1;
   // fused / per-op: z and candidate n, then h' = h + z*(n - h)
   int k_zx = -1, k_zh = -1, k_abs = -1, k_nx = -1, k_nh = -1, k_abt = -1;
   int k_add = -1, k_sub = -1, k_mul = -1, k_sig = -1, k_tanh = -1;
@@ -57,8 +57,9 @@ int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h);
 // --- LSTM cell (gate layout [i f g o]) --------------------------------------
 struct LstmCell {
   Grain grain;
-  // coarse: gates = linear(x, h; W4, b4), then c' = new_c, h' = new_h
-  int k_linear4 = -1, k_newc = -1, k_newh = -1, w4 = -1, b4 = -1;
+  // coarse: the state is one [h; c] row (2h wide), state' = linear_lstm(x,
+  // state; W4, b4), and a kLinear over the state reads its h half
+  int k_linear4 = -1, w4 = -1, b4 = -1;
   // fused / per-op: 4 gates, then c' = f*c + i*g, h' = o*tanh(c')
   int k_gx[4] = {-1, -1, -1, -1}, k_gh[4] = {-1, -1, -1, -1};
   int k_fuse[4] = {-1, -1, -1, -1};  // fused add+bias+act per gate
@@ -66,7 +67,9 @@ struct LstmCell {
   int wgx[4] = {-1, -1, -1, -1}, wgh[4] = {-1, -1, -1, -1}, bg[4] = {-1, -1, -1, -1};
 };
 LstmCell make_lstm(BuildCtx& ctx, const std::string& prefix, int in_dim, int h);
-// Returns h'; writes c' through c_out.
+// Coarse grain: returns the new [h; c] state from the old one.
+int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state);
+// Fused / per-op: returns h'; writes c' through c_out.
 int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* c_out);
 
 // --- classifier head: softmax(dense(x) + b) ---------------------------------

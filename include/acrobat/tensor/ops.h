@@ -35,10 +35,10 @@ enum class OpKind : std::uint8_t {
   kMul,
 
   // Elementwise unary (kTanh and kSigmoid 2 variants, kRelu and kScale 1).
-  // Every tanh here and in the fused and cell kernels below is one rational
-  // function, within 4e-7 of std::tanh (DESIGN.md §3), and every sigmoid is
-  // 0.5 + 0.5·tanh(x/2) on it; kTanh's and kSigmoid's variant 0 runs one
-  // element at a time, variant 1 8 lanes at a time.
+  // Every tanh here, in the fused kernels and in kLinear's epilogues is one
+  // rational function, within 4e-7 of std::tanh (DESIGN.md §3), and every
+  // sigmoid is 0.5 + 0.5·tanh(x/2) on it; kTanh's and kSigmoid's variant 0
+  // runs one element at a time, variant 1 8 lanes at a time.
   kTanh,
   kSigmoid,
   kRelu,
@@ -51,17 +51,17 @@ enum class OpKind : std::uint8_t {
   kFma2,            // f*c + i*g                 ins: f, c, i, g
   kMulTanh,         // o * tanh(c)               ins: o, c
 
-  // Coarse cell kernels (grain-size coarsening, PipelineConfig coarsen).
-  // A coarse cell is one kLinear (its gate matmul with bias and, for RNN
-  // and classifier heads, the activation), followed by the GRU/LSTM
-  // pointwise kernels below. LSTM gate layout: [i f g o], each n wide; GRU
-  // layout: [z r ĥ].
-  kLinear,    // ins: x, [h,] W (n, kx+kh), b (n) → act(W·[x;h] + b); attr: LinearAct.
-              // [x;h] is a virtual concat read through the two operand
-              // pointers; without h it is act(x·Wᵀ + b). 3 variants: dense's.
-  kLstmNewC,  // ins: gates (…,4n), c (…,n) → σ(f+1)*c + σ(i)*tanh(g)
-  kLstmNewH,  // ins: gates (…,4n), c' (…,n) → σ(o)*tanh(c')
-  kGruPoint,  // ins: gates (…,3n), h (…,n) → (1-σ(z))*h + σ(z)*tanh(ĥ)
+  // The coarse cell kernel (grain-size coarsening, PipelineConfig coarsen):
+  // every RNN, GRU and LSTM cell and classifier head is one kLinear, its
+  // gate matmul with bias and the cell body as the epilogue. GRU gates are
+  // [z r ĥ] and LSTM gates [i f g o], each n wide; an LSTM state is one
+  // [h; c] row, 2n wide.
+  kLinear,  // ins: x, [h,] W (N, kx+kh), b (N) → act(W·[x;h] + b); attr: LinearAct.
+            // [x;h] is a virtual concat read through the two operand
+            // pointers: the first kx = x.cols floats of each x row and the
+            // first kh = W.cols − kx of each h row (x-only: the first
+            // W.cols floats of each x row). An operand's width is only its
+            // row stride. 3 variants: dense's.
 
   // Structural / reduction.
   kConcat,   // engine-executed (variable arity); attr = axis
@@ -71,8 +71,21 @@ enum class OpKind : std::uint8_t {
   kMaxProb,  // → Shape(1), max of softmax over all elements (early exit)
 };
 
-// kLinear epilogues (Kernel::attr): applied to each row after the bias add.
-enum LinearAct : std::int64_t { kLinearIdentity = 0, kLinearTanh = 1, kLinearSoftmax = 2 };
+// kLinear epilogues (Kernel::attr), applied to each row of gates after the
+// bias add. Identity, tanh and softmax write the N gates. kLinearGru needs
+// the h operand and writes h' = (1-σ(z))*h + σ(z)*tanh(ĥ), n = N/3 wide, h
+// the first n floats of the h row. kLinearLstm reads the [h; c] state as
+// its h operand and writes the new state [h'; c'], 2n = N/2 wide:
+// c' = σ(f+1)*c + σ(i)*tanh(g), h' = σ(o)*tanh(c'). A cell epilogue holds
+// its gates on the stack, at most 512 per row; a wider kernel aborts with
+// one line.
+enum LinearAct : std::int64_t {
+  kLinearIdentity = 0,
+  kLinearTanh = 1,
+  kLinearSoftmax = 2,
+  kLinearGru = 3,
+  kLinearLstm = 4,
+};
 
 const char* op_name(OpKind kind);
 
@@ -86,17 +99,18 @@ int op_arity(OpKind kind);
 Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* in_shapes, int n_ins);
 
 // Execute one op. `ins`/`in_shapes` hold `op_arity(kind)` entries; kLinear
-// tells its two forms apart by the third operand (the bias, n wide, or W).
+// tells its two forms apart by the third operand (W is 2-D, the bias 1-D).
 // kConcat goes through the engine instead. `out` must have
 // `infer_shape(...)` elements.
 void run_op(OpKind kind, int variant, const float* const* ins, const Shape* in_shapes,
             float* out, const Shape& out_shape, std::int64_t attr);
 
 // kLinear over `rows` rows addressed by pointer, the engine's gather-fused
-// batch call: row r is act(W·[x[r]; h[r]] + b), x[r] kx wide and h[r] kh
-// wide (kh == 0: no h), written to out + r·n. Each output's sum order
-// depends only on its row, so one call is bitwise equal to `rows`
-// single-row run_op calls.
+// batch call: row r is act(W·[x[r]; h[r]] + b) over the first kx floats of
+// x[r] and the first kh of h[r] (kh == 0: no h; the GRU and LSTM epilogues
+// still read h[r]), W (n, kx+kh), written to out + r·(the epilogue's output
+// width). Each output's sum order depends only on its row, so one call is
+// bitwise equal to `rows` single-row run_op calls.
 void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
                 const float* const* h, int kh, const float* w, const float* b, int n, int rows,
                 float* out);

@@ -63,8 +63,7 @@ GruCell make_gru(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
     const Shape w(3 * h, in_dim + h), g3(3 * h);
     c.w3 = ctx.add_weight(w, wscale(in_dim + h));
     c.b3 = ctx.add_weight(g3, 0.05f);
-    c.k_linear3 = ctx.kernel(p + ".linear3", OpKind::kLinear, kLinearIdentity, {x, hh, w, g3});
-    c.k_point = ctx.kernel(p + ".gru_point", OpKind::kGruPoint, 0, {g3, hh});
+    c.k_linear3 = ctx.kernel(p + ".linear3", OpKind::kLinear, kLinearGru, {x, hh, w, g3});
     return c;
   }
   const Shape wx(h, in_dim), wh(h, h);
@@ -93,10 +92,8 @@ GruCell make_gru(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
 }
 
 int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h) {
-  if (c.grain == Grain::kCoarse) {
-    const int g = b.kernel(c.k_linear3, {x, h, b.weight(c.w3), b.weight(c.b3)});
-    return b.kernel(c.k_point, {g, h});
-  }
+  if (c.grain == Grain::kCoarse)
+    return b.kernel(c.k_linear3, {x, h, b.weight(c.w3), b.weight(c.b3)});
   const int zx = b.kernel(c.k_zx, {x, b.weight(c.wzx)});
   const int zh = b.kernel(c.k_zh, {h, b.weight(c.wzh)});
   const int nx = b.kernel(c.k_nx, {x, b.weight(c.wnx)});
@@ -129,9 +126,8 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
     const Shape w(4 * h, in_dim + h), g4(4 * h);
     c.w4 = ctx.add_weight(w, wscale(in_dim + h));
     c.b4 = ctx.add_weight(g4, 0.05f);
-    c.k_linear4 = ctx.kernel(p + ".linear4", OpKind::kLinear, kLinearIdentity, {x, hh, w, g4});
-    c.k_newc = ctx.kernel(p + ".new_c", OpKind::kLstmNewC, 0, {g4, hh});
-    c.k_newh = ctx.kernel(p + ".new_h", OpKind::kLstmNewH, 0, {g4, hh});
+    c.k_linear4 =
+        ctx.kernel(p + ".linear4", OpKind::kLinear, kLinearLstm, {x, Shape(2 * h), w, g4});
     return c;
   }
   static const char* gate[4] = {"i", "f", "g", "o"};
@@ -159,13 +155,11 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
   return c;
 }
 
+int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state) {
+  return b.kernel(c.k_linear4, {x, state, b.weight(c.w4), b.weight(c.b4)});
+}
+
 int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* c_out) {
-  if (c.grain == Grain::kCoarse) {
-    const int g = b.kernel(c.k_linear4, {x, h, b.weight(c.w4), b.weight(c.b4)});
-    const int nc = b.kernel(c.k_newc, {g, cc});
-    *c_out = nc;
-    return b.kernel(c.k_newh, {g, nc});
-  }
   int act[4];
   for (int gi = 0; gi < 4; ++gi) {
     const int gx = b.kernel(c.k_gx[gi], {x, b.weight(c.wgx[gi])});

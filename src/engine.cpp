@@ -88,11 +88,21 @@ Engine::Engine(const KernelRegistry& registry, EngineConfig cfg)
 Engine::NodeTable::~NodeTable() {
   // Last chunk first: the cache hands blocks out last in, first out, so the
   // next engine's chunk i is this one's chunk i, its pages already touched.
-  for (auto c = chunks_.rbegin(); c != chunks_.rend(); ++c) block_cache::give(*c, kChunkBytes);
+  for (std::size_t c = n_chunks_; c > 0; --c) block_cache::give(chunks_[c - 1], kChunkBytes);
+  block_cache::give(chunks_, dir_cap_ * sizeof(Node*));
 }
 
 void Engine::NodeTable::add_chunk() {
-  chunks_.push_back(static_cast<Node*>(block_cache::take(kChunkBytes)));
+  if (n_chunks_ == dir_cap_) {
+    // The directory grows by moving to a block twice the size, one page first.
+    const std::size_t bytes = dir_cap_ == 0 ? kDirFirstBytes : 2 * dir_cap_ * sizeof(Node*);
+    Node** const bigger = static_cast<Node**>(block_cache::take(bytes));
+    if (n_chunks_ > 0) std::memcpy(bigger, chunks_, n_chunks_ * sizeof(Node*));
+    block_cache::give(chunks_, dir_cap_ * sizeof(Node*));
+    chunks_ = bigger;
+    dir_cap_ = bytes / sizeof(Node*);
+  }
+  chunks_[n_chunks_++] = static_cast<Node*>(block_cache::take(kChunkBytes));
 }
 
 void Engine::check_ref(TRef r) const {
@@ -794,8 +804,9 @@ bool Engine::try_execute_stacked(const Kernel& k, const std::vector<std::uint32_
 // h are read wherever they live, so the cell's concat is never
 // materialized and scattered rows need no staging. With gather fusion off,
 // a scattered activation operand is first staged into one contiguous
-// buffer, as the stacked dense path does. Rows are independent, so the call
-// is bitwise-identical to n per-op calls.
+// buffer, as the stacked dense path does; staging copies whole rows, so an
+// LSTM state keeps the c half its epilogue reads. Rows are independent, so
+// the call is bitwise-identical to n per-op calls.
 bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
                                 float* out_base) {
   const std::size_t n = ids.size();
@@ -804,12 +815,14 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
   const int n_act = static_cast<int>(arity) - 2;  // x, or x and h
   const TRef w = head.ins[arity - 2], b = head.ins[arity - 1];
   const int m = node(head.ins[0]).shape.rows();  // rows per op
-  int width[2] = {0, 0};
+  // Row strides, and where each operand's rows would start if the batch's
+  // operands lay back to back.
+  int stride[2] = {0, 0};
   const float* base[2] = {nullptr, nullptr};
   bool contig[2] = {true, true};
   for (int j = 0; j < n_act; ++j) {
     const Node& src = node(head.ins[static_cast<std::size_t>(j)]);
-    width[j] = src.shape.cols();
+    stride[j] = src.shape.cols();
     base[j] = src.data;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -818,14 +831,14 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
       return false;
     for (int j = 0; j < n_act; ++j) {
       const Node& src = node(nd.ins[static_cast<std::size_t>(j)]);
-      if (src.shape.rows() != m || src.shape.cols() != width[j]) return false;
-      if (src.data != base[j] + static_cast<std::int64_t>(i) * m * width[j]) contig[j] = false;
+      if (src.shape.rows() != m || src.shape.cols() != stride[j]) return false;
+      if (src.data != base[j] + static_cast<std::int64_t>(i) * m * stride[j]) contig[j] = false;
     }
   }
 
   const std::size_t rows = n * static_cast<std::size_t>(m);
   for (int j = 0; j < n_act; ++j) {
-    const std::int64_t step = static_cast<std::int64_t>(m) * width[j];
+    const std::int64_t step = static_cast<std::int64_t>(m) * stride[j];
     // The operand's rows back to back, when they are (or get staged so).
     const float* packed = contig[j]             ? base[j]
                           : cfg_.gather_fusion ? nullptr
@@ -836,13 +849,17 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
     for (std::size_t i = 0; i < n; ++i) {
       const float* p = packed != nullptr ? packed + static_cast<std::int64_t>(i) * step
                                          : node(nodes_[ids[i]].ins[static_cast<std::size_t>(j)]).data;
-      for (int r = 0; r < m; ++r) ptrs.push_back(p + static_cast<std::int64_t>(r) * width[j]);
+      for (int r = 0; r < m; ++r) ptrs.push_back(p + static_cast<std::int64_t>(r) * stride[j]);
     }
   }
+  // The operand rule (tensor/ops.h): x gives its first kx floats, h the
+  // rest of W's columns.
+  const Shape& ws = node(w).shape;
+  const int kx = n_act == 2 ? stride[0] : ws.dim[1];
   ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
-  run_linear(k.variant, k.attr, linear_rows_[0].data(), width[0], linear_rows_[1].data(),
-             width[1], node(w).data, node(b).data, node(w).shape.dim[0],
-             static_cast<int>(rows), out_base);
+  run_linear(k.variant, k.attr, linear_rows_[0].data(), kx, linear_rows_[1].data(),
+             ws.dim[1] - kx, node(w).data, node(b).data, ws.dim[0], static_cast<int>(rows),
+             out_base);
   return true;
 }
 
@@ -902,9 +919,6 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
     case OpKind::kSoftmax:
     case OpKind::kFma2:
     case OpKind::kMulTanh:
-    case OpKind::kLstmNewC:
-    case OpKind::kLstmNewH:
-    case OpKind::kGruPoint:
       break;  // every operand concatenates
     case OpKind::kAdd:
     case OpKind::kSub:

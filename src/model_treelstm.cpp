@@ -2,6 +2,7 @@
 // recursive model. Leaf cells consume the token embedding with hoistable
 // zero states (the Table 7 constant-reuse story); the root classifier is
 // phase-tagged so roots at different tree depths batch into one launch.
+// Under coarsening a cell is one launch and a node's state one [h; c] row.
 #include "models/cells.h"
 #include "models/specs.h"
 
@@ -30,30 +31,45 @@ int build(BuildCtx& ctx) {
   const int h = hidden_dim(ctx.large);
   const LstmCell cell = make_lstm(ctx, "treelstm", h, h);
   const int k_zero = make_zeros(ctx, "treelstm.zero", h);
-  const int k_merge = ctx.kernel("treelstm.child_sum", OpKind::kAdd, 0, {Shape(h), Shape(h)});
+  // Coarse grain carries each node's state as one [h; c] row: one child-sum
+  // add, one cached zero state per leaf, and the root classifier reads the
+  // h half in place. Finer grains carry an (h, c) tuple.
+  const bool coarse = grain_of(ctx.cfg) == Grain::kCoarse;
+  const Shape merged(coarse ? 2 * h : h);
+  const int k_zero_state = coarse ? make_zeros(ctx, "treelstm.zero_state", 2 * h) : k_zero;
+  const int k_merge = ctx.kernel("treelstm.child_sum", OpKind::kAdd, 0, {merged, merged});
   const ClassifierHead cls = make_classifier(ctx, "treelstm", h);
 
-  // tree(node) -> (h, c)
+  // tree(node) -> [h; c] (coarse) or (h, c)
   ir::FuncBuilder tree(ctx.program, "tree", 1);
   {
     const int tag = tree.adt_tag(tree.arg(0));
     const int to_internal = tree.br_if(tag);
     // Leaf(x): cell over the embedding with zero state.
     const int x = tree.adt_field(tree.arg(0), 0);
-    const int z = tree.kernel(k_zero, {});
-    int c_out = -1;
-    const int hh = emit_lstm(tree, cell, x, z, z, &c_out);
-    tree.ret(tree.tuple({hh, c_out}));
+    const int z = tree.kernel(k_zero_state, {});
+    if (coarse) {
+      tree.ret(emit_lstm_state(tree, cell, x, z));
+    } else {
+      int c_out = -1;
+      const int hh = emit_lstm(tree, cell, x, z, z, &c_out);
+      tree.ret(tree.tuple({hh, c_out}));
+    }
     // Node(l, r): child-sum combine, zero input embedding.
     tree.patch(to_internal, tree.here());
     const int l = tree.call(tree.index(), {tree.adt_field(tree.arg(0), 0)});
     const int r = tree.call(tree.index(), {tree.adt_field(tree.arg(0), 1)});
-    const int hs = tree.kernel(k_merge, {tree.tuple_get(l, 0), tree.tuple_get(r, 0)});
-    const int cs = tree.kernel(k_merge, {tree.tuple_get(l, 1), tree.tuple_get(r, 1)});
-    const int z2 = tree.kernel(k_zero, {});
-    int c2 = -1;
-    const int h2 = emit_lstm(tree, cell, z2, hs, cs, &c2);
-    tree.ret(tree.tuple({h2, c2}));
+    if (coarse) {
+      const int s = tree.kernel(k_merge, {l, r});
+      tree.ret(emit_lstm_state(tree, cell, tree.kernel(k_zero, {}), s));
+    } else {
+      const int hs = tree.kernel(k_merge, {tree.tuple_get(l, 0), tree.tuple_get(r, 0)});
+      const int cs = tree.kernel(k_merge, {tree.tuple_get(l, 1), tree.tuple_get(r, 1)});
+      const int z2 = tree.kernel(k_zero, {});
+      int c2 = -1;
+      const int h2 = emit_lstm(tree, cell, z2, hs, cs, &c2);
+      tree.ret(tree.tuple({h2, c2}));
+    }
     tree.finish();
   }
 
@@ -61,7 +77,7 @@ int build(BuildCtx& ctx) {
   {
     const int r = main.call(tree.index(), {main.arg(0)});
     main.set_phase(1);
-    const int logits = emit_classifier(main, cls, main.tuple_get(r, 0));
+    const int logits = emit_classifier(main, cls, coarse ? r : main.tuple_get(r, 0));
     main.ret(logits);
     main.finish();
   }

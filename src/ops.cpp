@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 
@@ -280,13 +282,13 @@ struct RowSrc {
 
 constexpr int kTileRows = 4;
 
-// Rows [r0, r0 + R) of [x;h] · Wᵀ, R ≤ kTileRows, into out + r·n.
+// Rows [r0, r0 + R) of [x;h] · Wᵀ, R ≤ kTileRows, row r0 + i into o + i·n.
 void dense_rows(int variant, RowSrc x, int kx, RowSrc h, int kh, const float* w, int n, int r0,
-                int R, float* out) {
+                int R, float* o) {
   if (variant < 2) {
-    for (int r = r0; r < r0 + R; ++r)
-      dense_row(variant, x[r], kx, kh > 0 ? h[r] : nullptr, kh, w, n,
-                out + static_cast<std::int64_t>(r) * n);
+    for (int i = 0; i < R; ++i)
+      dense_row(variant, x[r0 + i], kx, kh > 0 ? h[r0 + i] : nullptr, kh, w, n,
+                o + static_cast<std::int64_t>(i) * n);
     return;
   }
   const float* xr[kTileRows];
@@ -295,7 +297,6 @@ void dense_rows(int variant, RowSrc x, int kx, RowSrc h, int kh, const float* w,
     xr[r] = x[r0 + r];
     hr[r] = kh > 0 ? h[r0 + r] : nullptr;
   }
-  float* o = out + static_cast<std::int64_t>(r0) * n;
   switch (R) {
     case 1: dot_rows<1>(xr, hr, kx, kh, w, n, o); return;
     case 2: dot_rows<2>(xr, hr, kx, kh, w, n, o); return;
@@ -307,7 +308,8 @@ void dense_rows(int variant, RowSrc x, int kx, RowSrc h, int kh, const float* w,
 // x (m,k) · Wᵀ with W (n,k) row-major.
 void dense(int variant, const float* x, int m, int k, const float* w, int n, float* out) {
   for (int r0 = 0; r0 < m; r0 += kTileRows)
-    dense_rows(variant, {nullptr, x, k}, k, {}, 0, w, n, r0, std::min(kTileRows, m - r0), out);
+    dense_rows(variant, {nullptr, x, k}, k, {}, 0, w, n, r0, std::min(kTileRows, m - r0),
+               out + static_cast<std::int64_t>(r0) * n);
 }
 
 // Row-wise softmax; `a` may alias `o`.
@@ -323,15 +325,75 @@ void softmax_row(const float* a, int cols, float* o) {
   for (int j = 0; j < cols; ++j) o[j] *= inv;
 }
 
+// The GRU cell body on one row of gates [z r ĥ] (3n) and h (n):
+// h' = (1-σ(z))*h + σ(z)*tanh(ĥ), into o (n).
+void gru_row(const float* g, const float* h, int n, float* o) {
+  for_lanes(n, [&]<typename V>(std::int64_t j) {
+    const V z = sigmoid_v(load<V>(g + j));
+    store(o + j, (1.0f - z) * load<V>(h + j) + z * tanh_v(load<V>(g + 2 * n + j)));
+  });
+}
+
+// The LSTM cell body on one row of gates [i f g o] (4n) and c (n), into
+// o = [h'; c'] (2n): c' = σ(f+1)*c + σ(i)*tanh(g), then h' = σ(o)*tanh(c')
+// on c' as stored.
+void lstm_row(const float* g, const float* c, int n, float* o) {
+  for_lanes(n, [&]<typename V>(std::int64_t j) {
+    const V c2 = sigmoid_v(load<V>(g + n + j) + 1.0f) * load<V>(c + j) +
+                 sigmoid_v(load<V>(g + j)) * tanh_v(load<V>(g + 2 * n + j));
+    store(o + n + j, c2);
+    store(o + j, sigmoid_v(load<V>(g + 3 * n + j)) * tanh_v(c2));
+  });
+}
+
+// Gates per row a cell epilogue holds on the stack: an LSTM of hidden width
+// up to 128, a GRU up to 170.
+constexpr int kMaxCellGates = 512;
+
+// kLinear with the GRU or LSTM epilogue: each tile's gate rows, W·[x;h] + b
+// (n = 3 or 4 hidden widths), go to a stack buffer, and the cell body
+// writes each row's h' (GRU) or [h'; c'] (LSTM) to out. Out of line, so the
+// buffer is in this frame and not in linear()'s.
+[[gnu::noinline]] void linear_cell(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h,
+                                   int kh, const float* w, const float* b, int n, int rows,
+                                   float* out) {
+  if (n > kMaxCellGates) {
+    std::fprintf(stderr, "acrobat: kLinear cell epilogue over %d gates per row, more than %d\n",
+                 n, kMaxCellGates);
+    std::abort();
+  }
+  const bool gru = act == kLinearGru;
+  const int hid = gru ? n / 3 : n / 4, out_cols = gru ? hid : 2 * hid;
+  float gates[kTileRows * kMaxCellGates];
+  for (int r0 = 0; r0 < rows; r0 += kTileRows) {
+    const int R = std::min(kTileRows, rows - r0);
+    dense_rows(variant, x, kx, h, kh, w, n, r0, R, gates);
+    for (int i = 0; i < R; ++i) {
+      float* g = gates + i * n;
+      for (int j = 0; j < n; ++j) g[j] = g[j] + b[j];
+      float* o = out + static_cast<std::int64_t>(r0 + i) * out_cols;
+      if (gru) {
+        gru_row(g, h[r0 + i], hid, o);
+      } else {
+        lstm_row(g, h[r0 + i] + hid, hid, o);
+      }
+    }
+  }
+}
+
 // kLinear over `rows` rows: the dense rows a tile at a time, then on each
 // row the bias add and the epilogue as separate passes, each the same float
 // op the kAdd / kTanh / kSoftmax kernels apply — which is what makes kLinear
 // bitwise equal to that chain.
 void linear(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h, int kh, const float* w,
             const float* b, int n, int rows, float* out) {
+  if (act == kLinearGru || act == kLinearLstm) {
+    linear_cell(variant, act, x, kx, h, kh, w, b, n, rows, out);
+    return;
+  }
   for (int r0 = 0; r0 < rows; r0 += kTileRows) {
     const int R = std::min(kTileRows, rows - r0);
-    dense_rows(variant, x, kx, h, kh, w, n, r0, R, out);
+    dense_rows(variant, x, kx, h, kh, w, n, r0, R, out + static_cast<std::int64_t>(r0) * n);
     for (int r = r0; r < r0 + R; ++r) {
       float* o = out + static_cast<std::int64_t>(r) * n;
       for (int j = 0; j < n; ++j) o[j] = o[j] + b[j];
@@ -473,10 +535,7 @@ const char* op_name(OpKind kind) {
     case OpKind::kAddBiasSigmoid: return "add_bias_sigmoid";
     case OpKind::kFma2: return "fma2";
     case OpKind::kMulTanh: return "mul_tanh";
-    case OpKind::kLstmNewC: return "lstm_new_c";
-    case OpKind::kLstmNewH: return "lstm_new_h";
     case OpKind::kLinear: return "linear";
-    case OpKind::kGruPoint: return "gru_point";
     case OpKind::kConcat: return "concat";
     case OpKind::kZeros: return "zeros";
     case OpKind::kSoftmax: return "softmax";
@@ -557,19 +616,20 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
       assert(s[1] == s[0]);
       return s[0];
     case OpKind::kLinear: {
+      // The operand rule: x is read for its first kx floats, h for its first
+      // W.cols − kx, and each operand's own width is only its row stride.
+      const bool split = n_ins == 4;
       const Shape& w = s[n_ins - 2];
-      assert((n_ins == 3 || (n_ins == 4 && s[1].rows() == s[0].rows())) && w.ndim == 2 &&
-             w.dim[1] == s[0].cols() + (n_ins == 4 ? s[1].cols() : 0) &&
-             s[n_ins - 1].numel() == w.dim[0]);
-      return s[0].ndim == 1 ? RowVec(w.dim[0]) : Shape(s[0].rows(), w.dim[0]);
+      const int n = w.dim[0], hid = attr == kLinearGru ? n / 3 : n / 4;
+      [[maybe_unused]] const int kx = split ? s[0].cols() : w.dim[1];
+      assert((n_ins == 3 || n_ins == 4) && w.ndim == 2 && s[n_ins - 1].ndim == 1 &&
+             s[n_ins - 1].numel() == n && s[0].cols() >= kx);
+      assert(!split || (s[1].rows() == s[0].rows() && s[1].cols() >= w.dim[1] - kx));
+      assert(attr != kLinearGru || (split && n % 3 == 0 && s[1].cols() >= hid));
+      assert(attr != kLinearLstm || (split && n % 4 == 0 && s[1].cols() >= 2 * hid));
+      const int out = attr == kLinearGru ? hid : attr == kLinearLstm ? 2 * hid : n;
+      return s[0].ndim == 1 ? RowVec(out) : Shape(s[0].rows(), out);
     }
-    case OpKind::kLstmNewC:
-    case OpKind::kLstmNewH:
-      assert(s[0].cols() == 4 * s[1].cols() && s[0].rows() == s[1].rows());
-      return s[1];
-    case OpKind::kGruPoint:
-      assert(s[0].cols() == 3 * s[1].cols() && s[0].rows() == s[1].rows());
-      return s[1];
     case OpKind::kZeros:
       return RowVec(static_cast<int>(attr));
     case OpKind::kSumAll:
@@ -662,47 +722,6 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
         store(out + i, load<V>(ins[0] + i) * tanh_v(load<V>(ins[1] + i)));
       });
       return;
-    case OpKind::kLstmNewC: {
-      const int n = s[1].cols();
-      const int rows = s[1].rows();
-      for (int r = 0; r < rows; ++r) {
-        const float* g = ins[0] + static_cast<std::int64_t>(r) * 4 * n;
-        const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for_lanes(n, [&]<typename V>(std::int64_t j) {
-          store(o + j, sigmoid_v(load<V>(g + n + j) + 1.0f) * load<V>(c + j) +
-                           sigmoid_v(load<V>(g + j)) * tanh_v(load<V>(g + 2 * n + j)));
-        });
-      }
-      return;
-    }
-    case OpKind::kLstmNewH: {
-      const int n = s[1].cols();
-      const int rows = s[1].rows();
-      for (int r = 0; r < rows; ++r) {
-        const float* g = ins[0] + static_cast<std::int64_t>(r) * 4 * n;
-        const float* c = ins[1] + static_cast<std::int64_t>(r) * n;
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for_lanes(n, [&]<typename V>(std::int64_t j) {
-          store(o + j, sigmoid_v(load<V>(g + 3 * n + j)) * tanh_v(load<V>(c + j)));
-        });
-      }
-      return;
-    }
-    case OpKind::kGruPoint: {
-      const int n = s[1].cols();
-      const int rows = s[1].rows();
-      for (int r = 0; r < rows; ++r) {
-        const float* g = ins[0] + static_cast<std::int64_t>(r) * 3 * n;
-        const float* h = ins[1] + static_cast<std::int64_t>(r) * n;
-        float* o = out + static_cast<std::int64_t>(r) * n;
-        for_lanes(n, [&]<typename V>(std::int64_t j) {
-          const V z = sigmoid_v(load<V>(g + j));
-          store(o + j, (1.0f - z) * load<V>(h + j) + z * tanh_v(load<V>(g + 2 * n + j)));
-        });
-      }
-      return;
-    }
     case OpKind::kZeros: {
       const std::int64_t n = out_shape.numel();
       for (std::int64_t i = 0; i < n; ++i) out[i] = 0.0f;
@@ -717,13 +736,13 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       return;
     }
     case OpKind::kLinear: {
-      // ins: x, W, b or x, h, W, b; the third operand is the bias exactly
-      // when it is n wide (W is n·(kx+kh) > n).
-      const int n = out_shape.cols();
-      const bool split = s[2].numel() != n;
-      const int kx = s[0].cols(), kh = split ? s[1].cols() : 0;
-      linear(variant, attr, {nullptr, ins[0], kx}, kx, {nullptr, split ? ins[1] : nullptr, kh},
-             kh, ins[split ? 2 : 1], ins[split ? 3 : 2], n, s[0].rows(), out);
+      // ins: x, W, b or x, h, W, b; W is 2-D, the bias 1-D.
+      const bool split = s[2].ndim == 2;
+      const Shape& w = s[split ? 2 : 1];
+      const int kx = split ? s[0].cols() : w.dim[1];
+      linear(variant, attr, {nullptr, ins[0], s[0].cols()}, kx,
+             {nullptr, split ? ins[1] : nullptr, split ? s[1].cols() : 0}, w.dim[1] - kx,
+             ins[split ? 2 : 1], ins[split ? 3 : 2], w.dim[0], s[0].rows(), out);
       return;
     }
     case OpKind::kSumAll: {

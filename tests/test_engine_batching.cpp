@@ -15,7 +15,8 @@
 #include "test_util.h"
 
 // Counting global allocator: test_record_op_ins_inline measures how many
-// heap allocations DFG construction performs per recorded op, and
+// heap allocations DFG construction performs per recorded op,
+// test_node_table_no_heap how many the node table makes, and
 // test_aot_warm_run_allocations how many a warm AOT run makes. Counting is
 // gated so only the measurement window is observed; storage is plain
 // malloc/free, which keeps sanitizer builds honest (ASan still tracks the
@@ -499,6 +500,78 @@ void test_linear_batch_scattered_rows() {
   }
 }
 
+// An LSTM cell batch (kLinear with the LSTM epilogue) over [h; c] states:
+// its h operand is the state, twice W's h columns wide, so the kernel reads
+// each state's h half through the dot product and its c half in the
+// epilogue. Two steps: 8 cells over scattered x rows and scattered states,
+// then 8 more over the first step's outputs, which lie back to back. In
+// place, staged (gather fusion off: whole state rows are copied, c halves
+// included) and eager, at every variant, the outputs are bitwise equal.
+void test_lstm_state_batch() {
+  constexpr int kN = 8, kx = 16, hid = 16, n = 4 * hid;
+  Rng rng{53};
+  TensorPool pool;
+  const Tensor w = pool.alloc_random(Shape(n, kx + hid), rng, 0.3f);
+  const Tensor bias = pool.alloc_random(RowVec(n), rng, 0.2f);
+  std::vector<Tensor> xs, states;
+  for (int i = 0; i < 2 * kN; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(kx), rng, 1.0f));
+    if (i < kN) states.push_back(pool.alloc_random(RowVec(2 * hid), rng, 1.0f));
+    pool.alloc(RowVec(3));  // padding: no operand is back to back across the batch
+  }
+  for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+    KernelRegistry reg;
+    const Shape reps[4] = {Shape(kx), Shape(2 * hid), w.shape, bias.shape};
+    const int k_lstm = reg.add("c.lstm", OpKind::kLinear, kLinearLstm, 4, reps);
+    reg.kernel(k_lstm).variant = variant;
+
+    const auto run = [&](EngineConfig cfg) {
+      Engine eng(reg, cfg);
+      const TRef wref = eng.add_concrete(w.view()), bref = eng.add_concrete(bias.view());
+      std::vector<TRef> outs;
+      for (int i = 0; i < kN; ++i) {
+        const TRef ins[4] = {eng.add_concrete(xs[static_cast<std::size_t>(i)].view()),
+                             eng.add_concrete(states[static_cast<std::size_t>(i)].view()), wref,
+                             bref};
+        outs.push_back(eng.add_op(k_lstm, ins, 4, InstCtx{i}, 0));
+      }
+      for (int i = 0; i < kN; ++i) {
+        const TRef ins[4] = {eng.add_concrete(xs[static_cast<std::size_t>(kN + i)].view()),
+                             outs[static_cast<std::size_t>(i)], wref, bref};
+        outs.push_back(eng.add_op(k_lstm, ins, 4, InstCtx{i}, 0));
+      }
+      eng.trigger_execution();
+      std::vector<float> flat;
+      for (const TRef r : outs) {
+        const Tensor t = eng.force(r);
+        CHECK(t.shape == RowVec(2 * hid));
+        flat.insert(flat.end(), t.data, t.data + t.numel());
+      }
+      return std::make_pair(flat, eng.stats());
+    };
+
+    EngineConfig staged_cfg, eager_cfg;
+    staged_cfg.gather_fusion = false;
+    eager_cfg.lazy = false;
+    const auto [in_place, s_in_place] = run(EngineConfig{});
+    const auto [staged, s_staged] = run(staged_cfg);
+    const auto [eager, s_eager] = run(eager_cfg);
+    CHECK_EQ(s_in_place.kernel_launches, 2);
+    CHECK_EQ(s_in_place.stacked_batches, 2);
+    CHECK_EQ(s_in_place.gather_bytes, 0);
+    CHECK_EQ(s_staged.kernel_launches, 2);
+    CHECK_EQ(s_staged.stacked_batches, 2);
+    // Step 1 stages both operands, step 2 only its x rows.
+    CHECK_EQ(s_staged.gather_bytes, static_cast<long long>(kN) * (2 * kx + 2 * hid) *
+                                        static_cast<long long>(sizeof(float)));
+    CHECK_EQ(s_eager.kernel_launches, 2 * kN);
+    const std::size_t bytes = in_place.size() * sizeof(float);
+    CHECK_EQ(in_place.size(), static_cast<std::size_t>(2 * kN * 2 * hid));
+    CHECK(staged.size() == in_place.size() && std::memcmp(staged.data(), in_place.data(), bytes) == 0);
+    CHECK(eager.size() == in_place.size() && std::memcmp(eager.data(), in_place.data(), bytes) == 0);
+  }
+}
+
 // Carried-forward fix: Node::ins used to heap-allocate a vector per
 // recorded multi-input op. With the arity ≤ 4 inline small-vector plus
 // recycled slots and warmed scratch, a steady-state recording round does
@@ -635,6 +708,29 @@ void test_node_table_chunks() {
         std::memcmp(recycled.data(), eager.data(), bytes) == 0);
 }
 
+// The node table takes its chunks and its chunk directory from the block
+// cache, so a fresh engine that records at least six chunks of nodes makes
+// no heap allocation for them, with a cold cache and with a warm one. A
+// chunk holds at most 65536 / sizeof(Node) nodes, 546 at today's 120 bytes
+// (512 in use). Every node still reads back.
+void test_node_table_no_heap() {
+  Fixture f;
+  constexpr std::size_t kNodes = 6 * (65536 / 120);
+  const Tensor x = f.pool.alloc_random(RowVec(8), f.rng, 1.0f);
+  for (int round = 0; round < 2; ++round) {
+    Engine eng(f.reg, EngineConfig{});
+    std::vector<TRef> refs;
+    refs.reserve(kNodes);
+    g_news = 0;
+    g_count_news = true;
+    for (std::size_t i = 0; i < kNodes; ++i) refs.push_back(eng.add_concrete(x.view()));
+    g_count_news = false;
+    CHECK_EQ(g_news, 0);
+    CHECK_EQ(eng.num_nodes(), kNodes);
+    for (const TRef r : refs) CHECK(eng.data(r) == x.data && eng.shape(r) == x.shape);
+  }
+}
+
 void test_memory_cap_oom() {
   Fixture f;
   EngineConfig cfg;
@@ -743,10 +839,12 @@ int main() {
   test_flat_recycling_parity_and_alloc_plateau();
   test_stacked_matmul_family();
   test_linear_batch_scattered_rows();
+  test_lstm_state_batch();
   test_const_reuse();
   test_record_op_ins_inline();
   test_wide_op_inputs_inline();
   test_node_table_chunks();
+  test_node_table_no_heap();
   test_memory_cap_oom();
   test_aot_warm_run_allocations();
   return acrobat::test::finish("test_engine_batching");

@@ -273,10 +273,10 @@ void test_shedding_only_past_saturation() {
   {
     const int n = 200;
     // Service time is anchored by the deterministic simulated launch
-    // overhead (DESIGN.md §2), not by this machine's CPU speed: ~100us per
-    // launch makes one batched request cost a few hundred us (a coarse
-    // TreeLSTM cell is 3 launches), so 500us arrival gaps are a sustained
-    // ~1.5-3x overload everywhere. The
+    // overhead (DESIGN.md §2), not by this machine's CPU speed: ~250us per
+    // launch makes one batch cost milliseconds (a coarse TreeLSTM cell is 1
+    // launch, plus a child-sum add per tree level), so 500us arrival gaps
+    // are a sustained overload everywhere. The
     // deadline sits far above one batched service time (fresh admissions
     // meet it comfortably) but far below the cumulative FIFO backlog.
     // Attainment under FIFO is a prefix phenomenon — only arrivals before
@@ -284,7 +284,7 @@ void test_shedding_only_past_saturation() {
     // falling as the trace grows, while shedding holds its steady state;
     // the long trace is what makes the gap robust to machine noise.
     const double deadline_ms = 20.0;
-    const std::int64_t overhead_ns = 100'000;
+    const std::int64_t overhead_ns = 250'000;
     const auto trace = interleaved_trace(n, reg, 500'000);
     fleet::FleetPolicyConfig tight = pc;
     tight.deadline_ns = {static_cast<std::int64_t>(deadline_ms * 1e6),

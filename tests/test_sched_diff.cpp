@@ -32,14 +32,16 @@ namespace {
 enum ShapeClass : int {
   kV8 = 0,  // RowVec(8)
   kV16,     // RowVec(16): concat2 output
-  kV24,     // RowVec(24): GRU gates
-  kV32,     // RowVec(32): LSTM gates
+  kV24,     // RowVec(24): GRU gates (the GRU epilogue's bias)
+  kV32,     // RowVec(32): LSTM gates (the LSTM epilogue's bias)
   kV40,     // RowVec(40): concat5 output (sink)
   kS1,      // Shape(1): whole-batch reductions (sinks)
   kM8,      // Shape(8,8) parameter
   kM24,     // Shape(24,8) parameter
   kM32,     // Shape(32,8) parameter
   kM816,    // Shape(8,16) parameter: kLinear over [x;h]
+  kM2416,   // Shape(24,16) parameter: GRU cell over [x;h]
+  kM3216,   // Shape(32,16) parameter: LSTM cell over [x;h]
   kNumClasses
 };
 
@@ -54,7 +56,9 @@ Shape class_shape(int c) {
     case kM8: return Shape(8, 8);
     case kM24: return Shape(24, 8);
     case kM32: return Shape(32, 8);
-    default: return Shape(8, 16);
+    case kM816: return Shape(8, 16);
+    case kM2416: return Shape(24, 16);
+    default: return Shape(32, 16);
   }
 }
 
@@ -87,16 +91,20 @@ const OpSpec kOps[] = {
     {"g.abs", OpKind::kAddBiasSigmoid, 0, 3, kV8, {kV8, kV8, kV8}},
     {"g.fma2", OpKind::kFma2, 0, 4, kV8, {kV8, kV8, kV8, kV8}},
     {"g.multanh", OpKind::kMulTanh, 0, 2, kV8, {kV8, kV8}},
-    {"g.lstmc", OpKind::kLstmNewC, 0, 2, kV8, {kV32, kV8}},
-    {"g.lstmh", OpKind::kLstmNewH, 0, 2, kV8, {kV32, kV8}},
-    {"g.gru", OpKind::kGruPoint, 0, 2, kV8, {kV24, kV8}},
     // kLinear, each epilogue, both forms (x alone, and [x;h]); the bias is
-    // any V8 value, so shared-bias row-pointer calls and per-op fallbacks
-    // both occur.
+    // any value of its width, so shared-bias row-pointer calls and per-op
+    // fallbacks both occur. The GRU cell reads h (V8); the LSTM cell reads
+    // an [h; c] state (V16: a concat or an earlier LSTM cell) and writes
+    // one. The operand rule: a V16 h operand under an (8, 16) W gives its
+    // first 8 floats, and a V16 x alone under an (8, 8) W its first 8.
     {"g.lin", OpKind::kLinear, kLinearIdentity, 3, kV8, {kV8, kM8, kV8}},
     {"g.lin_tanh", OpKind::kLinear, kLinearTanh, 4, kV8, {kV8, kV8, kM816, kV8}},
     {"g.lin_soft", OpKind::kLinear, kLinearSoftmax, 3, kV8, {kV8, kM8, kV8}},
     {"g.lin_soft2", OpKind::kLinear, kLinearSoftmax, 4, kV8, {kV8, kV8, kM816, kV8}},
+    {"g.gru", OpKind::kLinear, kLinearGru, 4, kV8, {kV8, kV8, kM2416, kV24}},
+    {"g.lstm", OpKind::kLinear, kLinearLstm, 4, kV16, {kV8, kV16, kM3216, kV32}},
+    {"g.lin_hwide", OpKind::kLinear, kLinearTanh, 4, kV8, {kV8, kV16, kM816, kV8}},
+    {"g.lin_xwide", OpKind::kLinear, kLinearIdentity, 3, kV8, {kV16, kM8, kV8}},
     {"g.concat2", OpKind::kConcat, 1, 2, kV16, {kV8, kV8}},
     {"g.tanh16", OpKind::kTanh, 0, 1, kV16, {kV16}},
     // Variable arity above the registry's declared-arity cap of 4: a node
@@ -131,7 +139,7 @@ struct Fixture {
     // Concrete inputs: several V8 activations (shared/scattered operand
     // draws) and two M8 parameters (shared-parameter stacking vs split
     // first-argument classes), one each of the gate-sized parameters.
-    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1};
+    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 1};
     for (int c = 0; c < kNumClasses; ++c)
       for (int i = 0; i < counts[c]; ++i) {
         tensors.push_back(pool.alloc_random(class_shape(c), rng, 0.8f));

@@ -2,9 +2,10 @@
 // agreement (every schedule variant of a kernel computes the same function).
 // The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
 // tile against the per-row loop it replaced, kMatMul's tile against the
-// row-update loop it replaced, kMatMulBT against kDense, and the 8- and
-// 4-lane tanh and sigmoid against their one-element forms, with tolerance
-// checks of each against the exact function.
+// row-update loop it replaced, kMatMulBT against kDense, kLinear's GRU and
+// LSTM epilogues against the elementwise chain of the same cell body, and
+// the 8- and 4-lane tanh and sigmoid against their one-element forms, with
+// tolerance checks of each against the exact function.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -103,17 +104,34 @@ void test_variants_agree() {
   }
 }
 
+// One row of a kLinear cell epilogue fed exact gate values: W = 0, so
+// W·[x;h] + b is the bias, the chosen gate row. h is the GRU's h (n) or the
+// LSTM's [h; c] state (2n); returns h' or [h'; c'].
+std::vector<float> cell_epilogue(LinearAct act, int variant, const std::vector<float>& gates,
+                                 const std::vector<float>& h) {
+  const int n_gates = static_cast<int>(gates.size());
+  const int hid = act == kLinearGru ? n_gates / 3 : n_gates / 4;
+  const std::vector<float> x = {0.5f}, w(static_cast<std::size_t>(n_gates) * (1 + hid), 0.0f);
+  const Shape os = RowVec(act == kLinearGru ? hid : 2 * hid);
+  std::vector<float> out(static_cast<std::size_t>(os.numel()));
+  const float* ins[4] = {x.data(), h.data(), w.data(), gates.data()};
+  const Shape shapes[4] = {RowVec(1), RowVec(static_cast<int>(h.size())), Shape(n_gates, 1 + hid),
+                           RowVec(n_gates)};
+  CHECK(infer_shape(OpKind::kLinear, act, shapes, 4) == os);
+  run_op(OpKind::kLinear, variant, ins, shapes, out.data(), os, act);
+  return out;
+}
+
 void test_lstm_pointwise() {
-  // One unit: gates [i f g o] = [0, 0, raw g, 0], c = 2.
-  const float gates[4] = {0.0f, 0.0f, 0.5f, 0.0f};
-  const float c[1] = {2.0f};
-  const Shape shapes[2] = {RowVec(4), RowVec(1)};
-  const float* ins[2] = {gates, c};
-  float out[1] = {};
-  run_op(OpKind::kLstmNewC, 0, ins, shapes, out, RowVec(1), 0);
-  // σ(0+1)*2 + σ(0)*tanh(0.5)
-  const double expect = 1.0 / (1.0 + std::exp(-1.0)) * 2.0 + 0.5 * std::tanh(0.5);
-  CHECK_NEAR(out[0], expect, 1e-6);
+  // One unit: gates [i f g o] = [0, 0, raw g, 0], state [h; c] = [0.3, 2].
+  const std::vector<float> gates = {0.0f, 0.0f, 0.5f, 0.0f}, state = {0.3f, 2.0f};
+  for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
+    const std::vector<float> out = cell_epilogue(kLinearLstm, v, gates, state);
+    // c' = σ(0+1)*2 + σ(0)*tanh(0.5); h' = σ(0)*tanh(c')
+    const double c2 = 1.0 / (1.0 + std::exp(-1.0)) * 2.0 + 0.5 * std::tanh(0.5);
+    CHECK_NEAR(out[1], c2, 1e-6);
+    CHECK_NEAR(out[0], 0.5 * std::tanh(c2), 1e-6);
+  }
 }
 
 // The chain kLinear replaces, op by op: [x;h] concatenated row by row, then
@@ -203,6 +221,160 @@ void test_linear_row_pointers() {
       run_op(OpKind::kLinear, v, ins, shapes, single.data() + r * n, RowVec(n), kLinearTanh);
     }
     CHECK(std::memcmp(batched.data(), single.data(), batched.size() * sizeof(float)) == 0);
+  }
+}
+
+// An elementwise op through run_op over n floats at a, b.
+void elementwise(OpKind kind, const float* a, const float* b, int n, float* out) {
+  const Shape s = RowVec(n);
+  const Shape shapes[2] = {s, s};
+  const float* ins[2] = {a, b};
+  run_op(kind, kind == OpKind::kTanh || kind == OpKind::kSigmoid ? 1 : 0, ins, shapes, out, s, 0);
+}
+
+// The cell body a GRU or LSTM epilogue runs, as run_op's elementwise kernels
+// over one row of gates: GRU h' = (1 - σ(z))·h + σ(z)·tanh(ĥ) into o (n);
+// LSTM c' = σ(f + 1)·c + σ(i)·tanh(g), h' = σ(o)·tanh(c') into o = [h'; c'].
+void cell_chain(LinearAct act, const float* g, const float* h, int n, float* o) {
+  std::vector<float> t(4 * n), ones(n, 1.0f);
+  float *a = t.data(), *b = a + n, *c = b + n, *d = c + n;
+  if (act == kLinearGru) {
+    elementwise(OpKind::kSigmoid, g, nullptr, n, a);   // z
+    elementwise(OpKind::kSub, ones.data(), a, n, b);   // 1 - z
+    elementwise(OpKind::kMul, b, h, n, b);             // (1 - z)·h
+    elementwise(OpKind::kTanh, g + 2 * n, nullptr, n, c);
+    elementwise(OpKind::kMul, a, c, n, c);             // z·tanh(ĥ)
+    elementwise(OpKind::kAdd, b, c, n, o);
+    return;
+  }
+  const float* cc = h + n;
+  elementwise(OpKind::kAdd, g + n, ones.data(), n, a);  // f + 1
+  elementwise(OpKind::kSigmoid, a, nullptr, n, a);
+  elementwise(OpKind::kMul, a, cc, n, a);               // σ(f + 1)·c
+  elementwise(OpKind::kSigmoid, g, nullptr, n, b);
+  elementwise(OpKind::kTanh, g + 2 * n, nullptr, n, c);
+  elementwise(OpKind::kMul, b, c, n, b);                // σ(i)·tanh(g)
+  elementwise(OpKind::kAdd, a, b, n, o + n);            // c'
+  elementwise(OpKind::kSigmoid, g + 3 * n, nullptr, n, d);
+  elementwise(OpKind::kTanh, o + n, nullptr, n, c);
+  elementwise(OpKind::kMul, d, c, n, o);                // h'
+}
+
+// Each cell epilogue is memcmp-equal to kLinear identity followed by the
+// cell body as run_op's elementwise kernels, at every variant and 1-9 rows:
+// over scattered row pointers (run_linear) and stacked operands (run_op).
+// Hidden widths 16 and 40, and a kx = 7 split (variant 2's 4-blocks
+// straddle x and h). The LSTM's h operand is the [h; c] state, twice W's h
+// columns; the GRU's h rows are also read with 5 floats of slack past them.
+// A cell past the stack buffer's width bound aborts.
+void test_cell_epilogues_match_chain() {
+  struct Case {
+    LinearAct act;
+    int kx, hid, slack;
+  };
+  const Case cases[] = {{kLinearGru, 16, 16, 0}, {kLinearGru, 40, 40, 0}, {kLinearGru, 7, 13, 0},
+                        {kLinearGru, 16, 16, 5}, {kLinearLstm, 16, 16, 0},
+                        {kLinearLstm, 40, 40, 0}, {kLinearLstm, 7, 13, 0}};
+  TensorPool pool;
+  Rng rng(37);
+  int bad = 0;
+  for (const Case& c : cases) {
+    const bool gru = c.act == kLinearGru;
+    const int n = (gru ? 3 : 4) * c.hid, out_cols = gru ? c.hid : 2 * c.hid;
+    const int hw = (gru ? c.hid : 2 * c.hid) + c.slack;  // the h operand's row stride
+    const Tensor w = pool.alloc_random(Shape(n, c.kx + c.hid), rng, 0.3f);
+    const Tensor b = pool.alloc_random(RowVec(n), rng, 0.2f);
+    for (int rows = 1; rows <= 9; ++rows) {
+      std::vector<const float*> xp, hp;
+      std::vector<float> xs, hs;
+      for (int r = 0; r < rows; ++r) {
+        xp.push_back(pool.alloc_random(RowVec(c.kx), rng, 1.0f).data);
+        pool.alloc(RowVec(3));  // padding: rows are not back to back
+        hp.push_back(pool.alloc_random(RowVec(hw), rng, 1.0f).data);
+        xs.insert(xs.end(), xp.back(), xp.back() + c.kx);
+        hs.insert(hs.end(), hp.back(), hp.back() + hw);
+      }
+      const Shape shapes[4] = {Shape(rows, c.kx), Shape(rows, hw), w.shape, b.shape};
+      const float* ins[4] = {xs.data(), hs.data(), w.data, b.data};
+      CHECK(infer_shape(OpKind::kLinear, c.act, shapes, 4) == Shape(rows, out_cols));
+      for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
+        std::vector<float> gates(static_cast<std::size_t>(rows) * n);
+        std::vector<float> want(static_cast<std::size_t>(rows) * out_cols), got(want.size());
+        run_linear(v, kLinearIdentity, xp.data(), c.kx, hp.data(), c.hid, w.data, b.data, n,
+                   rows, gates.data());
+        for (int r = 0; r < rows; ++r)
+          cell_chain(c.act, gates.data() + r * n, hp[r], c.hid, want.data() + r * out_cols);
+        const auto same = [&](const char* what) {
+          if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0) return;
+          if (++bad <= 10)
+            std::printf("  %s %s differs: variant %d rows=%d kx=%d hid=%d\n", what,
+                        gru ? "gru" : "lstm", v, rows, c.kx, c.hid);
+        };
+        run_linear(v, c.act, xp.data(), c.kx, hp.data(), c.hid, w.data, b.data, n, rows,
+                   got.data());
+        same("run_linear");
+        run_op(OpKind::kLinear, v, ins, shapes, got.data(), Shape(rows, out_cols), c.act);
+        same("run_op");
+      }
+    }
+  }
+  CHECK_EQ(bad, 0);
+  // A cell wider than the epilogue's stack buffer (512 gates per row) aborts.
+  constexpr int kWide = 172;  // a GRU of 516 gates
+  const Tensor w = pool.alloc_random(Shape(3 * kWide, 2 * kWide), rng, 0.1f);
+  const Tensor b = pool.alloc_random(RowVec(3 * kWide), rng, 0.1f);
+  const Tensor x = pool.alloc_random(RowVec(kWide), rng, 1.0f);
+  const Tensor h = pool.alloc_random(RowVec(kWide), rng, 1.0f);
+  std::vector<float> out(kWide);
+  const float* xp[1] = {x.data};
+  const float* hp[1] = {h.data};
+  CHECK(test::dies([&] {
+    run_linear(2, kLinearGru, xp, kWide, hp, kWide, w.data, b.data, 3 * kWide, 1, out.data());
+  }));
+}
+
+// The operand rule: kLinear reads the first kx floats of each x row and the
+// first W.cols − kx of each h row (x-only: the first W.cols of each x row),
+// and an operand's width is only its row stride. So over rows with 3 floats
+// of slack past them, every epilogue of both forms is memcmp-equal to the
+// same rows packed, at every variant.
+void test_linear_operand_rule() {
+  constexpr int kRows = 5, kx = 7, kh = 13, n = 24, kSlack = 3;
+  TensorPool pool;
+  Rng rng(43);
+  const Tensor w = pool.alloc_random(Shape(n, kx + kh), rng, 0.3f);
+  const Tensor w1 = pool.alloc_random(Shape(n, kx), rng, 0.3f);
+  const Tensor b = pool.alloc_random(RowVec(n), rng, 0.2f);
+  const Tensor xw = pool.alloc_random(Shape(kRows, kx + kSlack), rng, 1.0f);
+  const Tensor hw = pool.alloc_random(Shape(kRows, kh + kSlack), rng, 1.0f);
+  std::vector<float> xs, hs;
+  for (int r = 0; r < kRows; ++r) {
+    xs.insert(xs.end(), xw.data + r * (kx + kSlack), xw.data + r * (kx + kSlack) + kx);
+    hs.insert(hs.end(), hw.data + r * (kh + kSlack), hw.data + r * (kh + kSlack) + kh);
+  }
+  const Shape os(kRows, n);
+  std::vector<float> want(static_cast<std::size_t>(os.numel())), got(want.size());
+  for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
+    for (const LinearAct act : {kLinearIdentity, kLinearTanh, kLinearSoftmax}) {
+      // [x;h]: x packed, h with slack.
+      const Shape packed[4] = {Shape(kRows, kx), Shape(kRows, kh), w.shape, b.shape};
+      const float* pins[4] = {xs.data(), hs.data(), w.data, b.data};
+      const Shape wide[4] = {Shape(kRows, kx), hw.shape, w.shape, b.shape};
+      const float* wins[4] = {xs.data(), hw.data, w.data, b.data};
+      CHECK(infer_shape(OpKind::kLinear, act, wide, 4) == os);
+      run_op(OpKind::kLinear, v, pins, packed, want.data(), os, act);
+      run_op(OpKind::kLinear, v, wins, wide, got.data(), os, act);
+      CHECK(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0);
+      // x alone, with slack.
+      const Shape packed1[3] = {Shape(kRows, kx), w1.shape, b.shape};
+      const float* pins1[3] = {xs.data(), w1.data, b.data};
+      const Shape wide1[3] = {xw.shape, w1.shape, b.shape};
+      const float* wins1[3] = {xw.data, w1.data, b.data};
+      CHECK(infer_shape(OpKind::kLinear, act, wide1, 3) == os);
+      run_op(OpKind::kLinear, v, pins1, packed1, want.data(), os, act);
+      run_op(OpKind::kLinear, v, wins1, wide1, got.data(), os, act);
+      CHECK(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0);
+    }
   }
 }
 
@@ -482,8 +654,9 @@ void test_tanh_sigmoid_edges() {
 }
 
 // Every tanh site computes the same tanh, bitwise: kAddBiasTanh with zero
-// addends, kMulTanh by 1, and the LSTM/GRU pointwise kernels with gates
-// saturated so σ = 1 exactly (σ(100) rounds to 1.0f) all equal kTanh. At
+// addends, kMulTanh by 1, and kLinear's LSTM and GRU epilogues with gates
+// saturated so σ = 1 or 0 exactly (σ(±100) rounds to 1.0f and 0.0f) all
+// equal kTanh. At
 // n = 7 (a 4-lane block and a scalar tail), 8 (one 8-lane block) and 19
 // (8-lane blocks and a scalar tail).
 void test_tanh_sites_agree() {
@@ -508,32 +681,40 @@ void test_tanh_sites_agree() {
     run_op(OpKind::kMulTanh, 0, mt, abt_s, got.data(), row, 0);
     same();
 
-    // LSTM gates [i f g o]: new c = σ(f+1)·0 + σ(100)·tanh(g); new h = σ(100)·tanh(c').
-    std::vector<float> lstm(4 * n, 100.0f);
-    std::copy(v.begin(), v.end(), lstm.begin() + 2 * n);
-    const float* lc[2] = {lstm.data(), zeros.data()};
-    const Shape ls[2] = {RowVec(4 * n), row};
-    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
-    same();
-    const float* lh[2] = {lstm.data(), v.data()};
-    run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
-    same();
+    // The cell epilogues, fed exact gates (cell_epilogue), at every variant.
+    // LSTM gates [i f g o] = [100, 100, v, 100] over c = 0: c' = σ(101)·0 +
+    // σ(100)·tanh(v) and h' = σ(100)·tanh(c'). Gates [-100, 100, 0, 100]
+    // over c = v: c' = σ(101)·v + σ(-100)·tanh(0) = v, h' = tanh(v).
+    const std::vector<float> want2 = run_tanh(1, want);
+    for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+      std::vector<float> lstm(4 * n, 100.0f), state(2 * n, 0.0f);
+      std::copy(v.begin(), v.end(), lstm.begin() + 2 * n);
+      std::copy(v.begin(), v.end(), state.begin());  // h half: W = 0 ignores it
+      std::vector<float> hc = cell_epilogue(kLinearLstm, variant, lstm, state);
+      CHECK(std::memcmp(hc.data() + n, want.data(), sizeof(float) * n) == 0);
+      CHECK(std::memcmp(hc.data(), want2.data(), sizeof(float) * n) == 0);
+      std::fill(lstm.begin(), lstm.begin() + n, -100.0f);
+      std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 0.0f);
+      std::copy(v.begin(), v.end(), state.begin() + n);
+      hc = cell_epilogue(kLinearLstm, variant, lstm, state);
+      CHECK(std::memcmp(hc.data(), want.data(), sizeof(float) * n) == 0);
+      CHECK(std::memcmp(hc.data() + n, v.data(), sizeof(float) * n) == 0);
 
-    // GRU gates [z r ĥ]: (1 - σ(100))·h + σ(100)·tanh(ĥ).
-    std::vector<float> gru(3 * n, 100.0f);
-    std::copy(v.begin(), v.end(), gru.begin() + 2 * n);
-    const float* gp[2] = {gru.data(), ones.data()};
-    const Shape gs[2] = {RowVec(3 * n), row};
-    run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
-    same();
+      // GRU gates [z r ĥ] = [100, 100, v]: (1 - σ(100))·h + σ(100)·tanh(ĥ).
+      std::vector<float> gru(3 * n, 100.0f);
+      std::copy(v.begin(), v.end(), gru.begin() + 2 * n);
+      got = cell_epilogue(kLinearGru, variant, gru, ones);
+      same();
+    }
   }
 }
 
 // Every sigmoid site computes kSigmoid's sigmoid, bitwise, with the other
-// factors exact: kAddBiasSigmoid with zero addends; kLstmNewC's forget gate
-// σ(f+1) with c = 1 and tanh(0) = 0, and its input gate with σ(-100) = 0
-// and tanh(100) = 1; kLstmNewH's output gate with tanh(100) = 1; and
-// kGruPoint's z with h = 0 and tanh(100) = 1. At n = 7, 8 and 19.
+// factors exact: kAddBiasSigmoid with zero addends; the LSTM epilogue's
+// forget gate σ(f+1) with c = 1 and tanh(0) = 0, its input gate with
+// σ(-100) = 0 and tanh(100) = 1, and its output gate with c' = 100, so
+// tanh(c') = 1; and the GRU epilogue's z with h = 0 and tanh(100) = 1. At
+// n = 7, 8 and 19.
 void test_sigmoid_sites_agree() {
   for (const int n : {7, 8, 19}) {
     Rng rng(31);
@@ -554,33 +735,40 @@ void test_sigmoid_sites_agree() {
       same(want);
     }
 
-    // LSTM gates [i f g o]. Forget gate: σ(v+1)·1 + σ(100)·tanh(0).
-    std::vector<float> lstm(4 * n, 100.0f);
-    std::copy(v.begin(), v.end(), lstm.begin() + n);
-    std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 0.0f);
-    const float* lc[2] = {lstm.data(), ones.data()};
-    const Shape ls[2] = {RowVec(4 * n), row};
-    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
-    same(want1);
-    // Input gate: σ(-100 + 1)·1 + σ(v)·tanh(100).
-    std::copy(v.begin(), v.end(), lstm.begin());
-    std::fill(lstm.begin() + n, lstm.begin() + 2 * n, -100.0f);
-    std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 100.0f);
-    run_op(OpKind::kLstmNewC, 0, lc, ls, got.data(), row, 0);
-    same(want);
-    // Output gate: σ(v)·tanh(100).
-    std::copy(v.begin(), v.end(), lstm.begin() + 3 * n);
-    const float* lh[2] = {lstm.data(), big.data()};
-    run_op(OpKind::kLstmNewH, 0, lh, ls, got.data(), row, 0);
-    same(want);
+    // The cell epilogues, fed exact gates (cell_epilogue), at every variant.
+    // LSTM gates [i f g o] over the state [h; c]; c' is the second half.
+    for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+      std::vector<float> state(2 * n, 1.0f), hc;
+      // Forget gate: c' = σ(v+1)·1 + σ(100)·tanh(0).
+      std::vector<float> lstm(4 * n, 100.0f);
+      std::copy(v.begin(), v.end(), lstm.begin() + n);
+      std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 0.0f);
+      hc = cell_epilogue(kLinearLstm, variant, lstm, state);
+      got.assign(hc.begin() + n, hc.end());
+      same(want1);
+      // Input gate: c' = σ(-100 + 1)·1 + σ(v)·tanh(100).
+      std::copy(v.begin(), v.end(), lstm.begin());
+      std::fill(lstm.begin() + n, lstm.begin() + 2 * n, -100.0f);
+      std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 100.0f);
+      hc = cell_epilogue(kLinearLstm, variant, lstm, state);
+      got.assign(hc.begin() + n, hc.end());
+      same(want);
+      // Output gate: c' = σ(101)·100 + σ(-100)·tanh(0) = 100, h' = σ(v)·tanh(100).
+      std::fill(lstm.begin(), lstm.begin() + n, -100.0f);
+      std::fill(lstm.begin() + n, lstm.begin() + 2 * n, 100.0f);
+      std::fill(lstm.begin() + 2 * n, lstm.begin() + 3 * n, 0.0f);
+      std::copy(v.begin(), v.end(), lstm.begin() + 3 * n);
+      std::copy(big.begin(), big.end(), state.begin() + n);
+      hc = cell_epilogue(kLinearLstm, variant, lstm, state);
+      got.assign(hc.begin(), hc.begin() + n);
+      same(want);
 
-    // GRU gates [z r ĥ]: (1 - σ(v))·0 + σ(v)·tanh(100).
-    std::vector<float> gru(3 * n, 100.0f);
-    std::copy(v.begin(), v.end(), gru.begin());
-    const float* gp[2] = {gru.data(), zeros.data()};
-    const Shape gs[2] = {RowVec(3 * n), row};
-    run_op(OpKind::kGruPoint, 0, gp, gs, got.data(), row, 0);
-    same(want);
+      // GRU gates [z r ĥ]: (1 - σ(v))·0 + σ(v)·tanh(100).
+      std::vector<float> gru(3 * n, 100.0f);
+      std::copy(v.begin(), v.end(), gru.begin());
+      got = cell_epilogue(kLinearGru, variant, gru, zeros);
+      same(want);
+    }
   }
 }
 
@@ -596,6 +784,8 @@ int main() {
   test_linear_matches_chain();
   test_linear_row_pointers();
   test_dense_tile_matches_row_loop();
+  test_cell_epilogues_match_chain();
+  test_linear_operand_rule();
   test_matmul_tile_matches_row_update();
   test_matmul_bt_is_dense();
   test_simd_matches_scalar();

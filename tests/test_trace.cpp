@@ -337,8 +337,8 @@ void test_soak_tracer_on_plateau() {
   const int n = env_requests(2000);
   const int n_short = n >= 1000 ? 500 : (n >= 40 ? n / 4 : n);
   // Small enough that the shard track of a 200-request run wraps: a BiRNN
-  // request emits about 13.5 shard events with whole-cell kernels.
-  constexpr std::uint32_t kRing = 1u << 11;
+  // request emits about 9.9 shard events with one-launch GRU cells.
+  constexpr std::uint32_t kRing = 1u << 10;
 
   const models::ModelSpec& spec = models::model_by_name("BiRNN");
   const models::Dataset ds = models::make_token_dataset(false, 8, 29, 14, 14);

@@ -8,6 +8,8 @@
 //                       traversal fully dynamic schemes pay per trigger
 //   DyNet/agenda      — greedy most-ready-signature-class batching
 //   DyNet/depth       — dynamic depth buckets over per-op nodes
+//   Cortex            — Table 8's baseline on its three models, one launch
+//                       per depth wave (a separate table)
 //
 // Expected shape: at ACROBAT's coarsened node counts both of its schedulers
 // are cheap, and inline depth shows up as *batching quality* — static
@@ -34,18 +36,13 @@ struct Row {
                         // identical across runs: each builds a fresh engine)
 };
 
-Row acrobat_row(const models::ModelSpec& spec, const models::Dataset& ds,
-                bool inline_depth) {
-  passes::PipelineConfig cfg;
-  cfg.inline_depth = inline_depth;
-  harness::Prepared p = harness::prepare(spec, false, cfg);
-  harness::RunOptions opts = default_opts();
-  opts.time_activities = true;
-  harness::run_acrobat(p, ds, opts);
+// The fastest of kIters runs after one warm-up run.
+Row best_row(const std::function<harness::RunResult()>& run) {
+  run();
   Row r;
   r.wall_ms = 1e300;
   for (int i = 0; i < kIters; ++i) {
-    const harness::RunResult rr = harness::run_acrobat(p, ds, opts);
+    const harness::RunResult rr = run();
     if (rr.wall_ms < r.wall_ms) {
       r.wall_ms = rr.wall_ms;
       r.sched_ms = rr.stats.scheduling.ms();
@@ -56,27 +53,34 @@ Row acrobat_row(const models::ModelSpec& spec, const models::Dataset& ds,
   return r;
 }
 
+Row acrobat_row(const models::ModelSpec& spec, const models::Dataset& ds,
+                bool inline_depth) {
+  passes::PipelineConfig cfg;
+  cfg.inline_depth = inline_depth;
+  const harness::Prepared p = harness::prepare(spec, false, cfg);
+  harness::RunOptions opts = default_opts();
+  opts.time_activities = true;
+  return best_row([&] { return harness::run_acrobat(p, ds, opts); });
+}
+
 Row dynet_row(const models::ModelSpec& spec, const models::Dataset& ds,
               bool agenda) {
-  harness::Prepared p =
+  const harness::Prepared p =
       harness::prepare(spec, false, baselines::dynet_pipeline_config());
   baselines::DynetOptions opts;
   opts.agenda_scheduler = agenda;
   opts.launch_overhead_ns = kLaunchNs;
   opts.time_activities = true;
-  baselines::run_dynet(p, ds, opts);
-  Row r;
-  r.wall_ms = 1e300;
-  for (int i = 0; i < kIters; ++i) {
-    const harness::RunResult rr = baselines::run_dynet(p, ds, opts);
-    if (rr.wall_ms < r.wall_ms) {
-      r.wall_ms = rr.wall_ms;
-      r.sched_ms = rr.stats.scheduling.ms();
-      r.launches = rr.stats.kernel_launches;
-      r.stats = rr.stats;
-    }
-  }
-  return r;
+  return best_row([&] { return baselines::run_dynet(p, ds, opts); });
+}
+
+// Table 8's Cortex baseline, for its counters: its launches must not move
+// when the ACRoBat scheduler changes.
+Row cortex_row(const models::ModelSpec& spec, const models::Dataset& ds) {
+  const harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
+  harness::RunOptions opts = default_opts();
+  opts.time_activities = true;
+  return best_row([&] { return baselines::run_cortex(spec.name, p, ds, opts); });
 }
 
 // Steady-state serving counters (ROADMAP carried item): deterministic
@@ -233,6 +237,13 @@ int main() {
     json.add(spec.name + "/acrobat_dynamic", b.stats);
     json.add(spec.name + "/dynet_agenda", c.stats);
     json.add(spec.name + "/dynet_depth", d.stats);
+  }
+  std::printf("\n%-10s | %21s\n", "", "Cortex (Table 8)");
+  for (const char* name : {"TreeLSTM", "MV-RNN", "BiRNN"}) {
+    const models::ModelSpec& spec = models::model_by_name(name);
+    const Row c = cortex_row(spec, dataset_for(spec, false, 64));
+    std::printf("%-10s | %7.3f %6.2f %6lld\n", name, c.sched_ms, c.wall_ms, c.launches);
+    json.add(spec.name + "/cortex", c.stats);
   }
   std::printf(
       "\nexpected: inline depth wins on launch counts (hoisting + fibers:\n"

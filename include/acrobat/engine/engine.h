@@ -125,6 +125,15 @@ struct EngineConfig {
   // fall back per-op, or through an explicit staging gather when
   // gather_fusion is off. False isolates the op-at-a-time path (tests).
   bool fuse_elementwise = true;
+  // Chain fusion (DESIGN.md §5 "Chains"), a depth-scheduler rule for
+  // ACRoBat's engines only: a batch of an elementwise kernel whose members
+  // read only values of their own shape that were materialized before that
+  // kernel's last launch in the phase group, or written by it since, runs
+  // inside that launch. So a dependency chain such as BiRNN's per-token
+  // accumulation pays one launch, not one per step. harness::engine_config_for
+  // sets it from PipelineConfig::kernel_fusion; the baselines and training
+  // leave it off, and the agenda scheduler ignores it.
+  bool fuse_chains = false;
   SchedulerKind scheduler = SchedulerKind::kDepth;
   bool shape_keyed_batching = true;  // false: matmul family batches per first arg
   bool boxed_dfg = false;            // DyNet-style per-node construction work
@@ -225,6 +234,7 @@ class Engine {
   struct ExecBatch {
     int kernel_id = -1;
     std::vector<std::uint32_t> nodes;
+    bool merged = false;  // ran inside an earlier batch's launch (fuse_waves, fuse_chains)
   };
   // Empty when recycling is on (retired node ids would dangle); callers
   // that replay it must check `recycling()` — backward() refuses loudly.
@@ -310,6 +320,7 @@ class Engine {
     InsList ins;
     Shape shape;
     const float* data = nullptr;
+    std::uint32_t batch = 0;  // batch_seq_ of the batch that wrote data (0: none)
     int depth = 0;
     int phase = 0;
     int instance = 0;
@@ -397,6 +408,10 @@ class Engine {
   float* stage_gather(const std::vector<std::uint32_t>& ids, int operand,
                       std::int64_t step);
   void schedule_depth(std::vector<std::uint32_t>& pending);
+  // Chain fusion: true when every member of batch `ids` of kernel `kid`,
+  // whose chain is open, reads only values of its own shape written before
+  // the chain's launch or by a batch of kid since.
+  bool extends_chain(std::uint32_t kid, const std::vector<std::uint32_t>& ids) const;
   void schedule_agenda(std::vector<std::uint32_t>& pending);
   void recover_depths(const std::vector<std::uint32_t>& pending);
   void charge_bytes(std::size_t bytes);  // memory-cap accounting (OomError)
@@ -431,6 +446,14 @@ class Engine {
   std::vector<std::uint32_t> pending_;
   std::vector<ExecBatch> exec_log_;
   std::vector<TRef> const_cache_;  // const_reuse: kernel id → node, !ok() when none
+  std::uint32_t batch_seq_ = 0;    // batches executed; never 0 after the first
+  // fuse_chains, per kernel id: batch_seq_ of the launch its chain runs in
+  // (0: none), and whether its batch in the current wave is a chain step.
+  struct Chain {
+    std::uint32_t launch = 0;
+    bool step = false;
+  };
+  std::vector<Chain> chains_;
   std::vector<std::shared_ptr<std::string>> boxed_;  // boxed_dfg allocations
   FiberScheduler* fibers_ = nullptr;
   trace::Tracer* tracer_ = nullptr;

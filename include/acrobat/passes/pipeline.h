@@ -3,14 +3,18 @@
 // Each flag gates one compile-time transformation; the cumulative ablation
 // levels reproduce Fig. 6's L0..L5. Flags act in two places: model builders
 // choose kernel granularity (kernel_fusion, coarsen), and the engine/harness
-// choose runtime behavior (inline_depth → fibers + static depth buckets,
-// phases, gather_fusion, lazy).
+// choose runtime behavior (kernel_fusion → chain fusion, inline_depth →
+// fibers + static depth buckets, phases, gather_fusion, lazy).
 #pragma once
 
 namespace acrobat::passes {
 
 struct PipelineConfig {
-  bool kernel_fusion = true;  // L1: fuse elementwise chains into one kernel
+  // L1: fuse elementwise chains into one kernel. The builders fuse the
+  // chains they see (per-gate add+bias+activation kernels); the engine runs
+  // a same-kernel chain found at run time, such as BiRNN's per-token
+  // accumulation, in one launch (EngineConfig::fuse_chains).
+  bool kernel_fusion = true;
   bool coarsen = true;        // L2: grain-size coarsening (whole-cell kernels)
   bool inline_depth = true;   // L3: compiled-in depth counters + fiber TDCF
   bool phases = true;         // L4: program phases / ghost ops

@@ -18,6 +18,29 @@ bool matmul_family(OpKind op) {
   return op == OpKind::kDense || op == OpKind::kMatMul || op == OpKind::kMatMulBT;
 }
 
+// Kinds whose output element i reads only element i of each operand when
+// every operand has the output's shape: the kinds try_execute_flat
+// concatenates element by element, less kSoftmax (whole rows) and kZeros
+// (no operand). Only these may chain (DESIGN.md §5 "Chains").
+bool elementwise(OpKind op) {
+  switch (op) {
+    case OpKind::kAdd:
+    case OpKind::kSub:
+    case OpKind::kMul:
+    case OpKind::kTanh:
+    case OpKind::kSigmoid:
+    case OpKind::kRelu:
+    case OpKind::kScale:
+    case OpKind::kAddBiasTanh:
+    case OpKind::kAddBiasSigmoid:
+    case OpKind::kFma2:
+    case OpKind::kMulTanh:
+      return true;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ scratch reuse
@@ -82,6 +105,7 @@ Engine::Engine(const KernelRegistry& registry, EngineConfig cfg)
     : registry_(registry), cfg_(cfg) {
   stats_.kernel_invocations.assign(registry.num_kernels(), 0);
   const_cache_.resize(registry.num_kernels());
+  if (cfg_.fuse_chains) chains_.resize(registry.num_kernels());
   assert((!cfg_.recycle || cfg_.lazy) && "recycling requires lazy recording");
 }
 
@@ -480,9 +504,25 @@ void Engine::schedule_depth(std::vector<std::uint32_t>& pending) {
                 cfg_.phases ? static_cast<std::uint32_t>(nodes_[id].phase) : 0u, id);
   std::sort(phase_buckets_.keys.begin(), phase_buckets_.keys.end());
 
+  // Runs one batch, inside an earlier launch when `merge` (Cortex's one
+  // launch per depth wave) or `step` (it extends its kernel's chain). Under
+  // fuse_chains any other launch of an elementwise kernel opens that
+  // kernel's chain. The batches and their order are the plain schedule's
+  // either way: only the launch a batch is charged to changes (DESIGN.md §5
+  // "Chains").
+  std::uint32_t group = 0;  // batch_seq_ before this phase group: older chains are closed
+  const auto run = [&](std::uint32_t kid, const std::vector<std::uint32_t>& ids, bool merge,
+                       bool step) {
+    const int kernel = static_cast<int>(kid);
+    execute_batch(kernel, ids, merge || step);
+    if (cfg_.fuse_chains && !step)
+      chains_[kid].launch = !merge && elementwise(registry_.kernel(kernel).op) ? batch_seq_ : 0;
+  };
+
   for (const std::uint32_t phase : phase_buckets_.keys) {
     std::vector<std::uint32_t>& ids =
         phase_buckets_.lists[static_cast<std::size_t>(phase_buckets_.index[phase])];
+    group = batch_seq_;
     if (phase == 0) {
       for (const std::uint32_t id : ids)
         bucket_push(depth_buckets_,
@@ -497,13 +537,17 @@ void Engine::schedule_depth(std::vector<std::uint32_t>& pending) {
       for (const std::uint32_t key : depth_buckets_.keys) {
         // Cortex persistent-kernel mode: batches in one depth wave share a
         // single launch.
-        const std::uint32_t depth = key / K;
+        const std::uint32_t depth = key / K, kid = key % K;
         const bool merge = cfg_.fuse_waves && depth == last_depth;
         last_depth = depth;
-        execute_batch(static_cast<int>(key % K),
-                      depth_buckets_.lists[static_cast<std::size_t>(
-                          depth_buckets_.index[key])],
-                      merge);
+        const std::vector<std::uint32_t>& batch =
+            depth_buckets_.lists[static_cast<std::size_t>(depth_buckets_.index[key])];
+        bool step = false;
+        if (cfg_.fuse_chains && !merge && chains_[kid].launch > group) {
+          ScopedTimer timer(stats_.scheduling, cfg_.time_activities);
+          step = extends_chain(kid, batch);
+        }
+        run(kid, batch, merge, step);
       }
       bucket_reset(depth_buckets_);
       t0 = now_ns();
@@ -527,13 +571,27 @@ void Engine::schedule_depth(std::vector<std::uint32_t>& pending) {
           wave_rest_.push_back(id);
         }
       }
-      assert(!wave_buckets_.keys.empty() && "phase-group dependency cycle");
+      if (wave_buckets_.keys.empty()) {
+        // Nothing ready, and nothing in this phase ever will be: a node here
+        // waits on a pending node of a later phase. Builders keep phase tags
+        // monotone along dependencies; a program that does not would spin.
+        std::fprintf(stderr,
+                     "acrobat: phase %u has no ready node: kernel %s waits on a later phase\n",
+                     phase, registry_.kernel(nodes_[wave_todo_[0]].kernel_id).name.c_str());
+        std::abort();
+      }
       std::sort(wave_buckets_.keys.begin(), wave_buckets_.keys.end());
+      const auto wave_batch = [&](std::uint32_t kid) -> const std::vector<std::uint32_t>& {
+        return wave_buckets_.lists[static_cast<std::size_t>(wave_buckets_.index[kid])];
+      };
+      // A wave's batches read only values materialized before it began, so
+      // its chain steps are all decided here, on the scheduling clock.
+      if (cfg_.fuse_chains)
+        for (const std::uint32_t kid : wave_buckets_.keys)
+          chains_[kid].step = chains_[kid].launch > group && extends_chain(kid, wave_batch(kid));
       if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
       for (const std::uint32_t kid : wave_buckets_.keys)
-        execute_batch(static_cast<int>(kid),
-                      wave_buckets_.lists[static_cast<std::size_t>(wave_buckets_.index[kid])],
-                      false);
+        run(kid, wave_batch(kid), false, cfg_.fuse_chains && chains_[kid].step);
       bucket_reset(wave_buckets_);
       t0 = now_ns();
       wave_todo_.swap(wave_rest_);
@@ -541,6 +599,27 @@ void Engine::schedule_depth(std::vector<std::uint32_t>& pending) {
   }
   bucket_reset(phase_buckets_);
   if (cfg_.time_activities) stats_.scheduling.add(now_ns() - t0);
+}
+
+// Every operand of a step is then either materialized before the chain's
+// launch or the same element of an earlier step's output, so the launch
+// splits into independent work per element index (DESIGN.md §5 "Chains").
+// The kid test suffices for "an earlier step": every batch of kid since the
+// launch either was one, or was a launch and moved chains_[kid].launch. Every
+// elementwise kind's output has its first operand's shape, so only the
+// others need the shape test.
+bool Engine::extends_chain(std::uint32_t kid, const std::vector<std::uint32_t>& ids) const {
+  const std::uint32_t launch = chains_[kid].launch;
+  for (const std::uint32_t id : ids) {
+    const Node& nd = nodes_[id];
+    for (std::size_t j = 0; j < nd.ins.size(); ++j) {
+      const Node& src = node(nd.ins[j]);
+      if ((src.batch >= launch && src.kernel_id != static_cast<int>(kid)) ||
+          (j > 0 && src.shape != nd.shape))
+        return false;
+    }
+  }
+  return true;
 }
 
 void Engine::schedule_agenda(std::vector<std::uint32_t>& pending) {
@@ -978,6 +1057,13 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
   stats_.kernel_invocations[static_cast<std::size_t>(kernel_id)] +=
       static_cast<long long>(n);
   if (!merge_launch) charge_launch();
+  if (++batch_seq_ == 0) {
+    // Wrapped: close every chain. A stamp from before the wrap then reads
+    // as written after any later launch, which can forgo a merge but never
+    // allows a wrong one.
+    for (Chain& c : chains_) c.launch = 0;
+    batch_seq_ = 1;
+  }
 
   // Allocate every output of the batch back-to-back: downstream batches
   // over these results see contiguous inputs (the iterative-model fast path
@@ -1072,7 +1158,10 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
     }
   }
 
-  for (std::size_t i = 0; i < n; ++i) nodes_[ids[i]].data = outs[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    nodes_[ids[i]].data = outs[i];
+    nodes_[ids[i]].batch = batch_seq_;
+  }
   ACROBAT_TRACE(tracer_, {
     const std::uint8_t path =
         fused ? (matmul_family(k.op) || k.op == OpKind::kLinear ? 2 : 1) : 0;
@@ -1082,7 +1171,7 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
   });
   // The replay log is only meaningful while node ids are append-only;
   // recycling reuses them, and serving has no backward pass to feed.
-  if (!cfg_.recycle) exec_log_.push_back(ExecBatch{kernel_id, ids});
+  if (!cfg_.recycle) exec_log_.push_back(ExecBatch{kernel_id, ids, merge_launch});
 }
 
 }  // namespace acrobat

@@ -35,6 +35,7 @@ EngineConfig engine_config_for(const passes::PipelineConfig& cfg,
   ec.inline_depth = cfg.inline_depth;
   ec.phases = cfg.phases;
   ec.gather_fusion = cfg.gather_fusion;
+  ec.fuse_chains = cfg.kernel_fusion;
   return ec;
 }
 

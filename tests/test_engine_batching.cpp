@@ -1,8 +1,10 @@
 // The engine's batching invariant: same-signature ops recorded by N
 // instances collapse into one kernel launch (and eager mode into N), with
 // numerics identical either way.
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <new>
 #include <tuple>
 #include <utility>
@@ -647,6 +649,128 @@ void test_wide_op_inputs_inline() {
   CHECK(test::dies([&] { (void)eng.add_op(k_cat, ins, 9, ctx, 0); }));
 }
 
+// A phase tag that runs against a dependency, a phase-2 node feeding a
+// phase-1 node, leaves phase 1 with nothing ready. The scheduler aborts with
+// one line in every build instead of spinning. The child's alarm turns a
+// spin into SIGALRM, which fails the check rather than hanging the test.
+void test_non_monotone_phase_aborts() {
+  Fixture f;
+  Engine eng(f.reg, EngineConfig{});
+  const Tensor x = f.pool.alloc_random(RowVec(8), f.rng, 1.0f);
+  const TRef xr = eng.add_concrete(x.view());
+  const InstCtx ctx{0};
+  const TRef late = eng.add_op(f.k_tanh, &xr, 1, ctx, /*phase=*/2);
+  (void)eng.add_op(f.k_tanh, &late, 1, ctx, /*phase=*/1);
+  CHECK_EQ(test::death_signal([&] {
+             alarm(10);
+             eng.trigger_execution();
+           }),
+           SIGABRT);
+}
+
+// Chain fusion (DESIGN.md §5 "Chains"): a same-kernel elementwise chain
+// runs in one launch under fuse_chains, at phase 0 (depth buckets) and at
+// phase 1 (readiness waves), with outputs bitwise equal to an eager engine
+// with and without the rule. A step whose operand another kernel wrote
+// after the chain's launch, or whose operand has another shape, pays a
+// launch of its own. kWaveSplit is the phase-1 graph on which pulling a
+// ready step forward into the chain's launch would split a later wave
+// (4 launches plainly, 5 pulled): the rule moves no batch, so it stays 4.
+void test_chain_fusion() {
+  Fixture f;
+  const Shape v8 = RowVec(8), m28(2, 8);
+  const Shape bin[2] = {v8, v8}, row[2] = {m28, v8};
+  const int k_add = f.reg.add("t.add", OpKind::kAdd, 0, 2, bin);
+  const int k_relu = f.reg.add("t.relu", OpKind::kRelu, 0, 1, bin);  // runs after k_add
+  const int k_addrow = f.reg.add("t.addrow", OpKind::kAdd, 0, 2, row);
+  std::vector<Tensor> cs;
+  for (int i = 0; i < 8; ++i) cs.push_back(f.pool.alloc_random(v8, f.rng, 1.0f));
+  const Tensor m = f.pool.alloc_random(m28, f.rng, 1.0f);
+  constexpr int kLengths[4] = {3, 5, 2, 6};
+
+  enum Graph { kAccPhase0, kAccPhase1, kTree, kLateOperand, kBroadcast, kWaveSplit };
+  struct Run {
+    long long launches = 0;
+    std::vector<float> out;
+  };
+  const auto run = [&](Graph g, EngineConfig cfg) {
+    Engine eng(f.reg, cfg);
+    std::vector<TRef> c;
+    for (const Tensor& t : cs) c.push_back(eng.add_concrete(t.view()));
+    std::vector<TRef> outs;
+    const auto op = [&](int k, std::initializer_list<TRef> ins, int phase) {
+      outs.push_back(eng.add_op(k, ins.begin(), static_cast<int>(ins.size()), InstCtx{0}, phase));
+      return outs.back();
+    };
+    switch (g) {
+      case kAccPhase0:
+      case kAccPhase1:
+        // Four accumulators of different lengths, as four instances would
+        // record them.
+        for (std::size_t i = 0; i < 4; ++i) {
+          TRef acc = c[i];
+          for (int s = 0; s < kLengths[i]; ++s)
+            acc = op(k_add, {acc, c[(i + static_cast<std::size_t>(s)) % 8]},
+                     g == kAccPhase1 ? 1 : 0);
+        }
+        break;
+      case kTree: {  // 8 leaves, three levels of pairwise sums
+        std::vector<TRef> level = c;
+        while (level.size() > 1) {
+          std::vector<TRef> next;
+          for (std::size_t i = 0; i < level.size(); i += 2)
+            next.push_back(op(k_add, {level[i], level[i + 1]}, 0));
+          level = next;
+        }
+        break;
+      }
+      case kLateOperand: {
+        const TRef u = op(k_add, {c[0], c[1]}, 0);
+        const TRef t = op(k_relu, {c[2]}, 0);  // same depth, after k_add's batch
+        op(k_add, {op(k_add, {u, t}, 0), c[3]}, 0);
+        break;
+      }
+      case kBroadcast: {
+        TRef acc = eng.add_concrete(m.view());
+        for (int s = 0; s < 3; ++s) acc = op(k_addrow, {acc, c[static_cast<std::size_t>(s)]}, 0);
+        break;
+      }
+      case kWaveSplit: {
+        const TRef a = op(k_add, {c[0], c[1]}, 1);
+        const TRef b = op(k_relu, {c[2]}, 1);
+        op(k_relu, {op(k_add, {a, c[3]}, 1)}, 1);
+        op(k_relu, {op(k_add, {b, c[4]}, 1)}, 1);
+        break;
+      }
+    }
+    eng.trigger_execution();
+    Run r;
+    r.launches = eng.stats().kernel_launches;
+    for (const TRef o : outs) {
+      const Tensor t = eng.force(o);
+      r.out.insert(r.out.end(), t.data, t.data + t.numel());
+    }
+    return r;
+  };
+
+  EngineConfig chains, eager;
+  chains.fuse_chains = true;
+  eager.lazy = false;
+  const struct {
+    Graph g;
+    long long with, without;
+  } cases[] = {{kAccPhase0, 1, 6}, {kAccPhase1, 1, 6}, {kTree, 1, 3},
+               {kLateOperand, 3, 4}, {kBroadcast, 3, 3}, {kWaveSplit, 4, 4}};
+  for (const auto& tc : cases) {
+    const Run a = run(tc.g, chains), b = run(tc.g, EngineConfig{}), e = run(tc.g, eager);
+    CHECK_EQ(a.launches, tc.with);
+    CHECK_EQ(b.launches, tc.without);
+    for (const Run* r : {&a, &b})
+      CHECK(r->out.size() == e.out.size() &&
+            std::memcmp(r->out.data(), e.out.data(), e.out.size() * sizeof(float)) == 0);
+  }
+}
+
 // The node table grows in fixed chunks and never moves a node. A chunk
 // holds at most 65536 / sizeof(Node) nodes (512 of today's 120-byte
 // nodes). Two triggers record 48 chains of 24 dense → tanh steps each,
@@ -841,6 +965,8 @@ int main() {
   test_linear_batch_scattered_rows();
   test_lstm_state_batch();
   test_const_reuse();
+  test_non_monotone_phase_aborts();
+  test_chain_fusion();
   test_record_op_ins_inline();
   test_wide_op_inputs_inline();
   test_node_table_chunks();

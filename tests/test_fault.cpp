@@ -31,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -389,8 +390,21 @@ void test_supervisor_respawn() {
     CHECK(r.kind == net::ClientResponse::Kind::kDone);
   }
 
-  ::kill(srv.worker_pids().at(0), SIGKILL);
-  ::usleep(100'000);  // death detection + 5ms backoff + respawn
+  // Respawned: the proxy stores -1 when it reaps the killed worker and the
+  // new pid when it forks, so two pids without the killed one means the
+  // shard has a live replacement.
+  const pid_t killed = srv.worker_pids().at(0);
+  ::kill(killed, SIGKILL);
+  const std::int64_t t0 = now_ns();
+  for (;;) {
+    const std::vector<pid_t> pids = srv.worker_pids();
+    if (pids.size() == 2 && std::find(pids.begin(), pids.end(), killed) == pids.end()) break;
+    if (now_ns() - t0 > 10'000'000'000) break;
+    ::usleep(1'000);
+  }
+  const std::vector<pid_t> pids = srv.worker_pids();
+  CHECK_EQ(pids.size(), 2u);
+  CHECK(std::find(pids.begin(), pids.end(), killed) == pids.end());
 
   // Post-respawn: both shards serve, and single-session outputs are still
   // bitwise the solo reference — the respawn rebuilt the same recipe.

@@ -8,12 +8,20 @@
 // to an eager (lazy = false, one launch per op) engine over the same trace,
 // and no batched engine may make more launches than eager. The second pass
 // differs from the first through the constant cache. The sweep rotates
-// gather_fusion / shape_keyed_batching / fuse_waves off the seed bits.
+// gather_fusion / shape_keyed_batching / fuse_waves / fuse_chains off the
+// seed bits. The generator also records same-kernel elementwise chains
+// (accumulators, reduction trees, a step that waits on a later kernel, a
+// broadcast step); an engine with fuse_chains makes no more launches than
+// the same engine without, and every batch it merged into an earlier
+// launch must satisfy the chain rule, re-checked from its batch log.
 //
 // ACROBAT_SERVE_REQUESTS bounds the number of seeds (default 50; CI's
 // sanitize job pins it back to 50). ACROBAT_TEST_SEED overrides the base
 // seed; every failure prints the exact per-trace seed to rerun with.
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -42,6 +50,7 @@ enum ShapeClass : int {
   kM816,    // Shape(8,16) parameter: kLinear over [x;h]
   kM2416,   // Shape(24,16) parameter: GRU cell over [x;h]
   kM3216,   // Shape(32,16) parameter: LSTM cell over [x;h]
+  kR2,      // Shape(2,8): a two-row value, which a RowVec(8) broadcasts over
   kNumClasses
 };
 
@@ -58,7 +67,8 @@ Shape class_shape(int c) {
     case kM32: return Shape(32, 8);
     case kM816: return Shape(8, 16);
     case kM2416: return Shape(24, 16);
-    default: return Shape(32, 16);
+    case kM3216: return Shape(32, 16);
+    default: return Shape(2, 8);
   }
 }
 
@@ -113,8 +123,44 @@ const OpSpec kOps[] = {
     {"g.zeros", OpKind::kZeros, 8, 0, kV8, {}},
     {"g.sumall", OpKind::kSumAll, 0, 1, kS1, {kV8}},
     {"g.maxprob", OpKind::kMaxProb, 0, 1, kS1, {kV8}},
+    {"g.addrow", OpKind::kAdd, 0, 2, kR2, {kR2, kV8}},  // row broadcast
 };
 constexpr int kNumOps = static_cast<int>(sizeof(kOps) / sizeof(kOps[0]));
+
+int op_index(const char* name) {
+  for (int i = 0; i < kNumOps; ++i)
+    if (std::strcmp(kOps[i].name, name) == 0) return i;
+  std::abort();
+}
+
+// The elementwise V8 kernels a chain can run through (DESIGN.md §5
+// "Chains"), the binary ones first; the chain rides their first operand.
+const char* const kChainOps[] = {"g.add",  "g.sub",  "g.mul",  "g.tanh", "g.sigmoid", "g.relu",
+                                 "g.scale", "g.abt", "g.abs", "g.fma2", "g.multanh"};
+constexpr int kNumChainOps = static_cast<int>(sizeof(kChainOps) / sizeof(kChainOps[0]));
+constexpr int kNumBinaryChainOps = 3;
+// Unary V8 kernels registered after every binary chain kernel, so they run
+// later in the same depth bucket or wave.
+const char* const kLateOps[] = {"g.tanh", "g.sigmoid", "g.relu", "g.scale"};
+
+bool elementwise(OpKind op) {
+  switch (op) {
+    case OpKind::kAdd:
+    case OpKind::kSub:
+    case OpKind::kMul:
+    case OpKind::kTanh:
+    case OpKind::kSigmoid:
+    case OpKind::kRelu:
+    case OpKind::kScale:
+    case OpKind::kAddBiasTanh:
+    case OpKind::kAddBiasSigmoid:
+    case OpKind::kFma2:
+    case OpKind::kMulTanh:
+      return true;
+    default:
+      return false;
+  }
+}
 
 struct Fixture {
   KernelRegistry reg;
@@ -139,7 +185,7 @@ struct Fixture {
     // Concrete inputs: several V8 activations (shared/scattered operand
     // draws) and two M8 parameters (shared-parameter stacking vs split
     // first-argument classes), one each of the gate-sized parameters.
-    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 1};
+    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 1, 1};
     for (int c = 0; c < kNumClasses; ++c)
       for (int i = 0; i < counts[c]; ++i) {
         tensors.push_back(pool.alloc_random(class_shape(c), rng, 0.8f));
@@ -175,46 +221,156 @@ Trace make_trace(const Fixture& f, Rng& rng) {
     vphase.push_back(0);
     ++t.n_values;
   }
+  const std::vector<int> concrete_v8 = pool[kV8];
   const int n_ops = 30 + rng.uniform_int(91);
   int made = 0;
-  for (int guard = 0; made < n_ops && guard < n_ops * 20; ++guard) {
-    const int oi = rng.uniform_int(kNumOps);
-    const OpSpec& os = kOps[oi];
-    bool feasible = true;
-    for (int j = 0; j < os.arity; ++j)
-      if (pool[os.in[j]].empty()) {
-        feasible = false;
-        break;
-      }
-    if (!feasible) continue;
+
+  // Records op `oi` over `args` at `phase`, raised to its inputs' phases
+  // (builders keep phase tags monotone along dependencies), and returns the
+  // new value.
+  const auto emit = [&](int oi, std::vector<int> args, int phase) {
+    for (const int v : args) phase = std::max(phase, vphase[static_cast<std::size_t>(v)]);
     TraceStep st;
     st.kind = TraceStep::kOp;
     st.a = oi;
-    int ph = 0;
-    for (int j = 0; j < os.arity; ++j) {
-      const std::vector<int>& p = pool[os.in[j]];
-      const int v = p[rng.uniform_int(static_cast<int>(p.size()))];
-      st.args.push_back(v);
-      if (vphase[v] > ph) ph = vphase[v];
-    }
-    // Phase tags stay monotone along dependencies (the builders' contract);
-    // occasional bumps exercise the phase>0 readiness-wave scheduler.
-    // Zero-arity consts stay at phase 0: const_reuse aliases every such op
-    // to one cached node, so a phase-bumped const would leak its tag to
-    // structurally-phase-0 consumers elsewhere in the trace.
-    if (os.arity > 0 && ph < 2 && rng.uniform_int(8) == 0) ++ph;
-    st.phase = ph;
+    st.phase = phase;
+    st.args = std::move(args);
     t.steps.push_back(std::move(st));
-    pool[os.out].push_back(t.n_values);
-    vphase.push_back(ph);
-    ++t.n_values;
+    pool[kOps[oi].out].push_back(t.n_values);
+    vphase.push_back(phase);
     ++made;
+    return t.n_values++;
+  };
+  const auto pick = [&](const std::vector<int>& p) {
+    return p[static_cast<std::size_t>(rng.uniform_int(static_cast<int>(p.size())))];
+  };
+  const auto pick_op = [&](const char* const* names, int n) {
+    return op_index(names[rng.uniform_int(n)]);
+  };
+
+  // Same-kernel elementwise chains carried from step to step, at phase 0
+  // (depth buckets) or at phase 1 or 2 (readiness waves).
+  const auto chain = [&] {
+    const int phase = rng.uniform_int(3);
+    switch (rng.uniform_int(4)) {
+      case 0: {
+        // Per-instance accumulators of different random lengths, their
+        // steps interleaved; the other operands are any V8 values.
+        const int oi = pick_op(kChainOps, kNumChainOps);
+        const int n = 2 + rng.uniform_int(4);
+        std::vector<int> acc, left;
+        for (int i = 0; i < n; ++i) {
+          acc.push_back(pick(pool[kV8]));
+          left.push_back(1 + rng.uniform_int(8));
+        }
+        for (int live = n; live > 0;) {
+          const std::size_t i = static_cast<std::size_t>(rng.uniform_int(n));
+          if (left[i] == 0) continue;
+          std::vector<int> args{acc[i]};
+          for (int j = 1; j < kOps[oi].arity; ++j) args.push_back(pick(pool[kV8]));
+          acc[i] = emit(oi, std::move(args), phase);
+          if (--left[i] == 0) --live;
+        }
+        return;
+      }
+      case 1: {
+        // A binary reduction tree over 2-9 leaves, pairs taken in random
+        // order: DRNN's merge shape.
+        const int oi = pick_op(kChainOps, kNumBinaryChainOps);
+        std::vector<int> level(static_cast<std::size_t>(2 + rng.uniform_int(8)));
+        for (int& v : level) v = pick(pool[kV8]);
+        while (level.size() > 1) {
+          const std::size_t i =
+              static_cast<std::size_t>(rng.uniform_int(static_cast<int>(level.size()) - 1));
+          level[i] = emit(oi, {level[i], level[i + 1]}, phase);
+          level.erase(level.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+        }
+        return;
+      }
+      case 2: {
+        // A step whose other operand a later kernel writes in the chain's
+        // first depth bucket or wave: that step must wait for it.
+        const int oi = pick_op(kChainOps, kNumBinaryChainOps);
+        const int late = emit(pick_op(kLateOps, 4), {pick(concrete_v8)}, phase);
+        int acc = emit(oi, {pick(concrete_v8), pick(concrete_v8)}, phase);
+        acc = emit(oi, {acc, late}, phase);
+        for (int s = rng.uniform_int(3); s > 0; --s) acc = emit(oi, {acc, pick(concrete_v8)}, phase);
+        return;
+      }
+      default: {
+        // Steps with a broadcast-shaped operand: they must not chain.
+        int acc = pick(pool[kR2]);
+        for (int s = 1 + rng.uniform_int(4); s > 0; --s)
+          acc = emit(op_index("g.addrow"), {acc, pick(pool[kV8])}, phase);
+      }
+    }
+  };
+
+  for (int guard = 0; made < n_ops && guard < n_ops * 20; ++guard) {
+    if (rng.uniform_int(8) == 0) {
+      chain();
+    } else {
+      const int oi = rng.uniform_int(kNumOps);
+      const OpSpec& os = kOps[oi];
+      bool feasible = true;
+      for (int j = 0; j < os.arity; ++j)
+        if (pool[os.in[j]].empty()) {
+          feasible = false;
+          break;
+        }
+      if (!feasible) continue;
+      std::vector<int> args;
+      int ph = 0;
+      for (int j = 0; j < os.arity; ++j) {
+        args.push_back(pick(pool[os.in[j]]));
+        ph = std::max(ph, vphase[static_cast<std::size_t>(args.back())]);
+      }
+      // Occasional phase bumps exercise the phase>0 readiness-wave
+      // scheduler. Zero-arity consts stay at phase 0: const_reuse aliases
+      // every such op to one cached node, so a phase-bumped const would leak
+      // its tag to structurally-phase-0 consumers elsewhere in the trace.
+      if (os.arity > 0 && ph < 2 && rng.uniform_int(8) == 0) ++ph;
+      emit(oi, std::move(args), ph);
+    }
     if (rng.uniform_int(12) == 0) t.steps.push_back(TraceStep{});  // mid-trace trigger
   }
   return t;
 }
 
 // ------------------------------------------------------------------ apply
+
+// Chain fusion's rule (DESIGN.md §5 "Chains"), checked from the engine's
+// batch log with `ends` the log's length at each trigger's end. A batch that
+// ran inside an earlier launch has an elementwise kernel, and that kernel
+// launched earlier in the same trigger with only merged batches of it
+// since. Each member reads only operands of its own shape, each written
+// before that launch or by a batch of the same kernel since. Cortex's wave
+// merging (fuse_waves) is a different rule, so its runs are not checked.
+void check_chain_log(const Fixture& f, const Engine& eng, const std::vector<std::size_t>& ends) {
+  const std::vector<Engine::ExecBatch>& log = eng.exec_log();
+  std::vector<long> written(eng.num_nodes(), -1);  // log index of each node's batch
+  std::size_t b = 0;
+  for (const std::size_t end : ends) {
+    std::vector<long> launch(f.reg.num_kernels(), -1);  // kernel → its last launch
+    for (; b < end; ++b) {
+      const Engine::ExecBatch& eb = log[b];
+      const auto kid = static_cast<std::size_t>(eb.kernel_id);
+      if (!eb.merged) {
+        launch[kid] = static_cast<long>(b);
+      } else {
+        CHECK(launch[kid] >= 0 && elementwise(f.reg.kernel(eb.kernel_id).op));
+        for (const std::uint32_t id : eb.nodes) {
+          const TRef r{id, 0};
+          for (const TRef in : eng.inputs_of(r)) {
+            CHECK(eng.shape(in) == eng.shape(r));
+            CHECK(written[in.id] < launch[kid] || eng.kernel_of(in) == eb.kernel_id);
+          }
+        }
+      }
+      for (const std::uint32_t id : eb.nodes) written[id] = static_cast<long>(b);
+    }
+  }
+}
 
 // Replays the trace `passes` times into one engine and returns each pass's
 // flattened values; `launches` receives each pass's kernel launches.
@@ -225,6 +381,11 @@ std::vector<std::vector<float>> apply(const Fixture& f, const Trace& t, EngineCo
   Engine eng(f.reg, cfg);
   std::vector<std::vector<float>> out;
   std::vector<TRef> cvals;
+  std::vector<std::size_t> trigger_ends;
+  const auto trigger = [&] {
+    eng.trigger_execution();
+    trigger_ends.push_back(eng.exec_log().size());
+  };
   long long prev = 0;
   for (int p = 0; p < passes; ++p) {
     InstCtx ctx{p};
@@ -246,11 +407,11 @@ std::vector<std::vector<float>> apply(const Fixture& f, const Trace& t, EngineCo
           break;
         }
         case TraceStep::kTrigger:
-          eng.trigger_execution();
+          trigger();
           break;
       }
     }
-    eng.trigger_execution();
+    trigger();
     std::vector<float> flat;
     for (const TRef v : vals) {
       const Tensor tt = eng.force(v);
@@ -260,12 +421,14 @@ std::vector<std::vector<float>> apply(const Fixture& f, const Trace& t, EngineCo
     launches.push_back(eng.stats().kernel_launches - prev);
     prev = eng.stats().kernel_launches;
   }
+  if (cfg.lazy && !cfg.fuse_waves) check_chain_log(f, eng, trigger_ends);
   return out;
 }
 
 // ------------------------------------------------------ differential sweep
 
 constexpr int kPasses = 2;
+long long g_chain_saved = 0;  // launches chain fusion saved over the sweep
 
 void run_one_seed(std::uint64_t seed) {
   Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
@@ -286,6 +449,7 @@ void run_one_seed(std::uint64_t seed) {
     batched.scheduler = si == 2 ? SchedulerKind::kAgenda : SchedulerKind::kDepth;
     batched.inline_depth = si != 1;  // si == 1: dynamic-depth recovery
     batched.fuse_waves = si < 2 && ((seed >> 4) & 1) != 0;
+    batched.fuse_chains = ((seed >> 5) & 1) != 0;
     std::vector<long long> launches;
     const auto out = apply(f, t, batched, kPasses, launches);
     for (int p = 0; p < kPasses; ++p) {
@@ -293,6 +457,17 @@ void run_one_seed(std::uint64_t seed) {
       CHECK(out[p].size() == ref[p].size() &&
             std::memcmp(out[p].data(), ref[p].data(), out[p].size() * sizeof(float)) == 0);
       CHECK(launches[p] <= eager_launches[p]);
+    }
+    if (!batched.fuse_chains) continue;
+    // Chains only ever take launches away, and the agenda scheduler
+    // ignores them.
+    EngineConfig plain = batched;
+    plain.fuse_chains = false;
+    std::vector<long long> plain_launches;
+    apply(f, t, plain, kPasses, plain_launches);
+    for (int p = 0; p < kPasses; ++p) {
+      CHECK(si == 2 ? launches[p] == plain_launches[p] : launches[p] <= plain_launches[p]);
+      g_chain_saved += plain_launches[p] - launches[p];
     }
   }
 }
@@ -306,8 +481,9 @@ void test_differential_sweep() {
     run_one_seed(base + static_cast<std::uint64_t>(i));
   }
   acrobat::test::g_seed = base;
-  std::printf("differential sweep: %d seeds x 3 schedulers x %d passes vs eager\n", n_seeds,
-              kPasses);
+  std::printf("differential sweep: %d seeds x 3 schedulers x %d passes vs eager; "
+              "chains saved %lld launches\n",
+              n_seeds, kPasses, g_chain_saved);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace acrobat::test {
 
@@ -27,12 +28,11 @@ inline int env_requests(int def) {
   return v > 0 ? v : def;
 }
 
-// Runs `f` in a fork; true iff the child died by signal (std::abort) — the
-// death-test helper behind the stale-ref checks (Debug) and the config
-// validation checks (every build type). The child's stderr is silenced so
-// intended abort messages don't pollute the log.
+// Runs `f` in a fork and returns the signal the child died by, 0 if it
+// exited. The child's stderr is silenced so intended abort messages don't
+// pollute the log.
 template <typename F>
-inline bool dies(F&& f) {
+inline int death_signal(F&& f) {
   std::fflush(stdout);
   std::fflush(stderr);
   const pid_t pid = fork();
@@ -43,7 +43,16 @@ inline bool dies(F&& f) {
   }
   int status = 0;
   waitpid(pid, &status, 0);
-  return WIFSIGNALED(status);
+  return WIFSIGNALED(status) ? WTERMSIG(status) : 0;
+}
+
+// True iff `f` dies by a signal (std::abort) — the death-test helper behind
+// the stale-ref checks (Debug) and the config validation checks (every
+// build type). A test that must tell an abort from a watchdog alarm
+// compares death_signal with SIGABRT instead.
+template <typename F>
+inline bool dies(F&& f) {
+  return death_signal(std::forward<F>(f)) != 0;
 }
 
 inline int g_failures = 0;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -92,11 +93,14 @@ inline ActivityStats merged_stats(const std::vector<serve::ShardReport>& shards)
 }
 
 // Machine-readable engine-counter emission (the repo's perf trajectory):
-// per-config rows of the engine's activity breakdown. The counter fields —
+// per-config rows of the engine's activity breakdown. Integer columns —
 // kernel_launches, gather_bytes, flat/stacked batch counts, scheduling
-// allocs — are exact and deterministic for a fixed trace, so CI diffs them
-// against a checked-in golden (scripts/check_bench_counters.py); the *_ns
-// timing fields are machine-dependent context and are never diffed.
+// allocs and the integer extras — are exact and deterministic for a fixed
+// trace, so CI diffs every one of them against a checked-in golden
+// (scripts/check_bench_counters.py); the *_ns timing fields and the double
+// columns are machine-dependent context and are never diffed. A double is
+// always written as a JSON float (with a '.' or an exponent), so the
+// checker can tell the two kinds apart by type alone.
 class CounterJson {
  public:
   void add(const std::string& config, const ActivityStats& s) {
@@ -133,8 +137,12 @@ class CounterJson {
 #undef ACROBAT_JSON_ROW
       for (const auto& [k, v] : rows_[i].int_extras)
         std::fprintf(f, ", \"%s\": %lld", k.c_str(), v);
-      for (const auto& [k, v] : rows_[i].dbl_extras)
-        std::fprintf(f, ", \"%s\": %.6g", k.c_str(), v);
+      for (const auto& [k, v] : rows_[i].dbl_extras) {
+        char num[32];
+        std::snprintf(num, sizeof num, "%.6g", v);
+        std::fprintf(f, ", \"%s\": %s%s", k.c_str(), num,
+                     std::strpbrk(num, ".e") != nullptr ? "" : ".0");
+      }
       std::fprintf(f, "}%s\n", i + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -383,8 +383,8 @@ BENCHMARK_CAPTURE(BM_LinearCell, lstm_gates, kLinearIdentity, 4)
 // The matmul family at the models' shapes, every variant; the default
 // schedule runs the last (harness::apply_default_schedules). kMatMul is
 // a (m, k) · b (k, n): Berxit's mix (s, s)·(s, h) at (8, 16) and (12, 40),
-// MV-RNN's vmat (1, h)·(h, h) at h = 16 and 40. kMatMulBT is Berxit's score
-// a (s, h) · b (s, h)ᵀ.
+// MV-RNN's vmat (1, h)·(h, h) at h = 16 and 40. BM_MatMulBT is Berxit's
+// score a (s, h) · b (s, h)ᵀ, a kDense with W = b.
 void BM_MatMul(benchmark::State& state) {
   const int variant = static_cast<int>(state.range(0));
   const int m = static_cast<int>(state.range(1));
@@ -422,7 +422,7 @@ void BM_MatMulBT(benchmark::State& state) {
   const float* ins[2] = {a.data, b.data};
   const Shape shapes[2] = {a.shape, b.shape};
   for (auto _ : state) {
-    run_op(OpKind::kMatMulBT, variant, ins, shapes, out.data, out.shape, 0);
+    run_op(OpKind::kDense, variant, ins, shapes, out.data, out.shape, 0);
     benchmark::DoNotOptimize(out.data[0]);
   }
   report_flops(state, 2.0 * s * s * h);

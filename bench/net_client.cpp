@@ -14,13 +14,16 @@
 // 2-worker shard fleet (this binary re-execs as --shard-worker); --connect
 // drives an external netd. When no listener can be bound (sandboxed CI),
 // the bench falls back to the in-proc serve() path and says so in the
-// config label — counters still flow to BENCH_net.json.
+// config label — counters still flow to BENCH_net.json. A self-hosted run
+// with no fault plan (ACROBAT_FAULT_SPEC unset) exits 1 if the server
+// counts a worker death, a respawn or a degraded entry.
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "fault/fault.h"
 #include "models/specs.h"
 #include "net/client.h"
 #include "net/net.h"
@@ -94,22 +97,13 @@ bool drive(net::NetClient& cli, int n, int k, Row& row) {
 
 void record(CounterJson& json, const std::string& cfg, const net::NetStats& st,
             const Row& row) {
-  json.add(cfg, merged_stats(st.shards),
-           {{"requests", static_cast<long long>(st.requests)},
-            {"completed", static_cast<long long>(st.completed)},
-            {"rejected_429", static_cast<long long>(st.rejected_429)},
-            {"errors", static_cast<long long>(st.errors)},
-            {"cancelled", static_cast<long long>(st.cancelled)},
-            {"conn_drops", static_cast<long long>(st.conn_drops)},
-            {"tokens_streamed", static_cast<long long>(st.tokens_streamed)},
-            {"worker_deaths", static_cast<long long>(st.worker_deaths)},
-            {"worker_respawns", static_cast<long long>(st.worker_respawns)},
-            {"degraded_entries", static_cast<long long>(st.degraded_entries)},
-            {"degraded_sheds", static_cast<long long>(st.degraded_sheds)},
-            {"fairness_rejects", static_cast<long long>(st.fairness_rejects)},
-            {"fault_kills", static_cast<long long>(st.fault_kills)},
-            {"client_retries", row.retries},
-            {"client_timeouts", row.timeouts}},
+  std::vector<std::pair<std::string, long long>> ints;
+#define ACROBAT_NET_JSON_ROW(member) ints.emplace_back(#member, static_cast<long long>(st.member));
+  ACROBAT_NET_STATS(ACROBAT_NET_JSON_ROW)
+#undef ACROBAT_NET_JSON_ROW
+  ints.emplace_back("client_retries", row.retries);
+  ints.emplace_back("client_timeouts", row.timeouts);
+  json.add(cfg, merged_stats(st.shards), std::move(ints),
            {{"rps", row.rps},
             {"tokens_per_sec", row.tok_s},
             {"ttft_p50_ms", row.ttft_ms.p50},
@@ -268,13 +262,25 @@ int main(int argc, char** argv) {
     std::snprintf(cfg, sizeof cfg, "%s/K%d", mode, k);
     record(json, cfg, st, row);
   }
-  std::printf("server: conns=%llu completed=%llu 429=%llu tokens=%llu "
-              "worker_deaths=%llu\n",
-              static_cast<unsigned long long>(st.connections),
-              static_cast<unsigned long long>(st.completed),
-              static_cast<unsigned long long>(st.rejected_429),
-              static_cast<unsigned long long>(st.tokens_streamed),
-              static_cast<unsigned long long>(st.worker_deaths));
+  std::printf("server:");
+#define ACROBAT_NET_PRINT_ROW(member) \
+  std::printf(" " #member "=%llu", static_cast<unsigned long long>(st.member));
+  ACROBAT_NET_STATS(ACROBAT_NET_PRINT_ROW)
+#undef ACROBAT_NET_PRINT_ROW
+  std::printf("\n");
   json.write("net_client", json_path);
+  // Without a fault plan nothing kills a worker, and K <= 16 outstanding
+  // requests stay below the degraded watermark (7/8 of 64 admission
+  // slots), so any of these counts is a server fault.
+  if (fault::Injector::spec_from_env().empty() &&
+      st.worker_deaths + st.worker_respawns + st.degraded_entries > 0) {
+    std::fprintf(stderr,
+                 "net_client: fault-free run counted worker_deaths=%llu "
+                 "worker_respawns=%llu degraded_entries=%llu\n",
+                 static_cast<unsigned long long>(st.worker_deaths),
+                 static_cast<unsigned long long>(st.worker_respawns),
+                 static_cast<unsigned long long>(st.degraded_entries));
+    return 1;
+  }
   return 0;
 }

@@ -118,13 +118,6 @@ struct EngineConfig {
   bool phases = true;        // honor program phase tags when grouping
   bool gather_fusion = true;  // false: stage scattered batch inputs via copies
   bool const_reuse = true;    // dedupe zero-arity constant nodes
-  // Flat batch execution for elementwise families: a batch of n same-kernel
-  // elementwise ops with contiguous inputs (the common case — batch outputs
-  // are allocated back-to-back) runs as ONE run_op over n×numel elements
-  // instead of n calls, with bitwise-identical outputs. Scattered inputs
-  // fall back per-op, or through an explicit staging gather when
-  // gather_fusion is off. False isolates the op-at-a-time path (tests).
-  bool fuse_elementwise = true;
   // Chain fusion (DESIGN.md §5 "Chains"), a depth-scheduler rule for
   // ACRoBat's engines only: a batch of an elementwise kernel whose members
   // read only values of their own shape that were materialized before that
@@ -230,15 +223,20 @@ class Engine {
   const KernelRegistry& registry() const { return registry_; }
 
   // Execution log for reverse-replay autodiff (grad/backward.h): batches in
-  // execution order, each a kernel id plus the node ids it ran.
+  // execution order, each a kernel id plus the node ids it ran. Every
+  // batch's ids sit in one shared array, so logging a batch allocates
+  // nothing once the two arrays have grown.
   struct ExecBatch {
     int kernel_id = -1;
-    std::vector<std::uint32_t> nodes;
+    std::uint32_t begin = 0, end = 0;  // the batch's ids: exec_nodes()
     bool merged = false;  // ran inside an earlier batch's launch (fuse_waves, fuse_chains)
   };
   // Empty when recycling is on (retired node ids would dangle); callers
   // that replay it must check `recycling()` — backward() refuses loudly.
   const std::vector<ExecBatch>& exec_log() const { return exec_log_; }
+  std::span<const std::uint32_t> exec_nodes(const ExecBatch& b) const {
+    return {exec_ids_.data() + b.begin, b.end - b.begin};
+  }
   bool recycling() const { return cfg_.recycle; }
   int kernel_of(TRef r) const;  // -1 for concrete nodes
   std::span<const TRef> inputs_of(TRef r) const;
@@ -445,6 +443,7 @@ class Engine {
   NodeTable nodes_;
   std::vector<std::uint32_t> pending_;
   std::vector<ExecBatch> exec_log_;
+  std::vector<std::uint32_t> exec_ids_;  // every logged batch's node ids
   std::vector<TRef> const_cache_;  // const_reuse: kernel id → node, !ok() when none
   std::uint32_t batch_seq_ = 0;    // batches executed; never 0 after the first
   // fuse_chains, per kernel id: batch_seq_ of the launch its chain runs in

@@ -126,7 +126,9 @@ struct NetOptions {
   trace::TraceOptions trace;
 };
 
-struct NetStats {
+// NetServer's event counters. Each has a row in ACROBAT_NET_STATS below,
+// which netd's drain report and net_client's JSON row expand.
+struct NetCounters {
   // Event-loop counters.
   std::uint64_t connections = 0;
   std::uint64_t frames_in = 0;
@@ -139,7 +141,7 @@ struct NetStats {
   std::uint64_t slow_reader_drops = 0;  // subset: write buffer bound exceeded
   std::uint64_t tokens_streamed = 0;    // kToken frames written
   std::uint64_t worker_deaths = 0;
-  // Fault tolerance (ISSUE 10).
+  // Fault tolerance (DESIGN.md §11).
   std::uint64_t worker_respawns = 0;     // supervisor re-forks that succeeded
   std::uint64_t respawns_exhausted = 0;  // shards left dead: budget burned
   std::uint64_t fairness_rejects = 0;    // kRetry: per-conn in-flight cap hit
@@ -149,6 +151,40 @@ struct NetStats {
   std::uint64_t degraded_sheds = 0;      // kRetry: best-effort shed while degraded
   std::uint64_t fault_kills = 0;         // injected router-side worker kills
   std::uint64_t fault_short_writes = 0;  // injected router-side send clamps
+};
+
+// The NetCounters table, X(member), in declaration order; each report keys
+// a counter by its member name. A field added to the struct without a row
+// fails the static_assert below.
+#define ACROBAT_NET_STATS(X) \
+  X(connections)             \
+  X(frames_in)               \
+  X(requests)                \
+  X(completed)               \
+  X(rejected_429)            \
+  X(errors)                  \
+  X(cancelled)               \
+  X(conn_drops)              \
+  X(slow_reader_drops)       \
+  X(tokens_streamed)         \
+  X(worker_deaths)           \
+  X(worker_respawns)         \
+  X(respawns_exhausted)      \
+  X(fairness_rejects)        \
+  X(auth_rejects)            \
+  X(degraded_entries)        \
+  X(degraded_exits)          \
+  X(degraded_sheds)          \
+  X(fault_kills)             \
+  X(fault_short_writes)
+
+#define ACROBAT_NET_COUNT_ROW(member) +1
+static_assert(sizeof(NetCounters) ==
+                  (0 ACROBAT_NET_STATS(ACROBAT_NET_COUNT_ROW)) * sizeof(std::uint64_t),
+              "every NetCounters field needs a row in ACROBAT_NET_STATS");
+#undef ACROBAT_NET_COUNT_ROW
+
+struct NetStats : NetCounters {
   // High-water marks: all bounded by their configured caps.
   // admission_peak counts only requests that waited in the FIFO for a
   // slot, so it stays 0 while the slot table has room (a K=4 closed loop

@@ -42,7 +42,7 @@ struct ServeOptions {
   // only to measure the unbounded-growth baseline (test_serve_soak.cpp).
   bool recycle = true;
   // Observability (DESIGN.md §9): when enabled, each shard owns a
-  // fixed-capacity event ring + metrics registry and ServeResult::trace
+  // fixed-capacity event ring + gauge ticks and ServeResult::trace
   // carries the assembled dump (write_chrome_json → Perfetto). Off (the
   // default) costs one predicted branch per instrumentation site —
   // tests/test_trace.cpp proves bitwise parity.

@@ -21,12 +21,11 @@ enum class OpKind : std::uint8_t {
   // Dense family (3 variants each). kDense's variant 2 is a
   // register-blocked AVX tile over up to 4 rows whose per-(row, output) sum
   // order is fixed (DESIGN.md §3), so any row count gives the same floats
-  // per row. kMatMulBT is the same computation and runs kDense's variants;
+  // per row; an a·bᵀ with b (n,k) row-major is a kDense with W = b.
   // kMatMul's three sum each output in one order, so they are bitwise equal
   // (variant 2 holds a 4-row × 16-output tile in registers).
-  kDense,     // ins: x (k) or (m,k), W (n,k) row-major → x·Wᵀ, shape (n)/(m,n)
-  kMatMul,    // ins: a (m,k) or (k), b (k,n) → a·b
-  kMatMulBT,  // ins: a (m,k), b (n,k) → a·bᵀ
+  kDense,   // ins: x (k) or (m,k), W (n,k) row-major → x·Wᵀ, shape (n)/(m,n)
+  kMatMul,  // ins: a (m,k) or (k), b (k,n) → a·b
 
   // Elementwise binary (1 variant, a plain loop); b may be a row vector
   // broadcast over the rows of a (bias add).

@@ -18,10 +18,9 @@
 //     dispatcher, "X" complete events for spans (trigger ⊃ schedule ⊃ …,
 //     batch), "i" instants for point events, and "C" counter tracks fed by
 //     the per-shard MetricsTick stream (live_nodes, arena bytes, …).
-//   * MetricsRegistry — named gauges snapshotted into fixed-size
-//     MetricsTick PODs every few triggers and shipped over the existing
-//     SPSC machinery to the dispatcher thread; memory is bounded at any
-//     request count.
+//   * MetricsTick — a shard's named gauges snapshotted into a fixed-size
+//     POD every few triggers and shipped over the existing SPSC machinery
+//     to the dispatcher thread; memory is bounded at any request count.
 //
 // Slow-request exemplars: when a request's latency crosses a threshold
 // (default: its SLO deadline), the events overlapping its [admit,
@@ -188,9 +187,10 @@ class Tracer {
 #endif
 
 // ---------------------------------------------------------------------------
-// Streaming metrics: a registry of named gauges per shard, snapshotted into
-// fixed-size PODs and shipped to the dispatcher over an SpscQueue. Names are
-// registration-time only; the per-tick payload is a flat double array.
+// Streaming metrics: a shard's named gauges, snapshotted into fixed-size
+// PODs and shipped to the dispatcher over an SpscQueue. The names travel
+// once, in TraceDump::metric_names; the per-tick payload is a flat double
+// array.
 
 inline constexpr int kMaxMetrics = 16;
 
@@ -199,30 +199,6 @@ struct MetricsTick {
   std::uint16_t shard = 0;
   std::uint16_t n = 0;
   double v[kMaxMetrics] = {};
-};
-
-class MetricsRegistry {
- public:
-  // Returns the gauge id; at most kMaxMetrics gauges per registry.
-  int add(const char* name);
-  // Ids are small and registration-time; a -1 (registry full / tracing off)
-  // is silently ignored so call sites need no guard.
-  void set(int id, double v) {
-    if (id >= 0) vals_[static_cast<std::size_t>(id)] = v;
-  }
-  void inc(int id, double d = 1.0) {
-    if (id >= 0) vals_[static_cast<std::size_t>(id)] += d;
-  }
-  double get(int id) const {
-    return id >= 0 ? vals_[static_cast<std::size_t>(id)] : 0.0;
-  }
-
-  MetricsTick tick(std::int64_t t_ns, int shard) const;
-  const std::vector<std::string>& names() const { return names_; }
-
- private:
-  std::vector<std::string> names_;
-  std::vector<double> vals_;
 };
 
 // ---------------------------------------------------------------------------

@@ -3,49 +3,18 @@
 
 Usage: check_bench_counters.py <emitted.json> <golden.json>
 
-Only exact counters are compared (kernel_launches, gather_bytes,
-flat_batches, stacked_batches, scheduling_allocs, and the serving rows'
-request/trigger/token counts) — they are deterministic for a fixed trace and
-binary. Timing fields (*_ns) are machine-dependent
-context and are ignored. Exit 0 on match, 1 with a per-row report on drift:
-a launch-count or gather-byte regression in the engine hot path fails CI
-even when wall times happen to look fine.
+Every integer-valued key of every row is an exact counter (bench_util.h
+CounterJson): kernel launches, gather bytes, flat/stacked batches,
+scheduling allocs and the serving rows' request/trigger/token counts. They
+are deterministic for a fixed trace and binary, so each one is compared.
+The *_ns timings and the double columns (always written as JSON floats) are
+machine-dependent context, so neither is; `config` names the row.
+Exit 0 on match, 1 with a per-row report on drift: a launch-count or
+gather-byte regression in the engine hot path fails CI even when wall times
+happen to look fine.
 """
 import json
 import sys
-
-COUNTERS = (
-    "kernel_launches",
-    "gather_bytes",
-    "flat_batches",
-    "stacked_batches",
-    "scheduling_allocs",
-    # Steady-state serving rows (ISSUE 7): deterministic under the
-    # all-arrivals-at-t0 cohort recipe; absent (None == None) on the
-    # engine-only rows, so old goldens keep passing.
-    "requests",
-    "triggers",
-    "shed",
-    # Token-level decoding rows (ISSUE 8): exact for the fixed dataset seed;
-    # absent on pre-decode rows, same None == None tolerance as above.
-    "tokens",
-    "cancelled",
-    # Ingress rows (ISSUE 9, BENCH_net.json): admission/shed accounting is
-    # exact for a fixed closed-loop trace even though the latency columns
-    # are wall-clock context; absent everywhere else, same tolerance.
-    "completed",
-    "rejected_429",
-    "errors",
-    "conn_drops",
-    "worker_deaths",
-    # Fault-tolerance rows (ISSUE 10): zero on fault-free runs by contract —
-    # a nonzero respawn or degraded-entry count on a clean benchmark run is
-    # exactly the regression this check exists to catch. Absent on older
-    # goldens, same None == None tolerance as above.
-    "worker_respawns",
-    "client_retries",
-    "degraded_entries",
-)
 
 
 def rows_by_config(path):
@@ -54,12 +23,17 @@ def rows_by_config(path):
     return {row["config"]: row for row in doc["rows"]}
 
 
+def is_counter(key, value):
+    return isinstance(value, int) and not key.endswith("_ns")
+
+
 def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     emitted = rows_by_config(sys.argv[1])
     golden = rows_by_config(sys.argv[2])
     failures = []
+    compared = 0
     for config in sorted(set(emitted) | set(golden)):
         if config not in emitted:
             failures.append(f"{config}: missing from emitted output")
@@ -67,9 +41,12 @@ def main():
         if config not in golden:
             failures.append(f"{config}: not in golden (new config? regenerate the golden)")
             continue
-        for key in COUNTERS:
-            got, want = emitted[config].get(key), golden[config].get(key)
-            if got != want:
+        got_row, want_row = emitted[config], golden[config]
+        keys = {k for row in (got_row, want_row) for k, v in row.items() if is_counter(k, v)}
+        for key in sorted(keys):
+            compared += 1
+            got, want = got_row.get(key), want_row.get(key)
+            if type(got) is not type(want) or got != want:
                 failures.append(f"{config}: {key} = {got}, golden {want}")
     if failures:
         print(f"BENCH counter drift vs {sys.argv[2]}:")
@@ -81,7 +58,7 @@ def main():
             "ACROBAT_BENCH_JSON=bench/golden/BENCH_engine.json ./build/ablation_scheduler"
         )
         sys.exit(1)
-    print(f"bench counters match golden ({len(golden)} configs x {len(COUNTERS)} counters)")
+    print(f"bench counters match golden ({len(golden)} configs, {compared} counters)")
 
 
 if __name__ == "__main__":

@@ -64,7 +64,7 @@ BackwardResult backward(Engine& engine, const KernelRegistry& registry,
     const Kernel& k = registry.kernel(batch->kernel_id);
     int slots_used = 0;
     bool any = false;
-    for (const std::uint32_t id : batch->nodes) {
+    for (const std::uint32_t id : engine.exec_nodes(*batch)) {
       const TRef out{id};
       const std::vector<float>* gv = ctx.find(out);
       if (gv == nullptr || gv->empty()) continue;
@@ -118,30 +118,6 @@ BackwardResult backward(Engine& engine, const KernelRegistry& registry,
                     gj * bd[static_cast<std::int64_t>(l) * n + j];
                 db[static_cast<std::size_t>(l) * n + j] +=
                     gj * ad[static_cast<std::int64_t>(r) * kk + l];
-              }
-            }
-          slots_used = 2;
-          break;
-        }
-        case OpKind::kMatMulBT: {
-          // out = a·bᵀ → da = g·b, db = gᵀ·a
-          const TRef a = ins[0], b = ins[1];
-          const Shape& as = engine.shape(a);
-          const Shape& bs = engine.shape(b);
-          const int m = as.rows(), kk = as.cols(), n = bs.dim[0];
-          const float* ad = engine.data(a);
-          const float* bd = engine.data(b);
-          std::vector<float>& da = ctx.acc(a);
-          std::vector<float>& db = ctx.acc(b);
-          for (int r = 0; r < m; ++r)
-            for (int j = 0; j < n; ++j) {
-              const float gj = g[static_cast<std::int64_t>(r) * n + j];
-              if (gj == 0.0f) continue;
-              for (int i = 0; i < kk; ++i) {
-                da[static_cast<std::size_t>(r) * kk + i] +=
-                    gj * bd[static_cast<std::int64_t>(j) * kk + i];
-                db[static_cast<std::size_t>(j) * kk + i] +=
-                    gj * ad[static_cast<std::int64_t>(r) * kk + i];
               }
             }
           slots_used = 2;

@@ -15,7 +15,7 @@ namespace {
 // Matmul-family ops are the ones DyNet's default heuristic batches only per
 // shared parameter operand (Table 7's "first-argument" keying).
 bool matmul_family(OpKind op) {
-  return op == OpKind::kDense || op == OpKind::kMatMul || op == OpKind::kMatMulBT;
+  return op == OpKind::kDense || op == OpKind::kMatMul;
 }
 
 // Kinds whose output element i reads only element i of each operand when
@@ -241,10 +241,22 @@ TRef Engine::record_op(int kernel_id, const TRef* ins, int n_ins, const InstCtx&
     boxed_.push_back(std::make_shared<std::string>(std::move(sig)));
   }
 
+  // Phase tags must not decrease along a dependency while the depth
+  // scheduler honours them: phases run in order, so an op reading a pending
+  // node of a later phase would run first, on a null operand (phase 0), or
+  // wait forever (a readiness wave).
+  const bool phased = cfg_.phases && cfg_.scheduler == SchedulerKind::kDepth;
   Shape in_shapes[kMaxIns];
   int depth = 0;
   for (int i = 0; i < n_ins; ++i) {
     const Node& in = node(ins[i]);
+    if (phased && in.phase > phase && in.data == nullptr) {
+      std::fprintf(stderr,
+                   "acrobat: phase-%d kernel %s reads a pending phase-%d node; phase tags "
+                   "must not decrease along a dependency\n",
+                   phase, k.name.c_str(), in.phase);
+      std::abort();
+    }
     in_shapes[i] = in.shape;
     depth = std::max(depth, in.depth);
   }
@@ -571,15 +583,9 @@ void Engine::schedule_depth(std::vector<std::uint32_t>& pending) {
           wave_rest_.push_back(id);
         }
       }
-      if (wave_buckets_.keys.empty()) {
-        // Nothing ready, and nothing in this phase ever will be: a node here
-        // waits on a pending node of a later phase. Builders keep phase tags
-        // monotone along dependencies; a program that does not would spin.
-        std::fprintf(stderr,
-                     "acrobat: phase %u has no ready node: kernel %s waits on a later phase\n",
-                     phase, registry_.kernel(nodes_[wave_todo_[0]].kernel_id).name.c_str());
-        std::abort();
-      }
+      // Something is ready: only a pending input of a later phase could
+      // block the whole wave, and record_op refuses to record one.
+      assert(!wave_buckets_.keys.empty() && "phase wave with no ready node");
       std::sort(wave_buckets_.keys.begin(), wave_buckets_.keys.end());
       const auto wave_batch = [&](std::uint32_t kid) -> const std::vector<std::uint32_t>& {
         return wave_buckets_.lists[static_cast<std::size_t>(wave_buckets_.index[kid])];
@@ -1111,7 +1117,7 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
         fused = try_execute_stacked(k, ids, out_base);
         stats_.stacked_batches += fused ? 1 : 0;
       }
-    } else if (cfg_.fuse_elementwise) {
+    } else {
       fused = try_execute_flat(k, ids, out_base);
       stats_.flat_batches += fused ? 1 : 0;
     }
@@ -1170,8 +1176,15 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
                   static_cast<std::uint8_t>(path | (merge_launch ? 4 : 0)));
   });
   // The replay log is only meaningful while node ids are append-only;
-  // recycling reuses them, and serving has no backward pass to feed.
-  if (!cfg_.recycle) exec_log_.push_back(ExecBatch{kernel_id, ids, merge_launch});
+  // recycling reuses them, and serving has no backward pass to feed. It
+  // grows by the vectors' own policy, not scratch_reserve: it is not
+  // scheduler scratch, so scheduling_allocs does not count it.
+  if (!cfg_.recycle) {
+    const auto begin = static_cast<std::uint32_t>(exec_ids_.size());
+    exec_ids_.insert(exec_ids_.end(), ids.begin(), ids.end());
+    exec_log_.push_back(
+        ExecBatch{kernel_id, begin, static_cast<std::uint32_t>(exec_ids_.size()), merge_launch});
+  }
 }
 
 }  // namespace acrobat

@@ -41,7 +41,7 @@ int build(BuildCtx& ctx) {
   const int k_q = ctx.kernel("berxit.q", OpKind::kDense, 0, {sh, w});
   const int k_k = ctx.kernel("berxit.k", OpKind::kDense, 0, {sh, w});
   const int k_v = ctx.kernel("berxit.v", OpKind::kDense, 0, {sh, w});
-  const int k_score = ctx.kernel("berxit.score", OpKind::kMatMulBT, 0, {sh, sh});
+  const int k_score = ctx.kernel("berxit.score", OpKind::kDense, 0, {sh, sh});  // q·kᵀ
   const int k_soft = ctx.kernel("berxit.softmax", OpKind::kSoftmax, 0, {ss});
   const int k_mix = ctx.kernel("berxit.mix", OpKind::kMatMul, 0, {ss, sh});
   const int k_o = ctx.kernel("berxit.o", OpKind::kDense, 0, {sh, w});

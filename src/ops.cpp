@@ -523,7 +523,6 @@ const char* op_name(OpKind kind) {
   switch (kind) {
     case OpKind::kDense: return "dense";
     case OpKind::kMatMul: return "matmul";
-    case OpKind::kMatMulBT: return "matmul_bt";
     case OpKind::kAdd: return "add";
     case OpKind::kSub: return "sub";
     case OpKind::kMul: return "mul";
@@ -549,7 +548,6 @@ int op_num_variants(OpKind kind) {
   switch (kind) {
     case OpKind::kDense:
     case OpKind::kMatMul:
-    case OpKind::kMatMulBT:
     case OpKind::kLinear:
       return 3;
     case OpKind::kTanh:
@@ -593,11 +591,6 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
     case OpKind::kMatMul: {
       assert(s[1].ndim == 2 && s[0].cols() == s[1].dim[0]);
       const int n = s[1].dim[1];
-      return s[0].ndim == 1 ? RowVec(n) : Shape(s[0].dim[0], n);
-    }
-    case OpKind::kMatMulBT: {
-      assert(s[1].ndim == 2 && s[0].cols() == s[1].dim[1]);
-      const int n = s[1].dim[0];
       return s[0].ndim == 1 ? RowVec(n) : Shape(s[0].dim[0], n);
     }
     case OpKind::kAdd:
@@ -658,7 +651,6 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
             const Shape& out_shape, std::int64_t attr) {
   switch (kind) {
     case OpKind::kDense:
-    case OpKind::kMatMulBT:  // a·bᵀ with b (n,k) row-major is x·Wᵀ
       dense(variant, ins[0], s[0].rows(), s[0].cols(), ins[1], s[1].dim[0], out);
       return;
     case OpKind::kMatMul:

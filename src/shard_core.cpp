@@ -43,10 +43,26 @@ void check_trace(const ShardModule& module, const std::vector<Request>& trace, b
   }
 }
 
+// The gauges run_shard ticks, X(name, value), in MetricsTick::v order. The
+// values name run_shard's locals, so only maybe_tick evaluates them;
+// gauge_names() expands the names alone.
+#define ACROBAT_SHARD_GAUGES(X)                                  \
+  X("live_requests", in_flight.size())                           \
+  X("queued_requests", queue.size())                             \
+  X("completed_requests", report.requests)                       \
+  X("shed_requests", report.shed)                                \
+  X("kernel_launches", eng.stats().kernel_launches)              \
+  X("live_nodes", eng.live_nodes())                              \
+  X("arena_kb", eng.memory().arena_active_bytes / 1024.0)
+
+#define ACROBAT_GAUGE_COUNT(name, value) +1
+static_assert((0 ACROBAT_SHARD_GAUGES(ACROBAT_GAUGE_COUNT)) <= trace::kMaxMetrics);
+#undef ACROBAT_GAUGE_COUNT
+
 const std::vector<std::string>& gauge_names() {
-  static const std::vector<std::string> names = {
-      "live_requests",   "queued_requests", "completed_requests", "shed_requests",
-      "kernel_launches", "live_nodes",      "arena_kb"};
+#define ACROBAT_GAUGE_NAME(name, value) name,
+  static const std::vector<std::string> names = {ACROBAT_SHARD_GAUGES(ACROBAT_GAUGE_NAME)};
+#undef ACROBAT_GAUGE_NAME
   return names;
 }
 
@@ -137,27 +153,21 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
     return i < cfg.slow_ns.size() ? cfg.slow_ns[i] : 0;
   };
 
-  // Observability (DESIGN.md §9): the gauge slots are allocated here, so
-  // ticking adds zero steady-state allocation to the loop.
-  trace::MetricsRegistry gauges;
-  if (tr != nullptr && cfg.tick_every_triggers > 0)
-    for (const std::string& n : gauge_names()) gauges.add(n.c_str());
+  // Observability (DESIGN.md §9): a tick is a fixed-size POD, so ticking
+  // adds no allocation to the loop.
   long long last_tick_trigger = 0;
   [[maybe_unused]] const auto maybe_tick = [&] {
     if (cfg.tick_every_triggers <= 0 ||
         fs.idle_triggers() - last_tick_trigger < cfg.tick_every_triggers)
       return;
     last_tick_trigger = fs.idle_triggers();
-    const double v[] = {
-        static_cast<double>(in_flight.size()),
-        static_cast<double>(queue.size()),
-        static_cast<double>(report.requests),
-        static_cast<double>(report.shed),
-        static_cast<double>(eng.stats().kernel_launches),
-        static_cast<double>(eng.live_nodes()),
-        static_cast<double>(eng.memory().arena_active_bytes) / 1024.0};
-    for (int i = 0; i < static_cast<int>(std::size(v)); ++i) gauges.set(i, v[i]);
-    io.tick(gauges.tick(now(), cfg.shard_index));
+    trace::MetricsTick t;
+    t.t_ns = now();
+    t.shard = static_cast<std::uint16_t>(cfg.shard_index);
+#define ACROBAT_GAUGE_VALUE(name, value) t.v[t.n++] = static_cast<double>(value);
+    ACROBAT_SHARD_GAUGES(ACROBAT_GAUGE_VALUE)
+#undef ACROBAT_GAUGE_VALUE
+    io.tick(t);
   };
 
   const auto prune = [&] {

@@ -82,22 +82,6 @@ void Tracer::capture_exemplar(std::int32_t request_id, std::int64_t t0,
   }
 }
 
-int MetricsRegistry::add(const char* name) {
-  if (names_.size() >= static_cast<std::size_t>(kMaxMetrics)) return -1;
-  names_.emplace_back(name);
-  vals_.push_back(0.0);
-  return static_cast<int>(names_.size()) - 1;
-}
-
-MetricsTick MetricsRegistry::tick(std::int64_t t_ns, int shard) const {
-  MetricsTick t;
-  t.t_ns = t_ns;
-  t.shard = static_cast<std::uint16_t>(shard);
-  t.n = static_cast<std::uint16_t>(vals_.size());
-  for (std::size_t i = 0; i < vals_.size(); ++i) t.v[i] = vals_[i];
-  return t;
-}
-
 TrackDump dump_track(const Tracer& t, int tid, std::string name) {
   TrackDump d;
   d.tid = tid;

@@ -207,16 +207,15 @@ struct LadderFixture {
 };
 
 // Contiguous batches: the flat path fires (4 elementwise batches + 1
-// stacked dense), kernel_launches are EXACTLY the per-op path's counts, and
-// outputs are bitwise-identical across flat, per-op, and eager execution.
+// stacked dense), one launch per (depth, kernel) bucket, and outputs are
+// bitwise-identical to eager execution, which runs every op alone.
 void test_flat_elementwise_bitwise_parity() {
   constexpr int kN = 16;
-  std::vector<float> flat_out, perop_out, eager_out;
-  long long flat_launches = 0, perop_launches = 0, eager_launches = 0;
+  std::vector<float> flat_out, eager_out;
+  long long flat_launches = 0, eager_launches = 0;
   {
     LadderFixture f(kN);
-    EngineConfig cfg;  // fuse_elementwise defaults on
-    Engine eng(f.reg, cfg);
+    Engine eng(f.reg, EngineConfig{});
     flat_out = f.run(eng);
     flat_launches = eng.stats().kernel_launches;
     CHECK_EQ(eng.stats().flat_batches, 4);     // tanh, sigmoid, mul, add
@@ -226,34 +225,23 @@ void test_flat_elementwise_bitwise_parity() {
   {
     LadderFixture f(kN);
     EngineConfig cfg;
-    cfg.fuse_elementwise = false;
-    Engine eng(f.reg, cfg);
-    perop_out = f.run(eng);
-    perop_launches = eng.stats().kernel_launches;
-    CHECK_EQ(eng.stats().flat_batches, 0);
-  }
-  {
-    LadderFixture f(kN);
-    EngineConfig cfg;
     cfg.lazy = false;  // one launch per op: the op-at-a-time reference
     Engine eng(f.reg, cfg);
     eager_out = f.run(eng);
     eager_launches = eng.stats().kernel_launches;
+    CHECK_EQ(eng.stats().flat_batches, 0);
   }
-  CHECK_EQ(flat_launches, 5);  // one per (depth, kernel) bucket — unchanged
-  CHECK_EQ(perop_launches, 5);
+  CHECK_EQ(flat_launches, 5);  // one per (depth, kernel) bucket
   CHECK_EQ(eager_launches, 5ll * kN);
-  CHECK_EQ(flat_out.size(), perop_out.size());
   CHECK_EQ(flat_out.size(), eager_out.size());
-  for (std::size_t i = 0; i < flat_out.size(); ++i) {
-    CHECK(flat_out[i] == perop_out[i]);  // bitwise, not approximate
-    CHECK(flat_out[i] == eager_out[i]);
-  }
+  for (std::size_t i = 0; i < flat_out.size(); ++i)
+    CHECK(flat_out[i] == eager_out[i]);  // bitwise, not approximate
 }
 
 // Scattered inputs: with gather fusion the batch falls back per-op (no
 // copies); with explicit gathers it stages one contiguous buffer (counted
-// bytes) and still runs flat. All three agree bitwise.
+// bytes) and still runs flat. Both agree bitwise with an eager engine, which
+// never stages.
 void test_flat_scattered_fallback() {
   constexpr int kN = 8;
   Rng rng{23};
@@ -266,10 +254,10 @@ void test_flat_scattered_fallback() {
     xs.push_back(pool.alloc_random(RowVec(8), rng, 1.0f));
     pool.alloc(RowVec(3));  // padding: make consecutive inputs non-contiguous
   }
-  const auto run = [&](bool gather_fusion, bool fuse) {
+  const auto run = [&](bool gather_fusion, bool lazy) {
     EngineConfig cfg;
     cfg.gather_fusion = gather_fusion;
-    cfg.fuse_elementwise = fuse;
+    cfg.lazy = lazy;
     Engine eng(reg, cfg);
     std::vector<TRef> outs;
     for (int i = 0; i < kN; ++i) {
@@ -293,32 +281,33 @@ void test_flat_scattered_fallback() {
   const auto [staged_out, staged_flat, staged_bytes, staged_launches] = run(false, true);
   CHECK_EQ(staged_flat, 1);  // explicit mode: stage once, run flat
   CHECK_EQ(staged_bytes, kN * 8ll * static_cast<long long>(sizeof(float)));
-  const auto [perop_out, perop_flat, perop_bytes, perop_launches] = run(false, false);
-  CHECK_EQ(perop_flat, 0);
-  CHECK_EQ(perop_bytes, 0);  // elementwise per-op never staged pre-flat either
+  const auto [eager_out, eager_flat, eager_bytes, eager_launches] = run(false, false);
+  CHECK_EQ(eager_flat, 0);
+  CHECK_EQ(eager_bytes, 0);  // one op per batch: nothing to stage, even with gathers on
   CHECK_EQ(fused_launches, 1);
   CHECK_EQ(staged_launches, 1);
-  CHECK_EQ(perop_launches, 1);
+  CHECK_EQ(eager_launches, kN);
   CHECK_EQ(fused_out.size(), staged_out.size());
+  CHECK_EQ(fused_out.size(), eager_out.size());
   for (std::size_t i = 0; i < fused_out.size(); ++i) {
     CHECK(fused_out[i] == staged_out[i]);  // bitwise across all three paths
-    CHECK(fused_out[i] == perop_out[i]);
+    CHECK(fused_out[i] == eager_out[i]);
   }
 }
 
 // Recycling on: slot reuse and epoch reclamation leave the flat path's
-// outputs bitwise-identical to the per-op path, and after warmup the
-// scheduler scratch stops allocating — steady-state triggers are
-// allocation-free (the scheduling_allocs plateau).
+// outputs bitwise-identical to an eager engine's (which cannot recycle, so
+// its begin/retire calls do nothing), and after warmup the scheduler
+// scratch stops allocating — steady-state triggers are allocation-free
+// (the scheduling_allocs plateau).
 void test_flat_recycling_parity_and_alloc_plateau() {
   constexpr int kRounds = 6;
   LadderFixture fa(8), fb(8);
   EngineConfig on;
   on.recycle = true;
-  EngineConfig off;
-  off.recycle = true;
-  off.fuse_elementwise = false;
-  Engine ea(fa.reg, on), eb(fb.reg, off);
+  EngineConfig eager;
+  eager.lazy = false;
+  Engine ea(fa.reg, on), eb(fb.reg, eager);
 
   const TRef wa = ea.add_concrete(fa.w.view()), ba = ea.add_concrete(fa.bias.view());
   const TRef wb = eb.add_concrete(fb.w.view()), bb = eb.add_concrete(fb.bias.view());
@@ -370,11 +359,11 @@ void test_flat_recycling_parity_and_alloc_plateau() {
   CHECK_EQ(ea.memory().leaked_slots, 0);
 }
 
-// The stacked fast path covers the whole matmul family now: a batch of
-// row-vector matmuls sharing the parameter operand is ONE launch and ONE
-// stacked call, bitwise-identical to eager per-op execution.
+// The stacked fast path covers the whole matmul family, kMatMul and kDense:
+// a batch of row-vector matmuls sharing the parameter operand is ONE launch
+// and ONE stacked call, bitwise-identical to eager per-op execution.
 void test_stacked_matmul_family() {
-  for (const OpKind op : {OpKind::kMatMul, OpKind::kMatMulBT}) {
+  for (const OpKind op : {OpKind::kMatMul, OpKind::kDense}) {
     constexpr int kN = 12;
     Rng rng{31};
     TensorPool pool;
@@ -649,23 +638,27 @@ void test_wide_op_inputs_inline() {
   CHECK(test::dies([&] { (void)eng.add_op(k_cat, ins, 9, ctx, 0); }));
 }
 
-// A phase tag that runs against a dependency, a phase-2 node feeding a
-// phase-1 node, leaves phase 1 with nothing ready. The scheduler aborts with
-// one line in every build instead of spinning. The child's alarm turns a
-// spin into SIGALRM, which fails the check rather than hanging the test.
+// A phase tag that runs against a dependency: a phase-2 node feeding a
+// phase-1 node would leave phase 1's readiness waves with nothing ready, and
+// a phase-1 node feeding a phase-0 node would run the phase-0 op first, on
+// a null operand. record_op aborts with one line in every build when the op
+// is recorded. The child's alarm turns a spin into SIGALRM, which fails the
+// check rather than hanging the test.
 void test_non_monotone_phase_aborts() {
   Fixture f;
-  Engine eng(f.reg, EngineConfig{});
   const Tensor x = f.pool.alloc_random(RowVec(8), f.rng, 1.0f);
-  const TRef xr = eng.add_concrete(x.view());
-  const InstCtx ctx{0};
-  const TRef late = eng.add_op(f.k_tanh, &xr, 1, ctx, /*phase=*/2);
-  (void)eng.add_op(f.k_tanh, &late, 1, ctx, /*phase=*/1);
-  CHECK_EQ(test::death_signal([&] {
-             alarm(10);
-             eng.trigger_execution();
-           }),
-           SIGABRT);
+  for (const auto& [late_phase, phase] : {std::pair{2, 1}, std::pair{1, 0}}) {
+    Engine eng(f.reg, EngineConfig{});
+    const TRef xr = eng.add_concrete(x.view());
+    const InstCtx ctx{0};
+    const TRef late = eng.add_op(f.k_tanh, &xr, 1, ctx, late_phase);
+    CHECK_EQ(test::death_signal([&] {
+               alarm(10);
+               (void)eng.add_op(f.k_tanh, &late, 1, ctx, phase);
+               eng.trigger_execution();
+             }),
+             SIGABRT);
+  }
 }
 
 // Chain fusion (DESIGN.md §5 "Chains"): a same-kernel elementwise chain

@@ -88,7 +88,6 @@ const OpSpec kOps[] = {
     {"g.dense24", OpKind::kDense, 0, 2, kV24, {kV8, kM24}},
     {"g.dense32", OpKind::kDense, 0, 2, kV32, {kV8, kM32}},
     {"g.matmul", OpKind::kMatMul, 0, 2, kV8, {kV8, kM8}},
-    {"g.matmulbt", OpKind::kMatMulBT, 0, 2, kV8, {kV8, kM8}},
     {"g.add", OpKind::kAdd, 0, 2, kV8, {kV8, kV8}},
     {"g.sub", OpKind::kSub, 0, 2, kV8, {kV8, kV8}},
     {"g.mul", OpKind::kMul, 0, 2, kV8, {kV8, kV8}},
@@ -359,7 +358,7 @@ void check_chain_log(const Fixture& f, const Engine& eng, const std::vector<std:
         launch[kid] = static_cast<long>(b);
       } else {
         CHECK(launch[kid] >= 0 && elementwise(f.reg.kernel(eb.kernel_id).op));
-        for (const std::uint32_t id : eb.nodes) {
+        for (const std::uint32_t id : eng.exec_nodes(eb)) {
           const TRef r{id, 0};
           for (const TRef in : eng.inputs_of(r)) {
             CHECK(eng.shape(in) == eng.shape(r));
@@ -367,7 +366,7 @@ void check_chain_log(const Fixture& f, const Engine& eng, const std::vector<std:
           }
         }
       }
-      for (const std::uint32_t id : eb.nodes) written[id] = static_cast<long>(b);
+      for (const std::uint32_t id : eng.exec_nodes(eb)) written[id] = static_cast<long>(b);
     }
   }
 }

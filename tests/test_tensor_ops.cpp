@@ -2,10 +2,10 @@
 // agreement (every schedule variant of a kernel computes the same function).
 // The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
 // tile against the per-row loop it replaced, kMatMul's tile against the
-// row-update loop it replaced, kMatMulBT against kDense, kLinear's GRU and
-// LSTM epilogues against the elementwise chain of the same cell body, and
-// the 8- and 4-lane tanh and sigmoid against their one-element forms, with
-// tolerance checks of each against the exact function.
+// row-update loop it replaced, kLinear's GRU and LSTM epilogues against the
+// elementwise chain of the same cell body, and the 8- and 4-lane tanh and
+// sigmoid against their one-element forms, with tolerance checks of each
+// against the exact function.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -34,6 +34,19 @@ void test_dense_reference() {
     CHECK_NEAR(out[1], 1.0, 1e-6);    // 1*0.5 + 2*0.25
     CHECK_NEAR(out[2], 2.0, 1e-6);    // 1*2 + 2*0
   }
+  // 2-D x: a (2x2) · bᵀ, b (2x2) row-major as W.
+  const float a[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  const float b[4] = {5.0f, 6.0f, 7.0f, 8.0f};
+  const Shape shapes2[2] = {Shape(2, 2), Shape(2, 2)};
+  const float* ins2[2] = {a, b};
+  float out2[4] = {};
+  for (int variant = 0; variant < op_num_variants(OpKind::kDense); ++variant) {
+    run_op(OpKind::kDense, variant, ins2, shapes2, out2, Shape(2, 2), 0);
+    CHECK_NEAR(out2[0], 17.0, 1e-6);  // [1 2]·[5 6]
+    CHECK_NEAR(out2[1], 23.0, 1e-6);  // [1 2]·[7 8]
+    CHECK_NEAR(out2[2], 39.0, 1e-6);
+    CHECK_NEAR(out2[3], 53.0, 1e-6);
+  }
 }
 
 void test_matmul_reference() {
@@ -49,14 +62,6 @@ void test_matmul_reference() {
     CHECK_NEAR(out[1], 22.0, 1e-6);
     CHECK_NEAR(out[2], 43.0, 1e-6);
     CHECK_NEAR(out[3], 50.0, 1e-6);
-  }
-  // a·bᵀ
-  for (int variant = 0; variant < op_num_variants(OpKind::kMatMulBT); ++variant) {
-    run_op(OpKind::kMatMulBT, variant, ins, shapes, out, Shape(2, 2), 0);
-    CHECK_NEAR(out[0], 17.0, 1e-6);  // [1 2]·[5 6]
-    CHECK_NEAR(out[1], 23.0, 1e-6);  // [1 2]·[7 8]
-    CHECK_NEAR(out[2], 39.0, 1e-6);
-    CHECK_NEAR(out[3], 53.0, 1e-6);
   }
 }
 
@@ -514,37 +519,6 @@ void test_matmul_tile_matches_row_update() {
   CHECK_EQ(bad, 0);
 }
 
-// kMatMulBT runs kDense's kernels: a (m,k)·bᵀ with b (n,k) row-major is
-// x·Wᵀ with W = b. So every variant is memcmp-equal to kDense's on the same
-// operands: Berxit's score shapes (s, h)·(s, h)ᵀ, and odd ones that reach
-// every tile remainder.
-void test_matmul_bt_is_dense() {
-  CHECK_EQ(op_num_variants(OpKind::kMatMulBT), op_num_variants(OpKind::kDense));
-  struct S {
-    int m, n, k;
-  };
-  const S ss[] = {{8, 8, 16}, {12, 12, 40}, {1, 8, 16}, {5, 7, 33}, {3, 13, 9}, {9, 2, 1}};
-  TensorPool pool;
-  Rng rng(31);
-  int bad = 0;
-  for (const S& c : ss) {
-    const Tensor a = pool.alloc_random(Shape(c.m, c.k), rng, 1.0f);
-    const Tensor b = pool.alloc_random(Shape(c.n, c.k), rng, 0.5f);
-    const Shape shapes[2] = {a.shape, b.shape};
-    const float* ins[2] = {a.data, b.data};
-    const Shape os(c.m, c.n);
-    std::vector<float> want(static_cast<std::size_t>(os.numel())), got(want.size());
-    for (int v = 0; v < op_num_variants(OpKind::kMatMulBT); ++v) {
-      run_op(OpKind::kDense, v, ins, shapes, want.data(), os, 0);
-      run_op(OpKind::kMatMulBT, v, ins, shapes, got.data(), os, 0);
-      if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) != 0 && ++bad <= 10)
-        std::printf("  kMatMulBT variant %d differs from kDense: m=%d n=%d k=%d\n", v, c.m,
-                    c.n, c.k);
-    }
-  }
-  CHECK_EQ(bad, 0);
-}
-
 std::vector<float> run_unary(OpKind kind, int variant, const std::vector<float>& a) {
   std::vector<float> out(a.size());
   const Shape s = RowVec(static_cast<int>(a.size()));
@@ -787,7 +761,6 @@ int main() {
   test_cell_epilogues_match_chain();
   test_linear_operand_rule();
   test_matmul_tile_matches_row_update();
-  test_matmul_bt_is_dense();
   test_simd_matches_scalar();
   test_tanh_accuracy();
   test_sigmoid_accuracy();

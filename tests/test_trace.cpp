@@ -229,7 +229,7 @@ void test_serve_trace_parity() {
   }
 
   // Metric stream: ticking every trigger must produce ticks, with the
-  // shard's registered gauge names riding along.
+  // shard's gauge names riding along.
   CHECK(!b.trace.ticks.empty());
   CHECK_EQ(b.trace.metric_names.size(), 7);
   for (const trace::MetricsTick& t : b.trace.ticks)

@@ -108,27 +108,12 @@ int main(int argc, char** argv) {
   std::printf("netd: draining...\n");
   srv.shutdown();
   const net::NetStats& st = srv.stats();
-  std::printf("netd: conns=%llu requests=%llu completed=%llu 429=%llu errors=%llu "
-              "cancelled=%llu drops=%llu tokens=%llu worker_deaths=%llu\n",
-              static_cast<unsigned long long>(st.connections),
-              static_cast<unsigned long long>(st.requests),
-              static_cast<unsigned long long>(st.completed),
-              static_cast<unsigned long long>(st.rejected_429),
-              static_cast<unsigned long long>(st.errors),
-              static_cast<unsigned long long>(st.cancelled),
-              static_cast<unsigned long long>(st.conn_drops),
-              static_cast<unsigned long long>(st.tokens_streamed),
-              static_cast<unsigned long long>(st.worker_deaths));
-  std::printf("netd: respawns=%llu respawns_exhausted=%llu degraded=%llu/%llu "
-              "sheds=%llu fairness=%llu auth_rejects=%llu fault_kills=%llu\n",
-              static_cast<unsigned long long>(st.worker_respawns),
-              static_cast<unsigned long long>(st.respawns_exhausted),
-              static_cast<unsigned long long>(st.degraded_entries),
-              static_cast<unsigned long long>(st.degraded_exits),
-              static_cast<unsigned long long>(st.degraded_sheds),
-              static_cast<unsigned long long>(st.fairness_rejects),
-              static_cast<unsigned long long>(st.auth_rejects),
-              static_cast<unsigned long long>(st.fault_kills));
+  std::printf("netd:");
+#define ACROBAT_NET_PRINT_ROW(member) \
+  std::printf(" " #member "=%llu", static_cast<unsigned long long>(st.member));
+  ACROBAT_NET_STATS(ACROBAT_NET_PRINT_ROW)
+#undef ACROBAT_NET_PRINT_ROW
+  std::printf("\n");
   if (o.trace.enabled && !trace_path.empty()) {
     if (st.trace.write_chrome_json(trace_path))
       std::printf("netd: trace written to %s\n", trace_path.c_str());

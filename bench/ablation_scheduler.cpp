@@ -137,7 +137,6 @@ void decode_steady_row(CounterJson& json) {
     trace.push_back(serve::Request{i, static_cast<std::size_t>(i) % ds.inputs.size(), 0});
   serve::ServeOptions so;
   so.launch_overhead_ns = kLaunchNs;
-  so.recycle = true;  // session checkpoints require the epoch protocol
   so.policy.kind = serve::PolicyKind::kDeadline;
   so.policy.min_batch = n;
   so.policy.max_admit = n;

@@ -135,7 +135,6 @@ int main() {
           serve::generate_load(ls, ds.inputs.size());
       serve::ServeOptions so;
       so.policy = pc;
-      so.recycle = true;  // session checkpoints require the epoch protocol
       so.launch_overhead_ns = kLaunchNs;
       const serve::ServeResult res = serve::serve(p, ds, trace, so);
       print_point(rate, entry.label, res);

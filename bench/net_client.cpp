@@ -4,7 +4,9 @@
 // Default mode self-hosts a NetServer (loopback TCP, in-proc shards) and
 // drives it closed-loop: K outstanding requests pipelined on one
 // connection; each completion immediately issues the next request, and a
-// 429 retries after a short backoff (the retry count is part of the row).
+// 429 retries at once (the retry count is part of the row). A kError for a
+// dead or unavailable worker is resubmitted after NetClient::call()'s
+// backoff (client_errors counts them); any other error fails the run.
 // TTFT and inter-token gaps are stamped at frame *receipt* — wire-measured,
 // including the protocol, the event loop, and the socket.
 //
@@ -16,7 +18,10 @@
 // the bench falls back to the in-proc serve() path and says so in the
 // config label — counters still flow to BENCH_net.json. A self-hosted run
 // with no fault plan (ACROBAT_FAULT_SPEC unset) exits 1 if the server
-// counts a worker death, a respawn or a degraded entry.
+// counts a worker death, a respawn or a degraded entry, or the client an
+// error frame.
+#include <time.h>
+
 #include <cstring>
 #include <memory>
 #include <string>
@@ -39,6 +44,7 @@ struct Row {
   double tok_s = 0, rps = 0;
   Percentiles ttft_ms, itl_ms, e2e_ms;
   long long retries = 0;
+  long long errors = 0;  // kWorkerDied / kUnavailable frames, each resubmitted
   long long timeouts = 0;
   long long tokens = 0;
 };
@@ -47,6 +53,9 @@ struct Row {
 bool drive(net::NetClient& cli, int n, int k, Row& row) {
   std::vector<double> ttft, itl, e2e;
   std::vector<std::int64_t> sent_ns(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<int> sends(static_cast<std::size_t>(n) + 1, 0);  // per id, 429 resends aside
+  const net::CallOptions retry;  // call()'s attempt cap and backoff schedule
+  std::uint64_t jitter = 0x6a09e667f3bcc909ull;  // NetClient's default jitter seed
   const std::int64_t t_start = now_ns();
   std::uint32_t next_id = 0;
   int completed = 0, outstanding = 0;
@@ -57,6 +66,7 @@ bool drive(net::NetClient& cli, int n, int k, Row& row) {
   while (completed < n) {
     while (outstanding < k && next_id < static_cast<std::uint32_t>(n)) {
       if (!issue(next_id, next_id % 8)) return false;
+      sends[next_id] = 1;
       ++next_id;
       ++outstanding;
     }
@@ -72,7 +82,31 @@ bool drive(net::NetClient& cli, int n, int k, Row& row) {
       if (!issue(r.req_id, r.req_id % 8)) return false;
       continue;
     }
-    if (r.kind == net::ClientResponse::Kind::kError) return false;
+    if (r.kind == net::ClientResponse::Kind::kError) {
+      const auto code = static_cast<net::ErrorCode>(r.error_code);
+      if (code != net::ErrorCode::kWorkerDied && code != net::ErrorCode::kUnavailable) {
+        std::fprintf(stderr, "net_client: request %u failed with error code %u\n", r.req_id,
+                     r.error_code);
+        return false;
+      }
+      ++row.errors;
+      int& tries = sends[r.req_id];
+      if (tries >= retry.max_attempts) {
+        std::fprintf(stderr, "net_client: request %u failed %d sends, last error code %u\n",
+                     r.req_id, tries, r.error_code);
+        return false;
+      }
+      const std::int64_t ns = net::retry_backoff_ns(tries - 1, retry.backoff_base_ms * 1'000'000,
+                                                    retry.backoff_cap_ms * 1'000'000, jitter);
+      const timespec ts{static_cast<time_t>(ns / 1'000'000'000),
+                        static_cast<long>(ns % 1'000'000'000)};
+      ::nanosleep(&ts, nullptr);
+      ++tries;
+      // sent_ns keeps the first send: the lost attempt and the backoff are
+      // part of what the client waited.
+      if (!cli.send_request(r.req_id, r.req_id % 8)) return false;
+      continue;
+    }
     const double e2e_ms_v =
         static_cast<double>(r.done_recv_ns - sent_ns[r.req_id]) * 1e-6;
     e2e.push_back(e2e_ms_v);
@@ -102,6 +136,7 @@ void record(CounterJson& json, const std::string& cfg, const net::NetStats& st,
   ACROBAT_NET_STATS(ACROBAT_NET_JSON_ROW)
 #undef ACROBAT_NET_JSON_ROW
   ints.emplace_back("client_retries", row.retries);
+  ints.emplace_back("client_errors", row.errors);
   ints.emplace_back("client_timeouts", row.timeouts);
   json.add(cfg, merged_stats(st.shards), std::move(ints),
            {{"rps", row.rps},
@@ -114,9 +149,9 @@ void record(CounterJson& json, const std::string& cfg, const net::NetStats& st,
 }
 
 void print_row(const char* mode, int k, const Row& row) {
-  std::printf("%-14s K=%-3d | %8.0f %9.0f | %8.3f %8.3f %8.3f %8.3f %8.3f | %6lld\n",
+  std::printf("%-14s K=%-3d | %8.0f %9.0f | %8.3f %8.3f %8.3f %8.3f %8.3f | %6lld %6lld\n",
               mode, k, row.rps, row.tok_s, row.ttft_ms.p50, row.ttft_ms.p99,
-              row.itl_ms.p50, row.itl_ms.p99, row.e2e_ms.p99, row.retries);
+              row.itl_ms.p50, row.itl_ms.p99, row.e2e_ms.p99, row.retries, row.errors);
 }
 
 // In-proc fallback when the sandbox has no sockets: the same closed-loop
@@ -168,9 +203,9 @@ int main(int argc, char** argv) {
   header("net_client: wire-measured ingress frontier (closed loop, K "
          "outstanding)",
          "DESIGN.md §10 (socket front door + bounded admission)");
-  std::printf("%-14s %-5s | %8s %9s | %8s %8s %8s %8s %8s | %6s\n", "mode", "",
+  std::printf("%-14s %-5s | %8s %9s | %8s %8s %8s %8s %8s | %6s %6s\n", "mode", "",
               "req/s", "tok/s", "ttft p50", "ttft p99", "itl p50", "itl p99",
-              "e2e p99", "429s");
+              "e2e p99", "429s", "errs");
 
   CounterJson json;
   const char* json_path = "BENCH_net.json";
@@ -272,14 +307,16 @@ int main(int argc, char** argv) {
   // Without a fault plan nothing kills a worker, and K <= 16 outstanding
   // requests stay below the degraded watermark (7/8 of 64 admission
   // slots), so any of these counts is a server fault.
+  long long client_errors = 0;
+  for (const auto& [k, row] : rows) client_errors += row.errors;
   if (fault::Injector::spec_from_env().empty() &&
-      st.worker_deaths + st.worker_respawns + st.degraded_entries > 0) {
+      st.worker_deaths + st.worker_respawns + st.degraded_entries + client_errors > 0) {
     std::fprintf(stderr,
                  "net_client: fault-free run counted worker_deaths=%llu "
-                 "worker_respawns=%llu degraded_entries=%llu\n",
+                 "worker_respawns=%llu degraded_entries=%llu client_errors=%lld\n",
                  static_cast<unsigned long long>(st.worker_deaths),
                  static_cast<unsigned long long>(st.worker_respawns),
-                 static_cast<unsigned long long>(st.degraded_entries));
+                 static_cast<unsigned long long>(st.degraded_entries), client_errors);
     return 1;
   }
   return 0;

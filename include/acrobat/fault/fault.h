@@ -28,11 +28,6 @@
 // there is no shared mutable RNG), so a failing faulted run replays with
 // the same fault schedule. Counting is atomic: the router-side hooks are
 // called from several proxy threads.
-//
-// Compile-out: -DACROBAT_FAULT=OFF defines ACROBAT_FAULT_COMPILED_OUT and
-// the ACROBAT_FAULT(stmt) hook macro expands to nothing — zero cost at
-// every hook site. The parser and Injector stay compiled (they are inert
-// without hooks), so spec-handling tests run in every build flavor.
 #pragma once
 
 #include <atomic>
@@ -40,19 +35,6 @@
 #include <string>
 
 namespace acrobat::fault {
-
-#if defined(ACROBAT_FAULT_COMPILED_OUT)
-inline constexpr bool kCompiledOut = true;
-#define ACROBAT_FAULT(stmt) \
-  do {                      \
-  } while (0)
-#else
-inline constexpr bool kCompiledOut = false;
-#define ACROBAT_FAULT(stmt) \
-  do {                      \
-    stmt;                   \
-  } while (0)
-#endif
 
 struct FaultPlan {
   std::uint64_t kill_every_req = 0;   // kill_worker: 0 = off

@@ -4,8 +4,8 @@
 // built from a ModelRegistry. Each shard runs the serve layer's shard loop
 // over one merged engine hosting every model, so fibers from every model
 // share one trigger cadence, node table and recycling arena (per-model
-// persistent regions). The dispatcher routes by latency class (per-class
-// shard affinity, least-loaded within class), the FleetPolicy sheds
+// persistent regions). The dispatcher routes each request to the
+// least-loaded shard (or round-robin), the FleetPolicy sheds
 // requests whose deadline is already blown, and results report shed count
 // and goodput (SLO attainment) alongside the latency tail.
 //
@@ -33,18 +33,14 @@ struct FleetOptions {
   std::int64_t launch_overhead_ns = 0;
   bool collect_outputs = false;
   bool time_activities = false;
-  bool recycle = true;
-  // Class-aware routing: shard indices eligible per class; an empty list
-  // means every shard. Within the eligible set, dispatch follows
-  // `dispatch` (least-loaded ties break to the lowest index).
-  std::array<std::vector<int>, serve::kNumLatencyClasses> class_affinity;
   // Observability (DESIGN.md §9), as in serve::ServeOptions. The slow-
   // request exemplar threshold defaults to each request's own class
   // deadline when slow_threshold_ns is 0.
   trace::TraceOptions trace;
 };
 
-// Aborts loudly on nonsense (shards <= 0, affinity index out of range).
+// Aborts loudly on nonsense (shards <= 0, a negative launch overhead or
+// policy time).
 void validate(const FleetOptions& opts);
 
 struct ClassReport {

@@ -107,9 +107,6 @@ class NetClient {
   // on the old connection are gone (the server cancels them on drop).
   bool reconnect();
 
-  // Authn: fold `token` into every subsequent request's aux field
-  // (frame.h auth_token16). Empty = send no token.
-  void set_auth(const std::string& token);
   void set_jitter_seed(std::uint64_t seed) { jitter_ = seed != 0 ? seed : 1; }
 
   const ClientStats& stats() const { return stats_; }
@@ -127,7 +124,6 @@ class NetClient {
   std::string host_;
   int port_ = -1;
   std::string uds_;
-  std::uint16_t auth_ = 0;
   std::uint64_t jitter_ = 0x6a09e667f3bcc909ull;
   ClientStats stats_;
 };

@@ -6,8 +6,7 @@
 //   u32 len   — payload bytes after the header (bounded: kMaxPayload)
 //   u8  type  — FrameType
 //   u8  flags — type-specific bits (request: bit0 = stream per-token frames)
-//   u16 aux   — type-specific small field (request: folded authn token;
-//               worker-mode: degraded bit)
+//   u16 aux   — type-specific small field (worker-mode: degraded bit)
 //
 // Integers are little-endian; floats are IEEE-754 bit patterns. The
 // protocol is host-local by design (loopback TCP or UDS between processes
@@ -25,7 +24,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
 #include <vector>
 
 namespace acrobat::net {
@@ -33,7 +31,6 @@ namespace acrobat::net {
 enum class FrameType : std::uint8_t {
   // client → server
   kRequest = 1,  // u32 req_id, u32 input_index, u16 model_id, u8 class, u8 pad
-                 //   aux = auth_token16() when the server requires authn
   // server → client
   kDone = 2,   // u32 req_id, u32 tokens, u8 cancelled, u8 pad[3],
                // u32 n_floats, f32[n_floats]
@@ -55,10 +52,9 @@ enum class FrameType : std::uint8_t {
 };
 
 enum class ErrorCode : std::uint32_t {
-  kWorkerDied = 1,    // the shard process serving this request exited
-  kUnavailable = 2,   // no live shard worker to route to
-  kBadRequest = 3,    // malformed request fields (model id / input index)
-  kUnauthorized = 4,  // auth token required and the aux field did not match
+  kWorkerDied = 1,   // the shard process serving this request exited
+  kUnavailable = 2,  // no live shard worker to route to
+  kBadRequest = 3,   // malformed request fields (model id / input index)
 };
 
 inline constexpr std::size_t kHeaderBytes = 8;
@@ -68,20 +64,6 @@ inline constexpr std::uint32_t kMaxPayload = 1u << 24;
 
 // Request frame flag bits.
 inline constexpr std::uint8_t kFlagStream = 1;
-
-// Authn (ISSUE 10): a shared secret folded to the 16-bit request aux field.
-// FNV-1a with xor-folding — not cryptography, a deployment tripwire: the
-// token never crosses the wire in the clear and a stray client without the
-// secret is rejected before admission. 0 is reserved for "no token".
-inline std::uint16_t auth_token16(const std::string& token) {
-  std::uint32_t h = 2166136261u;
-  for (const char c : token) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 16777619u;
-  }
-  const std::uint16_t folded = static_cast<std::uint16_t>((h ^ (h >> 16)) & 0xffff);
-  return folded == 0 ? 1 : folded;
-}
 
 struct Frame {
   FrameType type = FrameType::kRequest;
@@ -134,8 +116,7 @@ inline void encode_frame(std::vector<std::uint8_t>& out, FrameType type,
 
 inline void encode_request(std::vector<std::uint8_t>& out, std::uint32_t req_id,
                            std::uint32_t input_index, std::uint16_t model_id,
-                           std::uint8_t latency_class, bool stream,
-                           std::uint16_t auth = 0) {
+                           std::uint8_t latency_class, bool stream) {
   std::vector<std::uint8_t> p;
   p.reserve(12);
   wire::put_u32(p, req_id);
@@ -144,7 +125,7 @@ inline void encode_request(std::vector<std::uint8_t>& out, std::uint32_t req_id,
   p.push_back(latency_class);
   p.push_back(0);
   encode_frame(out, FrameType::kRequest, p.data(), p.size(),
-               stream ? kFlagStream : 0, auth);
+               stream ? kFlagStream : 0);
 }
 
 inline void encode_done(std::vector<std::uint8_t>& out, FrameType type,
@@ -193,7 +174,6 @@ struct RequestFields {
   std::uint16_t model_id = 0;
   std::uint8_t latency_class = 0;
   bool stream = false;
-  std::uint16_t auth = 0;  // aux field: folded authn token (0 = none sent)
 };
 
 inline bool parse_request(const Frame& f, RequestFields& out) {
@@ -203,7 +183,6 @@ inline bool parse_request(const Frame& f, RequestFields& out) {
   out.model_id = wire::get_u16(f.payload.data() + 8);
   out.latency_class = f.payload[10];
   out.stream = (f.flags & kFlagStream) != 0;
-  out.auth = f.aux;
   return true;
 }
 

@@ -50,12 +50,14 @@ struct NetOptions {
   int shards = 1;
   serve::PolicyConfig policy;
   std::int64_t launch_overhead_ns = 0;
-  bool recycle = true;
 
   // Bounded-ingress knobs. max_sessions bounds the slot table, i.e.
   // requests on a shard but not yet completed server-wide; a request that
   // finds every slot busy waits in the admission FIFO, whose size is
-  // admission_capacity (full → 429).
+  // admission_capacity (full → 429). The FIFO's occupancy drives degraded
+  // mode (DESIGN.md §11): entered at 7/8 of admission_capacity, where
+  // best-effort requests are answered kRetry and shards halve their decode
+  // step budget, and left at 1/4.
   std::size_t admission_capacity = 64;
   std::size_t max_sessions = 128;
   std::size_t write_buffer_limit = 1 << 20;  // bytes buffered per conn before drop
@@ -68,11 +70,6 @@ struct NetOptions {
   // fairness_rejects, so a single client cannot monopolize the admission
   // queue. 0 = uncapped.
   int max_inflight_per_conn = 0;
-
-  // Optional authn: when non-empty, every kRequest must carry
-  // auth_token16(auth_token) in its aux field; a mismatch is answered
-  // kError(kUnauthorized) before admission (counted auth_rejects).
-  std::string auth_token;
 
   // Worker liveness (multiprocess): the router pings each worker every
   // ping_interval_ns; a worker with work in flight that has been silent for
@@ -94,19 +91,8 @@ struct NetOptions {
   std::int64_t respawn_backoff_ns = 50'000'000;
   std::int64_t respawn_backoff_cap_ns = 2'000'000'000;
 
-  // Graceful degradation: when admission occupancy reaches the high
-  // watermark the server enters degraded mode — best-effort-class requests
-  // (LatencyClass::kBestEffort) are answered kRetry on arrival and shards
-  // halve their per-window decode step budget (decode_admit) to favor
-  // finishing admitted work — and exits when occupancy falls back to the
-  // low watermark (hysteresis, so occupancy noise at the boundary does not
-  // flap the mode). 0 = derive from admission_capacity (7/8 and 1/4).
-  std::size_t degrade_high_watermark = 0;
-  std::size_t degrade_low_watermark = 0;
-
   // Fault-injection plan (DESIGN.md §11). Empty = read ACROBAT_FAULT_SPEC;
-  // both empty = inert. A malformed spec fails start(). Ignored entirely
-  // when built with -DACROBAT_FAULT=OFF.
+  // both empty = inert. A malformed spec fails start().
   std::string fault_spec;
 
   // Multi-process fleet: each shard is a forked worker process. worker_cmd
@@ -145,7 +131,6 @@ struct NetCounters {
   std::uint64_t worker_respawns = 0;     // supervisor re-forks that succeeded
   std::uint64_t respawns_exhausted = 0;  // shards left dead: budget burned
   std::uint64_t fairness_rejects = 0;    // kRetry: per-conn in-flight cap hit
-  std::uint64_t auth_rejects = 0;        // kError(kUnauthorized) sent
   std::uint64_t degraded_entries = 0;    // overload mode transitions
   std::uint64_t degraded_exits = 0;
   std::uint64_t degraded_sheds = 0;      // kRetry: best-effort shed while degraded
@@ -171,7 +156,6 @@ struct NetCounters {
   X(worker_respawns)         \
   X(respawns_exhausted)      \
   X(fairness_rejects)        \
-  X(auth_rejects)            \
   X(degraded_entries)        \
   X(degraded_exits)          \
   X(degraded_sheds)          \

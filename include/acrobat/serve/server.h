@@ -35,12 +35,6 @@ struct ServeOptions {
   std::int64_t launch_overhead_ns = 0;
   bool collect_outputs = false;  // flatten each request's result tensors
   bool time_activities = false;
-  // Epoch recycling (DESIGN.md §7 "Recycling"): reaped requests return
-  // their node slots and arena pages to per-shard pools, so shard memory
-  // plateaus at peak concurrency instead of growing with the trace. On by
-  // default — steady-state serving is the point of this layer; turn off
-  // only to measure the unbounded-growth baseline (test_serve_soak.cpp).
-  bool recycle = true;
   // Observability (DESIGN.md §9): when enabled, each shard owns a
   // fixed-capacity event ring + gauge ticks and ServeResult::trace
   // carries the assembled dump (write_chrome_json → Perfetto). Off (the
@@ -103,10 +97,9 @@ struct ShardReport {
   LatencyHisto ttft_ms;
   LatencyHisto inter_token_ms;
   ActivityStats stats;           // per-activity engine buckets + launches
-  // Memory watermarks (DESIGN.md §7 "Recycling"): with recycling on, the
+  // Memory watermarks (DESIGN.md §7 "Recycling"): a shard recycles, so the
   // node table and arena high-water mark plateau at peak concurrency over
-  // any trace length; without it they grow with the request count
-  // (test_serve_soak.cpp asserts both shapes).
+  // any trace length (test_serve_soak.cpp asserts it).
   Engine::MemoryStats mem;
 };
 

@@ -33,14 +33,13 @@ enum class OpKind : std::uint8_t {
   kSub,
   kMul,
 
-  // Elementwise unary (kTanh and kSigmoid 2 variants, kRelu and kScale 1).
+  // Elementwise unary (kTanh and kSigmoid 2 variants, kScale 1).
   // Every tanh here, in the fused kernels and in kLinear's epilogues is one
   // rational function, within 4e-7 of std::tanh (DESIGN.md §3), and every
   // sigmoid is 0.5 + 0.5·tanh(x/2) on it; kTanh's and kSigmoid's variant 0
   // runs one element at a time, variant 1 8 lanes at a time.
   kTanh,
   kSigmoid,
-  kRelu,
   kScale,  // out = in * (attr * 1e-6)
 
   // Fused pointwise kernels (standard kernel fusion, PipelineConfig
@@ -67,7 +66,6 @@ enum class OpKind : std::uint8_t {
   kZeros,    // no ins; → zeros RowVec(attr)
   kSoftmax,  // row-wise softmax
   kSumAll,   // → Shape(1), sum of all elements
-  kMaxProb,  // → Shape(1), max of softmax over all elements (early exit)
 };
 
 // kLinear epilogues (Kernel::attr), applied to each row of gates after the

@@ -8,8 +8,7 @@
 //
 // A disabled site costs one predicted branch: every instrumentation point
 // goes through ACROBAT_TRACE(tracer, stmt), which expands to an
-// __builtin_expect(ptr != nullptr, 0) test (and to nothing at all when the
-// build defines ACROBAT_TRACE_COMPILED_OUT). Bitwise on/off parity is
+// __builtin_expect(ptr != nullptr, 0) test. Bitwise on/off parity is
 // enforced by tests/test_trace.cpp.
 //
 // Export paths:
@@ -90,8 +89,7 @@ struct TraceConfig {
 };
 
 // How a serving layer (serve/fleet) runs its tracers; `enabled` is the
-// runtime half of the gate (the compile-time half is
-// ACROBAT_TRACE_COMPILED_OUT).
+// gate.
 struct TraceOptions {
   bool enabled = false;
   TraceConfig config;
@@ -171,20 +169,13 @@ class Tracer {
 };
 
 // Every instrumentation site in engine/fiber/serve/fleet goes through this
-// macro: tracer off (null pointer) costs one predicted-not-taken branch,
-// and ACROBAT_TRACE_COMPILED_OUT removes the sites entirely.
-#ifdef ACROBAT_TRACE_COMPILED_OUT
-#define ACROBAT_TRACE(tracer, stmt) \
-  do {                              \
-  } while (0)
-#else
-#define ACROBAT_TRACE(tracer, stmt)              \
-  do {                                           \
+// macro: tracer off (null pointer) costs one predicted-not-taken branch.
+#define ACROBAT_TRACE(tracer, stmt)                 \
+  do {                                              \
     if (__builtin_expect((tracer) != nullptr, 0)) { \
-      stmt;                                      \
-    }                                            \
+      stmt;                                         \
+    }                                               \
   } while (0)
-#endif
 
 // ---------------------------------------------------------------------------
 // Streaming metrics: a shard's named gauges, snapshotted into fixed-size
@@ -219,9 +210,7 @@ struct TraceDump {
   std::vector<std::string> metric_names;
   std::uint64_t dropped_ticks = 0;
 
-  // Nothing recorded: no events, ticks, or exemplars. Track skeletons may
-  // exist — with ACROBAT_TRACE_COMPILED_OUT the serve layers still dump
-  // their (event-less) per-shard tracks when tracing is requested.
+  // Nothing recorded: no events, ticks, or exemplars.
   bool empty() const {
     if (!ticks.empty()) return false;
     for (const TrackDump& t : tracks)

@@ -165,15 +165,6 @@ BackwardResult backward(Engine& engine, const KernelRegistry& registry,
           slots_used = 1;
           break;
         }
-        case OpKind::kRelu: {
-          const float* x = engine.data(ins[0]);
-          std::vector<float>& da = ctx.acc(ins[0]);
-          const std::int64_t n = os.numel();
-          for (std::int64_t i = 0; i < n; ++i)
-            if (x[i] > 0.0f) da[static_cast<std::size_t>(i)] += g[i];
-          slots_used = 1;
-          break;
-        }
         case OpKind::kScale: {
           const float c = static_cast<float>(static_cast<double>(k.attr) * 1e-6);
           std::vector<float>& da = ctx.acc(ins[0]);
@@ -216,7 +207,6 @@ BackwardResult backward(Engine& engine, const KernelRegistry& registry,
           break;
         }
         case OpKind::kZeros:
-        case OpKind::kMaxProb:
         default:
           // Constants have no inputs; fused/coarse cell kernels are
           // inference-only (training_pipeline_config keeps them out).

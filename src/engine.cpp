@@ -29,7 +29,6 @@ bool elementwise(OpKind op) {
     case OpKind::kMul:
     case OpKind::kTanh:
     case OpKind::kSigmoid:
-    case OpKind::kRelu:
     case OpKind::kScale:
     case OpKind::kAddBiasTanh:
     case OpKind::kAddBiasSigmoid:
@@ -781,17 +780,15 @@ void Engine::trigger_execution() {
   }
   if (pending_.empty()) return;
   in_trigger_ = true;
-  // The trace_* and sched_t0 stamps are read only by ACROBAT_TRACE sites,
-  // which -DACROBAT_TRACE=OFF compiles out.
-  [[maybe_unused]] std::int64_t trace_t0 = 0;
+  std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   // Double-buffer the pending list: the swapped-out buffer is reused next
   // trigger, so the swap itself never allocates in steady state.
   trigger_scratch_.clear();
   trigger_scratch_.swap(pending_);
-  [[maybe_unused]] const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
+  const auto trace_ops = static_cast<std::int32_t>(trigger_scratch_.size());
   try {
-    [[maybe_unused]] std::int64_t sched_t0 = 0;
+    std::int64_t sched_t0 = 0;
     ACROBAT_TRACE(tracer_, sched_t0 = tracer_->now());
     if (cfg_.scheduler == SchedulerKind::kAgenda) {
       schedule_agenda(trigger_scratch_);
@@ -999,7 +996,6 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
   switch (k.op) {
     case OpKind::kTanh:
     case OpKind::kSigmoid:
-    case OpKind::kRelu:
     case OpKind::kScale:
     case OpKind::kSoftmax:
     case OpKind::kFma2:
@@ -1056,7 +1052,7 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
 
 void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
                            bool merge_launch) {
-  [[maybe_unused]] std::int64_t trace_t0 = 0;  // ACROBAT_TRACE sites only
+  std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);
   const std::size_t n = ids.size();

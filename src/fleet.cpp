@@ -216,10 +216,6 @@ void validate(const FleetOptions& opts) {
   if (opts.policy.shed_grace < 0) config_die("FleetPolicyConfig.shed_grace must be >= 0");
   if (opts.policy.est_service_ns < 0)
     config_die("FleetPolicyConfig.est_service_ns must be >= 0");
-  for (const auto& aff : opts.class_affinity)
-    for (const int s : aff)
-      if (s < 0 || s >= opts.shards)
-        config_die("FleetOptions.class_affinity names a shard out of range");
 }
 
 void validate(const ClosedLoopSpec& spec) {
@@ -240,7 +236,7 @@ FleetResult serve_fleet(const ModelRegistry& reg, const std::vector<Request>& tr
   FleetResult res;
   serve::detail::InprocRun run(opts.shards, fleet_config(mod, opts), opts.trace, trace,
                                res.records);
-  run.replay(opts.dispatch, opts.class_affinity);  // arrivals never wait (§7)
+  run.replay(opts.dispatch);  // arrivals never wait (§7)
   res.shards = run.finish(res.trace);
   finalize(res, trace, opts.policy);
   return res;
@@ -313,7 +309,7 @@ FleetResult serve_fleet_closed(const ModelRegistry& reg, const ClosedLoopSpec& s
       Request& rq = trace[static_cast<std::size_t>(rid)];
       rq.arrival_ns = run.now();  // issue time IS the arrival in a closed loop
       waiting[ci] = 1;
-      run.dispatch(rid, run.route(rq, opts.dispatch, opts.class_affinity));
+      run.dispatch(rid, run.route(rq, opts.dispatch));
     }
     run.drain_ticks();
     serve::detail::relax();

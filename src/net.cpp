@@ -24,6 +24,7 @@
 
 #include "fault/fault.h"
 #include "net/frame.h"
+#include "net_send.h"
 #include "serve/load.h"
 #include "serve/spsc.h"
 #include "shard_core.h"
@@ -341,7 +342,6 @@ bool NetServer::Impl::spawn_worker(ShardCh& ch) {
       "--ds-batch", std::to_string(opts.ds_batch),
       "--ds-seed", std::to_string(opts.ds_seed),
       "--launch-ns", std::to_string(opts.launch_overhead_ns),
-      "--recycle", opts.recycle ? "1" : "0",
       "--pol-kind", std::to_string(static_cast<int>(opts.policy.kind)),
       "--pol-max-batch", std::to_string(opts.policy.max_batch),
       "--pol-min-batch", std::to_string(opts.policy.min_batch),
@@ -420,7 +420,6 @@ void NetServer::Impl::shard_main_inproc(ShardCh& ch) {
   cc.module = &mod;
   cc.make_policy = [this] { return serve::make_policy(opts.policy); };
   cc.launch_overhead_ns = opts.launch_overhead_ns;
-  cc.recycle = opts.recycle;
   cc.shard_index = ch.index;
   cc.epoch_ns = epoch;
   cc.tracer = ch.tracer.get();
@@ -494,19 +493,9 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
   };
   const auto wsend = [&](const std::vector<std::uint8_t>& b) {
     if (ch.fd < 0) return false;
-    std::size_t off = 0;
-    while (off < b.size()) {
-      std::size_t chunk = b.size() - off;
-      ACROBAT_FAULT(chunk = inject.clamp_write(chunk));
-      const ssize_t n = ::send(ch.fd, b.data() + off, chunk, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        mark_dead(true);
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
+    if (detail::send_all(ch.fd, b, inject)) return true;
+    mark_dead(true);
+    return false;
   };
   const auto handle_frame = [&](const Frame& f) {
     switch (f.type) {
@@ -591,9 +580,8 @@ void NetServer::Impl::proxy_main(ShardCh& ch) {
         // kill_worker fault: SIGKILL our own worker right after forwarding
         // the planned request — the EOF path then runs the exact production
         // death/respawn machinery, nothing test-only.
-        ACROBAT_FAULT(if (const pid_t pid = ch.pid.load();
-                          inject.fire_kill(ch.index) && pid > 0)
-                          ::kill(pid, SIGKILL));
+        if (const pid_t pid = ch.pid.load(); inject.fire_kill(ch.index) && pid > 0)
+          ::kill(pid, SIGKILL);
       } else {
         ch.outstanding.fetch_sub(1, std::memory_order_relaxed);
         push_out(CompMsg{CompMsg::kError, si,
@@ -728,7 +716,7 @@ void NetServer::Impl::event_loop() {
   std::vector<Conn> conns(static_cast<std::size_t>(opts.max_connections));
   std::vector<int> dirty;
   int open_count = 0;
-  [[maybe_unused]] trace::Tracer* const tr = net_tracer.get();  // ACROBAT_TRACE sites only
+  trace::Tracer* const tr = net_tracer.get();
   bool listeners_open = true;
   bool inboxes_closed = false;
   std::int64_t flush_deadline = -1;
@@ -912,8 +900,6 @@ void NetServer::Impl::event_loop() {
   // event loop only — single writer to the Impl::degraded atomic that
   // shards and worker proxies read.
   bool degraded_mode = false;
-  const std::uint16_t want_auth =
-      opts.auth_token.empty() ? 0 : auth_token16(opts.auth_token);
   const auto update_degraded = [&] {
     const std::size_t occ = waiting.len;
     if (!degraded_mode && occ >= degrade_high) {
@@ -939,16 +925,6 @@ void NetServer::Impl::event_loop() {
     }
     ++stats.requests;
     scratch.clear();
-    // Authn precedes everything that costs admission space: a client
-    // without the shared token cannot even occupy a queue slot.
-    if (want_auth != 0 && rf.auth != want_auth) {
-      ++stats.auth_rejects;
-      ++stats.errors;
-      encode_id_pair(scratch, FrameType::kError, rf.id,
-                     static_cast<std::uint32_t>(ErrorCode::kUnauthorized));
-      send_to(ci, scratch);
-      return;
-    }
     if (rf.model_id != 0 || rf.input_index >= n_inputs) {
       ++stats.errors;
       encode_id_pair(scratch, FrameType::kError, rf.id,
@@ -1216,24 +1192,16 @@ bool NetServer::start() {
   if (o.respawn_backoff_ns <= 0) config_die("respawn_backoff_ns must be > 0");
   if (o.respawn_backoff_cap_ns < o.respawn_backoff_ns)
     config_die("respawn_backoff_cap_ns must be >= respawn_backoff_ns");
-  // Degradation watermarks: 0 = derive from capacity; explicit values must
-  // form a proper hysteresis band inside the queue bound.
-  im.degrade_high = o.degrade_high_watermark != 0
-                        ? o.degrade_high_watermark
-                        : std::max<std::size_t>(1, o.admission_capacity -
-                                                       o.admission_capacity / 8);
-  im.degrade_low = o.degrade_low_watermark != 0 ? o.degrade_low_watermark
-                                                : o.admission_capacity / 4;
-  if (im.degrade_high > o.admission_capacity)
-    config_die("degrade_high_watermark must be <= admission_capacity");
-  if (im.degrade_low >= im.degrade_high)
-    config_die("degrade_low_watermark must be < degrade_high_watermark");
+  // Degradation watermarks, 7/8 and 1/4 of the queue bound: for every
+  // capacity >= 1, low < high <= capacity, a proper hysteresis band.
+  im.degrade_high =
+      std::max<std::size_t>(1, o.admission_capacity - o.admission_capacity / 8);
+  im.degrade_low = o.admission_capacity / 4;
   // Fault plan: explicit option wins, else the environment; a spec that
   // does not parse is a hard start() failure, never a silently-inert run.
   {
     std::string spec = o.fault_spec.empty() ? fault::Injector::spec_from_env()
                                             : o.fault_spec;
-    if (fault::kCompiledOut) spec.clear();
     if (!spec.empty()) {
       fault::FaultPlan plan;
       std::string perr;

@@ -95,16 +95,12 @@ bool NetClient::reconnect() {
   return ok;
 }
 
-void NetClient::set_auth(const std::string& token) {
-  auth_ = token.empty() ? 0 : auth_token16(token);
-}
-
 bool NetClient::send_request(std::uint32_t req_id, std::uint32_t input_index,
                              std::uint16_t model_id, std::uint8_t latency_class,
                              bool stream) {
   if (fd_ < 0) return false;
   std::vector<std::uint8_t> wire;
-  encode_request(wire, req_id, input_index, model_id, latency_class, stream, auth_);
+  encode_request(wire, req_id, input_index, model_id, latency_class, stream);
   std::size_t off = 0;
   while (off < wire.size()) {
     const ssize_t n = ::send(fd_, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
@@ -246,7 +242,7 @@ bool NetClient::call(std::uint32_t req_id, std::uint32_t input_index,
         if (out.kind == ClientResponse::Kind::kError &&
             out.error_code != static_cast<std::uint32_t>(ErrorCode::kWorkerDied) &&
             out.error_code != static_cast<std::uint32_t>(ErrorCode::kUnavailable))
-          return false;  // kBadRequest / kUnauthorized: retrying cannot help
+          return false;  // kBadRequest: retrying cannot help
         terminal = true;  // kRetry or a retryable kError
       } else if (connected()) {
         ++stats_.timeouts;  // deadline passed while the request was live

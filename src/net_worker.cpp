@@ -22,6 +22,7 @@
 #include "models/models.h"
 #include "net/frame.h"
 #include "net/net.h"
+#include "net_send.h"
 #include "shard_core.h"
 #include "support/timer.h"
 
@@ -32,8 +33,7 @@ namespace {
 // from --fault before the loop starts. Inert (empty plan) by default.
 fault::Injector g_inject;
 
-// Called only from ACROBAT_FAULT sites, which -DACROBAT_FAULT=OFF compiles out.
-[[maybe_unused]] void stall_ns(std::int64_t ns) {
+void stall_ns(std::int64_t ns) {
   timespec ts{static_cast<time_t>(ns / 1'000'000'000),
               static_cast<long>(ns % 1'000'000'000)};
   while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
@@ -48,7 +48,6 @@ struct WorkerArgs {
   int ds_batch = 24;
   std::uint64_t ds_seed = 0;
   std::int64_t launch_ns = 0;
-  bool recycle = true;
   std::string fault;
   serve::PolicyConfig policy;
 };
@@ -64,7 +63,6 @@ bool parse_args(int argc, char** argv, WorkerArgs& a) {
     else if (k == "--ds-batch") a.ds_batch = std::atoi(v);
     else if (k == "--ds-seed") a.ds_seed = std::strtoull(v, nullptr, 10);
     else if (k == "--launch-ns") a.launch_ns = std::atoll(v);
-    else if (k == "--recycle") a.recycle = std::atoi(v) != 0;
     else if (k == "--fault") a.fault = v;
     else if (k == "--pol-kind") a.policy.kind = static_cast<serve::PolicyKind>(std::atoi(v));
     else if (k == "--pol-max-batch") a.policy.max_batch = static_cast<std::size_t>(std::atoll(v));
@@ -76,23 +74,6 @@ bool parse_args(int argc, char** argv, WorkerArgs& a) {
     else return false;
   }
   return a.fd >= 0;
-}
-
-bool write_all(int fd, const std::vector<std::uint8_t>& b) {
-  std::size_t off = 0;
-  while (off < b.size()) {
-    std::size_t chunk = b.size() - off;
-    // Injected short writes fragment frames without losing bytes: the loop
-    // resumes at off + n, so FrameReader reassembly is what gets exercised.
-    ACROBAT_FAULT(chunk = g_inject.clamp_write(chunk));
-    const ssize_t n = ::send(fd, b.data() + off, chunk, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 // The router socketpair as the shard core's transport: kWorkerReq frames
@@ -162,7 +143,7 @@ class WorkerIo final : public serve::detail::ShardIo {
 
   Pending& slot(int si) { return slots_[static_cast<std::size_t>(si)]; }
   void send() {
-    if (!write_all(fd_, wire_)) eof_ = true;
+    if (!detail::send_all(fd_, wire_, g_inject)) eof_ = true;
   }
   void handle(const Frame& f, std::deque<int>& arrived) {
     switch (f.type) {
@@ -171,13 +152,10 @@ class WorkerIo final : public serve::detail::ShardIo {
         if (!parse_request(f, rf)) break;
         // crash_worker: die before replying — the router sees EOF and fails
         // this request's slot with kError(kWorkerDied).
-        ACROBAT_FAULT(if (g_inject.fire_crash()) ::raise(SIGKILL));
+        if (g_inject.fire_crash()) ::raise(SIGKILL);
         // wedge_shard: stop reading the socket mid-stream; pings go
         // unanswered, which is the liveness timeout's failure mode.
-        ACROBAT_FAULT({
-          const std::int64_t wns = g_inject.fire_wedge_ns();
-          if (wns > 0) stall_ns(wns);
-        });
+        if (const std::int64_t wns = g_inject.fire_wedge_ns(); wns > 0) stall_ns(wns);
         // The router reuses a slot id only after its done frame, so the
         // entry is free. A deque never relocates, and the router's slot
         // table bounds it.
@@ -254,7 +232,6 @@ int shard_worker_main(int argc, char** argv) {
   cc.module = &mod;
   cc.make_policy = [&a] { return serve::make_policy(a.policy); };
   cc.launch_overhead_ns = a.launch_ns;
-  cc.recycle = a.recycle;
   cc.shard_index = a.shard;
   cc.epoch_ns = io.epoch();
   serve::ShardReport report;

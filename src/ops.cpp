@@ -528,7 +528,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kMul: return "mul";
     case OpKind::kTanh: return "tanh";
     case OpKind::kSigmoid: return "sigmoid";
-    case OpKind::kRelu: return "relu";
     case OpKind::kScale: return "scale";
     case OpKind::kAddBiasTanh: return "add_bias_tanh";
     case OpKind::kAddBiasSigmoid: return "add_bias_sigmoid";
@@ -539,7 +538,6 @@ const char* op_name(OpKind kind) {
     case OpKind::kZeros: return "zeros";
     case OpKind::kSoftmax: return "softmax";
     case OpKind::kSumAll: return "sum_all";
-    case OpKind::kMaxProb: return "max_prob";
   }
   return "?";
 }
@@ -563,11 +561,9 @@ int op_arity(OpKind kind) {
     case OpKind::kZeros: return 0;
     case OpKind::kTanh:
     case OpKind::kSigmoid:
-    case OpKind::kRelu:
     case OpKind::kScale:
     case OpKind::kSoftmax:
     case OpKind::kSumAll:
-    case OpKind::kMaxProb:
       return 1;
     case OpKind::kAddBiasTanh:
     case OpKind::kAddBiasSigmoid:
@@ -626,7 +622,6 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
     case OpKind::kZeros:
       return RowVec(static_cast<int>(attr));
     case OpKind::kSumAll:
-    case OpKind::kMaxProb:
       return Shape(1);
     case OpKind::kConcat: {
       // axis = attr: 0 stacks rows (equal cols), 1 extends a single row.
@@ -678,9 +673,6 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       } else {
         sigmoid_n(ins[0], s[0].numel(), out);
       }
-      return;
-    case OpKind::kRelu:
-      unary(ins[0], s[0].numel(), out, [](float a) { return a > 0.0f ? a : 0.0f; });
       return;
     case OpKind::kScale: {
       const float c = static_cast<float>(static_cast<double>(attr) * 1e-6);
@@ -742,20 +734,6 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       float acc = 0.0f;
       for (std::int64_t i = 0; i < n; ++i) acc += ins[0][i];
       out[0] = acc;
-      return;
-    }
-    case OpKind::kMaxProb: {
-      const std::int64_t n = s[0].numel();
-      float mx = ins[0][0];
-      for (std::int64_t i = 1; i < n; ++i) mx = ins[0][i] > mx ? ins[0][i] : mx;
-      float sum = 0.0f;
-      float best = 0.0f;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float e = std::exp(ins[0][i] - mx);
-        sum += e;
-        best = e > best ? e : best;
-      }
-      out[0] = best / sum;
       return;
     }
     case OpKind::kConcat:

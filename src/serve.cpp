@@ -206,7 +206,7 @@ ServeResult serve(const harness::Prepared& p, const models::Dataset& ds,
 
   ServeResult res;
   detail::InprocRun run(opts.shards, cc, opts.trace, trace, res.records);
-  run.replay(opts.dispatch, detail::ClassAffinity{});
+  run.replay(opts.dispatch);
   res.shards = run.finish(res.trace);
   detail::summarize(res);
   return res;

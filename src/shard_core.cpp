@@ -98,7 +98,9 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
   // die on this thread. No locks anywhere downstream of the transport.
   EngineConfig ec = harness::engine_config_for(mod.cfg, cfg.launch_overhead_ns,
                                                cfg.time_activities);
-  ec.recycle = cfg.recycle;
+  // Serving always recycles (DESIGN.md §7 "Recycling"): shard memory
+  // plateaus at peak concurrency instead of growing with the trace.
+  ec.recycle = true;
   Engine eng(mod.compiled->module.registry, ec);
 
   // The weight table is global (kLoadWeight indices span every model of a
@@ -148,7 +150,7 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
   std::size_t step_budget = kUnlimited;
 
   const auto now = [&] { return now_ns() - cfg.epoch_ns; };
-  [[maybe_unused]] const auto slow_ns = [&](LatencyClass c) {
+  const auto slow_ns = [&](LatencyClass c) {
     const auto i = static_cast<std::size_t>(c);  // wire classes are unchecked
     return i < cfg.slow_ns.size() ? cfg.slow_ns[i] : 0;
   };
@@ -156,7 +158,7 @@ void run_shard(const CoreConfig& cfg, ShardIo& io, ShardReport& report) {
   // Observability (DESIGN.md §9): a tick is a fixed-size POD, so ticking
   // adds no allocation to the loop.
   long long last_tick_trigger = 0;
-  [[maybe_unused]] const auto maybe_tick = [&] {
+  const auto maybe_tick = [&] {
     if (cfg.tick_every_triggers <= 0 ||
         fs.idle_triggers() - last_tick_trigger < cfg.tick_every_triggers)
       return;
@@ -588,24 +590,17 @@ InprocRun::~InprocRun() {
 
 std::int64_t InprocRun::now() const { return now_ns() - epoch_; }
 
-int InprocRun::route(const Request& req, DispatchKind kind,
-                     const ClassAffinity& affinity) const {
-  const std::vector<int>& aff = affinity[static_cast<std::size_t>(req.latency_class)];
-  const auto nth_eligible = [&](std::size_t i) {
-    return aff.empty() ? static_cast<int>(i) : aff[i];
-  };
-  const std::size_t n = aff.empty() ? shards_.size() : aff.size();
+int InprocRun::route(const Request& req, DispatchKind kind) const {
+  const std::size_t n = shards_.size();
   if (kind == DispatchKind::kRoundRobin)
-    return nth_eligible(static_cast<std::size_t>(req.id) % n);
-  int target = nth_eligible(0);
+    return static_cast<int>(static_cast<std::size_t>(req.id) % n);
+  int target = 0;
   int best_load = INT_MAX;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int s = nth_eligible(i);
-    const int load =
-        shards_[static_cast<std::size_t>(s)]->outstanding.load(std::memory_order_relaxed);
-    if (load < best_load) {  // strict: ties keep the lowest eligible index
+  for (std::size_t s = 0; s < n; ++s) {
+    const int load = shards_[s]->outstanding.load(std::memory_order_relaxed);
+    if (load < best_load) {  // strict: ties keep the lowest index
       best_load = load;
-      target = s;
+      target = static_cast<int>(s);
     }
   }
   return target;
@@ -621,13 +616,13 @@ void InprocRun::dispatch(int id, int shard) {
                 disp_tracer_->instant(trace::EventKind::kDispatch, id, shard));
 }
 
-void InprocRun::replay(DispatchKind kind, const ClassAffinity& affinity) {
+void InprocRun::replay(DispatchKind kind) {
   for (const Request& req : *trace_) {
     while (now() < req.arrival_ns) {
       drain_ticks();
       relax();
     }
-    dispatch(req.id, route(req, kind, affinity));
+    dispatch(req.id, route(req, kind));
   }
 }
 

@@ -67,7 +67,6 @@ struct CoreConfig {
   std::function<std::unique_ptr<BatchPolicy>()> make_policy;
   std::int64_t launch_overhead_ns = 0;
   bool time_activities = false;
-  bool recycle = true;
   bool collect_outputs = true;
   int shard_index = 0;
   std::int64_t epoch_ns = 0;        // session times are relative to this
@@ -120,8 +119,6 @@ const std::vector<std::string>& gauge_names();
 
 // ---------------------------------------------------- in-process driver
 
-using ClassAffinity = std::array<std::vector<int>, kNumLatencyClasses>;
-
 // The in-process shards of one serve()/serve_fleet()/serve_fleet_closed()
 // call: each is a thread running run_shard over an SPSC inbox of request
 // ids, writing results into `records` (indexed by id). The dispatching
@@ -139,13 +136,13 @@ class InprocRun {
   InprocRun& operator=(const InprocRun&) = delete;
 
   std::int64_t now() const;  // since the epoch
-  // The shard for `req`: its class's affinity set (empty = every shard),
-  // then round-robin by id or least-loaded (ties → lowest index).
-  int route(const Request& req, DispatchKind kind, const ClassAffinity& affinity) const;
+  // The shard for `req`: round-robin by id or least-loaded (ties → lowest
+  // index).
+  int route(const Request& req, DispatchKind kind) const;
   void dispatch(int id, int shard);
   // Open loop: each request is routed and dispatched at its arrival time,
   // whatever the server's state (DESIGN.md §7).
-  void replay(DispatchKind kind, const ClassAffinity& affinity);
+  void replay(DispatchKind kind);
   // Pops one finished (completed or shed) id from any shard.
   bool pop_finished(int& id);
   void drain_ticks();
@@ -171,7 +168,6 @@ CoreConfig core_config(const ShardModule& module, const Options& o) {
   c.module = &module;
   c.launch_overhead_ns = o.launch_overhead_ns;
   c.time_activities = o.time_activities;
-  c.recycle = o.recycle;
   c.collect_outputs = o.collect_outputs;
   return c;
 }

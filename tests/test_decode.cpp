@@ -164,7 +164,6 @@ void test_session_memory_plateau() {
     serve::ServeOptions so;
     so.policy.kind = serve::PolicyKind::kMaxBatch;
     so.policy.max_batch = 8;  // caps concurrent sessions, parked included
-    so.recycle = true;
     return serve::serve(p, ds, t0_trace(count, ds.inputs.size()), so);
   };
 

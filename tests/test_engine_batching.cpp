@@ -674,7 +674,7 @@ void test_chain_fusion() {
   const Shape v8 = RowVec(8), m28(2, 8);
   const Shape bin[2] = {v8, v8}, row[2] = {m28, v8};
   const int k_add = f.reg.add("t.add", OpKind::kAdd, 0, 2, bin);
-  const int k_relu = f.reg.add("t.relu", OpKind::kRelu, 0, 1, bin);  // runs after k_add
+  const int k_tanh = f.reg.add("t.tanh8", OpKind::kTanh, 0, 1, bin);  // runs after k_add
   const int k_addrow = f.reg.add("t.addrow", OpKind::kAdd, 0, 2, row);
   std::vector<Tensor> cs;
   for (int i = 0; i < 8; ++i) cs.push_back(f.pool.alloc_random(v8, f.rng, 1.0f));
@@ -719,7 +719,7 @@ void test_chain_fusion() {
       }
       case kLateOperand: {
         const TRef u = op(k_add, {c[0], c[1]}, 0);
-        const TRef t = op(k_relu, {c[2]}, 0);  // same depth, after k_add's batch
+        const TRef t = op(k_tanh, {c[2]}, 0);  // same depth, after k_add's batch
         op(k_add, {op(k_add, {u, t}, 0), c[3]}, 0);
         break;
       }
@@ -730,9 +730,9 @@ void test_chain_fusion() {
       }
       case kWaveSplit: {
         const TRef a = op(k_add, {c[0], c[1]}, 1);
-        const TRef b = op(k_relu, {c[2]}, 1);
-        op(k_relu, {op(k_add, {a, c[3]}, 1)}, 1);
-        op(k_relu, {op(k_add, {b, c[4]}, 1)}, 1);
+        const TRef b = op(k_tanh, {c[2]}, 1);
+        op(k_tanh, {op(k_add, {a, c[3]}, 1)}, 1);
+        op(k_tanh, {op(k_add, {b, c[4]}, 1)}, 1);
         break;
       }
     }

@@ -4,8 +4,8 @@
 //      loudly with a reason, never silently produce an inert plan;
 //  (b) backoff schedules: respawn_delay_ns and retry_backoff_ns are pure,
 //      bounded, and (given a seed) bitwise reproducible;
-//  (c) config validation: nonsensical liveness / supervision / watermark
-//      settings abort (config_die) — fork-based death tests, every build;
+//  (c) config validation: nonsensical liveness / supervision settings
+//      abort (config_die) — fork-based death tests, every build;
 //  (d) FrameReader fuzz: seeded garbage, truncated headers, and bit-flipped
 //      valid streams never crash the reader, never buffer unboundedly;
 //  (e) client resilience: call() retries 429s with backoff until completion
@@ -18,13 +18,13 @@
 //      keeps goodput;
 //  (h) degraded mode: overload enters/exits with hysteresis, sheds
 //      best-effort work, and accounts every request;
-//  (i) authn + fairness: a bad token is refused before admission; one
-//      connection cannot hold more than its in-flight cap;
+//  (i) bad requests + fairness: a malformed request is refused before
+//      admission and not retried; one connection cannot hold more than its
+//      in-flight cap;
 //  (j) short-write injection fragments frames without changing any output
 //      bit; a wedged worker trips the liveness timeout and is respawned.
 //
-// Wire tests SKIP loudly when sockets are unavailable; fault-plan tests
-// SKIP when built with -DACROBAT_FAULT=OFF (the parser tests still run).
+// Wire tests SKIP loudly when sockets are unavailable.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
@@ -55,13 +55,6 @@ int g_skips = 0;
 bool start_or_skip(net::NetServer& srv, const char* what) {
   if (srv.start()) return true;
   std::printf("SKIP %s: %s\n", what, srv.error().c_str());
-  ++g_skips;
-  return false;
-}
-
-bool fault_or_skip(const char* what) {
-  if (!fault::kCompiledOut) return true;
-  std::printf("SKIP %s: built with ACROBAT_FAULT=OFF\n", what);
   ++g_skips;
   return false;
 }
@@ -159,8 +152,8 @@ void test_backoff_determinism() {
         net::retry_backoff_ns(0, 1'000'000, 200'000'000, s3));  // state advances
 }
 
-// (c) config_die: nonsense liveness / supervision / watermark settings
-// abort instead of producing a server that flaps or never declares death.
+// (c) config_die: nonsense liveness / supervision settings abort instead
+// of producing a server that flaps or never declares death.
 void test_config_validation_dies() {
   const auto start_with = [](void (*tweak)(net::NetOptions&)) {
     net::NetOptions o;
@@ -184,18 +177,6 @@ void test_config_validation_dies() {
   CHECK(test::dies([&] {
     start_with([](net::NetOptions& o) {
       o.respawn_backoff_cap_ns = o.respawn_backoff_ns - 1;
-    });
-  }));
-  CHECK(test::dies([&] {
-    start_with([](net::NetOptions& o) {
-      o.degrade_high_watermark = 4;
-      o.degrade_low_watermark = 8;  // inverted hysteresis band
-    });
-  }));
-  CHECK(test::dies([&] {
-    start_with([](net::NetOptions& o) {
-      o.admission_capacity = 8;
-      o.degrade_high_watermark = 9;  // outside the queue bound
     });
   }));
 }
@@ -460,7 +441,6 @@ void test_respawn_budget_exhaustion() {
 // requests. With supervision + client retry, every request completes, and
 // the respawn count tracks the injected kills.
 void test_kill_loop_soak() {
-  if (!fault_or_skip("kill_loop_soak")) return;
   const int n = env_requests(1000);
   const int period = std::max(10, n / 10);
 
@@ -547,7 +527,7 @@ void test_degraded_mode() {
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
   net::NetOptions o;
-  o.admission_capacity = 8;   // derived watermarks: enter at 7, exit at 2
+  o.admission_capacity = 8;   // degraded mode enters at 7, exits at 2
   o.max_sessions = 4;         // make the queue actually back up
   o.launch_overhead_ns = 200'000;
   o.ds_batch = 8;
@@ -587,46 +567,46 @@ void test_degraded_mode() {
   CHECK_EQ(st.completed, static_cast<std::uint64_t>(done));
 }
 
-// (i1) Authn: a missing/wrong token is refused before admission; the right
-// token serves normally.
-void test_auth_token() {
+// (i1) Bad requests: an out-of-range input index and a nonzero model id
+// are each answered kError(kBadRequest) before admission. kBadRequest is
+// non-retryable, so call() fails fast instead of burning its deadline, and
+// the connection still serves a well-formed request.
+void test_bad_request() {
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 6, 23);
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
   net::NetOptions o;
-  o.auth_token = "sesame";
   o.ds_batch = 6;
   o.ds_seed = 23;
   net::NetServer srv(&p, &ds, o);
-  if (!start_or_skip(srv, "auth_token")) return;
+  if (!start_or_skip(srv, "bad_request")) return;
 
-  net::NetClient anon;
-  CHECK(anon.connect_tcp("127.0.0.1", srv.port()));
-  CHECK(anon.send_request(1, 0));
+  net::NetClient cli;
+  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
   net::ClientResponse r;
-  CHECK(anon.wait(1, r));
-  CHECK(r.kind == net::ClientResponse::Kind::kError);
-  CHECK_EQ(r.error_code,
-           static_cast<std::uint32_t>(net::ErrorCode::kUnauthorized));
-  // kUnauthorized is non-retryable: call() must fail fast, not burn its
-  // whole deadline resubmitting a hopeless request.
   net::CallOptions co;
   co.deadline_ms = 10'000;
   const std::int64_t t0 = now_ns();
-  CHECK(!anon.call(2, 0, r, co));
+  CHECK(!cli.call(1, /*input_index=*/6, r, co));  // inputs are 0..5
   CHECK(now_ns() - t0 < 5'000'000'000);
-  anon.close();
+  CHECK_EQ(cli.stats().retries, 0u);
+  CHECK_EQ(cli.stats().timeouts, 0u);
+  CHECK(r.kind == net::ClientResponse::Kind::kError);
+  CHECK_EQ(r.error_code, static_cast<std::uint32_t>(net::ErrorCode::kBadRequest));
 
-  net::NetClient authed;
-  CHECK(authed.connect_tcp("127.0.0.1", srv.port()));
-  authed.set_auth("sesame");
-  CHECK(authed.call(3, 0, r));
+  CHECK(cli.send_request(2, 0, /*model_id=*/1));
+  CHECK(cli.wait(2, r));
+  CHECK(r.kind == net::ClientResponse::Kind::kError);
+  CHECK_EQ(r.error_code, static_cast<std::uint32_t>(net::ErrorCode::kBadRequest));
+
+  CHECK(cli.call(3, 0, r));
   CHECK(r.kind == net::ClientResponse::Kind::kDone);
-  authed.close();
+  cli.close();
   srv.shutdown();
   const net::NetStats& st = srv.stats();
-  CHECK_EQ(st.auth_rejects, 2u);
+  CHECK_EQ(st.requests, 3u);
+  CHECK_EQ(st.errors, 2u);
   CHECK_EQ(st.completed, 1u);
 }
 
@@ -672,7 +652,6 @@ void test_fairness_cap() {
 // (j1) Short-write injection fragments every channel frame; outputs remain
 // bitwise the solo reference — fragmentation is never data loss.
 void test_short_write_parity() {
-  if (!fault_or_skip("short_write_parity")) return;
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 6, 23);
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
@@ -712,8 +691,6 @@ void test_short_write_parity() {
 // timeout, is SIGKILLed and respawned; the client's retry completes the
 // request on the fresh process.
 void test_wedge_liveness_respawn() {
-  if (!fault_or_skip("wedge_liveness")) return;
-
   net::NetOptions o;
   o.multiprocess = true;
   o.shards = 1;
@@ -767,7 +744,7 @@ int main(int argc, char** argv) {
   test_respawn_budget_exhaustion();
   test_kill_loop_soak();
   test_degraded_mode();
-  test_auth_token();
+  test_bad_request();
   test_fairness_cap();
   test_short_write_parity();
   test_wedge_liveness_respawn();

@@ -11,8 +11,7 @@
 //      per-model persistent region plateaued — recycling holds across
 //      models sharing one engine (ACROBAT_SERVE_REQUESTS overrides the
 //      trace length; default 5000).
-// Plus units: fleet policy triage, class-affinity routing, and the trace
-// contract's aborts.
+// Plus units: fleet policy triage and the trace contract's aborts.
 #include "fleet/fleet.h"
 #include "test_util.h"
 
@@ -365,31 +364,6 @@ void test_closed_loop() {
   CHECK(res.throughput_rps > 0);
 }
 
-// Class-aware routing: per-class shard affinity pins classes to disjoint
-// shard sets; least-loaded dispatch stays within the class's set.
-void test_class_affinity_routing() {
-  fleet::ModelRegistry reg = two_model_registry();
-  const int n = 12;
-  std::vector<serve::Request> trace = interleaved_trace(n, reg, 15'000);
-  for (int i = 0; i < n; ++i)
-    trace[static_cast<std::size_t>(i)].latency_class =
-        i % 3 == 0 ? serve::LatencyClass::kInteractive : serve::LatencyClass::kBatch;
-
-  fleet::FleetOptions fo;
-  fo.shards = 2;
-  fo.policy = no_slo_policy();
-  fo.class_affinity[0] = {0};  // interactive pinned to shard 0
-  fo.class_affinity[1] = {1};  // batch pinned to shard 1
-  const fleet::FleetResult res = fleet::serve_fleet(reg, trace, fo);
-
-  for (const serve::RequestRecord& rec : res.records) {
-    const serve::LatencyClass c = trace[static_cast<std::size_t>(rec.id)].latency_class;
-    CHECK_EQ(rec.shard, c == serve::LatencyClass::kInteractive ? 0 : 1);
-  }
-  CHECK(res.shards[0].requests > 0);
-  CHECK(res.shards[1].requests > 0);
-}
-
 // Fleet policy triage units: EDF keys, deprioritization, grace, shedding.
 void test_fleet_policy_triage() {
   fleet::FleetPolicyConfig pc;
@@ -444,7 +418,7 @@ void test_fleet_policy_triage() {
 // the full trace stays within 2x of its short prefix, and the persistent
 // region (both models' cached constants) goes exactly flat.
 // The fleet trace contract is validated loudly at entry: a class outside
-// LatencyClass would index the per-class affinity and report tables.
+// LatencyClass would index the per-class deadline and report tables.
 void test_trace_contract_dies() {
   const fleet::ModelRegistry reg = two_model_registry();
   CHECK(acrobat::test::dies([&] {
@@ -514,7 +488,6 @@ int main() {
   test_fleet_merged_cohort_deterministic();
   test_shedding_only_past_saturation();
   test_closed_loop();
-  test_class_affinity_routing();
   test_fleet_policy_triage();
   test_trace_contract_dies();
   test_fleet_soak_mixed_models();

@@ -93,7 +93,6 @@ const OpSpec kOps[] = {
     {"g.mul", OpKind::kMul, 0, 2, kV8, {kV8, kV8}},
     {"g.tanh", OpKind::kTanh, 0, 1, kV8, {kV8}},
     {"g.sigmoid", OpKind::kSigmoid, 0, 1, kV8, {kV8}},
-    {"g.relu", OpKind::kRelu, 0, 1, kV8, {kV8}},
     {"g.scale", OpKind::kScale, 1500000, 1, kV8, {kV8}},
     {"g.softmax", OpKind::kSoftmax, 0, 1, kV8, {kV8}},
     {"g.abt", OpKind::kAddBiasTanh, 0, 3, kV8, {kV8, kV8, kV8}},
@@ -121,7 +120,6 @@ const OpSpec kOps[] = {
     {"g.concat5", OpKind::kConcat, 1, 5, kV40, {kV8, kV8, kV8, kV8, kV8}},
     {"g.zeros", OpKind::kZeros, 8, 0, kV8, {}},
     {"g.sumall", OpKind::kSumAll, 0, 1, kS1, {kV8}},
-    {"g.maxprob", OpKind::kMaxProb, 0, 1, kS1, {kV8}},
     {"g.addrow", OpKind::kAdd, 0, 2, kR2, {kR2, kV8}},  // row broadcast
 };
 constexpr int kNumOps = static_cast<int>(sizeof(kOps) / sizeof(kOps[0]));
@@ -134,13 +132,14 @@ int op_index(const char* name) {
 
 // The elementwise V8 kernels a chain can run through (DESIGN.md §5
 // "Chains"), the binary ones first; the chain rides their first operand.
-const char* const kChainOps[] = {"g.add",  "g.sub",  "g.mul",  "g.tanh", "g.sigmoid", "g.relu",
+const char* const kChainOps[] = {"g.add", "g.sub", "g.mul", "g.tanh", "g.sigmoid",
                                  "g.scale", "g.abt", "g.abs", "g.fma2", "g.multanh"};
 constexpr int kNumChainOps = static_cast<int>(sizeof(kChainOps) / sizeof(kChainOps[0]));
 constexpr int kNumBinaryChainOps = 3;
 // Unary V8 kernels registered after every binary chain kernel, so they run
 // later in the same depth bucket or wave.
-const char* const kLateOps[] = {"g.tanh", "g.sigmoid", "g.relu", "g.scale"};
+const char* const kLateOps[] = {"g.tanh", "g.sigmoid", "g.scale"};
+constexpr int kNumLateOps = static_cast<int>(sizeof(kLateOps) / sizeof(kLateOps[0]));
 
 bool elementwise(OpKind op) {
   switch (op) {
@@ -149,7 +148,6 @@ bool elementwise(OpKind op) {
     case OpKind::kMul:
     case OpKind::kTanh:
     case OpKind::kSigmoid:
-    case OpKind::kRelu:
     case OpKind::kScale:
     case OpKind::kAddBiasTanh:
     case OpKind::kAddBiasSigmoid:
@@ -290,7 +288,7 @@ Trace make_trace(const Fixture& f, Rng& rng) {
         // A step whose other operand a later kernel writes in the chain's
         // first depth bucket or wave: that step must wait for it.
         const int oi = pick_op(kChainOps, kNumBinaryChainOps);
-        const int late = emit(pick_op(kLateOps, 4), {pick(concrete_v8)}, phase);
+        const int late = emit(pick_op(kLateOps, kNumLateOps), {pick(concrete_v8)}, phase);
         int acc = emit(oi, {pick(concrete_v8), pick(concrete_v8)}, phase);
         acc = emit(oi, {acc, late}, phase);
         for (int s = rng.uniform_int(3); s > 0; --s) acc = emit(oi, {acc, pick(concrete_v8)}, phase);

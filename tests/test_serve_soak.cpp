@@ -1,10 +1,8 @@
-// Steady-state soak (DESIGN.md §7 "Recycling", ISSUE 3 acceptance): drive
-// thousands of requests through a 1-shard server with epoch recycling on
-// and assert the shard's node table and arena high-water mark PLATEAU —
-// the run over the full trace must stay within 2x of the run over its
-// short prefix, i.e. memory is bounded by peak concurrency, not by the
-// request count. A recycling-off contrast run at reduced count shows the
-// unbounded-growth shape the recycler removes.
+// Steady-state soak (DESIGN.md §7 "Recycling"): drive thousands of
+// requests through a 1-shard server, which always recycles, and assert the
+// shard's node table and arena high-water mark PLATEAU — the run over the
+// full trace must stay within 2x of the run over its short prefix, i.e.
+// memory is bounded by peak concurrency, not by the request count.
 //
 // ACROBAT_SERVE_REQUESTS overrides the trace length (default 5000; CI
 // registers a reduced-count smoke). The trace seed goes through
@@ -31,11 +29,10 @@ std::vector<serve::Request> flood_trace(const std::vector<serve::Request>& full,
 }
 
 serve::ServeResult run(const harness::Prepared& p, const models::Dataset& ds,
-                       const std::vector<serve::Request>& trace, bool recycle) {
+                       const std::vector<serve::Request>& trace) {
   serve::ServeOptions so;
   so.policy.kind = serve::PolicyKind::kMaxBatch;
   so.policy.max_batch = 8;
-  so.recycle = recycle;
   return serve::serve(p, ds, trace, so);
 }
 
@@ -53,8 +50,8 @@ void test_soak_memory_plateau() {
   ls.seed = acrobat::test::seed(31);
   const std::vector<serve::Request> full = serve::generate_load(ls, ds.inputs.size());
 
-  const serve::ServeResult short_res = run(p, ds, flood_trace(full, n_short), true);
-  const serve::ServeResult long_res = run(p, ds, full, true);
+  const serve::ServeResult short_res = run(p, ds, flood_trace(full, n_short));
+  const serve::ServeResult long_res = run(p, ds, full);
 
   for (const serve::RequestRecord& r : long_res.records) CHECK(r.completion_ns >= 0);
   CHECK_EQ(long_res.shards.at(0).requests, n);
@@ -87,21 +84,6 @@ void test_soak_memory_plateau() {
   // Fiber stacks already plateaued pre-recycling; they must still.
   CHECK(long_res.shards.at(0).stacks_allocated <=
         static_cast<long long>(long_res.shards.at(0).max_live) + 1);
-
-  // Contrast (reduced count to bound runtime): without recycling the node
-  // table tracks the request count — the growth the recycler removes. Only
-  // meaningful when the counts differ enough to separate the shapes.
-  if (n_short >= 4 * 40) {
-    const int n_mid = n_short / 4;
-    const serve::ServeResult off_short = run(p, ds, flood_trace(full, n_mid), false);
-    const serve::ServeResult off_long = run(p, ds, flood_trace(full, n_short), false);
-    const std::size_t grow_off =
-        off_long.shards.at(0).mem.node_table_size - off_short.shards.at(0).mem.node_table_size;
-    CHECK(grow_off > 0);  // table keeps growing with requests
-    CHECK_EQ(off_long.shards.at(0).mem.nodes_recycled, 0);
-    CHECK(off_long.shards.at(0).mem.node_table_size >
-          2 * off_short.shards.at(0).mem.node_table_size);
-  }
 }
 
 }  // namespace

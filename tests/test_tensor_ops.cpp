@@ -88,8 +88,6 @@ void test_softmax_and_reductions() {
   float one[1] = {};
   run_op(OpKind::kSumAll, 0, ins, s, one, Shape(1), 0);
   CHECK_NEAR(one[0], 0.0, 1e-6);
-  run_op(OpKind::kMaxProb, 0, ins, s, one, Shape(1), 0);
-  CHECK_NEAR(one[0], 1.0 / 3.0, 1e-6);
 }
 
 void test_variants_agree() {

@@ -200,7 +200,6 @@ void test_serve_trace_parity() {
 
   // Off: no dump at all. On: dispatcher track + one per shard.
   CHECK(a.trace.empty());
-#ifndef ACROBAT_TRACE_COMPILED_OUT
   CHECK_EQ(b.trace.tracks.size(), 2);
   CHECK(b.trace.total_events() > 0);
   CHECK(b.trace.count(trace::EventKind::kTrigger) > 0);
@@ -253,9 +252,6 @@ void test_serve_trace_parity() {
     std::fclose(f);
     std::remove(path);
   }
-#else
-  CHECK(b.trace.empty());  // compiled out: enabling records nothing
-#endif
 }
 
 // (d) Fleet: shedding is fully visible in the trace. Interactive deadline
@@ -317,7 +313,6 @@ void test_fleet_trace_sheds() {
   }
 
   CHECK(a.trace.empty());
-#ifndef ACROBAT_TRACE_COMPILED_OUT
   CHECK_EQ(b.trace.count(trace::EventKind::kShed), static_cast<std::size_t>(interactive));
   CHECK_EQ(b.trace.count(trace::EventKind::kAdmit), static_cast<std::size_t>(n - interactive));
   CHECK_EQ(b.trace.count(trace::EventKind::kDispatch), n);
@@ -327,7 +322,6 @@ void test_fleet_trace_sheds() {
   for (const trace::TrackDump& t : b.trace.tracks)
     for (const trace::Exemplar& e : t.exemplars) any_exemplar |= e.request_id >= 0;
   CHECK(any_exemplar);
-#endif
 }
 
 // (e) Tracer-on soak: the ring and tick stream stay bounded while the
@@ -383,7 +377,6 @@ void test_soak_tracer_on_plateau() {
   CHECK(long_res.shards.at(0).mem.node_table_size <=
         2 * short_res.shards.at(0).mem.node_table_size);
 
-#ifndef ACROBAT_TRACE_COMPILED_OUT
   // Bounded observability: however long the run, the retained window never
   // exceeds the ring and the emitted/dropped ledger accounts for the rest.
   for (const trace::TrackDump& t : long_res.trace.tracks) {
@@ -393,7 +386,6 @@ void test_soak_tracer_on_plateau() {
   // The shard track of a 4x-longer run actually wrapped (same window size).
   CHECK(long_res.trace.tracks.at(1).dropped > 0 || n < 200);
   CHECK(long_res.trace.ticks.size() >= short_res.trace.ticks.size());
-#endif
 }
 
 }  // namespace

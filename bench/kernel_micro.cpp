@@ -334,8 +334,8 @@ void BM_LinearFused(benchmark::State& state) {
   const int n = static_cast<int>(state.range(1));
   CellBatch c(n, h);
   for (auto _ : state) {
-    run_linear(2, kLinearTanh, c.xs.data(), h, c.hs.data(), h, c.w.data, c.b.data, h, n,
-               c.out.data);
+    run_linear(2, kLinearTanh, c.xs.data(), h, c.hs.data(), nullptr, h, c.w.data, c.b.data, h,
+               n, c.out.data);
     benchmark::DoNotOptimize(c.out.data[0]);
   }
   report_flops(state, 2.0 * n * h * 2 * h);
@@ -362,7 +362,8 @@ void BM_LinearCell(benchmark::State& state, LinearAct act, int gates) {
   }
   Tensor out = pool.alloc(Shape(n, gates * h));
   for (auto _ : state) {
-    run_linear(2, act, xs.data(), h, hs.data(), h, w.data, b.data, gates * h, n, out.data);
+    run_linear(2, act, xs.data(), h, hs.data(), nullptr, h, w.data, b.data, gates * h, n,
+               out.data);
     benchmark::DoNotOptimize(out.data[0]);
   }
   report_flops(state, 2.0 * n * gates * h * 2 * h);
@@ -377,6 +378,52 @@ BENCHMARK_CAPTURE(BM_LinearCell, lstm, kLinearLstm, 4)
     ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
     ->ArgNames({"h", "rows"});
 BENCHMARK_CAPTURE(BM_LinearCell, lstm_gates, kLinearIdentity, 4)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+
+// A batch of TreeLSTM internal cells, each over the sum of two [h; c]
+// child states. `lstm_sum` is the summed form, one run_linear call that
+// adds the two states in its tile; `lstm_add` is what it replaced, one flat
+// kAdd of the two states' rows (the child-sum batch over back-to-back
+// outputs) and then the `lstm` call over the sums. Their gap is the in-tile
+// sum's kernel-side cost or saving.
+void BM_LinearCellSum(benchmark::State& state, bool summed) {
+  const int h = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  TensorPool pool;
+  Rng rng(7);
+  const Tensor w = pool.alloc_random(Shape(4 * h, 2 * h), rng, 0.1f);
+  const Tensor b = pool.alloc_random(RowVec(4 * h), rng, 0.1f);
+  const Tensor l = pool.alloc_random(Shape(n, 2 * h), rng, 0.5f);
+  const Tensor r = pool.alloc_random(Shape(n, 2 * h), rng, 0.5f);
+  Tensor sums = pool.alloc(Shape(n, 2 * h));
+  std::vector<const float*> xs, ls, rs, ss;
+  for (int i = 0; i < n; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(h), rng, 0.5f).data);
+    ls.push_back(l.data + static_cast<std::ptrdiff_t>(i) * 2 * h);
+    rs.push_back(r.data + static_cast<std::ptrdiff_t>(i) * 2 * h);
+    ss.push_back(sums.data + static_cast<std::ptrdiff_t>(i) * 2 * h);
+  }
+  const float* add_ins[2] = {l.data, r.data};
+  const Shape add_shapes[2] = {l.shape, r.shape};
+  Tensor out = pool.alloc(Shape(n, 2 * h));
+  for (auto _ : state) {
+    if (summed) {
+      run_linear(2, kLinearLstm | kLinearSumH, xs.data(), h, ls.data(), rs.data(), h, w.data,
+                 b.data, 4 * h, n, out.data);
+    } else {
+      run_op(OpKind::kAdd, 0, add_ins, add_shapes, sums.data, sums.shape, 0);
+      run_linear(2, kLinearLstm, xs.data(), h, ss.data(), nullptr, h, w.data, b.data, 4 * h, n,
+                 out.data);
+    }
+    benchmark::DoNotOptimize(out.data[0]);
+  }
+  report_flops(state, 2.0 * n * 4 * h * 2 * h);
+}
+BENCHMARK_CAPTURE(BM_LinearCellSum, lstm_sum, true)
+    ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
+    ->ArgNames({"h", "rows"});
+BENCHMARK_CAPTURE(BM_LinearCellSum, lstm_add, false)
     ->ArgsProduct({{16, 40}, {1, 4, 16, 64}})
     ->ArgNames({"h", "rows"});
 

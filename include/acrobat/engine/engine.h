@@ -396,10 +396,15 @@ class Engine {
                         float* out_base);
   bool try_execute_stacked(const Kernel& k, const std::vector<std::uint32_t>& ids,
                            float* out_base);
-  // kLinear batches: one run_linear call over per-row pointers (false when
-  // the members do not share W and b).
+  // kLinear batches: one run_linear call per weight group over per-row
+  // pointers, all in the batch's one launch. `groups` holds each group's
+  // first index in `ids`, then ids.size() (DESIGN.md §8 "Mixed weights").
   bool try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                          float* out_base);
+                          std::span<const std::uint32_t> groups, float* out_base);
+  // A kLinear batch whose members do not all share (W, b), stably grouped
+  // by (W, b) in first-appearance order into linear_ids_, with the group
+  // bounds in linear_groups_. False, and nothing written, when they share.
+  bool group_by_weight(const std::vector<std::uint32_t>& ids);
   // Explicit staging gather: copies operand `operand` of every batch member
   // (`step` floats each) into one contiguous arena buffer, charging
   // gather-copy time and bytes. charge_bytes may throw OomError.
@@ -513,7 +518,9 @@ class Engine {
   std::vector<std::uint32_t> wave_todo_, wave_rest_;
   std::vector<std::uint32_t> trigger_scratch_;  // pending_ swap buffer
   std::vector<float*> outs_scratch_;            // per-batch output cursors
-  std::vector<const float*> linear_rows_[2];    // kLinear x / h row pointers
+  std::vector<const float*> linear_rows_[3];    // kLinear x / h (/ h2) row pointers
+  std::vector<std::uint32_t> linear_ids_, linear_groups_;  // group_by_weight's
+  std::vector<std::uint64_t> linear_keys_;      // its (W, b) node ids, one per group
   std::vector<std::uint32_t> eager_scratch_;    // eager mode's 1-op batch
   // Agenda-scheduler scratch: per-node stamp/rank (stamped, so no O(table)
   // clears) plus per-pending remaining counts and a consumers CSR.

@@ -8,6 +8,8 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,13 +19,15 @@
 namespace acrobat {
 
 struct Kernel {
+  // The widest declared arity: the summed kLinear's x, h1, h2, W, b.
+  static constexpr int kMaxArity = 5;
   std::string name;
   OpKind op = OpKind::kAdd;
   std::int64_t attr = 0;
   int arity = 0;
   int variant = 0;  // chosen schedule; mutated by the tuner
   int num_variants = 1;
-  Shape rep[4];  // representative input shapes for offline measurement
+  Shape rep[kMaxArity];  // representative input shapes for offline measurement
 };
 
 class KernelRegistry {
@@ -33,7 +37,11 @@ class KernelRegistry {
           const Shape* rep_shapes) {
     auto it = by_name_.find(name);
     if (it != by_name_.end()) return it->second;
-    assert(arity <= 4);
+    if (arity > Kernel::kMaxArity) {
+      std::fprintf(stderr, "acrobat: kernel %s registered with arity %d, more than %d\n",
+                   name.c_str(), arity, Kernel::kMaxArity);
+      std::abort();
+    }
     std::string skey;
     if (structural_dedupe_) {
       skey = structural_key(op, attr, arity, rep_shapes);

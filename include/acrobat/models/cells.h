@@ -58,8 +58,9 @@ int emit_gru(ir::FuncBuilder& b, const GruCell& c, int x, int h);
 struct LstmCell {
   Grain grain;
   // coarse: the state is one [h; c] row (2h wide), state' = linear_lstm(x,
-  // state; W4, b4), and a kLinear over the state reads its h half
-  int k_linear4 = -1, w4 = -1, b4 = -1;
+  // state; W4, b4), and a kLinear over the state reads its h half;
+  // k_linear4_sum is the summed form over two states, a child-sum cell
+  int k_linear4 = -1, k_linear4_sum = -1, w4 = -1, b4 = -1;
   // fused / per-op: 4 gates, then c' = f*c + i*g, h' = o*tanh(c')
   int k_gx[4] = {-1, -1, -1, -1}, k_gh[4] = {-1, -1, -1, -1};
   int k_fuse[4] = {-1, -1, -1, -1};  // fused add+bias+act per gate
@@ -67,8 +68,9 @@ struct LstmCell {
   int wgx[4] = {-1, -1, -1, -1}, wgh[4] = {-1, -1, -1, -1}, bg[4] = {-1, -1, -1, -1};
 };
 LstmCell make_lstm(BuildCtx& ctx, const std::string& prefix, int in_dim, int h);
-// Coarse grain: returns the new [h; c] state from the old one.
-int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state);
+// Coarse grain: returns the new [h; c] state from the old one, or, given
+// state2, from the sum of the two (one kLinear that adds them in its tile).
+int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state, int state2 = -1);
 // Fused / per-op: returns h'; writes c' through c_out.
 int emit_lstm(ir::FuncBuilder& b, const LstmCell& c, int x, int h, int cc, int* c_out);
 

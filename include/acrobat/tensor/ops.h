@@ -59,7 +59,8 @@ enum class OpKind : std::uint8_t {
             // pointers: the first kx = x.cols floats of each x row and the
             // first kh = W.cols − kx of each h row (x-only: the first
             // W.cols floats of each x row). An operand's width is only its
-            // row stride. 3 variants: dense's.
+            // row stride. The summed form (attr flag kLinearSumH) takes
+            // x, h1, h2, W, b and reads h = h1 + h2. 3 variants: dense's.
 
   // Structural / reduction.
   kConcat,   // engine-executed (variable arity); attr = axis
@@ -76,12 +77,24 @@ enum class OpKind : std::uint8_t {
 // c' = σ(f+1)*c + σ(i)*tanh(g), h' = σ(o)*tanh(c'). A cell epilogue holds
 // its gates on the stack, at most 512 per row; a wider kernel aborts with
 // one line.
+//
+// kLinearSumH is a flag bit beside the epilogue, not an epilogue: it marks
+// the summed form, whose h operand is h1 + h2 (a TreeLSTM cell over its two
+// children's states). Each tile adds h1 and h2 row by row, the float op
+// kAdd applies, into a stack buffer over the floats the dot and the
+// epilogue read: the first kh, and under kLinearLstm the whole [h; c]
+// state. The tile then runs over that buffer as the plain form, so the
+// summed form is bitwise equal to a kAdd followed by the plain form. The
+// buffer holds at most 256 floats per row; a wider row aborts with one
+// line. The flag is what tells 4 operands from 5: a multi-row h1 is 2-D
+// like W.
 enum LinearAct : std::int64_t {
   kLinearIdentity = 0,
   kLinearTanh = 1,
   kLinearSoftmax = 2,
   kLinearGru = 3,
   kLinearLstm = 4,
+  kLinearSumH = 8,
 };
 
 const char* op_name(OpKind kind);
@@ -89,14 +102,15 @@ const char* op_name(OpKind kind);
 // Number of schedule variants a kind exposes (≥1).
 int op_num_variants(OpKind kind);
 
-// Fixed input arity; -1 for kConcat (any) and kLinear (3 or 4).
+// Fixed input arity; -1 for kConcat (any) and kLinear (3, 4 or 5).
 int op_arity(OpKind kind);
 
 // Output shape from input shapes; asserts on rank/size mismatches.
 Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* in_shapes, int n_ins);
 
 // Execute one op. `ins`/`in_shapes` hold `op_arity(kind)` entries; kLinear
-// tells its two forms apart by the third operand (W is 2-D, the bias 1-D).
+// tells the summed form by its attr flag and the other two forms apart by
+// the third operand (W is 2-D, the bias 1-D).
 // kConcat goes through the engine instead. `out` must have
 // `infer_shape(...)` elements.
 void run_op(OpKind kind, int variant, const float* const* ins, const Shape* in_shapes,
@@ -106,10 +120,11 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* in_s
 // batch call: row r is act(W·[x[r]; h[r]] + b) over the first kx floats of
 // x[r] and the first kh of h[r] (kh == 0: no h; the GRU and LSTM epilogues
 // still read h[r]), W (n, kx+kh), written to out + r·(the epilogue's output
-// width). Each output's sum order depends only on its row, so one call is
+// width). Under kLinearSumH, h[r] is h[r] + h2[r]; otherwise h2 is not
+// read. Each output's sum order depends only on its row, so one call is
 // bitwise equal to `rows` single-row run_op calls.
-void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
-                const float* const* h, int kh, const float* w, const float* b, int n, int rows,
-                float* out);
+void run_linear(int variant, std::int64_t attr, const float* const* x, int kx,
+                const float* const* h, const float* const* h2, int kh, const float* w,
+                const float* b, int n, int rows, float* out);
 
 }  // namespace acrobat

@@ -128,6 +128,8 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
     c.b4 = ctx.add_weight(g4, 0.05f);
     c.k_linear4 =
         ctx.kernel(p + ".linear4", OpKind::kLinear, kLinearLstm, {x, Shape(2 * h), w, g4});
+    c.k_linear4_sum = ctx.kernel(p + ".linear4_sum", OpKind::kLinear, kLinearLstm | kLinearSumH,
+                                 {x, Shape(2 * h), Shape(2 * h), w, g4});
     return c;
   }
   static const char* gate[4] = {"i", "f", "g", "o"};
@@ -155,7 +157,9 @@ LstmCell make_lstm(BuildCtx& ctx, const std::string& p, int in_dim, int h) {
   return c;
 }
 
-int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state) {
+int emit_lstm_state(ir::FuncBuilder& b, const LstmCell& c, int x, int state, int state2) {
+  if (state2 >= 0)
+    return b.kernel(c.k_linear4_sum, {x, state, state2, b.weight(c.w4), b.weight(c.b4)});
   return b.kernel(c.k_linear4, {x, state, b.weight(c.w4), b.weight(c.b4)});
 }
 

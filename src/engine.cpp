@@ -881,27 +881,26 @@ bool Engine::try_execute_stacked(const Kernel& k, const std::vector<std::uint32_
   return true;
 }
 
-// A batch of kLinear ops sharing W and b runs as ONE run_linear call over
+// A batch of kLinear ops runs as ONE run_linear call per (W, b) group over
 // per-row operand pointers (gather fusion, DESIGN.md §4): each row's x and
 // h are read wherever they live, so the cell's concat is never
 // materialized and scattered rows need no staging. With gather fusion off,
 // a scattered activation operand is first staged into one contiguous
 // buffer, as the stacked dense path does; staging copies whole rows, so an
 // LSTM state keeps the c half its epilogue reads. Rows are independent, so
-// the call is bitwise-identical to n per-op calls.
+// the calls are bitwise-identical to n per-op calls.
 bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                                float* out_base) {
+                                std::span<const std::uint32_t> groups, float* out_base) {
   const std::size_t n = ids.size();
   const Node& head = nodes_[ids[0]];
   const std::size_t arity = head.ins.size();
-  const int n_act = static_cast<int>(arity) - 2;  // x, or x and h
-  const TRef w = head.ins[arity - 2], b = head.ins[arity - 1];
-  const int m = node(head.ins[0]).shape.rows();  // rows per op
+  const int n_act = static_cast<int>(arity) - 2;  // x; x and h; or x, h1 and h2
+  const int m = node(head.ins[0]).shape.rows();   // rows per op
   // Row strides, and where each operand's rows would start if the batch's
   // operands lay back to back.
-  int stride[2] = {0, 0};
-  const float* base[2] = {nullptr, nullptr};
-  bool contig[2] = {true, true};
+  int stride[3] = {0, 0, 0};
+  const float* base[3] = {nullptr, nullptr, nullptr};
+  bool contig[3] = {true, true, true};
   for (int j = 0; j < n_act; ++j) {
     const Node& src = node(head.ins[static_cast<std::size_t>(j)]);
     stride[j] = src.shape.cols();
@@ -909,14 +908,17 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
   }
   for (std::size_t i = 0; i < n; ++i) {
     const Node& nd = nodes_[ids[i]];
-    if (nd.ins.size() != arity || nd.ins[arity - 2].id != w.id || nd.ins[arity - 1].id != b.id)
-      return false;
+    if (nd.ins.size() != arity) return false;
     for (int j = 0; j < n_act; ++j) {
       const Node& src = node(nd.ins[static_cast<std::size_t>(j)]);
       if (src.shape.rows() != m || src.shape.cols() != stride[j]) return false;
       if (src.data != base[j] + static_cast<std::int64_t>(i) * m * stride[j]) contig[j] = false;
     }
   }
+  // Every group's W has the head's shape, so every output has its shape.
+  const Shape& ws = node(head.ins[arity - 2]).shape;
+  for (std::size_t g = 1; g + 1 < groups.size(); ++g)
+    if (node(nodes_[ids[groups[g]]].ins[arity - 2]).shape != ws) return false;
 
   const std::size_t rows = n * static_cast<std::size_t>(m);
   for (int j = 0; j < n_act; ++j) {
@@ -936,12 +938,49 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
   }
   // The operand rule (tensor/ops.h): x gives its first kx floats, h the
   // rest of W's columns.
-  const Shape& ws = node(w).shape;
-  const int kx = n_act == 2 ? stride[0] : ws.dim[1];
+  const int kx = n_act >= 2 ? stride[0] : ws.dim[1];
+  const std::int64_t out_step = head.shape.numel();
+  const auto rows_at = [&](int j, std::size_t first) {
+    return j < n_act ? linear_rows_[j].data() + first : nullptr;
+  };
   ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
-  run_linear(k.variant, k.attr, linear_rows_[0].data(), kx, linear_rows_[1].data(),
-             ws.dim[1] - kx, node(w).data, node(b).data, ws.dim[0], static_cast<int>(rows),
-             out_base);
+  for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
+    const Node& nd = nodes_[ids[groups[g]]];
+    const std::size_t first = groups[g] * static_cast<std::size_t>(m);
+    run_linear(k.variant, k.attr, rows_at(0, first), kx, rows_at(1, first), rows_at(2, first),
+               ws.dim[1] - kx, node(nd.ins[arity - 2]).data, node(nd.ins[arity - 1]).data,
+               ws.dim[0], static_cast<int>((groups[g + 1] - groups[g]) * m),
+               out_base + static_cast<std::int64_t>(groups[g]) * out_step);
+  }
+  return true;
+}
+
+bool Engine::group_by_weight(const std::vector<std::uint32_t>& ids) {
+  const auto key = [&](std::uint32_t id) {
+    const InsList& ins = nodes_[id].ins;
+    return static_cast<std::uint64_t>(ins[ins.size() - 2].id) << 32 | ins[ins.size() - 1].id;
+  };
+  const std::uint64_t head = key(ids[0]);
+  std::size_t i = 1;
+  while (i < ids.size() && key(ids[i]) == head) ++i;
+  if (i == ids.size()) return false;
+  linear_keys_.clear();
+  for (const std::uint32_t id : ids) {
+    const std::uint64_t kv = key(id);
+    if (std::find(linear_keys_.begin(), linear_keys_.end(), kv) != linear_keys_.end()) continue;
+    scratch_reserve(linear_keys_, linear_keys_.size() + 1);
+    linear_keys_.push_back(kv);
+  }
+  linear_ids_.clear();
+  scratch_reserve(linear_ids_, ids.size());
+  linear_groups_.clear();
+  scratch_reserve(linear_groups_, linear_keys_.size() + 1);
+  for (const std::uint64_t kv : linear_keys_) {
+    linear_groups_.push_back(static_cast<std::uint32_t>(linear_ids_.size()));
+    for (const std::uint32_t id : ids)
+      if (key(id) == kv) linear_ids_.push_back(id);
+  }
+  linear_groups_.push_back(static_cast<std::uint32_t>(ids.size()));
   return true;
 }
 
@@ -1050,12 +1089,20 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
   return true;
 }
 
-void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
+void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& batch_ids,
                            bool merge_launch) {
   std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);
-  const std::size_t n = ids.size();
+  const std::size_t n = batch_ids.size();
+  // A kLinear batch that mixes weights (a fleet's structurally deduped
+  // kernel) runs grouped by (W, b), so each group's outputs, allocated below,
+  // lie back to back for its own run_linear call.
+  const std::uint32_t whole[2] = {0, static_cast<std::uint32_t>(n)};
+  const bool grouped = k.op == OpKind::kLinear && group_by_weight(batch_ids);
+  const std::vector<std::uint32_t>& ids = grouped ? linear_ids_ : batch_ids;
+  const std::span<const std::uint32_t> groups =
+      grouped ? std::span<const std::uint32_t>(linear_groups_) : whole;
   stats_.kernel_invocations[static_cast<std::size_t>(kernel_id)] +=
       static_cast<long long>(n);
   if (!merge_launch) charge_launch();
@@ -1105,7 +1152,7 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids,
   // baseline's cost model is intact.
   bool fused = false;
   if (k.op == OpKind::kLinear) {
-    fused = try_execute_linear(k, ids, out_base);
+    fused = try_execute_linear(k, ids, groups, out_base);
     stats_.stacked_batches += fused && n > 1 ? 1 : 0;
   } else if (n > 1) {
     if (matmul_family(k.op)) {

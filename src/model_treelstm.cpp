@@ -31,13 +31,14 @@ int build(BuildCtx& ctx) {
   const int h = hidden_dim(ctx.large);
   const LstmCell cell = make_lstm(ctx, "treelstm", h, h);
   const int k_zero = make_zeros(ctx, "treelstm.zero", h);
-  // Coarse grain carries each node's state as one [h; c] row: one child-sum
-  // add, one cached zero state per leaf, and the root classifier reads the
-  // h half in place. Finer grains carry an (h, c) tuple.
+  // Coarse grain carries each node's state as one [h; c] row: an internal
+  // cell adds its children's states inside its own kLinear, a leaf reads one
+  // cached zero state, and the root classifier reads the h half in place.
+  // Finer grains carry an (h, c) tuple and add the children first.
   const bool coarse = grain_of(ctx.cfg) == Grain::kCoarse;
-  const Shape merged(coarse ? 2 * h : h);
   const int k_zero_state = coarse ? make_zeros(ctx, "treelstm.zero_state", 2 * h) : k_zero;
-  const int k_merge = ctx.kernel("treelstm.child_sum", OpKind::kAdd, 0, {merged, merged});
+  const int k_merge =
+      coarse ? -1 : ctx.kernel("treelstm.child_sum", OpKind::kAdd, 0, {Shape(h), Shape(h)});
   const ClassifierHead cls = make_classifier(ctx, "treelstm", h);
 
   // tree(node) -> [h; c] (coarse) or (h, c)
@@ -60,8 +61,7 @@ int build(BuildCtx& ctx) {
     const int l = tree.call(tree.index(), {tree.adt_field(tree.arg(0), 0)});
     const int r = tree.call(tree.index(), {tree.adt_field(tree.arg(0), 1)});
     if (coarse) {
-      const int s = tree.kernel(k_merge, {l, r});
-      tree.ret(emit_lstm_state(tree, cell, tree.kernel(k_zero, {}), s));
+      tree.ret(emit_lstm_state(tree, cell, tree.kernel(k_zero, {}), l, r));
     } else {
       const int hs = tree.kernel(k_merge, {tree.tuple_get(l, 0), tree.tuple_get(r, 0)});
       const int cs = tree.kernel(k_merge, {tree.tuple_get(l, 1), tree.tuple_get(r, 1)});

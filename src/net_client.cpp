@@ -232,7 +232,6 @@ bool NetClient::call(std::uint32_t req_id, std::uint32_t input_index,
     // reconnect-and-resubmit against the stored endpoint.
     const bool sent = connected() &&
                       send_request(req_id, input_index, 0, 0, opts.stream);
-    bool terminal = false;
     if (sent) {
       const int wait_ms = static_cast<int>(
           std::min<std::int64_t>(left_ns / 1'000'000 + 1,
@@ -243,7 +242,7 @@ bool NetClient::call(std::uint32_t req_id, std::uint32_t input_index,
             out.error_code != static_cast<std::uint32_t>(ErrorCode::kWorkerDied) &&
             out.error_code != static_cast<std::uint32_t>(ErrorCode::kUnavailable))
           return false;  // kBadRequest: retrying cannot help
-        terminal = true;  // kRetry or a retryable kError
+        // kRetry or a retryable kError: fall through to the backoff.
       } else if (connected()) {
         ++stats_.timeouts;  // deadline passed while the request was live
         return false;
@@ -256,8 +255,7 @@ bool NetClient::call(std::uint32_t req_id, std::uint32_t input_index,
     sleep_ns(std::min(left_ns, retry_backoff_ns(attempt, opts.backoff_base_ms * 1'000'000,
                                                 opts.backoff_cap_ms * 1'000'000, jitter_)));
     ++attempt;
-    if (!connected() && !reconnect()) continue;  // server may still be coming back
-    (void)terminal;
+    if (!connected()) reconnect();  // a failure here retries: the server may be coming back
   }
 }
 

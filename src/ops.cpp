@@ -278,6 +278,10 @@ struct RowSrc {
   const float* operator[](int r) const {
     return ptrs ? ptrs[r] : base + static_cast<std::int64_t>(r) * stride;
   }
+  // The rows from r0 on.
+  RowSrc from(int r0) const {
+    return ptrs ? RowSrc{ptrs + r0} : RowSrc{nullptr, (*this)[r0], stride};
+  }
 };
 
 constexpr int kTileRows = 4;
@@ -403,6 +407,41 @@ void linear(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h, int kh, c
         softmax_row(o, n, o);
       }
     }
+  }
+}
+
+// Floats per row of the summed form's h buffer: an LSTM [h; c] state of
+// hidden width up to 128.
+constexpr int kMaxSumCols = 256;
+
+// The summed form (kLinearSumH): for each tile, h1 + h2 row by row, the
+// float op kAdd applies, into a stack buffer over the first kh floats and
+// whatever more of the row the epilogue reads (the GRU's h, the LSTM's
+// [h; c] state), then the plain form over that tile with the buffer as its
+// h operand. Out of line, like linear_cell, so the buffer is in this frame.
+[[gnu::noinline]] void linear_summed(int variant, std::int64_t act, RowSrc x, int kx, RowSrc h1,
+                                     RowSrc h2, int kh, const float* w, const float* b, int n,
+                                     int rows, float* out) {
+  const int state = act == kLinearGru ? n / 3 : act == kLinearLstm ? n / 2 : 0;
+  const int cols = std::max(kh, state);
+  if (cols > kMaxSumCols) {
+    std::fprintf(stderr, "acrobat: summed kLinear over %d floats per h row, more than %d\n",
+                 cols, kMaxSumCols);
+    std::abort();
+  }
+  const int out_cols = state > 0 ? state : n;
+  float sum[kTileRows * kMaxSumCols];
+  const float* rows_h[kTileRows];
+  for (int r0 = 0; r0 < rows; r0 += kTileRows) {
+    const int R = std::min(kTileRows, rows - r0);
+    for (int i = 0; i < R; ++i) {
+      const float *a = h1[r0 + i], *c = h2[r0 + i];
+      float* s = sum + i * cols;
+      for (int j = 0; j < cols; ++j) s[j] = a[j] + c[j];
+      rows_h[i] = s;
+    }
+    linear(variant, act, x.from(r0), kx, {rows_h}, kh, w, b, n, R,
+           out + static_cast<std::int64_t>(r0) * out_cols);
   }
 }
 
@@ -605,18 +644,24 @@ Shape infer_shape(OpKind kind, std::int64_t attr, const Shape* s, int n_ins) {
       assert(s[1] == s[0]);
       return s[0];
     case OpKind::kLinear: {
-      // The operand rule: x is read for its first kx floats, h for its first
-      // W.cols − kx, and each operand's own width is only its row stride.
-      const bool split = n_ins == 4;
+      // The operand rule: x is read for its first kx floats, h (h1 and h2
+      // each in the summed form) for its first W.cols − kx, and each
+      // operand's own width is only its row stride.
+      const int n_h = n_ins - 3;
+      const std::int64_t act = attr & ~kLinearSumH;
       const Shape& w = s[n_ins - 2];
-      const int n = w.dim[0], hid = attr == kLinearGru ? n / 3 : n / 4;
-      [[maybe_unused]] const int kx = split ? s[0].cols() : w.dim[1];
-      assert((n_ins == 3 || n_ins == 4) && w.ndim == 2 && s[n_ins - 1].ndim == 1 &&
-             s[n_ins - 1].numel() == n && s[0].cols() >= kx);
-      assert(!split || (s[1].rows() == s[0].rows() && s[1].cols() >= w.dim[1] - kx));
-      assert(attr != kLinearGru || (split && n % 3 == 0 && s[1].cols() >= hid));
-      assert(attr != kLinearLstm || (split && n % 4 == 0 && s[1].cols() >= 2 * hid));
-      const int out = attr == kLinearGru ? hid : attr == kLinearLstm ? 2 * hid : n;
+      const int n = w.dim[0], hid = act == kLinearGru ? n / 3 : n / 4;
+      [[maybe_unused]] const int kx = n_h > 0 ? s[0].cols() : w.dim[1];
+      assert(n_h >= 0 && n_h <= 2 && ((attr & kLinearSumH) != 0) == (n_h == 2));
+      assert(w.ndim == 2 && s[n_ins - 1].ndim == 1 && s[n_ins - 1].numel() == n &&
+             s[0].cols() >= kx);
+      assert((act != kLinearGru && act != kLinearLstm) || n_h > 0);
+      for (int j = 1; j <= n_h; ++j) {
+        assert(s[j].rows() == s[0].rows() && s[j].cols() >= w.dim[1] - kx);
+        assert(act != kLinearGru || (n % 3 == 0 && s[j].cols() >= hid));
+        assert(act != kLinearLstm || (n % 4 == 0 && s[j].cols() >= 2 * hid));
+      }
+      const int out = act == kLinearGru ? hid : act == kLinearLstm ? 2 * hid : n;
       return s[0].ndim == 1 ? RowVec(out) : Shape(s[0].rows(), out);
     }
     case OpKind::kZeros:
@@ -720,13 +765,22 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
       return;
     }
     case OpKind::kLinear: {
-      // ins: x, W, b or x, h, W, b; W is 2-D, the bias 1-D.
-      const bool split = s[2].ndim == 2;
-      const Shape& w = s[split ? 2 : 1];
-      const int kx = split ? s[0].cols() : w.dim[1];
-      linear(variant, attr, {nullptr, ins[0], s[0].cols()}, kx,
-             {nullptr, split ? ins[1] : nullptr, split ? s[1].cols() : 0}, w.dim[1] - kx,
-             ins[split ? 2 : 1], ins[split ? 3 : 2], w.dim[0], s[0].rows(), out);
+      // ins: x, W, b; x, h, W, b; or, summed, x, h1, h2, W, b. W is 2-D,
+      // the bias 1-D.
+      const bool summed = (attr & kLinearSumH) != 0;
+      const int n_h = summed ? 2 : s[2].ndim == 2 ? 1 : 0;
+      const Shape& w = s[n_h + 1];
+      const int kx = n_h > 0 ? s[0].cols() : w.dim[1];
+      const auto operand = [&](int j) {
+        return j <= n_h ? RowSrc{nullptr, ins[j], s[j].cols()} : RowSrc{};
+      };
+      if (summed) {
+        linear_summed(variant, attr & ~kLinearSumH, operand(0), kx, operand(1), operand(2),
+                      w.dim[1] - kx, ins[3], ins[4], w.dim[0], s[0].rows(), out);
+      } else {
+        linear(variant, attr, operand(0), kx, operand(1), w.dim[1] - kx, ins[n_h + 1],
+               ins[n_h + 2], w.dim[0], s[0].rows(), out);
+      }
       return;
     }
     case OpKind::kSumAll: {
@@ -742,10 +796,14 @@ void run_op(OpKind kind, int variant, const float* const* ins, const Shape* s, f
   }
 }
 
-void run_linear(int variant, std::int64_t act, const float* const* x, int kx,
-                const float* const* h, int kh, const float* w, const float* b, int n, int rows,
-                float* out) {
-  linear(variant, act, {x}, kx, {h}, kh, w, b, n, rows, out);
+void run_linear(int variant, std::int64_t attr, const float* const* x, int kx,
+                const float* const* h, const float* const* h2, int kh, const float* w,
+                const float* b, int n, int rows, float* out) {
+  if (attr & kLinearSumH) {
+    linear_summed(variant, attr & ~kLinearSumH, {x}, kx, {h}, {h2}, kh, w, b, n, rows, out);
+  } else {
+    linear(variant, attr, {x}, kx, {h}, kh, w, b, n, rows, out);
+  }
 }
 
 }  // namespace acrobat

@@ -15,8 +15,8 @@ namespace {
 std::int64_t measure_variant(const Kernel& k, int variant) {
   TensorPool pool;
   Rng rng(0x5eedu + static_cast<unsigned>(variant));
-  const float* ins[4] = {nullptr, nullptr, nullptr, nullptr};
-  Shape shapes[4];
+  const float* ins[Kernel::kMaxArity] = {};
+  Shape shapes[Kernel::kMaxArity];
   for (int i = 0; i < k.arity; ++i) {
     shapes[i] = k.rep[i];
     ins[i] = pool.alloc_random(k.rep[i], rng, 0.5f).data;

@@ -563,6 +563,165 @@ void test_lstm_state_batch() {
   }
 }
 
+// A batch of summed LSTM cells (kLinearSumH, a TreeLSTM internal node over
+// its two children's [h; c] states) is ONE launch and ONE row-pointer call,
+// bitwise equal to a kAdd batch followed by the plain LSTM batch, and to
+// eager. Gather fusion reads both states in place; with it off, h1 and h2
+// are each staged as whole rows, which is what the staged kAdd staged.
+void test_linear_summed_batch() {
+  constexpr int kN = 8, kx = 16, hid = 16, n = 4 * hid;
+  Rng rng{67};
+  TensorPool pool;
+  const Tensor w = pool.alloc_random(Shape(n, kx + hid), rng, 0.3f);
+  const Tensor bias = pool.alloc_random(RowVec(n), rng, 0.2f);
+  std::vector<Tensor> xs, h1s, h2s;
+  for (int i = 0; i < kN; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(kx), rng, 1.0f));
+    h1s.push_back(pool.alloc_random(RowVec(2 * hid), rng, 1.0f));
+    h2s.push_back(pool.alloc_random(RowVec(2 * hid), rng, 1.0f));
+    pool.alloc(RowVec(3));  // padding: no operand is back to back across the batch
+  }
+  for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+    KernelRegistry reg;
+    const Shape vs(2 * hid);
+    const Shape sum_reps[5] = {Shape(kx), vs, vs, w.shape, bias.shape};
+    const Shape reps[4] = {Shape(kx), vs, w.shape, bias.shape};
+    const Shape add_reps[2] = {vs, vs};
+    const int k_sum = reg.add("c.lstm_sum", OpKind::kLinear, kLinearLstm | kLinearSumH, 5,
+                              sum_reps);
+    const int k_lstm = reg.add("c.lstm", OpKind::kLinear, kLinearLstm, 4, reps);
+    const int k_add = reg.add("c.child_sum", OpKind::kAdd, 0, 2, add_reps);
+    for (const int k : {k_sum, k_lstm}) reg.kernel(k).variant = variant;
+
+    const auto run = [&](bool summed, EngineConfig cfg) {
+      Engine eng(reg, cfg);
+      const TRef wref = eng.add_concrete(w.view()), bref = eng.add_concrete(bias.view());
+      std::vector<TRef> outs;
+      for (int i = 0; i < kN; ++i) {
+        const auto at = [&](const std::vector<Tensor>& v) {
+          return eng.add_concrete(v[static_cast<std::size_t>(i)].view());
+        };
+        const TRef x = at(xs), h1 = at(h1s), h2 = at(h2s);
+        if (summed) {
+          const TRef ins[5] = {x, h1, h2, wref, bref};
+          outs.push_back(eng.add_op(k_sum, ins, 5, InstCtx{i}, 0));
+          continue;
+        }
+        const TRef ains[2] = {h1, h2};
+        const TRef ins[4] = {x, eng.add_op(k_add, ains, 2, InstCtx{i}, 0), wref, bref};
+        outs.push_back(eng.add_op(k_lstm, ins, 4, InstCtx{i}, 0));
+      }
+      eng.trigger_execution();
+      std::vector<float> flat;
+      for (const TRef r : outs) {
+        const Tensor t = eng.force(r);
+        CHECK(t.shape == RowVec(2 * hid));
+        flat.insert(flat.end(), t.data, t.data + t.numel());
+      }
+      return std::make_pair(flat, eng.stats());
+    };
+
+    EngineConfig staged_cfg, eager_cfg;
+    staged_cfg.gather_fusion = false;
+    eager_cfg.lazy = false;
+    const auto [in_place, s_in_place] = run(true, EngineConfig{});
+    const auto [staged, s_staged] = run(true, staged_cfg);
+    const auto [eager, s_eager] = run(true, eager_cfg);
+    const auto [chain, s_chain] = run(false, EngineConfig{});
+    const auto [chain_staged, s_chain_staged] = run(false, staged_cfg);
+    CHECK_EQ(s_in_place.kernel_launches, 1);
+    CHECK_EQ(s_in_place.stacked_batches, 1);
+    CHECK_EQ(s_in_place.gather_bytes, 0);
+    CHECK_EQ(s_staged.kernel_launches, 1);
+    CHECK_EQ(s_staged.stacked_batches, 1);
+    CHECK_EQ(s_staged.gather_bytes, static_cast<long long>(kN) * (kx + 4 * hid) *
+                                        static_cast<long long>(sizeof(float)));
+    CHECK_EQ(s_eager.kernel_launches, kN);
+    CHECK_EQ(s_chain.kernel_launches, 2);
+    // Staging h1 and h2 costs what staging the kAdd's operands did; the
+    // plain cell then read the sums back to back.
+    CHECK_EQ(s_staged.gather_bytes, s_chain_staged.gather_bytes);
+    const std::size_t bytes = in_place.size() * sizeof(float);
+    CHECK_EQ(in_place.size(), static_cast<std::size_t>(kN * 2 * hid));
+    for (const std::vector<float>* other : {&staged, &eager, &chain, &chain_staged})
+      CHECK(other->size() == in_place.size() &&
+            std::memcmp(other->data(), in_place.data(), bytes) == 0);
+  }
+}
+
+// A kLinear batch whose members carry different (W, b) under one kernel id,
+// as a fleet's structurally deduped BiRNN forward and backward cells do,
+// runs one run_linear call per weight group inside its one launch: it
+// counts one stacked batch, and its outputs are bitwise eager's. Members
+// interleave three groups (two weights, and the second weight under a
+// second bias); with gather fusion off their scattered rows are staged
+// once. A warm second round grows no scheduler scratch.
+void test_linear_mixed_weights() {
+  constexpr int kN = 9, kx = 16, hid = 16, n = 3 * hid;
+  Rng rng{71};
+  TensorPool pool;
+  const Tensor w[2] = {pool.alloc_random(Shape(n, kx + hid), rng, 0.3f),
+                       pool.alloc_random(Shape(n, kx + hid), rng, 0.3f)};
+  const Tensor bias[2] = {pool.alloc_random(RowVec(n), rng, 0.2f),
+                          pool.alloc_random(RowVec(n), rng, 0.2f)};
+  std::vector<Tensor> xs, hs;
+  for (int i = 0; i < kN; ++i) {
+    xs.push_back(pool.alloc_random(RowVec(kx), rng, 1.0f));
+    hs.push_back(pool.alloc_random(RowVec(hid), rng, 1.0f));
+    pool.alloc(RowVec(3));  // padding: no operand is back to back across the batch
+  }
+  for (int variant = 0; variant < op_num_variants(OpKind::kLinear); ++variant) {
+    KernelRegistry reg;
+    const Shape reps[4] = {Shape(kx), Shape(hid), w[0].shape, bias[0].shape};
+    const int k_gru = reg.add("c.gru", OpKind::kLinear, kLinearGru, 4, reps);
+    reg.kernel(k_gru).variant = variant;
+
+    const auto run = [&](EngineConfig cfg) {
+      Engine eng(reg, cfg);
+      const TRef wref[2] = {eng.add_concrete(w[0].view()), eng.add_concrete(w[1].view())};
+      const TRef bref[2] = {eng.add_concrete(bias[0].view()), eng.add_concrete(bias[1].view())};
+      std::vector<float> flat;
+      long long allocs = 0;
+      for (int round = 0; round < 2; ++round) {
+        std::vector<TRef> outs;
+        for (int i = 0; i < kN; ++i) {
+          const int g = i % 3;  // group 0: (w0, b0), 1: (w1, b1), 2: (w1, b0)
+          const TRef ins[4] = {eng.add_concrete(xs[static_cast<std::size_t>(i)].view()),
+                               eng.add_concrete(hs[static_cast<std::size_t>(i)].view()),
+                               wref[g == 0 ? 0 : 1], bref[g == 1 ? 1 : 0]};
+          outs.push_back(eng.add_op(k_gru, ins, 4, InstCtx{i}, 0));
+        }
+        eng.trigger_execution();
+        if (round == 0) allocs = eng.stats().scheduling_allocs;
+        for (const TRef r : outs) {
+          const Tensor t = eng.force(r);
+          if (round == 0) flat.insert(flat.end(), t.data, t.data + t.numel());
+        }
+      }
+      CHECK_EQ(eng.stats().scheduling_allocs, allocs);
+      return std::make_pair(flat, eng.stats());
+    };
+
+    EngineConfig staged_cfg, eager_cfg;
+    staged_cfg.gather_fusion = false;
+    eager_cfg.lazy = false;
+    const auto [in_place, s_in_place] = run(EngineConfig{});
+    const auto [staged, s_staged] = run(staged_cfg);
+    const auto [eager, s_eager] = run(eager_cfg);
+    CHECK_EQ(s_in_place.kernel_launches, 2);
+    CHECK_EQ(s_in_place.stacked_batches, 2);
+    CHECK_EQ(s_in_place.gather_bytes, 0);
+    CHECK_EQ(s_staged.kernel_launches, 2);
+    CHECK_EQ(s_staged.stacked_batches, 2);
+    CHECK_EQ(s_staged.gather_bytes, 2LL * kN * (kx + hid) * static_cast<long long>(sizeof(float)));
+    CHECK_EQ(s_eager.kernel_launches, 2 * kN);
+    const std::size_t bytes = in_place.size() * sizeof(float);
+    CHECK_EQ(in_place.size(), static_cast<std::size_t>(kN * hid));
+    CHECK(staged.size() == in_place.size() && std::memcmp(staged.data(), in_place.data(), bytes) == 0);
+    CHECK(eager.size() == in_place.size() && std::memcmp(eager.data(), in_place.data(), bytes) == 0);
+  }
+}
+
 // Carried-forward fix: Node::ins used to heap-allocate a vector per
 // recorded multi-input op. With the arity ≤ 4 inline small-vector plus
 // recycled slots and warmed scratch, a steady-state recording round does
@@ -957,6 +1116,8 @@ int main() {
   test_stacked_matmul_family();
   test_linear_batch_scattered_rows();
   test_lstm_state_batch();
+  test_linear_summed_batch();
+  test_linear_mixed_weights();
   test_const_reuse();
   test_non_monotone_phase_aborts();
   test_chain_fusion();

@@ -13,7 +13,12 @@
 // (accumulators, reduction trees, a step that waits on a later kernel, a
 // broadcast step); an engine with fuse_chains makes no more launches than
 // the same engine without, and every batch it merged into an earlier
-// launch must satisfy the chain rule, re-checked from its batch log.
+// launch must satisfy the chain rule, re-checked from its batch log. The
+// kLinear forms include the summed form (kLinearSumH) over scattered h1
+// and h2, LSTM epilogue included, and every kLinear draws its W and b from
+// more than one tensor, so a batch can mix weights under one kernel id, as
+// a fleet's structurally deduped kernels do; the sweep counts both kinds
+// of batch from the batch logs.
 //
 // ACROBAT_SERVE_REQUESTS bounds the number of seeds (default 50; CI's
 // sanitize job pins it back to 50). ACROBAT_TEST_SEED overrides the base
@@ -23,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "engine/engine.h"
@@ -113,10 +119,18 @@ const OpSpec kOps[] = {
     {"g.lstm", OpKind::kLinear, kLinearLstm, 4, kV16, {kV8, kV16, kM3216, kV32}},
     {"g.lin_hwide", OpKind::kLinear, kLinearTanh, 4, kV8, {kV8, kV16, kM816, kV8}},
     {"g.lin_xwide", OpKind::kLinear, kLinearIdentity, 3, kV8, {kV16, kM8, kV8}},
+    // The summed form: h = h1 + h2, the LSTM's over two [h; c] states, the
+    // GRU's over an h1 and a wider h2 of which it reads the first 8 floats.
+    {"g.lin_sum", OpKind::kLinear, kLinearTanh | kLinearSumH, 5, kV8,
+     {kV8, kV8, kV8, kM816, kV8}},
+    {"g.gru_sum", OpKind::kLinear, kLinearGru | kLinearSumH, 5, kV8,
+     {kV8, kV8, kV16, kM2416, kV24}},
+    {"g.lstm_sum", OpKind::kLinear, kLinearLstm | kLinearSumH, 5, kV16,
+     {kV8, kV16, kV16, kM3216, kV32}},
     {"g.concat2", OpKind::kConcat, 1, 2, kV16, {kV8, kV8}},
     {"g.tanh16", OpKind::kTanh, 0, 1, kV16, {kV16}},
-    // Variable arity above the registry's declared-arity cap of 4: a node
-    // with five inline inputs and the engine-executed concat loop.
+    // Variable arity: a node with five inline inputs and the
+    // engine-executed concat loop.
     {"g.concat5", OpKind::kConcat, 1, 5, kV40, {kV8, kV8, kV8, kV8, kV8}},
     {"g.zeros", OpKind::kZeros, 8, 0, kV8, {}},
     {"g.sumall", OpKind::kSumAll, 0, 1, kS1, {kV8}},
@@ -168,11 +182,9 @@ struct Fixture {
 
   explicit Fixture(Rng& rng) {
     for (const OpSpec& os : kOps) {
-      Shape reps[4];
-      const int rep_arity = os.arity > 4 ? 2 : os.arity;  // registry cap
-      for (int j = 0; j < rep_arity; ++j) reps[j] = class_shape(os.in[j]);
-      kernel_ids.push_back(
-          reg.add(os.name, os.op, os.attr, rep_arity, rep_arity ? reps : nullptr));
+      Shape reps[Kernel::kMaxArity];
+      for (int j = 0; j < os.arity; ++j) reps[j] = class_shape(os.in[j]);
+      kernel_ids.push_back(reg.add(os.name, os.op, os.attr, os.arity, os.arity ? reps : nullptr));
     }
     // Per-seed PGO state: random schedule variants, shared by every engine.
     for (const int id : kernel_ids) {
@@ -180,9 +192,11 @@ struct Fixture {
       k.variant = rng.uniform_int(k.num_variants);
     }
     // Concrete inputs: several V8 activations (shared/scattered operand
-    // draws) and two M8 parameters (shared-parameter stacking vs split
-    // first-argument classes), one each of the gate-sized parameters.
-    const int counts[kNumClasses] = {4, 0, 0, 0, 0, 0, 2, 1, 1, 1, 1, 1, 1};
+    // draws), two M8 parameters (shared-parameter stacking vs split
+    // first-argument classes), two of each kLinear [x;h] weight and of the
+    // GRU and LSTM biases (batches that mix weights), one each of the other
+    // gate-sized parameters.
+    const int counts[kNumClasses] = {4, 0, 2, 2, 0, 0, 2, 1, 1, 2, 2, 2, 1};
     for (int c = 0; c < kNumClasses; ++c)
       for (int i = 0; i < counts[c]; ++i) {
         tensors.push_back(pool.alloc_random(class_shape(c), rng, 0.8f));
@@ -218,7 +232,8 @@ Trace make_trace(const Fixture& f, Rng& rng) {
     vphase.push_back(0);
     ++t.n_values;
   }
-  const std::vector<int> concrete_v8 = pool[kV8];
+  const std::vector<std::vector<int>> concrete = pool;
+  const std::vector<int>& concrete_v8 = concrete[kV8];
   const int n_ops = 30 + rng.uniform_int(91);
   int made = 0;
 
@@ -319,7 +334,11 @@ Trace make_trace(const Fixture& f, Rng& rng) {
       std::vector<int> args;
       int ph = 0;
       for (int j = 0; j < os.arity; ++j) {
-        args.push_back(pick(pool[os.in[j]]));
+        // Half of kLinear's biases are concrete, so that batch members share
+        // (W, b) in groups, as a fleet's deduped cells do.
+        const bool bias = os.op == OpKind::kLinear && j == os.arity - 1;
+        const int c = os.in[j];
+        args.push_back(pick(bias && rng.uniform_int(2) == 0 ? concrete[c] : pool[c]));
         ph = std::max(ph, vphase[static_cast<std::size_t>(args.back())]);
       }
       // Occasional phase bumps exercise the phase>0 readiness-wave
@@ -365,6 +384,29 @@ void check_chain_log(const Fixture& f, const Engine& eng, const std::vector<std:
         }
       }
       for (const std::uint32_t id : eng.exec_nodes(eb)) written[id] = static_cast<long>(b);
+    }
+  }
+}
+
+long long g_mixed_weight_batches = 0;  // kLinear batches with more than one (W, b)
+long long g_summed_batches = 0;       // summed-form kLinear batches of 2+ members
+
+// Counts the engine's kLinear batches that mixed weights or ran the summed
+// form over more than one member, from its batch log.
+void count_linear_batches(const Fixture& f, const Engine& eng) {
+  for (const Engine::ExecBatch& eb : eng.exec_log()) {
+    const Kernel& k = f.reg.kernel(eb.kernel_id);
+    if (k.op != OpKind::kLinear) continue;
+    const std::span<const std::uint32_t> ids = eng.exec_nodes(eb);
+    if ((k.attr & kLinearSumH) && ids.size() > 1) ++g_summed_batches;
+    const std::span<const TRef> head = eng.inputs_of(TRef{ids[0], 0});
+    for (const std::uint32_t id : ids) {
+      const std::span<const TRef> ins = eng.inputs_of(TRef{id, 0});
+      if (ins[ins.size() - 2].id != head[head.size() - 2].id ||
+          ins[ins.size() - 1].id != head[head.size() - 1].id) {
+        ++g_mixed_weight_batches;
+        break;
+      }
     }
   }
 }
@@ -419,6 +461,7 @@ std::vector<std::vector<float>> apply(const Fixture& f, const Trace& t, EngineCo
     prev = eng.stats().kernel_launches;
   }
   if (cfg.lazy && !cfg.fuse_waves) check_chain_log(f, eng, trigger_ends);
+  if (cfg.lazy) count_linear_batches(f, eng);
   return out;
 }
 
@@ -479,8 +522,11 @@ void test_differential_sweep() {
   }
   acrobat::test::g_seed = base;
   std::printf("differential sweep: %d seeds x 3 schedulers x %d passes vs eager; "
-              "chains saved %lld launches\n",
-              n_seeds, kPasses, g_chain_saved);
+              "chains saved %lld launches; %lld mixed-weight and %lld summed kLinear "
+              "batches\n",
+              n_seeds, kPasses, g_chain_saved, g_mixed_weight_batches, g_summed_batches);
+  // The default sweep's seeds make both kinds of batch many times over.
+  CHECK(n_seeds < 20 || (g_mixed_weight_batches > 0 && g_summed_batches > 0));
 }
 
 }  // namespace

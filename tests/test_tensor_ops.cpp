@@ -3,7 +3,8 @@
 // The SIMD kernels are pinned bitwise: dense variant 2's register-blocked
 // tile against the per-row loop it replaced, kMatMul's tile against the
 // row-update loop it replaced, kLinear's GRU and LSTM epilogues against the
-// elementwise chain of the same cell body, and the 8- and 4-lane tanh and
+// elementwise chain of the same cell body, the summed kLinear against a kAdd
+// and the plain form, and the 8- and 4-lane tanh and
 // sigmoid against their one-element forms, with tolerance checks of each
 // against the exact function.
 #include <cmath>
@@ -216,7 +217,7 @@ void test_linear_row_pointers() {
   }
   for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
     std::vector<float> batched(kRows * n), single(kRows * n);
-    run_linear(v, kLinearTanh, xp.data(), kx, hp.data(), kh, w.data, b.data, n, kRows,
+    run_linear(v, kLinearTanh, xp.data(), kx, hp.data(), nullptr, kh, w.data, b.data, n, kRows,
                batched.data());
     const Shape shapes[4] = {RowVec(kx), RowVec(kh), w.shape, b.shape};
     for (int r = 0; r < kRows; ++r) {
@@ -303,8 +304,8 @@ void test_cell_epilogues_match_chain() {
       for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
         std::vector<float> gates(static_cast<std::size_t>(rows) * n);
         std::vector<float> want(static_cast<std::size_t>(rows) * out_cols), got(want.size());
-        run_linear(v, kLinearIdentity, xp.data(), c.kx, hp.data(), c.hid, w.data, b.data, n,
-                   rows, gates.data());
+        run_linear(v, kLinearIdentity, xp.data(), c.kx, hp.data(), nullptr, c.hid, w.data,
+                   b.data, n, rows, gates.data());
         for (int r = 0; r < rows; ++r)
           cell_chain(c.act, gates.data() + r * n, hp[r], c.hid, want.data() + r * out_cols);
         const auto same = [&](const char* what) {
@@ -313,8 +314,8 @@ void test_cell_epilogues_match_chain() {
             std::printf("  %s %s differs: variant %d rows=%d kx=%d hid=%d\n", what,
                         gru ? "gru" : "lstm", v, rows, c.kx, c.hid);
         };
-        run_linear(v, c.act, xp.data(), c.kx, hp.data(), c.hid, w.data, b.data, n, rows,
-                   got.data());
+        run_linear(v, c.act, xp.data(), c.kx, hp.data(), nullptr, c.hid, w.data, b.data, n,
+                   rows, got.data());
         same("run_linear");
         run_op(OpKind::kLinear, v, ins, shapes, got.data(), Shape(rows, out_cols), c.act);
         same("run_op");
@@ -332,7 +333,84 @@ void test_cell_epilogues_match_chain() {
   const float* xp[1] = {x.data};
   const float* hp[1] = {h.data};
   CHECK(test::dies([&] {
-    run_linear(2, kLinearGru, xp, kWide, hp, kWide, w.data, b.data, 3 * kWide, 1, out.data());
+    run_linear(2, kLinearGru, xp, kWide, hp, nullptr, kWide, w.data, b.data, 3 * kWide, 1,
+               out.data());
+  }));
+}
+
+// The summed form (kLinearSumH) is memcmp-equal to kAdd's h1 + h2 followed
+// by the plain form, for every epilogue and variant at 1-9 rows: over
+// scattered row pointers (run_linear) and stacked operands (run_op, where h1
+// and h2 have different row strides). An LSTM's h1 and h2 are [h; c]
+// states, so the sum covers the c half its epilogue reads. A row past the
+// sum buffer's bound (256 floats) aborts.
+void test_linear_summed_form() {
+  struct Case {
+    LinearAct act;
+    int kx, hid;
+  };
+  const Case cases[] = {{kLinearIdentity, 16, 16}, {kLinearTanh, 7, 13}, {kLinearSoftmax, 16, 16},
+                        {kLinearGru, 16, 16},      {kLinearGru, 40, 40}, {kLinearLstm, 16, 16},
+                        {kLinearLstm, 40, 40},     {kLinearLstm, 7, 13}};
+  TensorPool pool;
+  Rng rng(61);
+  int bad = 0;
+  for (const Case& c : cases) {
+    const int gates = c.act == kLinearGru ? 3 : c.act == kLinearLstm ? 4 : 1;
+    const int n = gates * c.hid, sw = c.act == kLinearLstm ? 2 * c.hid : c.hid;
+    const int out_cols = c.act == kLinearGru ? c.hid : c.act == kLinearLstm ? 2 * c.hid : n;
+    const Tensor w = pool.alloc_random(Shape(n, c.kx + c.hid), rng, 0.3f);
+    const Tensor b = pool.alloc_random(RowVec(n), rng, 0.2f);
+    const std::int64_t summed = c.act | kLinearSumH;
+    for (int rows = 1; rows <= 9; ++rows) {
+      std::vector<const float*> xp, h1p, h2p, sp;
+      std::vector<float> xs, h1s, h2s, sums(static_cast<std::size_t>(rows) * sw);
+      for (int r = 0; r < rows; ++r) {
+        xp.push_back(pool.alloc_random(RowVec(c.kx), rng, 1.0f).data);
+        h1p.push_back(pool.alloc_random(RowVec(sw), rng, 1.0f).data);
+        pool.alloc(RowVec(3));  // padding: rows are not back to back
+        h2p.push_back(pool.alloc_random(RowVec(sw + 3), rng, 1.0f).data);
+        xs.insert(xs.end(), xp.back(), xp.back() + c.kx);
+        h1s.insert(h1s.end(), h1p.back(), h1p.back() + sw);
+        h2s.insert(h2s.end(), h2p.back(), h2p.back() + sw + 3);
+        float* sum = sums.data() + static_cast<std::ptrdiff_t>(r) * sw;
+        elementwise(OpKind::kAdd, h1p.back(), h2p.back(), sw, sum);
+        sp.push_back(sum);
+      }
+      const Shape shapes[5] = {Shape(rows, c.kx), Shape(rows, sw), Shape(rows, sw + 3), w.shape,
+                               b.shape};
+      const float* ins[5] = {xs.data(), h1s.data(), h2s.data(), w.data, b.data};
+      CHECK(infer_shape(OpKind::kLinear, summed, shapes, 5) == Shape(rows, out_cols));
+      for (int v = 0; v < op_num_variants(OpKind::kLinear); ++v) {
+        std::vector<float> want(static_cast<std::size_t>(rows) * out_cols), got(want.size());
+        run_linear(v, c.act, xp.data(), c.kx, sp.data(), nullptr, c.hid, w.data, b.data, n, rows,
+                   want.data());
+        const auto same = [&](const char* what) {
+          if (std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) == 0) return;
+          if (++bad <= 10)
+            std::printf("  summed %s differs: act %d variant %d rows=%d kx=%d hid=%d\n", what,
+                        static_cast<int>(c.act), v, rows, c.kx, c.hid);
+        };
+        run_linear(v, summed, xp.data(), c.kx, h1p.data(), h2p.data(), c.hid, w.data, b.data, n,
+                   rows, got.data());
+        same("run_linear");
+        run_op(OpKind::kLinear, v, ins, shapes, got.data(), Shape(rows, out_cols), summed);
+        same("run_op");
+      }
+    }
+  }
+  CHECK_EQ(bad, 0);
+  constexpr int kWide = 257;  // an h row one float past the sum buffer
+  const Tensor w = pool.alloc_random(Shape(8, 8 + kWide), rng, 0.1f);
+  const Tensor b = pool.alloc_random(RowVec(8), rng, 0.1f);
+  const Tensor x = pool.alloc_random(RowVec(8), rng, 1.0f);
+  const Tensor h = pool.alloc_random(RowVec(kWide), rng, 1.0f);
+  std::vector<float> out(8);
+  const float* xp[1] = {x.data};
+  const float* hp[1] = {h.data};
+  CHECK(test::dies([&] {
+    run_linear(2, kLinearTanh | kLinearSumH, xp, 8, hp, hp, kWide, w.data, b.data, 8, 1,
+               out.data());
   }));
 }
 
@@ -470,7 +548,7 @@ void test_dense_tile_matches_row_loop() {
                os, kLinearIdentity);
         same(got, biased, "kLinear run_op");
 
-        run_linear(2, kLinearIdentity, xp.data(), c.kx, hp.data(), c.kh, w.data, b.data, n,
+        run_linear(2, kLinearIdentity, xp.data(), c.kx, hp.data(), nullptr, c.kh, w.data, b.data, n,
                    rows, got.data());
         same(got, biased, "run_linear");
       }
@@ -757,6 +835,7 @@ int main() {
   test_linear_row_pointers();
   test_dense_tile_matches_row_loop();
   test_cell_epilogues_match_chain();
+  test_linear_summed_form();
   test_linear_operand_rule();
   test_matmul_tile_matches_row_update();
   test_simd_matches_scalar();

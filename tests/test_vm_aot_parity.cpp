@@ -1,6 +1,10 @@
 // The boxed VM and the AOT executor must compute identical results for
 // every model (same program, same engine kernels — only dispatch differs),
-// and the batched runtime must match across schedulers.
+// bitwise, at every ablation level; a batched run must equal each of its
+// inputs run alone, bitwise; and the batched runtime must match across
+// schedulers.
+#include <cstring>
+
 #include "baselines/dynet.h"
 #include "baselines/eager.h"
 #include "exec/aot.h"
@@ -26,6 +30,18 @@ void check_same(const harness::RunResult& a, const harness::RunResult& b, double
     for (std::size_t j = 0; j < a.outputs[i].size(); ++j)
       CHECK_NEAR(a.outputs[i][j], b.outputs[i][j], tol);
   }
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Both runs' outputs, instance by instance, bitwise.
+bool same_bits(const harness::RunResult& a, const harness::RunResult& b) {
+  if (a.outputs.size() != b.outputs.size()) return false;
+  for (std::size_t i = 0; i < a.outputs.size(); ++i)
+    if (!same_bits(a.outputs[i], b.outputs[i])) return false;
+  return true;
 }
 
 // A fresh dataset row vector as an input leaf.
@@ -81,8 +97,48 @@ void test_vm_vs_aot_all_models() {
     const harness::RunResult aot = harness::run_acrobat(p, ds, out_opts());
     const harness::RunResult vm = harness::run_vm(p, ds, out_opts());
     CHECK(!aot.outputs.empty());
-    check_same(aot, vm, 1e-5);
+    CHECK(same_bits(aot, vm));
   }
+}
+
+// Every model at both sizes and every ablation level L0–L5, batch 1 and 7:
+// AOT equals the VM, and each output of the batch-7 run equals its input
+// run alone, all bitwise. Each level builds its own kernel granularity, so
+// this covers the coarse cells read in place (L5) and staged (L2–L4), and
+// the finer grains' per-op and fused kernels.
+void test_parity_every_level() {
+  int bad = 0;
+  for (const auto& spec : models::all_models()) {
+    for (const bool large : {false, true}) {
+      for (int level = 0; level < 6; ++level) {
+        harness::Prepared p =
+            harness::prepare(spec, large, passes::PipelineConfig::ablation_level(level));
+        for (const int batch : {1, 7}) {
+          const models::Dataset ds = spec.build_dataset(large, batch, 0x5eed + batch);
+          const harness::RunResult aot = harness::run_acrobat(p, ds, out_opts());
+          const harness::RunResult vm = harness::run_vm(p, ds, out_opts());
+          CHECK_EQ(aot.outputs.size(), static_cast<std::size_t>(batch));
+          if (!same_bits(aot, vm) && ++bad <= 10)
+            std::printf("  %s %s L%d batch %d: AOT and VM differ\n", spec.name.c_str(),
+                        large ? "large" : "small", level, batch);
+          if (batch == 1) continue;
+          for (int i = 0; i < batch; ++i) {
+            models::Dataset one;
+            one.pool = ds.pool;
+            one.tensors = ds.tensors;
+            one.inputs.push_back(ds.inputs[static_cast<std::size_t>(i)]);
+            const harness::RunResult solo = harness::run_acrobat(p, one, out_opts());
+            if ((solo.outputs.size() != 1 ||
+                 !same_bits(solo.outputs[0], aot.outputs[static_cast<std::size_t>(i)])) &&
+                ++bad <= 10)
+              std::printf("  %s %s L%d: input %d batched and alone differ\n",
+                          spec.name.c_str(), large ? "large" : "small", level, i);
+          }
+        }
+      }
+    }
+  }
+  CHECK_EQ(bad, 0);
 }
 
 void test_batched_vs_eager_numerics() {
@@ -127,6 +183,7 @@ void test_dynet_schedulers_numerics() {
 
 int main() {
   test_vm_vs_aot_all_models();
+  test_parity_every_level();
   test_batched_vs_eager_numerics();
   test_dynet_schedulers_numerics();
   return acrobat::test::finish("test_vm_aot_parity");

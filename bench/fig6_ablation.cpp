@@ -11,20 +11,22 @@
 // recursive models and can slightly hurt iterative ones whose inputs are
 // usually already contiguous. Here coarsening also cuts launches below L1:
 // a coarse cell is one kLinear (matmul + bias + activation over [x;h])
-// plus the GRU/LSTM pointwise op.
+// plus the GRU/LSTM pointwise op. Each cell prints its kernel launches
+// beside its ms: the launches are deterministic, the ms a min-of-3 that
+// moves between runs.
 #include "bench_util.h"
 
 using namespace acrobat;
 using namespace acrobat::bench;
 
 int main() {
-  header("Figure 6: optimization ablation, batch 64 (latency ms)",
+  header("Figure 6: optimization ablation, batch 64 (latency ms, kernel launches)",
          "paper Fig. 6");
   for (const bool large : {false, true}) {
     std::printf("\n%s model size\n%-10s", size_name(large), "model");
-    for (int level = 0; level < 6; ++level) std::printf(" %9s", [&] {
-      static char buf[12];
-      std::snprintf(buf, sizeof buf, "L%d", level);
+    for (int level = 0; level < 6; ++level) std::printf(" %15s", [&] {
+      static char buf[16];
+      std::snprintf(buf, sizeof buf, "L%d ms  launch", level);
       return buf;
     }());
     std::printf("\n");
@@ -34,9 +36,13 @@ int main() {
       for (int level = 0; level < 6; ++level) {
         harness::Prepared p = harness::prepare(
             spec, large, passes::PipelineConfig::ablation_level(level));
-        const double ms = time_min_ms(
-            [&] { return harness::run_acrobat(p, ds, default_opts()); });
-        std::printf(" %9.2f", ms);
+        long long launches = 0;
+        const double ms = time_min_ms([&] {
+          harness::RunResult r = harness::run_acrobat(p, ds, default_opts());
+          launches = r.stats.kernel_launches;
+          return r;
+        });
+        std::printf(" %8.2f %6lld", ms, launches);
       }
       std::printf("\n");
     }

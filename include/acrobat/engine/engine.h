@@ -389,27 +389,23 @@ class Engine {
   // at the current epoch, and return a fresh depth-0 node over the buffer.
   TRef checkpoint_state(TRef state, int instance);
   void execute_batch(int kernel_id, const std::vector<std::uint32_t>& ids, bool merge_launch);
-  // Flat/stacked fast paths (DESIGN.md §4 "Flat elementwise execution"):
-  // collapse n same-kernel ops into one run_op call when inputs line up.
-  // Both return false to fall back to the op-at-a-time loop.
-  bool try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                        float* out_base);
-  bool try_execute_stacked(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                           float* out_base);
-  // kLinear batches: one run_linear call per weight group over per-row
-  // pointers, all in the batch's one launch. `groups` holds each group's
-  // first index in `ids`, then ids.size() (DESIGN.md §8 "Mixed weights").
-  bool try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                          std::span<const std::uint32_t> groups, float* out_base);
-  // A kLinear batch whose members do not all share (W, b), stably grouped
-  // by (W, b) in first-appearance order into linear_ids_, with the group
-  // bounds in linear_groups_. False, and nothing written, when they share.
-  bool group_by_weight(const std::vector<std::uint32_t>& ids);
-  // Explicit staging gather: copies operand `operand` of every batch member
+  // Single-call paths, each over one parameter group of a batch (DESIGN.md
+  // §4 "Flat elementwise execution", §8 "Mixed parameters"): a flat
+  // elementwise call, a stacked matmul, or one run_linear call over per-row
+  // pointers. Each returns false to fall back to one run_op per member.
+  bool try_execute_flat(const Kernel& k, std::span<const std::uint32_t> ids, float* out_base);
+  bool try_execute_stacked(const Kernel& k, std::span<const std::uint32_t> ids, float* out_base);
+  bool try_execute_linear(const Kernel& k, std::span<const std::uint32_t> ids, float* out_base);
+  void execute_per_op(const Kernel& k, std::span<const std::uint32_t> ids, float* const* outs);
+  // A batch whose members do not all share the parameter operands their
+  // single-call path needs shared, stably grouped by them in first-appearance
+  // order into group_ids_, with the group bounds in group_bounds_. False,
+  // and nothing written, when they share or the kernel has no such operand.
+  bool group_by_param(const Kernel& k, const std::vector<std::uint32_t>& ids);
+  // Explicit staging gather: copies operand `operand` of every listed member
   // (`step` floats each) into one contiguous arena buffer, charging
   // gather-copy time and bytes. charge_bytes may throw OomError.
-  float* stage_gather(const std::vector<std::uint32_t>& ids, int operand,
-                      std::int64_t step);
+  float* stage_gather(std::span<const std::uint32_t> ids, int operand, std::int64_t step);
   void schedule_depth(std::vector<std::uint32_t>& pending);
   // Chain fusion: true when every member of batch `ids` of kernel `kid`,
   // whose chain is open, reads only values of its own shape written before
@@ -519,8 +515,10 @@ class Engine {
   std::vector<std::uint32_t> trigger_scratch_;  // pending_ swap buffer
   std::vector<float*> outs_scratch_;            // per-batch output cursors
   std::vector<const float*> linear_rows_[3];    // kLinear x / h (/ h2) row pointers
-  std::vector<std::uint32_t> linear_ids_, linear_groups_;  // group_by_weight's
-  std::vector<std::uint64_t> linear_keys_;      // its (W, b) node ids, one per group
+  // group_by_param's: the grouped ids and group bounds, each member's key
+  // and then its group, and each group's key.
+  std::vector<std::uint32_t> group_ids_, group_bounds_;
+  std::vector<std::uint64_t> group_of_, group_keys_;
   std::vector<std::uint32_t> eager_scratch_;    // eager mode's 1-op batch
   // Agenda-scheduler scratch: per-node stamp/rank (stamped, so no O(table)
   // clears) plus per-pending remaining counts and a consumers CSR.

@@ -1,11 +1,11 @@
 // The fleet's model table (DESIGN.md §8): N models compiled once into ONE
-// merged module — a single KernelRegistry (names are model-prefixed, so
-// only genuinely shared kernels alias) and a single ir::Program holding
-// every model's functions, with one entry Func recorded per model. A shard
-// worker built from the registry hosts every model behind one engine: one
-// trigger cadence, one node table, one recycling arena, and a persistent
-// region holding every model's weights, dataset tensors, and cached
-// constants side by side.
+// merged module — a single KernelRegistry (kernels keyed by structure, as
+// in every module, so the models' identical kernels are one kernel) and a
+// single ir::Program holding every model's functions, with one entry Func
+// recorded per model. A shard worker built from the registry hosts every
+// model behind one engine: one trigger cadence, one node table, one
+// recycling arena, and a persistent region holding every model's weights,
+// dataset tensors, and cached constants side by side.
 //
 // Weights are materialized per model with the model's own deterministic
 // seed (harness::materialize_weights), so a model's parameters are
@@ -28,27 +28,13 @@ struct FleetModel {
   models::Dataset dataset;
   std::shared_ptr<ir::Func> entry;  // this model's main in the merged program
   int entry_index = -1;             // its index in the merged program's funcs
-  // This model's slice of the merged weight table (diagnostics; the IR's
-  // kLoadWeight indices are global, so executors always get the full table).
-  std::size_t weight_begin = 0, weight_end = 0;
 };
 
 class ModelRegistry {
  public:
   // One pipeline config per fleet: every model compiles at the same
   // ablation level, exactly as a solo harness::prepare would.
-  //
-  // `dedupe_kernels` (default on) keys the merged KernelRegistry by
-  // structure — (op, attr, arity, representative shapes) — instead of by
-  // model-prefixed name, so genuinely identical kernels across (and
-  // within) fleet models collapse into one registry entry and their ops
-  // batch into shared launches. Outputs are bitwise-unchanged: merging
-  // affects only how ops group, never what each op computes
-  // (tests/test_fleet.cpp cross-checks both claims).
-  explicit ModelRegistry(passes::PipelineConfig cfg = {}, bool dedupe_kernels = true)
-      : cfg_(cfg) {
-    if (dedupe_kernels) compiled_.module.registry.enable_structural_dedupe();
-  }
+  explicit ModelRegistry(passes::PipelineConfig cfg = {}) : cfg_(cfg) {}
 
   // Compiles the spec into the merged module and takes ownership of its
   // dataset. Returns the model id requests use (dense, in add order).

@@ -817,8 +817,7 @@ void Engine::trigger_execution() {
   });
 }
 
-float* Engine::stage_gather(const std::vector<std::uint32_t>& ids, int operand,
-                            std::int64_t step) {
+float* Engine::stage_gather(std::span<const std::uint32_t> ids, int operand, std::int64_t step) {
   const std::size_t n = ids.size();
   ScopedTimer timer(stats_.gather_copy, cfg_.time_activities);
   float* staged = arena_.alloc_raw(static_cast<std::int64_t>(n) * step);
@@ -844,7 +843,7 @@ float* Engine::stage_gather(const std::vector<std::uint32_t>& ids, int operand,
 // gather when they do not and gather fusion is off (DyNet-style). Rows are
 // independent in every matmul variant, so the stacked call is bitwise-
 // identical to n per-op calls.
-bool Engine::try_execute_stacked(const Kernel& k, const std::vector<std::uint32_t>& ids,
+bool Engine::try_execute_stacked(const Kernel& k, std::span<const std::uint32_t> ids,
                                  float* out_base) {
   const std::size_t n = ids.size();
   const Node& head = nodes_[ids[0]];
@@ -881,16 +880,16 @@ bool Engine::try_execute_stacked(const Kernel& k, const std::vector<std::uint32_
   return true;
 }
 
-// A batch of kLinear ops runs as ONE run_linear call per (W, b) group over
+// A batch of kLinear ops sharing (W, b) runs as ONE run_linear call over
 // per-row operand pointers (gather fusion, DESIGN.md §4): each row's x and
 // h are read wherever they live, so the cell's concat is never
 // materialized and scattered rows need no staging. With gather fusion off,
 // a scattered activation operand is first staged into one contiguous
 // buffer, as the stacked dense path does; staging copies whole rows, so an
 // LSTM state keeps the c half its epilogue reads. Rows are independent, so
-// the calls are bitwise-identical to n per-op calls.
-bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t>& ids,
-                                std::span<const std::uint32_t> groups, float* out_base) {
+// the call is bitwise-identical to n per-op calls.
+bool Engine::try_execute_linear(const Kernel& k, std::span<const std::uint32_t> ids,
+                                float* out_base) {
   const std::size_t n = ids.size();
   const Node& head = nodes_[ids[0]];
   const std::size_t arity = head.ins.size();
@@ -915,10 +914,6 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
       if (src.data != base[j] + static_cast<std::int64_t>(i) * m * stride[j]) contig[j] = false;
     }
   }
-  // Every group's W has the head's shape, so every output has its shape.
-  const Shape& ws = node(head.ins[arity - 2]).shape;
-  for (std::size_t g = 1; g + 1 < groups.size(); ++g)
-    if (node(nodes_[ids[groups[g]]].ins[arity - 2]).shape != ws) return false;
 
   const std::size_t rows = n * static_cast<std::size_t>(m);
   for (int j = 0; j < n_act; ++j) {
@@ -938,49 +933,89 @@ bool Engine::try_execute_linear(const Kernel& k, const std::vector<std::uint32_t
   }
   // The operand rule (tensor/ops.h): x gives its first kx floats, h the
   // rest of W's columns.
+  const Shape& ws = node(head.ins[arity - 2]).shape;
   const int kx = n_act >= 2 ? stride[0] : ws.dim[1];
-  const std::int64_t out_step = head.shape.numel();
-  const auto rows_at = [&](int j, std::size_t first) {
-    return j < n_act ? linear_rows_[j].data() + first : nullptr;
-  };
+  const auto rows_of = [&](int j) { return j < n_act ? linear_rows_[j].data() : nullptr; };
   ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
-  for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
-    const Node& nd = nodes_[ids[groups[g]]];
-    const std::size_t first = groups[g] * static_cast<std::size_t>(m);
-    run_linear(k.variant, k.attr, rows_at(0, first), kx, rows_at(1, first), rows_at(2, first),
-               ws.dim[1] - kx, node(nd.ins[arity - 2]).data, node(nd.ins[arity - 1]).data,
-               ws.dim[0], static_cast<int>((groups[g + 1] - groups[g]) * m),
-               out_base + static_cast<std::int64_t>(groups[g]) * out_step);
-  }
+  run_linear(k.variant, k.attr, rows_of(0), kx, rows_of(1), rows_of(2), ws.dim[1] - kx,
+             node(head.ins[arity - 2]).data, node(head.ins[arity - 1]).data, ws.dim[0],
+             static_cast<int>(rows), out_base);
   return true;
 }
 
-bool Engine::group_by_weight(const std::vector<std::uint32_t>& ids) {
+bool Engine::group_by_param(const Kernel& k, const std::vector<std::uint32_t>& ids) {
+  // The parameter is each member's last input: kDense's W, a kAddBias*
+  // bias, a broadcast row. kLinear's key also holds the W before its b.
+  const Node& head = nodes_[ids[0]];
+  switch (k.op) {
+    case OpKind::kLinear:
+    case OpKind::kAddBiasTanh:
+    case OpKind::kAddBiasSigmoid:
+      break;
+    case OpKind::kDense:  // only a row-vector batch stacks
+      if (node(head.ins[0]).shape.ndim != 1) return false;
+      break;
+    case OpKind::kAdd:
+    case OpKind::kSub:
+    case OpKind::kMul:  // only a broadcast row must be shared
+      if (node(head.ins[1]).shape == node(head.ins[0]).shape) return false;
+      break;
+    default:
+      return false;  // kMatMul's right operand is per node in MV-RNN
+  }
+  const bool with_w = k.op == OpKind::kLinear;
   const auto key = [&](std::uint32_t id) {
     const InsList& ins = nodes_[id].ins;
-    return static_cast<std::uint64_t>(ins[ins.size() - 2].id) << 32 | ins[ins.size() - 1].id;
+    return (with_w ? static_cast<std::uint64_t>(ins[ins.size() - 2].id) << 32 : 0) |
+           ins[ins.size() - 1].id;
   };
-  const std::uint64_t head = key(ids[0]);
+  const std::size_t n = ids.size();
+  const std::uint64_t head_key = key(ids[0]);
   std::size_t i = 1;
-  while (i < ids.size() && key(ids[i]) == head) ++i;
-  if (i == ids.size()) return false;
-  linear_keys_.clear();
-  for (const std::uint32_t id : ids) {
-    const std::uint64_t kv = key(id);
-    if (std::find(linear_keys_.begin(), linear_keys_.end(), kv) != linear_keys_.end()) continue;
-    scratch_reserve(linear_keys_, linear_keys_.size() + 1);
-    linear_keys_.push_back(kv);
+  while (i < n && key(ids[i]) == head_key) ++i;
+  if (i == n) return false;
+  // Each member's key goes once into scratch, in one pass over the nodes.
+  // Its group, numbered in first-appearance order, then replaces it; a
+  // 16-slot cache of recent keys spares most members the scan of
+  // group_keys_. Counting then places each member at its group's next slot.
+  group_of_.clear();
+  scratch_reserve(group_of_, n);
+  group_of_.resize(n, 0);  // the first i members are group 0
+  for (std::size_t j = i; j < n; ++j) group_of_[j] = key(ids[j]);
+  group_keys_.clear();
+  scratch_reserve(group_keys_, 1);
+  group_keys_.push_back(head_key);
+  std::uint64_t slot_key[16];
+  std::uint32_t slot_group[16] = {};
+  std::fill(slot_key, slot_key + 16, head_key);
+  for (; i < n; ++i) {
+    const std::uint64_t kv = group_of_[i];
+    const std::size_t slot = (kv * 0x9e3779b97f4a7c15ull) >> 60;
+    if (slot_key[slot] != kv) {
+      std::uint32_t g = 0;
+      while (g < group_keys_.size() && group_keys_[g] != kv) ++g;
+      if (g == group_keys_.size()) {
+        scratch_reserve(group_keys_, g + 1);
+        group_keys_.push_back(kv);
+      }
+      slot_key[slot] = kv;
+      slot_group[slot] = g;
+    }
+    group_of_[i] = slot_group[slot];
   }
-  linear_ids_.clear();
-  scratch_reserve(linear_ids_, ids.size());
-  linear_groups_.clear();
-  scratch_reserve(linear_groups_, linear_keys_.size() + 1);
-  for (const std::uint64_t kv : linear_keys_) {
-    linear_groups_.push_back(static_cast<std::uint32_t>(linear_ids_.size()));
-    for (const std::uint32_t id : ids)
-      if (key(id) == kv) linear_ids_.push_back(id);
-  }
-  linear_groups_.push_back(static_cast<std::uint32_t>(ids.size()));
+  const std::size_t n_groups = group_keys_.size();
+  group_bounds_.clear();
+  scratch_reserve(group_bounds_, n_groups + 1);
+  group_bounds_.resize(n_groups + 1, 0);
+  for (const std::uint64_t g : group_of_) ++group_bounds_[g + 1];
+  for (std::size_t g = 1; g <= n_groups; ++g) group_bounds_[g] += group_bounds_[g - 1];
+  group_ids_.clear();
+  scratch_reserve(group_ids_, n);
+  group_ids_.resize(n);
+  // Placing advances each group's start to its end, the next group's start.
+  for (std::size_t j = 0; j < n; ++j) group_ids_[group_bounds_[group_of_[j]]++] = ids[j];
+  for (std::size_t g = n_groups - 1; g > 0; --g) group_bounds_[g] = group_bounds_[g - 1];
+  group_bounds_[0] = 0;
   return true;
 }
 
@@ -989,12 +1024,13 @@ bool Engine::group_by_weight(const std::vector<std::uint32_t>& ids) {
 // storage is contiguous across the batch — outputs always are (allocated
 // back-to-back below), and so are inputs produced by a single earlier
 // batch, the iterative-model common case. Broadcast/bias operands must
-// instead be the SAME tensor for every member. Every covered kind applies
+// instead be the SAME tensor for every member (execute_batch groups a batch
+// by them). Every covered kind applies
 // a pure per-element or per-row function, so the flat call is bitwise-
 // identical to n per-op calls at any variant. Scattered inputs fall back
 // per-op — or are staged by an explicit gather first when gather fusion is
 // off, mirroring the stacked-matmul discipline.
-bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>& ids,
+bool Engine::try_execute_flat(const Kernel& k, std::span<const std::uint32_t> ids,
                               float* out_base) {
   const std::size_t n = ids.size();
   const Node& head = nodes_[ids[0]];
@@ -1089,20 +1125,62 @@ bool Engine::try_execute_flat(const Kernel& k, const std::vector<std::uint32_t>&
   return true;
 }
 
+void Engine::execute_per_op(const Kernel& k, std::span<const std::uint32_t> ids,
+                            float* const* outs) {
+  ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const Node& nd = nodes_[ids[i]];
+    if (k.op == OpKind::kConcat) {
+      // Engine-executed (variable arity): copy inputs end to end; axis 0
+      // row-stacking and flat vector concat have identical layout.
+      float* dst = outs[i];
+      for (const TRef in : nd.ins) {
+        const Node& src = node(in);
+        std::memcpy(dst, src.data, sizeof(float) * static_cast<std::size_t>(src.shape.numel()));
+        dst += src.shape.numel();
+      }
+      continue;
+    }
+    const float* ins[8];
+    Shape shapes[8];
+    const int arity = static_cast<int>(nd.ins.size());
+    for (int j = 0; j < arity; ++j) {
+      const Node& src = node(nd.ins[j]);
+      ins[j] = src.data;
+      shapes[j] = src.shape;
+    }
+    if (cfg_.stage_all_amp > 0 && matmul_family(k.op)) {
+      // Cortex's restrictive interface on MV-RNN: inputs must be copied
+      // into the accelerator's layout (repeatedly) before every call.
+      ScopedTimer copy_timer(stats_.gather_copy, cfg_.time_activities);
+      for (int rep = 0; rep < cfg_.stage_all_amp; ++rep) {
+        for (int j = 0; j < arity; ++j) {
+          const std::int64_t numel = shapes[j].numel();
+          float* staged = arena_.alloc_raw(numel);
+          std::memcpy(staged, ins[j], sizeof(float) * static_cast<std::size_t>(numel));
+          stats_.gather_bytes += numel * static_cast<long long>(sizeof(float));
+          if (rep == cfg_.stage_all_amp - 1) ins[j] = staged;
+        }
+      }
+    }
+    run_op(k.op, k.variant, ins, shapes, outs[i], nd.shape, k.attr);
+  }
+}
+
 void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& batch_ids,
                            bool merge_launch) {
   std::int64_t trace_t0 = 0;
   ACROBAT_TRACE(tracer_, trace_t0 = tracer_->now());
   const Kernel& k = registry_.kernel(kernel_id);
   const std::size_t n = batch_ids.size();
-  // A kLinear batch that mixes weights (a fleet's structurally deduped
-  // kernel) runs grouped by (W, b), so each group's outputs, allocated below,
-  // lie back to back for its own run_linear call.
+  // A batch that mixes parameters (call sites with one kernel and their own
+  // weights or biases) runs grouped by them, so each group's outputs,
+  // allocated below, lie back to back for its own single call.
   const std::uint32_t whole[2] = {0, static_cast<std::uint32_t>(n)};
-  const bool grouped = k.op == OpKind::kLinear && group_by_weight(batch_ids);
-  const std::vector<std::uint32_t>& ids = grouped ? linear_ids_ : batch_ids;
+  const bool grouped = n > 1 && group_by_param(k, batch_ids);
+  const std::vector<std::uint32_t>& ids = grouped ? group_ids_ : batch_ids;
   const std::span<const std::uint32_t> groups =
-      grouped ? std::span<const std::uint32_t>(linear_groups_) : whole;
+      grouped ? std::span<const std::uint32_t>(group_bounds_) : whole;
   stats_.kernel_invocations[static_cast<std::size_t>(kernel_id)] +=
       static_cast<long long>(n);
   if (!merge_launch) charge_launch();
@@ -1145,66 +1223,35 @@ void Engine::execute_batch(int kernel_id, const std::vector<std::uint32_t>& batc
     for (const TRef in : nodes_[id].ins) assert(node(in).data != nullptr && "batch ordering bug");
 #endif
 
-  // Single-call fast paths: one row-pointer kLinear call, one stacked matmul
-  // over shared-parameter rows, or one flat elementwise call over the whole
-  // batch. Cortex's forced-staging mode keeps paying its per-op matmul
-  // copies (only the original dense stacking applies there), so the
-  // baseline's cost model is intact.
-  bool fused = false;
-  if (k.op == OpKind::kLinear) {
-    fused = try_execute_linear(k, ids, groups, out_base);
-    stats_.stacked_batches += fused && n > 1 ? 1 : 0;
-  } else if (n > 1) {
-    if (matmul_family(k.op)) {
-      if (cfg_.stage_all_amp == 0 || k.op == OpKind::kDense) {
-        fused = try_execute_stacked(k, ids, out_base);
-        stats_.stacked_batches += fused ? 1 : 0;
-      }
-    } else {
-      fused = try_execute_flat(k, ids, out_base);
-      stats_.flat_batches += fused ? 1 : 0;
+  // Single-call paths, one call per parameter group, all inside the batch's
+  // one launch: a row-pointer kLinear call, a stacked matmul over
+  // shared-parameter rows, or a flat elementwise call. A group that does
+  // not fit runs one run_op per member. Cortex's forced-staging mode keeps
+  // paying its per-op matmul copies (only the original dense stacking
+  // applies there), so the baseline's cost model is intact. The batch
+  // counts as single-call when each group ran in one call.
+  bool fused = true;
+  for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
+    const std::span<const std::uint32_t> group(ids.data() + groups[g], groups[g + 1] - groups[g]);
+    bool one_call = false;
+    if (k.op == OpKind::kLinear) {
+      one_call = try_execute_linear(k, group, outs[groups[g]]);
+    } else if (group.size() > 1) {
+      if (!matmul_family(k.op))
+        one_call = try_execute_flat(k, group, outs[groups[g]]);
+      else if (cfg_.stage_all_amp == 0 || k.op == OpKind::kDense)
+        one_call = try_execute_stacked(k, group, outs[groups[g]]);
+    }
+    if (!one_call) {
+      execute_per_op(k, group, outs.data() + groups[g]);
+      fused = fused && grouped && group.size() == 1;
     }
   }
-
-  if (!fused) {
-    ScopedTimer timer(stats_.kernel_exec, cfg_.time_activities);
-    for (std::size_t i = 0; i < n; ++i) {
-      Node& nd = nodes_[ids[i]];
-      if (k.op == OpKind::kConcat) {
-        // Engine-executed (variable arity): copy inputs end to end; axis 0
-        // row-stacking and flat vector concat have identical layout.
-        float* dst = outs[i];
-        for (const TRef in : nd.ins) {
-          const Node& src = node(in);
-          std::memcpy(dst, src.data, sizeof(float) * static_cast<std::size_t>(src.shape.numel()));
-          dst += src.shape.numel();
-        }
-        continue;
-      }
-      const float* ins[8];
-      Shape shapes[8];
-      const int arity = static_cast<int>(nd.ins.size());
-      for (int j = 0; j < arity; ++j) {
-        const Node& src = node(nd.ins[j]);
-        ins[j] = src.data;
-        shapes[j] = src.shape;
-      }
-      if (cfg_.stage_all_amp > 0 && matmul_family(k.op)) {
-        // Cortex's restrictive interface on MV-RNN: inputs must be copied
-        // into the accelerator's layout (repeatedly) before every call.
-        ScopedTimer copy_timer(stats_.gather_copy, cfg_.time_activities);
-        for (int rep = 0; rep < cfg_.stage_all_amp; ++rep) {
-          for (int j = 0; j < arity; ++j) {
-            const std::int64_t numel = shapes[j].numel();
-            float* staged = arena_.alloc_raw(numel);
-            std::memcpy(staged, ins[j], sizeof(float) * static_cast<std::size_t>(numel));
-            stats_.gather_bytes += numel * static_cast<long long>(sizeof(float));
-            if (rep == cfg_.stage_all_amp - 1) ins[j] = staged;
-          }
-        }
-      }
-      run_op(k.op, k.variant, ins, shapes, outs[i], nd.shape, k.attr);
-    }
+  if (fused && n > 1) {
+    if (k.op == OpKind::kLinear || matmul_family(k.op))
+      ++stats_.stacked_batches;
+    else
+      ++stats_.flat_batches;
   }
 
   for (std::size_t i = 0; i < n; ++i) {

@@ -84,9 +84,9 @@ class FleetPolicy final : public serve::BatchPolicy {
 
 // Every registry model behind one engine per shard: one trigger cadence,
 // node table and recycling arena, and every model's weights, datasets and
-// constants in one persistent region. Kernel names are model-prefixed (or
-// structurally deduped), so merged kernel ids alias across models only
-// where the kernels are genuinely identical.
+// constants in one persistent region. A kernel is its structure
+// (engine/kernels.h), so models share a kernel id only where their kernels
+// are identical.
 serve::detail::ShardModule fleet_module(const ModelRegistry& reg) {
   serve::detail::ShardModule m;
   m.compiled = &reg.compiled();
@@ -167,8 +167,6 @@ int ModelRegistry::add(const models::ModelSpec& spec, bool large, models::Datase
   fm.dataset = std::move(ds);
   fm.entry = compiled_.program.funcs[static_cast<std::size_t>(entry_idx)];
   fm.entry_index = entry_idx;
-  fm.weight_begin = w0;
-  fm.weight_end = decls_.size();
   // This model's weights, under its own solo seed: bitwise-identical to a
   // solo harness::prepare, which is what the parity tests cross-check.
   const std::vector<models::WeightDecl> slice(decls_.begin() + static_cast<std::ptrdiff_t>(w0),

@@ -36,8 +36,10 @@ int build(BuildCtx& ctx) {
     int bq, bk, bv, bo, b1, b2;  // per-op only
   };
   std::vector<Layer> layers;
-  // Shared kernel ids (same shapes across layers → one signature class each,
-  // distinct per projection so batching stays per-role).
+  // Kernel ids are shared across layers. A kernel is its structure
+  // (engine/kernels.h), so q, k, v, o and both FFN projections, each a
+  // kDense of an (s, h) activation by an (h, h) weight, are one kernel and
+  // batch together across roles.
   const int k_q = ctx.kernel("berxit.q", OpKind::kDense, 0, {sh, w});
   const int k_k = ctx.kernel("berxit.k", OpKind::kDense, 0, {sh, w});
   const int k_v = ctx.kernel("berxit.v", OpKind::kDense, 0, {sh, w});

@@ -104,6 +104,33 @@ void test_single_session_matches_solo() {
   }
 }
 
+// bench/e2e's decode references take each input's token count as the VM's
+// invocations of the kernel named decoder.stop, so no other call site may
+// share that kernel. At both sizes and every ablation level, the count on
+// one input must equal the tokens a solo serve() session reports for it.
+void test_stop_kernel_counts_tokens() {
+  const models::ModelSpec& spec = models::model_by_name("Decoder");
+  for (const bool large : {false, true}) {
+    const models::Dataset ds = spec.build_dataset(large, 3, 29);
+    for (int level = 0; level <= 5; ++level) {
+      const harness::Prepared p =
+          harness::prepare(spec, large, passes::PipelineConfig::ablation_level(level));
+      const KernelRegistry& reg = p.compiled.module.registry;
+      std::size_t stop = reg.num_kernels();
+      for (std::size_t k = 0; k < reg.num_kernels(); ++k)
+        if (reg.kernel(static_cast<int>(k)).name == "decoder.stop") stop = k;
+      CHECK(stop < reg.num_kernels());
+      if (stop == reg.num_kernels()) continue;
+      for (std::size_t idx = 0; idx < ds.inputs.size(); ++idx) {
+        const harness::RunResult vm = harness::run_vm(p, solo_dataset(ds, idx), {});
+        const std::vector<serve::Request> trace{serve::Request{0, idx, 0}};
+        const serve::ServeResult served = serve::serve(p, ds, trace, serve::ServeOptions{});
+        CHECK_EQ(vm.kernel_invocations.at(stop), served.records.at(0).tokens);
+      }
+    }
+  }
+}
+
 // (b) Deterministic cohort: two identical runs agree on every counter and
 // every output bit; co-batched sessions still match their solo outputs.
 void test_cohort_deterministic_and_matches_solo() {
@@ -333,6 +360,7 @@ void test_decode_split_budget() {
 
 int main() {
   test_single_session_matches_solo();
+  test_stop_kernel_counts_tokens();
   test_cohort_deterministic_and_matches_solo();
   test_session_memory_plateau();
   test_fleet_token_deadline_cancels();

@@ -650,12 +650,15 @@ void test_linear_summed_batch() {
 }
 
 // A kLinear batch whose members carry different (W, b) under one kernel id,
-// as a fleet's structurally deduped BiRNN forward and backward cells do,
-// runs one run_linear call per weight group inside its one launch: it
-// counts one stacked batch, and its outputs are bitwise eager's. Members
-// interleave three groups (two weights, and the second weight under a
-// second bias); with gather fusion off their scattered rows are staged
-// once. A warm second round grows no scheduler scratch.
+// as BiRNN's forward and backward cells do, runs one run_linear call per
+// weight group inside its one launch: it counts one stacked batch, and its
+// outputs are bitwise eager's. Members interleave three groups (two
+// weights, and the second weight under a second bias); with gather fusion
+// off their scattered rows are staged once. A warm second round grows no
+// scheduler scratch. The other two single-call paths group the same way: a
+// row-vector kDense batch over two weights makes one stacked call per
+// weight, and a kAddBiasSigmoid batch over two biases one flat call per
+// bias, as TreeLSTM's per-gate kernels at the fine grains need.
 void test_linear_mixed_weights() {
   constexpr int kN = 9, kx = 16, hid = 16, n = 3 * hid;
   Rng rng{71};
@@ -720,6 +723,55 @@ void test_linear_mixed_weights() {
     CHECK(staged.size() == in_place.size() && std::memcmp(staged.data(), in_place.data(), bytes) == 0);
     CHECK(eager.size() == in_place.size() && std::memcmp(eager.data(), in_place.data(), bytes) == 0);
   }
+
+  // Members alternate weight (and bias) groups, and each group's x rows lie
+  // back to back, so both batches run in place: d = W x, then
+  // s = sigmoid(d + d + bias).
+  constexpr int kM = 8;
+  const Tensor wd[2] = {pool.alloc_random(Shape(hid, kx), rng, 0.3f),
+                        pool.alloc_random(Shape(hid, kx), rng, 0.3f)};
+  const Tensor bd[2] = {pool.alloc_random(RowVec(hid), rng, 0.2f),
+                        pool.alloc_random(RowVec(hid), rng, 0.2f)};
+  std::vector<Tensor> rows;  // group 0's rows, then group 1's: member i reads row_of(i)
+  for (int i = 0; i < kM; ++i) rows.push_back(pool.alloc_random(RowVec(kx), rng, 1.0f));
+  const auto row_of = [&](int i) -> const Tensor& { return rows[static_cast<std::size_t>(i % 2 * kM / 2 + i / 2)]; };
+  KernelRegistry reg;
+  const Shape dense_reps[2] = {Shape(kx), wd[0].shape};
+  const Shape abs_reps[3] = {Shape(hid), Shape(hid), Shape(hid)};
+  const int k_dense = reg.add("c.dense", OpKind::kDense, 0, 2, dense_reps);
+  const int k_abs = reg.add("c.abs", OpKind::kAddBiasSigmoid, 0, 3, abs_reps);
+  for (const int k : {k_dense, k_abs}) reg.kernel(k).variant = reg.kernel(k).num_variants - 1;
+  const auto run = [&](EngineConfig cfg) {
+    Engine eng(reg, cfg);
+    const TRef wref[2] = {eng.add_concrete(wd[0].view()), eng.add_concrete(wd[1].view())};
+    const TRef bref[2] = {eng.add_concrete(bd[0].view()), eng.add_concrete(bd[1].view())};
+    std::vector<TRef> outs;
+    for (int i = 0; i < kM; ++i) {
+      const TRef dins[2] = {eng.add_concrete(row_of(i).view()), wref[i % 2]};
+      const TRef d = eng.add_op(k_dense, dins, 2, InstCtx{i}, 0);
+      const TRef sins[3] = {d, d, bref[i % 2]};
+      outs.push_back(eng.add_op(k_abs, sins, 3, InstCtx{i}, 0));
+    }
+    eng.trigger_execution();
+    std::vector<float> flat;
+    for (const TRef r : outs) {
+      const Tensor t = eng.force(r);
+      flat.insert(flat.end(), t.data, t.data + t.numel());
+    }
+    return std::make_pair(flat, eng.stats());
+  };
+  EngineConfig eager_cfg;
+  eager_cfg.lazy = false;
+  const auto [in_place, s_in_place] = run(EngineConfig{});
+  const auto [eager, s_eager] = run(eager_cfg);
+  CHECK_EQ(s_in_place.kernel_launches, 2);
+  CHECK_EQ(s_in_place.stacked_batches, 1);
+  CHECK_EQ(s_in_place.flat_batches, 1);
+  CHECK_EQ(s_in_place.gather_bytes, 0);
+  CHECK_EQ(s_eager.kernel_launches, 2 * kM);
+  CHECK_EQ(in_place.size(), static_cast<std::size_t>(kM * hid));
+  CHECK(eager.size() == in_place.size() &&
+        std::memcmp(eager.data(), in_place.data(), in_place.size() * sizeof(float)) == 0);
 }
 
 // Carried-forward fix: Node::ins used to heap-allocate a vector per
@@ -828,13 +880,16 @@ void test_non_monotone_phase_aborts() {
 // launch of its own. kWaveSplit is the phase-1 graph on which pulling a
 // ready step forward into the chain's launch would split a later wave
 // (4 launches plainly, 5 pulled): the rule moves no batch, so it stays 4.
+// The test keeps its own registry: the fixture's kTanh has k_tanh's
+// structure, so it would be that kernel, registered before k_add.
 void test_chain_fusion() {
   Fixture f;
+  KernelRegistry reg;
   const Shape v8 = RowVec(8), m28(2, 8);
   const Shape bin[2] = {v8, v8}, row[2] = {m28, v8};
-  const int k_add = f.reg.add("t.add", OpKind::kAdd, 0, 2, bin);
-  const int k_tanh = f.reg.add("t.tanh8", OpKind::kTanh, 0, 1, bin);  // runs after k_add
-  const int k_addrow = f.reg.add("t.addrow", OpKind::kAdd, 0, 2, row);
+  const int k_add = reg.add("t.add", OpKind::kAdd, 0, 2, bin);
+  const int k_tanh = reg.add("t.tanh8", OpKind::kTanh, 0, 1, bin);  // runs after k_add
+  const int k_addrow = reg.add("t.addrow", OpKind::kAdd, 0, 2, row);
   std::vector<Tensor> cs;
   for (int i = 0; i < 8; ++i) cs.push_back(f.pool.alloc_random(v8, f.rng, 1.0f));
   const Tensor m = f.pool.alloc_random(m28, f.rng, 1.0f);
@@ -846,7 +901,7 @@ void test_chain_fusion() {
     std::vector<float> out;
   };
   const auto run = [&](Graph g, EngineConfig cfg) {
-    Engine eng(f.reg, cfg);
+    Engine eng(reg, cfg);
     std::vector<TRef> c;
     for (const Tensor& t : cs) c.push_back(eng.add_concrete(t.view()));
     std::vector<TRef> outs;

@@ -116,58 +116,68 @@ void test_fleet_parity_with_solo_serve() {
   CHECK(res.shards[0].stats.kernel_launches > 0);
 }
 
-// Shape-keyed kernel dedupe (ROADMAP item / ISSUE 5): kernels that agree on
-// (op, attr, arity, representative shapes) but were registered under
-// different model prefixes — BiRNN's fwd/bwd GRU cells, the two models'
-// zero-state constants — collapse into one merged-registry entry, so their
-// ops land in the same (depth, kernel) buckets and share launches. The
-// deduped fleet must launch STRICTLY fewer kernels than the name-keyed one
-// on the same trace, with bitwise-identical per-request outputs.
+// One kernel identity rule (DESIGN.md §8): kernels that agree on (op,
+// attr, arity, representative shapes) are one kernel in every module, so
+// the merged module holds fewer kernels than the two solo modules together
+// (the models' zero-state constants coincide), and the models' ops share
+// those launches. On one deterministic cohort the merged fleet must launch
+// STRICTLY fewer kernels than the two models' solo serve runs over their
+// parts of it, with each request's outputs bitwise equal to its solo run's.
 // Determinism setup (cf. test_serve's recycling parity): all arrivals at
 // t=0 and a deadline policy holding the first trigger until the whole
-// cohort is admitted, so batch composition is fixed across both runs.
+// cohort is admitted, so batch composition is fixed in every run.
 void test_registry_kernel_dedupe() {
   const int n = 12;
-  const auto build = [&](bool dedupe) {
-    fleet::ModelRegistry reg{passes::PipelineConfig{}, dedupe};
-    reg.add(models::model_by_name("TreeLSTM"), false, dataset_of("TreeLSTM", 6, 11));
-    reg.add(models::model_by_name("BiRNN"), false, dataset_of("BiRNN", 6, 19));
-    reg.prepare();
-    return reg;
-  };
-  const fleet::ModelRegistry on = build(true);
-  const fleet::ModelRegistry off = build(false);
-  CHECK(on.compiled().module.registry.structural_dupes() > 0);
-  CHECK_EQ(off.compiled().module.registry.structural_dupes(), 0);
-  CHECK(on.compiled().module.registry.num_kernels() <
-        off.compiled().module.registry.num_kernels());
+  const fleet::ModelRegistry reg = two_model_registry();
+  const std::vector<serve::Request> trace = interleaved_trace(n, reg, 0);
+  serve::PolicyConfig hold;
+  hold.kind = serve::PolicyKind::kDeadline;
+  hold.slo_ns = 10'000'000'000;       // never trigger early on SLO
+  hold.max_hold_ns = 10'000'000'000;  // hold until the cohort is in
 
-  const auto run = [&](const fleet::ModelRegistry& reg) {
-    std::vector<serve::Request> trace = interleaved_trace(n, reg, 0);
-    fleet::FleetOptions fo;
-    fo.collect_outputs = true;
-    fo.policy = no_slo_policy();
-    fo.policy.base.kind = serve::PolicyKind::kDeadline;
-    fo.policy.base.min_batch = n;
-    fo.policy.base.slo_ns = 10'000'000'000;       // never trigger early on SLO
-    fo.policy.base.max_hold_ns = 10'000'000'000;  // hold until the cohort is in
-    return fleet::serve_fleet(reg, trace, fo);
-  };
-  const fleet::FleetResult a = run(on);
-  const fleet::FleetResult b = run(off);
-  CHECK_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const auto& ao = a.records[i].output;
-    const auto& bo = b.records[i].output;
-    CHECK_EQ(ao.size(), bo.size());
-    for (std::size_t j = 0; j < ao.size(); ++j) CHECK(ao[j] == bo[j]);  // bitwise
+  std::size_t solo_kernels = 0;
+  long long solo_launches = 0;
+  std::map<int, std::vector<std::vector<float>>> solo;  // model -> outputs in trace order
+  for (int m = 0; m < reg.num_models(); ++m) {
+    const harness::Prepared p = harness::prepare(models::model_by_name(reg.model(m).name), false,
+                                                 passes::PipelineConfig{});
+    solo_kernels += p.compiled.module.registry.num_kernels();
+    std::vector<serve::Request> mtrace;
+    for (const serve::Request& r : trace) {
+      if (r.model_id != m) continue;
+      serve::Request s = r;
+      s.id = static_cast<int>(mtrace.size());
+      s.model_id = 0;
+      mtrace.push_back(s);
+    }
+    serve::ServeOptions so;
+    so.collect_outputs = true;
+    so.policy = hold;
+    so.policy.min_batch = mtrace.size();
+    const serve::ServeResult sres = serve::serve(p, reg.model(m).dataset, mtrace, so);
+    solo_launches += sres.shards[0].stats.kernel_launches;
+    for (const serve::RequestRecord& rec : sres.records) solo[m].push_back(rec.output);
   }
-  std::printf("dedupe: %zu vs %zu kernels (%lld dupes) | launches %lld vs %lld\n",
-              on.compiled().module.registry.num_kernels(),
-              off.compiled().module.registry.num_kernels(),
-              on.compiled().module.registry.structural_dupes(),
-              a.shards[0].stats.kernel_launches, b.shards[0].stats.kernel_launches);
-  CHECK(a.shards[0].stats.kernel_launches < b.shards[0].stats.kernel_launches);
+  CHECK(reg.compiled().module.registry.num_kernels() < solo_kernels);
+
+  fleet::FleetOptions fo;
+  fo.collect_outputs = true;
+  fo.policy = no_slo_policy();
+  fo.policy.base = hold;
+  fo.policy.base.min_batch = n;
+  const fleet::FleetResult res = fleet::serve_fleet(reg, trace, fo);
+  CHECK_EQ(res.records.size(), n);
+  std::map<int, std::size_t> seen;  // model -> next solo index
+  for (const serve::RequestRecord& rec : res.records) {
+    const int m = trace[static_cast<std::size_t>(rec.id)].model_id;
+    const std::vector<float>& want = solo[m][seen[m]++];
+    CHECK_EQ(rec.output.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) CHECK(rec.output[i] == want[i]);  // bitwise
+  }
+  std::printf("one rule: %zu kernels merged vs %zu solo | launches %lld vs %lld solo\n",
+              reg.compiled().module.registry.num_kernels(), solo_kernels,
+              res.shards[0].stats.kernel_launches, solo_launches);
+  CHECK(res.shards[0].stats.kernel_launches < solo_launches);
 }
 
 // A merged two-model module serves a structurally recurring mixed cohort
@@ -179,11 +189,7 @@ void test_registry_kernel_dedupe() {
 // loaded machine. A trailing singleton flushes alone. Two runs must agree
 // on launches, triggers and every output bit, with nothing shed.
 void test_fleet_merged_cohort_deterministic() {
-  fleet::ModelRegistry reg{passes::PipelineConfig{}, /*dedupe=*/true};
-  reg.add(models::model_by_name("TreeLSTM"), false, dataset_of("TreeLSTM", 6, 11));
-  reg.add(models::model_by_name("BiRNN"), false, dataset_of("BiRNN", 6, 19));
-  reg.prepare();
-  CHECK(reg.compiled().module.registry.structural_dupes() > 0);
+  const fleet::ModelRegistry reg = two_model_registry();
 
   const int cohort = 12, cohorts = 3;
   std::vector<serve::Request> trace;

@@ -17,8 +17,9 @@
 // kLinear forms include the summed form (kLinearSumH) over scattered h1
 // and h2, LSTM epilogue included, and every kLinear draws its W and b from
 // more than one tensor, so a batch can mix weights under one kernel id, as
-// a fleet's structurally deduped kernels do; the sweep counts both kinds
-// of batch from the batch logs.
+// the call sites of one kernel do. Dense weights, kAddBias* biases and
+// broadcast rows are drawn the same way, and the sweep counts each kind of
+// mixed batch from the batch logs.
 //
 // ACROBAT_SERVE_REQUESTS bounds the number of seeds (default 50; CI's
 // sanitize job pins it back to 50). ACROBAT_TEST_SEED overrides the base
@@ -335,7 +336,7 @@ Trace make_trace(const Fixture& f, Rng& rng) {
       int ph = 0;
       for (int j = 0; j < os.arity; ++j) {
         // Half of kLinear's biases are concrete, so that batch members share
-        // (W, b) in groups, as a fleet's deduped cells do.
+        // (W, b) in groups, as the call sites of one cell kernel do.
         const bool bias = os.op == OpKind::kLinear && j == os.arity - 1;
         const int c = os.in[j];
         args.push_back(pick(bias && rng.uniform_int(2) == 0 ? concrete[c] : pool[c]));
@@ -388,23 +389,52 @@ void check_chain_log(const Fixture& f, const Engine& eng, const std::vector<std:
   }
 }
 
-long long g_mixed_weight_batches = 0;  // kLinear batches with more than one (W, b)
-long long g_summed_batches = 0;       // summed-form kLinear batches of 2+ members
+long long g_mixed_weight_batches = 0;   // kLinear batches with more than one (W, b)
+long long g_mixed_stacked_batches = 0;  // row-vector kDense batches with more than one W
+long long g_mixed_flat_batches = 0;     // bias or broadcast-row batches with more than one row
+long long g_summed_batches = 0;         // summed-form kLinear batches of 2+ members
 
-// Counts the engine's kLinear batches that mixed weights or ran the summed
-// form over more than one member, from its batch log.
-void count_linear_batches(const Fixture& f, const Engine& eng) {
+// Counts, from the engine's batch log, the batches whose members mix the
+// parameters their single-call path groups by (kLinear's (W, b), a
+// row-vector kDense's W, a kAddBias* bias, a kAdd/kSub/kMul broadcast row),
+// and the summed-form kLinear batches of more than one member.
+void count_mixed_batches(const Fixture& f, const Engine& eng) {
   for (const Engine::ExecBatch& eb : eng.exec_log()) {
     const Kernel& k = f.reg.kernel(eb.kernel_id);
-    if (k.op != OpKind::kLinear) continue;
     const std::span<const std::uint32_t> ids = eng.exec_nodes(eb);
-    if ((k.attr & kLinearSumH) && ids.size() > 1) ++g_summed_batches;
     const std::span<const TRef> head = eng.inputs_of(TRef{ids[0], 0});
+    if (k.op == OpKind::kLinear && (k.attr & kLinearSumH) && ids.size() > 1) ++g_summed_batches;
+    // The parameters are the last n_params inputs.
+    std::size_t n_params = 1;
+    long long* mixed = nullptr;
+    switch (k.op) {
+      case OpKind::kLinear:
+        n_params = 2;
+        mixed = &g_mixed_weight_batches;
+        break;
+      case OpKind::kDense:
+        if (eng.shape(head[0]).ndim == 1) mixed = &g_mixed_stacked_batches;
+        break;
+      case OpKind::kAddBiasTanh:
+      case OpKind::kAddBiasSigmoid:
+        mixed = &g_mixed_flat_batches;
+        break;
+      case OpKind::kAdd:
+      case OpKind::kSub:
+      case OpKind::kMul:
+        if (eng.shape(head[1]) != eng.shape(head[0])) mixed = &g_mixed_flat_batches;
+        break;
+      default:
+        break;
+    }
+    if (mixed == nullptr) continue;
     for (const std::uint32_t id : ids) {
       const std::span<const TRef> ins = eng.inputs_of(TRef{id, 0});
-      if (ins[ins.size() - 2].id != head[head.size() - 2].id ||
-          ins[ins.size() - 1].id != head[head.size() - 1].id) {
-        ++g_mixed_weight_batches;
+      bool differs = false;
+      for (std::size_t j = 1; j <= n_params; ++j)
+        differs = differs || ins[ins.size() - j].id != head[head.size() - j].id;
+      if (differs) {
+        ++*mixed;
         break;
       }
     }
@@ -461,7 +491,7 @@ std::vector<std::vector<float>> apply(const Fixture& f, const Trace& t, EngineCo
     prev = eng.stats().kernel_launches;
   }
   if (cfg.lazy && !cfg.fuse_waves) check_chain_log(f, eng, trigger_ends);
-  if (cfg.lazy) count_linear_batches(f, eng);
+  if (cfg.lazy) count_mixed_batches(f, eng);
   return out;
 }
 
@@ -523,10 +553,12 @@ void test_differential_sweep() {
   acrobat::test::g_seed = base;
   std::printf("differential sweep: %d seeds x 3 schedulers x %d passes vs eager; "
               "chains saved %lld launches; %lld mixed-weight and %lld summed kLinear "
-              "batches\n",
-              n_seeds, kPasses, g_chain_saved, g_mixed_weight_batches, g_summed_batches);
-  // The default sweep's seeds make both kinds of batch many times over.
-  CHECK(n_seeds < 20 || (g_mixed_weight_batches > 0 && g_summed_batches > 0));
+              "batches; %lld mixed-weight stacked and %lld mixed-row flat batches\n",
+              n_seeds, kPasses, g_chain_saved, g_mixed_weight_batches, g_summed_batches,
+              g_mixed_stacked_batches, g_mixed_flat_batches);
+  // The default sweep's seeds make every kind of batch many times over.
+  CHECK(n_seeds < 20 || (g_mixed_weight_batches > 0 && g_summed_batches > 0 &&
+                         g_mixed_stacked_batches > 0 && g_mixed_flat_batches > 0));
 }
 
 }  // namespace

@@ -26,11 +26,10 @@
 // Every decision is a pure function of the plan and a per-injector event
 // sequence number (Bernoulli draws hash the seed with the sequence number;
 // there is no shared mutable RNG), so a failing faulted run replays with
-// the same fault schedule. Counting is atomic: the router-side hooks are
-// called from several proxy threads.
+// the same fault schedule. An injector belongs to one thread: the router's
+// event loop, or a worker process.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -69,68 +68,51 @@ class Injector {
   const FaultPlan& plan() const { return plan_; }
   bool enabled() const { return plan_.any(); }
 
-  // Install a plan on a default-constructed injector (atomics make the
-  // class non-assignable). Counters and sequences restart from zero.
-  void reset(const FaultPlan& plan) {
-    plan_ = plan;
-    req_seq_.store(0, std::memory_order_relaxed);
-    crash_seq_ = wedge_seq_ = 0;
-    sw_seq_.store(0, std::memory_order_relaxed);
-    kills_.store(0, std::memory_order_relaxed);
-    crashes_.store(0, std::memory_order_relaxed);
-    wedges_.store(0, std::memory_order_relaxed);
-    short_writes_.store(0, std::memory_order_relaxed);
-  }
-
   // Router: called once per request forwarded to a worker; true when the
   // plan says this request's worker should be SIGKILLed.
   bool fire_kill(int shard) {
     if (plan_.kill_every_req == 0) return false;
-    const std::uint64_t seq = req_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (seq % plan_.kill_every_req != 0) return false;
+    if (++req_seq_ % plan_.kill_every_req != 0) return false;
     if (plan_.kill_shard >= 0 && shard != plan_.kill_shard) return false;
-    kills_.fetch_add(1, std::memory_order_relaxed);
+    ++kills_;
     return true;
   }
 
   // Worker: called once per received request; true when this process
-  // should die right now (single-threaded: the worker loop).
+  // should die right now.
   bool fire_crash() {
     if (plan_.crash_at_req == 0) return false;
     if (++crash_seq_ != plan_.crash_at_req) return false;
-    crashes_.fetch_add(1, std::memory_order_relaxed);
+    ++crashes_;
     return true;
   }
 
   // Worker: called once per received request; > 0 = stall this many ns
-  // before handling it (single-threaded: the worker loop).
+  // before handling it.
   std::int64_t fire_wedge_ns() {
     if (plan_.wedge_every_req == 0) return 0;
     if (++wedge_seq_ % plan_.wedge_every_req != 0) return 0;
-    wedges_.fetch_add(1, std::memory_order_relaxed);
+    ++wedges_;
     return plan_.wedge_dur_ms * 1'000'000;
   }
 
   // Frame writer: clamp a pending send of `want` bytes. Seeded Bernoulli
-  // per call; thread-safe (the draw hashes seed ^ sequence, no shared RNG
-  // state beyond the atomic counter).
+  // per call (the draw hashes seed ^ sequence).
   std::size_t clamp_write(std::size_t want) {
     if (plan_.short_write_p <= 0.0 || want <= 1) return want;
-    const std::uint64_t seq = sw_seq_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t seq = sw_seq_++;
     const std::uint64_t h = mix(plan_.seed ^ (seq * 0x9e3779b97f4a7c15ull));
     const double u = static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
     if (u >= plan_.short_write_p) return want;
-    short_writes_.fetch_add(1, std::memory_order_relaxed);
+    ++short_writes_;
     const std::size_t cap = want < 16 ? want - 1 : 15;
     return 1 + static_cast<std::size_t>(mix(h) % cap);
   }
 
-  std::uint64_t kills() const { return kills_.load(std::memory_order_relaxed); }
-  std::uint64_t crashes() const { return crashes_.load(std::memory_order_relaxed); }
-  std::uint64_t wedges() const { return wedges_.load(std::memory_order_relaxed); }
-  std::uint64_t short_writes() const {
-    return short_writes_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t kills() const { return kills_; }
+  std::uint64_t crashes() const { return crashes_; }
+  std::uint64_t wedges() const { return wedges_; }
+  std::uint64_t short_writes() const { return short_writes_; }
 
  private:
   // splitmix64 finalizer: the stateless per-sequence hash behind every
@@ -143,14 +125,8 @@ class Injector {
   }
 
   FaultPlan plan_;
-  std::atomic<std::uint64_t> req_seq_{0};
-  std::uint64_t crash_seq_ = 0;
-  std::uint64_t wedge_seq_ = 0;
-  std::atomic<std::uint64_t> sw_seq_{0};
-  std::atomic<std::uint64_t> kills_{0};
-  std::atomic<std::uint64_t> crashes_{0};
-  std::atomic<std::uint64_t> wedges_{0};
-  std::atomic<std::uint64_t> short_writes_{0};
+  std::uint64_t req_seq_ = 0, crash_seq_ = 0, wedge_seq_ = 0, sw_seq_ = 0;
+  std::uint64_t kills_ = 0, crashes_ = 0, wedges_ = 0, short_writes_ = 0;
 };
 
 }  // namespace acrobat::fault

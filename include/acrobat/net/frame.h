@@ -16,7 +16,9 @@
 //
 // The same framing carries both the client-facing protocol (kRequest /
 // kDone / kToken / kRetry / kError) and the router↔shard-worker protocol of
-// the multi-process fleet (kWorker*). FrameReader is an incremental parser:
+// the multi-process fleet: a worker gets kRequest and answers kToken and
+// kDone, each with the router's slot id in the id field, and the kWorker*
+// frames carry control. FrameReader is an incremental parser:
 // feed it whatever recv returned — any fragmentation, including one byte at
 // a time — and it yields complete frames in order, faulting loudly on an
 // oversized or malformed header instead of buffering unboundedly.
@@ -37,12 +39,8 @@ enum class FrameType : std::uint8_t {
   kToken = 3,  // u32 req_id, u32 ordinal — streamed per decode token
   kRetry = 4,  // u32 req_id — admission queue full: retry later (the 429)
   kError = 5,  // u32 req_id, u32 code (ErrorCode)
-  // router ↔ shard worker (multi-process fleet, over a UDS socketpair)
-  kWorkerReq = 8,     // u32 slot, u32 input_index, u16 model_id, u8 class, u8 pad
-                      //   flags bit0 = stream
-  kWorkerToken = 9,   // u32 slot, u32 ordinal
-  kWorkerDone = 10,   // u32 slot, u32 tokens, u8 cancelled, u8 pad[3],
-                      // u32 n_floats, f32[n_floats]
+  // router ↔ shard worker control (multi-process fleet, over a UDS
+  // socketpair; requests and results travel as kRequest, kToken and kDone)
   kWorkerCancel = 11, // u32 slot — cancel a live session mid-stream
   kWorkerPing = 12,   // liveness probe (router → worker)
   kWorkerPong = 13,   // liveness reply (worker → router)

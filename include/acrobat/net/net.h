@@ -9,7 +9,9 @@
 // a *bounded* admission FIFO for the next freed slot. Completions (including
 // per-token decode frames) stream back on the originating connection. The
 // loop blocks until a socket is ready or a shard signals a completion
-// through an eventfd; it has no poll tick.
+// through an eventfd; it has no poll tick. In multiprocess mode the same
+// thread owns every worker's socketpair, and its poll timeout is the
+// nearest ping, liveness or respawn deadline.
 //
 // Three invariants the design enforces:
 //   * Overload sheds, never grows: the slot table has fixed size and the
@@ -22,8 +24,8 @@
 //     sessions through the existing mid-stream-cancel path.
 //   * Shards are shared-nothing: in-proc shards are threads that own their
 //     engine exclusively; with `multiprocess = true` each shard is a forked
-//     `--shard-worker` process speaking the worker frame protocol over a
-//     UDS socketpair, with ping/pong liveness and drain-on-shutdown.
+//     `--shard-worker` process speaking the frame protocol over a UDS
+//     socketpair, with ping/pong liveness and drain-on-shutdown.
 #pragma once
 
 #include <cstdint>
@@ -81,12 +83,11 @@ struct NetOptions {
 
   // Supervision (multiprocess): re-fork and re-register a dead worker under
   // the same recipe. respawn_budget bounds total respawns per shard (a
-  // crash-looping recipe must not fork forever); the delay before attempt k
-  // without an intervening completed request is
+  // crash-looping recipe must not fork forever; 0 never respawns); the
+  // delay before attempt k without an intervening completed request is
   // min(respawn_backoff_ns << k, respawn_backoff_cap_ns) — one completed
   // request resets the exponent. The shard is routed around while a respawn
-  // is pending, exactly like an unsupervised death.
-  bool supervise = true;
+  // is pending, exactly like a death that is never respawned.
   int respawn_budget = 8;
   std::int64_t respawn_backoff_ns = 50'000'000;
   std::int64_t respawn_backoff_cap_ns = 2'000'000'000;

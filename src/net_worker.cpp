@@ -22,7 +22,6 @@
 #include "models/models.h"
 #include "net/frame.h"
 #include "net/net.h"
-#include "net_send.h"
 #include "shard_core.h"
 #include "support/timer.h"
 
@@ -32,6 +31,24 @@ namespace {
 // Worker-side fault injector (DESIGN.md §11): one per process, installed
 // from --fault before the loop starts. Inert (empty plan) by default.
 fault::Injector g_inject;
+
+// Sends all of `b` on `fd`, retrying on EINTR; false on any other send
+// error. Injected short writes fragment a frame without losing bytes: the
+// loop resumes at the next unsent byte, so the router's FrameReader
+// reassembly is what gets exercised.
+bool send_all(int fd, const std::vector<std::uint8_t>& b) {
+  std::size_t off = 0;
+  while (off < b.size()) {
+    const std::size_t chunk = g_inject.clamp_write(b.size() - off);
+    const ssize_t n = ::send(fd, b.data() + off, chunk, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  return true;
+}
 
 void stall_ns(std::int64_t ns) {
   timespec ts{static_cast<time_t>(ns / 1'000'000'000),
@@ -76,9 +93,10 @@ bool parse_args(int argc, char** argv, WorkerArgs& a) {
   return a.fd >= 0;
 }
 
-// The router socketpair as the shard core's transport: kWorkerReq frames
-// are arrivals, kWorkerToken/kWorkerDone frames carry results back, and
-// cancel, ping, drain and mode frames are handled as they are read.
+// The router socketpair as the shard core's transport. It speaks the
+// client protocol with the router's slot id in the id field: kRequest
+// frames are arrivals, kToken and kDone frames carry results back. Cancel,
+// ping, drain and mode frames are handled as they are read.
 class WorkerIo final : public serve::detail::ShardIo {
  public:
   explicit WorkerIo(int fd) : fd_(fd), epoch_(now_ns()) {}
@@ -113,12 +131,12 @@ class WorkerIo final : public serve::detail::ShardIo {
   void token(int si, std::uint32_t ordinal) override {
     if (!slot(si).stream) return;
     wire_.clear();
-    encode_id_pair(wire_, FrameType::kWorkerToken, static_cast<std::uint32_t>(si), ordinal);
+    encode_id_pair(wire_, FrameType::kToken, static_cast<std::uint32_t>(si), ordinal);
     send();
   }
   void finish(int si, serve::RequestRecord& rec) override {
     wire_.clear();
-    encode_done(wire_, FrameType::kWorkerDone, static_cast<std::uint32_t>(si),
+    encode_done(wire_, FrameType::kDone, static_cast<std::uint32_t>(si),
                 static_cast<std::uint32_t>(rec.tokens), rec.cancelled, rec.output.data(),
                 rec.output.size());
     send();
@@ -143,11 +161,11 @@ class WorkerIo final : public serve::detail::ShardIo {
 
   Pending& slot(int si) { return slots_[static_cast<std::size_t>(si)]; }
   void send() {
-    if (!detail::send_all(fd_, wire_, g_inject)) eof_ = true;
+    if (!send_all(fd_, wire_)) eof_ = true;
   }
   void handle(const Frame& f, std::deque<int>& arrived) {
     switch (f.type) {
-      case FrameType::kWorkerReq: {
+      case FrameType::kRequest: {
         RequestFields rf;
         if (!parse_request(f, rf)) break;
         // crash_worker: die before replying — the router sees EOF and fails
@@ -218,7 +236,7 @@ int shard_worker_main(int argc, char** argv) {
       std::fprintf(stderr, "acrobat net worker: bad fault spec: %s\n", perr.c_str());
       return 2;
     }
-    g_inject.reset(plan);
+    g_inject = fault::Injector(plan);
   }
 
   const models::ModelSpec& spec = models::model_by_name(a.model);

@@ -12,12 +12,14 @@
 //      and times out against a server that never answers;
 //  (f) supervisor: a SIGKILLed worker is respawned under the same recipe
 //      (post-respawn outputs stay solo-bitwise-identical), a crash-looping
-//      command burns its restart budget and degrades to explicit errors;
+//      command burns its restart budget (or, at budget 0, is never
+//      respawned) and degrades to explicit errors;
 //  (g) kill-loop soak: SIGKILL a worker every ~n/10 requests via the fault
 //      plan — every request still reaches a terminal frame and the fleet
 //      keeps goodput;
 //  (h) degraded mode: overload enters/exits with hysteresis, sheds
-//      best-effort work, and accounts every request;
+//      best-effort work, and accounts every request, in process and with a
+//      forked worker that learns the mode from kWorkerMode frames;
 //  (i) bad requests + fairness: a malformed request is refused before
 //      admission and not retried; one connection cannot hold more than its
 //      in-flight cap;
@@ -371,8 +373,8 @@ void test_supervisor_respawn() {
     CHECK(r.kind == net::ClientResponse::Kind::kDone);
   }
 
-  // Respawned: the proxy stores -1 when it reaps the killed worker and the
-  // new pid when it forks, so two pids without the killed one means the
+  // Respawned: the event loop stores -1 when it reaps the killed worker and
+  // the new pid when it forks, so two pids without the killed one means the
   // shard has a live replacement.
   const pid_t killed = srv.worker_pids().at(0);
   ::kill(killed, SIGKILL);
@@ -408,33 +410,40 @@ void test_supervisor_respawn() {
 
 // (f2) Budget exhaustion: a worker command that dies instantly burns its
 // restart budget (backoff between attempts), then the shard stays dead and
-// requests get explicit errors — not hangs, not fork bombs.
+// requests get explicit errors — not hangs, not fork bombs. At budget 0 the
+// first death is final: no respawn, and the budget counts as spent at once.
 void test_respawn_budget_exhaustion() {
-  net::NetOptions o;
-  o.multiprocess = true;
-  o.shards = 1;
-  o.worker_cmd = "/bin/false";  // execs fine, exits immediately: crash loop
-  o.respawn_budget = 2;
-  o.respawn_backoff_ns = 2'000'000;
-  o.respawn_backoff_cap_ns = 8'000'000;
-  net::NetServer srv(nullptr, nullptr, o);
-  if (!start_or_skip(srv, "respawn_budget")) return;
+  for (const int budget : {2, 0}) {
+    net::NetOptions o;
+    o.multiprocess = true;
+    o.shards = 1;
+    o.worker_cmd = "/bin/false";  // execs fine, exits immediately: crash loop
+    o.respawn_budget = budget;
+    o.respawn_backoff_ns = 2'000'000;
+    o.respawn_backoff_cap_ns = 8'000'000;
+    net::NetServer srv(nullptr, nullptr, o);
+    if (!start_or_skip(srv, "respawn_budget")) return;
 
-  ::usleep(300'000);  // let the crash loop burn the whole budget
+    // Let the crash loop burn the whole budget. At budget 0 the request
+    // gets kError whether it reaches the dying worker (kWorkerDied) or
+    // finds it dead already (kUnavailable), so nothing needs to wait.
+    if (budget > 0) ::usleep(300'000);
 
-  net::NetClient cli;
-  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
-  CHECK(cli.send_request(1, 0));
-  net::ClientResponse r;
-  CHECK(cli.wait(1, r));
-  CHECK(r.kind == net::ClientResponse::Kind::kError);
-  cli.close();
-  srv.shutdown();
-  const net::NetStats& st = srv.stats();
-  CHECK_EQ(st.worker_respawns, 2u);     // exactly the budget, then stop
-  CHECK_EQ(st.respawns_exhausted, 1u);
-  CHECK(st.worker_deaths >= 3u);        // initial spawn + both respawns died
-  CHECK(st.errors >= 1u);
+    net::NetClient cli;
+    CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
+    CHECK(cli.send_request(1, 0));
+    net::ClientResponse r;
+    CHECK(cli.wait(1, r));
+    CHECK(r.kind == net::ClientResponse::Kind::kError);
+    cli.close();
+    srv.shutdown();
+    const net::NetStats& st = srv.stats();
+    CHECK_EQ(st.worker_respawns, static_cast<std::uint64_t>(budget));  // the budget, then stop
+    CHECK_EQ(st.respawns_exhausted, 1u);
+    // The initial spawn and every respawn died.
+    CHECK(st.worker_deaths >= static_cast<std::uint64_t>(budget) + 1);
+    CHECK(st.errors >= 1u);
+  }
 }
 
 // (g) Kill-loop soak: the fault plan SIGKILLs a worker every ~n/10 routed
@@ -520,51 +529,58 @@ void test_kill_loop_soak() {
 }
 
 // (h) Degraded mode: overload crosses the high watermark, best-effort work
-// is shed, the mode exits under hysteresis, and the books balance.
+// is shed, the mode exits under hysteresis, and the books balance — in
+// process, and with a forked worker that the event loop tells of each
+// transition by a kWorkerMode frame.
 void test_degraded_mode() {
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 8, 7);
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
-  net::NetOptions o;
-  o.admission_capacity = 8;   // degraded mode enters at 7, exits at 2
-  o.max_sessions = 4;         // make the queue actually back up
-  o.launch_overhead_ns = 200'000;
-  o.ds_batch = 8;
-  o.ds_seed = 7;
-  net::NetServer srv(&p, &ds, o);
-  if (!start_or_skip(srv, "degraded_mode")) return;
+  for (const bool multiprocess : {false, true}) {
+    net::NetOptions o;
+    o.admission_capacity = 8;   // degraded mode enters at 7, exits at 2
+    o.max_sessions = 4;         // make the queue actually back up
+    o.launch_overhead_ns = 200'000;
+    o.ds_batch = 8;
+    o.ds_seed = 7;
+    o.multiprocess = multiprocess;
+    net::NetServer srv(multiprocess ? nullptr : &p, multiprocess ? nullptr : &ds, o);
+    if (!start_or_skip(srv, multiprocess ? "degraded_mode/multiproc" : "degraded_mode"))
+      continue;
 
-  const int burst = 64;
-  net::NetClient cli;
-  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
-  for (int i = 0; i < burst; ++i)
-    CHECK(cli.send_request(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(i) % 8, 0,
-                           /*latency_class=*/i % 2 == 0 ? 0 : 2,
-                           /*stream=*/false));
-  int done = 0, retried = 0;
-  for (int i = 0; i < burst; ++i) {
-    net::ClientResponse r;
-    CHECK(cli.wait(static_cast<std::uint32_t>(i), r));
-    if (r.kind == net::ClientResponse::Kind::kDone) ++done;
-    else ++retried;
+    const int burst = 64;
+    net::NetClient cli;
+    CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
+    for (int i = 0; i < burst; ++i)
+      CHECK(cli.send_request(static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(i) % 8, 0,
+                             /*latency_class=*/i % 2 == 0 ? 0 : 2,
+                             /*stream=*/false));
+    int done = 0, retried = 0;
+    for (int i = 0; i < burst; ++i) {
+      net::ClientResponse r;
+      CHECK(cli.wait(static_cast<std::uint32_t>(i), r));
+      if (r.kind == net::ClientResponse::Kind::kDone) ++done;
+      else ++retried;
+    }
+    // The mode exit is recorded by shutdown at the latest: the event loop
+    // evaluates the hysteresis every pass, and the drain cannot finish
+    // before a pass with an empty FIFO.
+    cli.close();
+    srv.shutdown();
+    const net::NetStats& st = srv.stats();
+    CHECK_EQ(done + retried, burst);
+    CHECK(st.degraded_entries >= 1u);
+    CHECK(st.degraded_sheds >= 1u);  // best-effort class hit the shed path
+    CHECK_EQ(st.degraded_entries, st.degraded_exits);
+    // Sheds are accounted separately from queue-full 429s, and together they
+    // explain every kRetry the client saw.
+    CHECK_EQ(st.rejected_429 + st.degraded_sheds,
+             static_cast<std::uint64_t>(retried));
+    CHECK_EQ(st.completed, static_cast<std::uint64_t>(done));
+    CHECK_EQ(st.errors, 0u);
   }
-  // The mode exit is recorded by shutdown at the latest: the event loop
-  // evaluates the hysteresis every pass, and the drain cannot finish before
-  // a pass with an empty FIFO.
-  cli.close();
-  srv.shutdown();
-  const net::NetStats& st = srv.stats();
-  CHECK_EQ(done + retried, burst);
-  CHECK(st.degraded_entries >= 1u);
-  CHECK(st.degraded_sheds >= 1u);  // best-effort class hit the shed path
-  CHECK_EQ(st.degraded_entries, st.degraded_exits);
-  // Sheds are accounted separately from queue-full 429s, and together they
-  // explain every kRetry the client saw.
-  CHECK_EQ(st.rejected_429 + st.degraded_sheds,
-           static_cast<std::uint64_t>(retried));
-  CHECK_EQ(st.completed, static_cast<std::uint64_t>(done));
 }
 
 // (i1) Bad requests: an out-of-range input index and a nonzero model id

@@ -11,19 +11,22 @@
 //  (d) slow reader: a connection that stops reading is dropped when its
 //      bounded write buffer fills — the shards drain to completion anyway;
 //  (e) mid-stream drop: closing a connection with live streaming sessions
-//      cancels them through the owner-tagged cancel path;
+//      cancels them through the owner-tagged cancel path, in process and
+//      through kWorkerCancel frames to a forked fleet;
 //  (f) multi-process fleet: a 2-worker fleet serves solo-bitwise-identical
-//      outputs across the process boundary, and SIGKILLing a worker still
-//      yields a terminal frame for every request plus a clean drain;
+//      outputs across the process boundary from one router thread, and
+//      SIGKILLing a worker still yields a terminal frame for every request
+//      plus a clean drain;
 //  (g) soak: a bounded-ingress loop with client-side 429 retry completes
 //      every request (the ASan job runs this shape for leak coverage);
-//  (h) no lost wake: the event loop blocks without a timeout, so a K=1
-//      closed loop stalls for good if one completion's wake is lost — every
-//      request must land kDone within its 10 s wait, in process and through
-//      a forked 2-worker fleet.
+//  (h) no lost wake: in process the event loop blocks without a timeout,
+//      so a K=1 closed loop stalls for good if one completion's wake is
+//      lost — every request must land kDone within its 10 s wait, in
+//      process and through a forked 2-worker fleet.
 //
 // Sockets may be unavailable in a sandbox: each wire test SKIPs (loudly)
 // when NetServer::start() cannot bind, leaving the codec test as the floor.
+#include <dirent.h>
 #include <netinet/in.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -37,6 +40,7 @@
 #include "net/client.h"
 #include "net/net.h"
 #include "serve/server.h"
+#include "support/timer.h"
 #include "test_util.h"
 
 using namespace acrobat;
@@ -51,6 +55,30 @@ bool start_or_skip(net::NetServer& srv, const char* what) {
   std::printf("SKIP %s: %s\n", what, srv.error().c_str());
   ++g_skips;
   return false;
+}
+
+// Threads of this process: the entries of /proc/self/task.
+int thread_count() {
+  DIR* d = ::opendir("/proc/self/task");
+  if (d == nullptr) return -1;
+  int n = 0;
+  while (const dirent* e = ::readdir(d))
+    if (e->d_name[0] != '.') ++n;
+  ::closedir(d);
+  return n;
+}
+
+// A joined thread may stay listed for a moment after pthread_join returns
+// (the kernel clears its tid before it releases the task), so wait up to
+// 5 s for the count to reach `want`.
+int settle_thread_count(int want) {
+  const std::int64_t t0 = now_ns();
+  int n = thread_count();
+  while (n != want && now_ns() - t0 < 5'000'000'000) {
+    ::usleep(1'000);
+    n = thread_count();
+  }
+  return n;
 }
 
 models::Dataset solo_dataset(const models::Dataset& ds, std::size_t idx) {
@@ -323,40 +351,52 @@ void test_slow_reader_dropped() {
   CHECK(st.write_buf_peak <= o.write_buffer_limit + net::kMaxPayload);
 }
 
-// (e) Mid-stream connection drop cancels the live sessions it owned.
+// (e) Mid-stream connection drop cancels the live sessions it owned: in
+// process through the slot's cancel tag, and in a 2-worker fleet through
+// the kWorkerCancel frames the event loop sends.
 void test_midstream_drop_cancels() {
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 8, 7);
   harness::Prepared p = harness::prepare(spec, false, passes::PipelineConfig{});
 
-  net::NetOptions o;
-  // A decode step is 2 launches (the cell's kLinear and the stop head), so
-  // each step costs ~1 ms of simulated launch time.
-  o.launch_overhead_ns = 500'000;
-  o.ds_batch = 8;
-  o.ds_seed = 7;
-  net::NetServer srv(&p, &ds, o);
-  if (!start_or_skip(srv, "midstream_drop")) return;
+  for (const bool multiprocess : {false, true}) {
+    net::NetOptions o;
+    // A decode step is 2 launches (the cell's kLinear and the stop head), so
+    // each step costs ~1 ms of simulated launch time.
+    o.launch_overhead_ns = 500'000;
+    o.ds_batch = 8;
+    o.ds_seed = 7;
+    o.multiprocess = multiprocess;
+    o.shards = multiprocess ? 2 : 1;
+    net::NetServer srv(multiprocess ? nullptr : &p, multiprocess ? nullptr : &ds, o);
+    if (!start_or_skip(srv, multiprocess ? "midstream_drop/multiproc" : "midstream_drop"))
+      continue;
 
-  net::NetClient cli;
-  CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
-  for (int i = 0; i < 4; ++i)
-    CHECK(cli.send_request(static_cast<std::uint32_t>(i),
-                           static_cast<std::uint32_t>(i) % ds.inputs.size()));
-  // Vanish mid-stream: a received token proves the cohort is decoding, and
-  // its longest session still has many ~1 ms steps to go.
-  CHECK(cli.wait_token(0));
-  cli.close();
-  srv.shutdown();
-  const net::NetStats& st = srv.stats();
+    net::NetClient cli;
+    CHECK(cli.connect_tcp("127.0.0.1", srv.port()));
+    for (int i = 0; i < 4; ++i)
+      CHECK(cli.send_request(static_cast<std::uint32_t>(i),
+                             static_cast<std::uint32_t>(i) % ds.inputs.size()));
+    // Vanish mid-stream: a received token proves the cohort is decoding, and
+    // its longest session still has many ~1 ms steps to go.
+    CHECK(cli.wait_token(0));
+    cli.close();
+    srv.shutdown();
+    const net::NetStats& st = srv.stats();
 
-  CHECK(st.conn_drops >= 1);
-  long long shard_cancelled = 0;
-  for (const serve::ShardReport& s : st.shards) shard_cancelled += s.cancelled;
-  // Every request either completed before the drop or was cancelled by it;
-  // with 200µs launch overhead at least one session was still mid-decode.
-  CHECK(shard_cancelled >= 1);
-  CHECK_EQ(st.completed, 4u);  // cancelled sessions still retire through kDone
+    CHECK(st.conn_drops >= 1);
+    // Every request either completed before the drop or was cancelled by
+    // it; with ~1 ms steps at least one session was still mid-decode. A
+    // worker's report carries no cancel count, so the fleet reads the
+    // server's, which counts each kDone that says cancelled.
+    CHECK(st.cancelled >= 1);
+    if (!multiprocess) {
+      long long shard_cancelled = 0;
+      for (const serve::ShardReport& s : st.shards) shard_cancelled += s.cancelled;
+      CHECK(shard_cancelled >= 1);
+    }
+    CHECK_EQ(st.completed, 4u);  // cancelled sessions still retire through kDone
+  }
 }
 
 // (f) Multi-process fleet: bitwise parity across the process boundary, and
@@ -374,7 +414,11 @@ void test_multiprocess_fleet() {
   o.ds_batch = 6;
   o.ds_seed = 23;
   net::NetServer srv(nullptr, nullptr, o);
+  // One router thread: the event loop owns both workers' sockets, so start()
+  // adds exactly one thread however many workers it forks.
+  const int threads_before = thread_count();
   if (!start_or_skip(srv, "multiprocess_fleet")) return;
+  CHECK_EQ(thread_count(), threads_before + 1);
   CHECK_EQ(srv.worker_pids().size(), 2u);
 
   net::NetClient cli;
@@ -418,6 +462,7 @@ void test_multiprocess_fleet() {
   CHECK(done >= 1);  // the surviving worker kept serving
   cli.close();
   srv.shutdown();  // must drain cleanly: kWorkerDrain/kWorkerBye + waitpid
+  CHECK_EQ(settle_thread_count(threads_before), threads_before);
   const net::NetStats& st = srv.stats();
   CHECK_EQ(st.worker_deaths, 1u);
   CHECK_EQ(st.shards.size(), 2u);
@@ -476,8 +521,9 @@ void test_soak_with_retry() {
 }
 
 // (h) No lost wake: one streamed request at a time, so each completion
-// reaches the client only if its wake reaches the parked event loop (and,
-// multi-process, each request reaches its parked proxy).
+// reaches the client only if its wake reaches the parked event loop. In the
+// fleet the loop polls the worker sockets itself, with the nearest
+// supervision deadline as its timeout: each result frame must still wake it.
 void test_no_lost_wake() {
   const models::ModelSpec& spec = models::model_by_name("Decoder");
   const models::Dataset ds = spec.build_dataset(false, 8, 7);

@@ -3,8 +3,8 @@
 //   netd [--port N] [--uds PATH] [--shards N] [--multiproc] [--model NAME]
 //        [--large] [--launch-ns N] [--admission-cap N] [--max-sessions N]
 //        [--policy greedy|max-batch|deadline] [--trace PATH]
-//        [--max-inflight-per-conn N] [--no-supervise]
-//        [--respawn-budget N] [--ping-ms N] [--liveness-ms N] [--fault SPEC]
+//        [--max-inflight-per-conn N] [--respawn-budget N] [--ping-ms N]
+//        [--liveness-ms N] [--fault SPEC]
 //
 // Binds loopback TCP (and/or a UDS path), prints the bound endpoint, serves
 // until SIGINT/SIGTERM, then drains: stops accepting, 429s new requests,
@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
     else if (k == "--max-sessions") o.max_sessions = static_cast<std::size_t>(std::atoll(next()));
     else if (k == "--trace") { o.trace.enabled = true; trace_path = next(); }
     else if (k == "--max-inflight-per-conn") o.max_inflight_per_conn = std::atoi(next());
-    else if (k == "--no-supervise") o.supervise = false;
     else if (k == "--respawn-budget") o.respawn_budget = std::atoi(next());
     else if (k == "--ping-ms") o.ping_interval_ns = std::atoll(next()) * 1'000'000;
     else if (k == "--liveness-ms") o.liveness_timeout_ns = std::atoll(next()) * 1'000'000;
